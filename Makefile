@@ -34,7 +34,7 @@ MAX_MEM_GROWTH = 0.25
 TEL_DELTA_PAIR = BenchmarkJoin/telemetry=on:BenchmarkJoin/telemetry=off
 MAX_TEL_DELTA = 0.05
 
-.PHONY: build test test-race bench bench-json bench-smoke chaos-smoke soak soak-smoke e2e-smoke obs-smoke vet lint
+.PHONY: build test test-race bench bench-json bench-smoke bench-e2e bench-deep chaos-smoke soak soak-smoke e2e-smoke obs-smoke vet lint
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,15 @@ obs-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS)
+
+# bench-e2e runs the end-to-end instrument BENCHMARK.json declares, every
+# workload; bench-deep only the in-process deep-tree one. BENCH_ARGS passes
+# flags through (e.g. BENCH_ARGS='-repeat 3').
+bench-e2e:
+	bash benchmark/run.sh $(BENCH_ARGS)
+
+bench-deep:
+	bash benchmark/run.sh -workload deep.local-single $(BENCH_ARGS)
 
 # bench-json runs the hot-path microbenchmarks at full precision and writes
 # the machine-readable trajectory file the repo checks in.

@@ -181,3 +181,80 @@ func treeShape(t *Tree) string {
 	})
 	return out
 }
+
+// TestFindPositionMatchesReferenceScanDeep is the wide-tree twin of the test
+// above, shaped like the deep.local-single benchmark: thousands of live
+// nodes whose out-degree is 0, 1 or 2 and whose capacity takes 13 values, so
+// every (level, out-degree) bucket holds hundreds to thousands of members
+// that tie on (degree, capacity) and the election falls to the EffE2E and
+// viewer-ID tie-breaks. The propagation delay takes four values, so EffE2E
+// ties too, and layer pushes re-key filed nodes in place. Every position any
+// mutation asks for — a join, a recovered victim — is resolved by both
+// searches before it is applied, and the full validator recounts the heaps
+// after every churn step.
+func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 5000-node tree under the reference scan")
+	}
+	const (
+		target     = 5000
+		churnSteps = 1500
+	)
+	rng := rand.New(rand.NewSource(18))
+	tree := newTestTree(t, func(a, b model.ViewerID) time.Duration {
+		return time.Duration(10+10*((len(a)+int(a[len(a)-1])+3*int(b[len(b)-1]))%4)) * time.Millisecond
+	})
+	next := 0
+	var live []*Node
+	place := func(u *Node) {
+		t.Helper()
+		checkAgainstReference(t, tree, u)
+		if placed, _ := tree.place(u); !placed {
+			tree.AttachToCDN(u)
+		}
+	}
+	join := func() {
+		t.Helper()
+		u := &Node{
+			Viewer: model.ViewerID(fmt.Sprintf("w%06d", next)),
+			OutDeg: rng.Intn(3),
+			OutCap: float64(rng.Intn(13)),
+		}
+		next++
+		place(u)
+		live = append(live, u)
+	}
+	for step := 0; len(live) < target; step++ {
+		join()
+		if step%256 == 0 {
+			requireInvariants(t, tree, step, "build")
+		}
+	}
+	requireInvariants(t, tree, target, "build")
+	for step := 0; step < churnSteps; step++ {
+		op := "join"
+		switch r := rng.Intn(10); {
+		case r < 3 || len(live) <= target:
+			join()
+		case r < 6:
+			op = "detach+reattach"
+			i := rng.Intn(len(live))
+			n := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			for _, v := range tree.Detach(n) {
+				place(v)
+			}
+		case r < 8:
+			op = "move-to-cdn"
+			tree.MoveToCDN(live[rng.Intn(len(live))])
+		default:
+			op = "set-layer"
+			tree.SetLayer(live[rng.Intn(len(live))], rng.Intn(6))
+		}
+		requireInvariants(t, tree, step, op)
+	}
+	if len(live) < target || tree.Size() != len(live) {
+		t.Fatalf("tree size %d, live census %d, want ≥ %d", tree.Size(), len(live), target)
+	}
+}

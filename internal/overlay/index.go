@@ -1,47 +1,66 @@
 package overlay
 
 // The admission index: every attached node is filed, by depth, into
-// per-level out-degree buckets. The buckets are intrusive doubly-linked
-// lists threaded through the slab's prev/next arrays (slab.go), so
-// membership changes never allocate and bucket walks touch dense SoA memory
-// — degree, capacity, and effective delay are read from flat arrays and a
-// Node is only dereferenced once a scan has settled on its answer. The
-// index exists to answer the two questions Algorithm 1 asks at every BFS
-// level — "what is the weakest candidate here?" and "who has a free slot
-// here?" — without sorting or even visiting the level. findPosition walks
-// levels instead of nodes; only the single bucket that can contain the
-// answer is scanned, and the common "some parent at this level has a free
-// slot" case short-circuits on a counter.
+// per-level out-degree buckets, and every bucket is kept *ordered* under
+// Algorithm 1's candidate order. A bucket is a pair of intrusive binary
+// min-heaps of slab slots — one for members whose child slots are all
+// taken, one for members with a free slot — whose per-member position lives
+// in the slab's pos array (slab.go). The index exists to answer the two
+// questions Algorithm 1 asks at every BFS level — "what is the weakest
+// candidate here?" and "who has a free slot here?" — without sorting or
+// visiting the level: the weakest candidate of a bucket is the lesser of
+// its two heap tops, the best free-slot parent is the top of the free heap,
+// and findPosition walks levels and degrees, never bucket members. Levels
+// of a wide tree hold tens of thousands of nodes per bucket, which is why
+// an unordered bucket (an argmin walk per level per join) is not enough.
 //
 // The index is maintained incrementally by the attach/detach primitives in
-// tree.go (linkChild, unlinkChild, indexSubtree, unindexSubtree). OutDeg
-// and OutCap are immutable per node, so bucket membership only changes when
-// a node attaches, detaches, or changes depth; free-slot membership only
-// changes when a child count changes. EffE2E — a tie-breaker — is mirrored
-// into the store by every delay refresh and read straight from the array
-// during bucket scans.
+// tree.go (linkChild, unlinkChild, indexSubtree, unindexSubtree), every
+// operation O(log bucket). OutDeg and OutCap are immutable per node, so
+// bucket membership only changes when a node attaches, detaches, or changes
+// depth; a member moves between the two heaps of its bucket when a child
+// count crosses the free/full boundary (adjustFree); and a member's key
+// changes in place only when a delay refresh moves its EffE2E — the
+// tie-breaker after capacity — which refreshNode follows with rekey. Heap
+// sifts compare through nodeStore.lessSlot, i.e. inside the dense SoA
+// arrays; a Node is dereferenced only on a full (capacity, delay) tie.
+// Because lessSlot is a total order the heap top is the unique minimum, so
+// placements are exactly those of the paper-literal findPositionScan.
+
+// bucket holds the attached nodes of one (level, out-degree) pair as two
+// min-heaps of slab slots under nodeStore.lessSlot, 4 B per member.
+type bucket struct {
+	// full are the members with no free child slot, free those with at
+	// least one; a member is in exactly one, at index store.pos[slot].
+	full, free []int32
+}
+
+// half returns the heap a member belongs in.
+func (b *bucket) half(hasFree bool) *[]int32 {
+	if hasFree {
+		return &b.free
+	}
+	return &b.full
+}
 
 // levelIndex holds the attached nodes of one tree depth (0 = CDN children).
 type levelIndex struct {
 	// count is the number of attached nodes at this level.
 	count int
-	// free is the number of those with at least one free child slot.
+	// free is the number of those with at least one free child slot: the
+	// total length of the buckets' free heaps.
 	free int
-	// heads are the bucket list heads, indexed by OutDeg; -1 = empty.
-	// Entries are slab slots, chained through the store's next links.
-	heads []int32
-	// freeByDeg counts the free-slot nodes per bucket, so the minimum
-	// degree with supply is found without touching any node.
-	freeByDeg []int
+	// buckets are indexed by OutDeg.
+	buckets []bucket
 }
 
 // lessCandidate is the total order of Algorithm 1's candidate sort:
 // ascending out-degree, then out capacity, then descending effective delay
 // (prefer displacing high-delay nodes), then viewer ID. Viewer IDs are
-// unique, so the order is total and every argmin below is deterministic
-// regardless of bucket iteration order. Bucket scans use the slot-level
-// restriction nodeStore.lessSlot; this form remains for whole-node
-// comparisons in tests and the reference scan.
+// unique, so the order is total and every minimum below is deterministic
+// regardless of the order members were filed in. The heaps use the
+// slot-level restriction nodeStore.lessSlot; this form remains for
+// whole-node comparisons in tests and the reference scan.
 func lessCandidate(a, b *Node) bool {
 	if a.OutDeg != b.OutDeg {
 		return a.OutDeg < b.OutDeg
@@ -55,74 +74,148 @@ func lessCandidate(a, b *Node) bool {
 	return a.Viewer < b.Viewer
 }
 
+// heapUp sifts the member at index i toward the top of h.
+func (s *nodeStore) heapUp(h []int32, i int32) {
+	slot := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.lessSlot(slot, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.pos[h[i]] = i
+		i = p
+	}
+	h[i] = slot
+	s.pos[slot] = i
+}
+
+// heapDown sifts the member at index i toward the leaves of h.
+func (s *nodeStore) heapDown(h []int32, i int32) {
+	slot := h[i]
+	n := int32(len(h))
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.lessSlot(h[r], h[c]) {
+			c = r
+		}
+		if !s.lessSlot(h[c], slot) {
+			break
+		}
+		h[i] = h[c]
+		s.pos[h[i]] = i
+		i = c
+	}
+	h[i] = slot
+	s.pos[slot] = i
+}
+
+// heapFix restores heap order around index i after its key changed.
+func (s *nodeStore) heapFix(h []int32, i int32) {
+	if i > 0 && s.lessSlot(h[i], h[(i-1)/2]) {
+		s.heapUp(h, i)
+	} else {
+		s.heapDown(h, i)
+	}
+}
+
+// heapPush files slot into h.
+func (s *nodeStore) heapPush(h *[]int32, slot int32) {
+	*h = append(*h, slot)
+	s.heapUp(*h, int32(len(*h)-1))
+}
+
+// heapRemove unfiles slot from h, found through its position mirror.
+func (s *nodeStore) heapRemove(h *[]int32, slot int32) {
+	i := s.pos[slot]
+	last := int32(len(*h) - 1)
+	moved := (*h)[last]
+	*h = (*h)[:last]
+	s.pos[slot] = -1
+	if i != last {
+		(*h)[i] = moved
+		s.pos[moved] = i
+		s.heapFix(*h, i)
+	}
+}
+
 // add files an attached node into its out-degree bucket.
 func (li *levelIndex) add(s *nodeStore, n *Node) {
-	deg := n.OutDeg
-	for len(li.heads) <= deg {
-		li.heads = append(li.heads, -1)
-		li.freeByDeg = append(li.freeByDeg, 0)
+	for len(li.buckets) <= n.OutDeg {
+		li.buckets = append(li.buckets, bucket{})
 	}
-	slot := n.slot - 1
-	s.prev[slot] = -1
-	s.next[slot] = li.heads[deg]
-	if head := li.heads[deg]; head != -1 {
-		s.prev[head] = slot
-	}
-	li.heads[deg] = slot
+	hasFree := n.FreeSlots() > 0
+	s.heapPush(li.buckets[n.OutDeg].half(hasFree), n.slot-1)
 	li.count++
-	if n.FreeSlots() > 0 {
+	if hasFree {
 		li.free++
-		li.freeByDeg[deg]++
 	}
 }
 
 // remove unfiles a node. The caller must not have changed the node's child
-// count since the last add/adjustFree, so the free counters stay in step.
+// count since the last add/adjustFree, so FreeSlots still names its heap.
 func (li *levelIndex) remove(s *nodeStore, n *Node) {
-	slot := n.slot - 1
-	if p := s.prev[slot]; p != -1 {
-		s.next[p] = s.next[slot]
-	} else {
-		li.heads[n.OutDeg] = s.next[slot]
-	}
-	if nx := s.next[slot]; nx != -1 {
-		s.prev[nx] = s.prev[slot]
-	}
-	s.prev[slot], s.next[slot] = -1, -1
+	hasFree := n.FreeSlots() > 0
+	s.heapRemove(li.buckets[n.OutDeg].half(hasFree), n.slot-1)
 	li.count--
-	if n.FreeSlots() > 0 {
+	if hasFree {
 		li.free--
-		li.freeByDeg[n.OutDeg]--
 	}
 }
 
-// adjustFree moves a bucket's free-slot census by ±1 when an indexed node
-// crosses the free/full boundary.
-func (li *levelIndex) adjustFree(deg, delta int) {
-	li.free += delta
-	li.freeByDeg[deg] += delta
+// adjustFree moves a filed node between the two heaps of its bucket after a
+// child-count change took it across the free/full boundary; FreeSlots
+// already reflects the new side.
+func (li *levelIndex) adjustFree(s *nodeStore, n *Node) {
+	b := &li.buckets[n.OutDeg]
+	hasFree := n.FreeSlots() > 0
+	s.heapRemove(b.half(!hasFree), n.slot-1)
+	s.heapPush(b.half(hasFree), n.slot-1)
+	if hasFree {
+		li.free++
+	} else {
+		li.free--
+	}
+}
+
+// rekey restores a filed node's heap position after its store.eff changed.
+func (li *levelIndex) rekey(s *nodeStore, n *Node) {
+	h := li.buckets[n.OutDeg].half(n.FreeSlots() > 0)
+	s.heapFix(*h, s.pos[n.slot-1])
+}
+
+// min returns the bucket's minimum member under lessSlot — the lesser of the
+// two heap tops — or -1 when the bucket is empty.
+func (b *bucket) min(s *nodeStore) int32 {
+	switch {
+	case len(b.full) == 0 && len(b.free) == 0:
+		return -1
+	case len(b.full) == 0:
+		return b.free[0]
+	case len(b.free) == 0 || s.lessSlot(b.full[0], b.free[0]):
+		return b.full[0]
+	default:
+		return b.free[0]
+	}
 }
 
 // weakest returns the level's global candidate minimum under lessCandidate
 // when a joiner with the given degree and capacity beats it, nil otherwise.
 // The minimum lives in the lowest non-empty bucket; buckets beyond deg can
-// never be beaten, so the scan is bounded, only one bucket is visited, and
-// the walk stays inside the store's dense arrays.
+// never be beaten, so at most deg+1 buckets are probed and no member is
+// visited.
 func (li *levelIndex) weakest(s *nodeStore, deg int, cap float64) *Node {
 	max := deg
-	if max > len(li.heads)-1 {
-		max = len(li.heads) - 1
+	if max > len(li.buckets)-1 {
+		max = len(li.buckets) - 1
 	}
 	for d := 0; d <= max; d++ {
-		head := li.heads[d]
-		if head == -1 {
+		best := li.buckets[d].min(s)
+		if best == -1 {
 			continue
-		}
-		best := head
-		for slot := s.next[head]; slot != -1; slot = s.next[slot] {
-			if s.lessSlot(slot, best) {
-				best = slot
-			}
 		}
 		if d < deg || s.cap[best] < cap {
 			return s.nodes[best]
@@ -134,26 +227,24 @@ func (li *levelIndex) weakest(s *nodeStore, deg int, cap float64) *Node {
 
 // bestFree returns the minimum free-slot node of the level under
 // lessCandidate — the parent Algorithm 1's virtual empty slots would elect —
-// or nil when the level has no free slot. Only the lowest bucket with
-// supply is scanned.
+// or nil when the level has no free slot: the top of the lowest non-empty
+// free heap.
 func (li *levelIndex) bestFree(s *nodeStore) *Node {
-	for d := 0; d < len(li.freeByDeg); d++ {
-		if li.freeByDeg[d] == 0 {
-			continue
+	for d := range li.buckets {
+		if h := li.buckets[d].free; len(h) > 0 {
+			return s.nodes[h[0]]
 		}
-		best := int32(-1)
-		for slot := li.heads[d]; slot != -1; slot = s.next[slot] {
-			if s.freeSlotsAt(slot) == 0 {
-				continue
-			}
-			if best == -1 || s.lessSlot(slot, best) {
-				best = slot
-			}
-		}
-		if best == -1 {
-			return nil
-		}
-		return s.nodes[best]
 	}
 	return nil
+}
+
+// hasWeakerCap reports whether some member of the exact-degree bucket has
+// less out capacity than cap. Capacity is lessSlot's leading key, so the
+// bucket minimum carries the minimum capacity.
+func (li *levelIndex) hasWeakerCap(s *nodeStore, deg int, cap float64) bool {
+	if deg >= len(li.buckets) {
+		return false
+	}
+	best := li.buckets[deg].min(s)
+	return best != -1 && s.cap[best] < cap
 }

@@ -7,19 +7,25 @@ package overlay
 //
 //   - structure: unique nodes, parent/child symmetry, per-node degree
 //     bounds, no nodes unreachable from the roots;
-//   - root bookkeeping: roots have no parent and appear exactly once;
+//   - root bookkeeping: roots have no parent and appear exactly once, and
+//     the slot-indexed root-position mirror names each root's index in the
+//     root list and -1 for every other slot;
 //   - delay monotonicity: EffE2E ≥ MinE2E everywhere, a child's minimum
 //     delay never undercuts its parent's effective delay, and no layer
 //     sits below the minimum its path implies;
 //   - counters: the O(1) free-slot counter equals a full recount, the
 //     degree census equals a recount of attached nodes;
 //   - level index: every attached node is filed exactly once, at its true
-//     depth, in the bucket of its out-degree, and every per-level count
-//     (nodes, free slots, free-by-degree) equals a recount;
+//     depth, in the bucket of its out-degree and in the half (full / has a
+//     free slot) its child count names; both halves of every bucket are
+//     heap-ordered under lessSlot; the position mirror names each member's
+//     actual heap index and -1 for every unfiled slot; and every per-level
+//     count (nodes, free slots) equals a recount;
 //   - slab/SoA bookkeeping: every tracked node is bound to a slot whose
 //     registry entry points back at it, the dense mirrors (degree,
-//     capacity, effective delay, child count, filed flag) agree with the
-//     struct fields, the free list holds exactly the unbound slots with no
+//     capacity, effective delay, child count) agree with the struct
+//     fields, unattached nodes hold no heap position and non-roots no root
+//     position, the free list holds exactly the unbound slots with no
 //     duplicates, and every per-slot array spans the slab.
 
 // validate checks every tree invariant; tests call it after mutations.
@@ -56,7 +62,7 @@ func (t *Tree) validate() error {
 		return nil
 	}
 	rootSeen := make(map[*Node]bool, len(t.roots))
-	for _, r := range t.roots {
+	for i, r := range t.roots {
 		if r.Parent != nil {
 			return errBadParentLink(string(r.Viewer))
 		}
@@ -66,6 +72,9 @@ func (t *Tree) validate() error {
 		rootSeen[r] = true
 		if t.nodes[r.Viewer] != r {
 			return errRootBookkeeping(string(r.Viewer), "not tracked")
+		}
+		if r.slot == 0 || t.store.rootPos[r.slot-1] != int32(i) {
+			return errRootBookkeeping(string(r.Viewer), "position mirror drift")
 		}
 		if err := rec(r, 0); err != nil {
 			return err
@@ -101,37 +110,43 @@ func (t *Tree) validateIndexes(depths map[*Node]int) error {
 			return errCounterDrift("degree census", t.degTotals[d], want)
 		}
 	}
-	// Level index: membership, depth, and per-level counters. The bucket
-	// lists are threaded through the slab's prev/next arrays.
+	// Level index: membership, depth, heap order, position mirror, the
+	// full/free partition, and per-level counters.
 	filed := make(map[*Node]int, len(depths))
 	for depth, li := range t.levels {
 		count, freeCount := 0, 0
-		for deg, head := range li.heads {
-			bucketFree := 0
-			for slot := head; slot != -1; slot = t.store.next[slot] {
-				n := t.store.nodes[slot]
-				if n == nil {
-					return errIndexDrift("slab", "unbound slot in bucket")
+		for deg := range li.buckets {
+			b := &li.buckets[deg]
+			for _, hasFree := range []bool{false, true} {
+				h := *b.half(hasFree)
+				for i, slot := range h {
+					n := t.store.nodes[slot]
+					if n == nil {
+						return errIndexDrift("slab", "unbound slot in bucket")
+					}
+					if _, dup := filed[n]; dup {
+						return errIndexDrift(string(n.Viewer), "filed twice")
+					}
+					filed[n] = depth
+					if n.OutDeg != deg {
+						return errIndexDrift(string(n.Viewer), "wrong degree bucket")
+					}
+					if int(t.store.depth[slot]) != depth {
+						return errIndexDrift(string(n.Viewer), "stale depth")
+					}
+					if t.store.pos[slot] != int32(i) {
+						return errIndexDrift(string(n.Viewer), "heap position mirror drift")
+					}
+					if (n.FreeSlots() > 0) != hasFree {
+						return errIndexDrift(string(n.Viewer), "wrong half of the full/free partition")
+					}
+					if i > 0 && t.store.lessSlot(slot, h[(i-1)/2]) {
+						return errIndexDrift(string(n.Viewer), "heap order violated")
+					}
 				}
-				if _, dup := filed[n]; dup {
-					return errIndexDrift(string(n.Viewer), "filed twice")
-				}
-				filed[n] = depth
-				if n.OutDeg != deg {
-					return errIndexDrift(string(n.Viewer), "wrong degree bucket")
-				}
-				if !t.store.filed[slot] || int(t.store.depth[slot]) != depth {
-					return errIndexDrift(string(n.Viewer), "stale depth")
-				}
-				count++
-				if n.FreeSlots() > 0 {
-					freeCount++
-					bucketFree++
-				}
+				count += len(h)
 			}
-			if li.freeByDeg[deg] != bucketFree {
-				return errCounterDrift("level free-by-degree", li.freeByDeg[deg], bucketFree)
-			}
+			freeCount += len(b.free)
 		}
 		if li.count != count {
 			return errCounterDrift("level count", li.count, count)
@@ -161,7 +176,7 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		return errCounterDrift("slab capacity", len(s.blocks)*slabBlockSize, total)
 	}
 	for _, l := range []int{len(s.deg), len(s.cap), len(s.eff), len(s.kids),
-		len(s.depth), len(s.filed), len(s.prev), len(s.next)} {
+		len(s.depth), len(s.pos), len(s.rootPos)} {
 		if l != total {
 			return errCounterDrift("slab array span", l, total)
 		}
@@ -184,10 +199,17 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 			if !onFree[int32(slot)] {
 				return errIndexDrift("slab", "unbound slot missing from free list")
 			}
+			if s.pos[slot] != -1 || s.rootPos[slot] != -1 {
+				return errIndexDrift("slab", "unbound slot keeps a position")
+			}
 			continue
 		}
 		if n.slot != int32(slot)+1 {
 			return errIndexDrift(string(n.Viewer), "slot binding mismatch")
+		}
+		// The root walk proved every root's mirror; nobody else has one.
+		if (n.Parent != nil || !s.filed(int32(slot))) && s.rootPos[slot] != -1 {
+			return errIndexDrift(string(n.Viewer), "non-root keeps a root position")
 		}
 	}
 	for _, n := range t.nodes {
@@ -207,8 +229,9 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		if s.eff[slot] != n.EffE2E {
 			return errIndexDrift(string(n.Viewer), "effective-delay mirror drift")
 		}
-		if _, attached := depths[n]; s.filed[slot] != attached {
-			return errIndexDrift(string(n.Viewer), "filed flag drift")
+		// The bucket walk proved every attached node's heap position.
+		if _, attached := depths[n]; s.filed(slot) && !attached {
+			return errIndexDrift(string(n.Viewer), "unattached node keeps a heap position")
 		}
 	}
 	return nil

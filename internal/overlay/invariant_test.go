@@ -162,3 +162,101 @@ func TestManagerChurnInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateSeesPlantedIndexCorruption plants one bookkeeping slip at a
+// time into the ordered buckets and the root mirror of a healthy tree and
+// requires the validator to name it — the guarantee that a slip in the
+// incremental maintenance fails at the mutation that made it, not at a
+// later placement that trips over it.
+func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tree := newTestTree(t, func(a, b model.ViewerID) time.Duration {
+		return time.Duration(10+len(a)+int(b[len(b)-1])%7) * time.Millisecond
+	})
+	for i := 0; i < 120; i++ {
+		n := &Node{
+			Viewer: model.ViewerID(fmt.Sprintf("p%03d", i)),
+			OutDeg: rng.Intn(3),
+			OutCap: float64(rng.Intn(4)),
+		}
+		if placed, _ := tree.Insert(n); !placed {
+			tree.AttachToCDN(n)
+		}
+	}
+	requireValid(t, tree)
+	s := tree.store
+
+	// A full heap and a free heap with at least two members each, a
+	// non-root, and a free slab slot to corrupt.
+	var full, free *[]int32
+	for _, li := range tree.levels {
+		for d := range li.buckets {
+			b := &li.buckets[d]
+			if full == nil && len(b.full) >= 2 {
+				full = &b.full
+			}
+			if free == nil && len(b.free) >= 2 {
+				free = &b.free
+			}
+		}
+	}
+	if full == nil || free == nil || len(tree.roots) < 2 || len(s.freeList) == 0 {
+		t.Fatal("fixture tree lacks a shape the test needs")
+	}
+	var inner *Node
+	tree.Walk(func(n *Node) {
+		if n.Parent != nil {
+			inner = n
+		}
+	})
+	unbound := s.freeList[0]
+	swapRaw := func(h []int32) func() {
+		return func() { h[0], h[1] = h[1], h[0] }
+	}
+	swapMirrored := func(h []int32) func() {
+		return func() {
+			h[0], h[1] = h[1], h[0]
+			s.pos[h[0]], s.pos[h[1]] = 0, 1
+		}
+	}
+	r0, r1 := tree.roots[0].slot-1, tree.roots[1].slot-1
+	cases := []struct {
+		name        string
+		plant, undo func()
+	}{
+		{"heap entries swapped behind the mirror", swapRaw(*full), swapRaw(*full)},
+		{"heap order broken, mirror kept", swapMirrored(*free), swapMirrored(*free)},
+		{"member filed in the wrong half",
+			func() {
+				slot := (*free)[len(*free)-1]
+				*free = (*free)[:len(*free)-1]
+				*full = append(*full, slot)
+				s.pos[slot] = int32(len(*full) - 1)
+			},
+			func() {
+				slot := (*full)[len(*full)-1]
+				*full = (*full)[:len(*full)-1]
+				*free = append(*free, slot)
+				s.pos[slot] = int32(len(*free) - 1)
+			}},
+		{"root mirrors exchanged",
+			func() { s.rootPos[r0], s.rootPos[r1] = s.rootPos[r1], s.rootPos[r0] },
+			func() { s.rootPos[r0], s.rootPos[r1] = s.rootPos[r1], s.rootPos[r0] }},
+		{"non-root given a root position",
+			func() { s.rootPos[inner.slot-1] = 0 },
+			func() { s.rootPos[inner.slot-1] = -1 }},
+		{"unbound slot given a heap position",
+			func() { s.pos[unbound] = 0 },
+			func() { s.pos[unbound] = -1 }},
+	}
+	for _, c := range cases {
+		c.plant()
+		if err := tree.validate(); err == nil {
+			t.Errorf("%s: validator saw nothing", c.name)
+		}
+		c.undo()
+		if err := tree.validate(); err != nil {
+			t.Fatalf("%s: undo left the tree invalid: %v", c.name, err)
+		}
+	}
+}

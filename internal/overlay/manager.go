@@ -42,8 +42,12 @@ type Manager struct {
 
 	// Subscription worklist: viewers whose nodes' delay state changed
 	// and that need a stream-subscription pass.
-	pendingSet map[model.ViewerID]bool
-	pendingQ   []model.ViewerID
+	// pendingQ[pendingHead:] is the unprocessed part of the queue.
+	pendingSet  map[model.ViewerID]bool
+	pendingQ    []model.ViewerID
+	pendingHead int
+	// subtreeStack is the reusable DFS stack of enqueueSubtree.
+	subtreeStack []*Node
 	// dropLog records dropped subscriptions when params.LogDrops is set;
 	// DrainDrops hands it to the session layer after each operation.
 	dropLog []DropRecord
@@ -70,9 +74,16 @@ type Manager struct {
 	fpSites []model.SiteID
 	fpBuf   []byte
 	// resubscribeBudget caps subscription-chain propagation per public
-	// operation as a defensive bound; the overlay property makes chains
-	// acyclic, so the cap should never bind in practice.
+	// operation. The cap binds in practice: κ push-down chains can cycle
+	// through viewers that parent each other in different trees (ROADMAP
+	// item 2), and only the budget ends such a chain.
 	resubscribeBudget int
+	// resubscribeExhausted counts the operations whose budget ran dry with
+	// work still queued; surfaced as Snapshot.ResubscribeExhausted.
+	resubscribeExhausted int
+	// budgetOverride replaces propagationCap's constant when positive;
+	// tests use it to force an exhaustion.
+	budgetOverride int
 }
 
 // displacement is one degree push-down of a join: the pushed-down node and
@@ -574,6 +585,9 @@ func (m *Manager) treeFor(g *Group, s model.Stream) *Tree {
 }
 
 func (m *Manager) propagationCap() int {
+	if m.budgetOverride > 0 {
+		return m.budgetOverride
+	}
 	return 1 << 20
 }
 

@@ -15,10 +15,12 @@ import "time"
 //     free-slot stack, so churn recycles slots instead of hitting the
 //     allocator, and node storage is cache-contiguous;
 //   - the fields the admission path reads per candidate — out-degree, out
-//     capacity, effective delay, child count, depth, and the level-index
-//     bucket links — are mirrored into dense arrays indexed by slot, so
-//     bucket scans touch consecutive memory and never dereference a Node
-//     until the answer is found.
+//     capacity, effective delay, child count, depth — are mirrored into
+//     dense arrays indexed by slot, next to the node's position in the
+//     level-index heap it is filed in and in the tree's root list, so heap
+//     sifts compare inside consecutive memory, never dereference a Node
+//     short of a full (capacity, delay) tie, and removing a node from
+//     either structure needs no search.
 //
 // Every tracked node is bound to a slot. Production nodes are slab-born
 // (Tree.NewNode); tests that build &Node{} by hand are adopted at trackNode
@@ -54,11 +56,11 @@ type nodeStore struct {
 	eff   []time.Duration // EffE2E
 	kids  []int32         // len(Children)
 	depth []int32         // level-index depth (valid while filed)
-	filed []bool          // currently in the level index
-	// prev/next are the intrusive bucket links of the level index
-	// (index.go), -1-terminated. Living here instead of on the Node keeps
-	// bucket walks inside dense memory.
-	prev, next []int32
+	// pos is the node's index in the level-index heap it is filed in
+	// (index.go), -1 while it is in none; rootPos is its index in
+	// Tree.roots, -1 for a non-root. They are the position mirrors that
+	// make heap removal, re-keying and root removal search-free.
+	pos, rootPos []int32
 }
 
 func newNodeStore() *nodeStore { return &nodeStore{} }
@@ -73,12 +75,13 @@ func (s *nodeStore) grow() {
 	s.eff = append(s.eff, make([]time.Duration, slabBlockSize)...)
 	s.kids = append(s.kids, make([]int32, slabBlockSize)...)
 	s.depth = append(s.depth, make([]int32, slabBlockSize)...)
-	s.filed = append(s.filed, make([]bool, slabBlockSize)...)
-	s.prev = append(s.prev, make([]int32, slabBlockSize)...)
-	s.next = append(s.next, make([]int32, slabBlockSize)...)
-	// LIFO: push in reverse so low slots are handed out first.
+	s.pos = append(s.pos, make([]int32, slabBlockSize)...)
+	s.rootPos = append(s.rootPos, make([]int32, slabBlockSize)...)
+	// LIFO: push in reverse so low slots are handed out first. An unbound
+	// slot holds no position; release keeps it that way.
 	for i := int32(slabBlockSize) - 1; i >= 0; i-- {
 		s.freeList = append(s.freeList, base+i)
+		s.pos[base+i], s.rootPos[base+i] = -1, -1
 	}
 }
 
@@ -99,7 +102,6 @@ func (s *nodeStore) alloc() *Node {
 	n := &s.blocks[slot>>slabBlockShift][slot&slabBlockMask]
 	n.slot = slot + 1
 	s.nodes[slot] = n
-	s.prev[slot], s.next[slot] = -1, -1
 	return n
 }
 
@@ -117,8 +119,6 @@ func (s *nodeStore) adopt(n *Node) {
 	s.eff[slot] = n.EffE2E
 	s.kids[slot] = int32(len(n.Children))
 	s.depth[slot] = 0
-	s.filed[slot] = false
-	s.prev[slot], s.next[slot] = -1, -1
 }
 
 // owns reports whether the node's struct is the slab block entry of the slot.
@@ -138,8 +138,7 @@ func (s *nodeStore) release(n *Node) {
 	s.nodes[slot] = nil
 	s.deg[slot], s.cap[slot] = 0, 0
 	s.eff[slot], s.kids[slot], s.depth[slot] = 0, 0, 0
-	s.filed[slot] = false
-	s.prev[slot], s.next[slot] = -1, -1
+	s.pos[slot], s.rootPos[slot] = -1, -1
 	if s.owns(n, slot) {
 		*n = Node{} // clears n.slot too
 	} else {
@@ -161,6 +160,9 @@ func (s *nodeStore) lessSlot(a, b int32) bool {
 	}
 	return s.nodes[a].Viewer < s.nodes[b].Viewer
 }
+
+// filed reports whether the node at slot is currently in the level index.
+func (s *nodeStore) filed(slot int32) bool { return s.pos[slot] >= 0 }
 
 // freeSlotsAt returns the unused out-degree of the node at slot.
 func (s *nodeStore) freeSlotsAt(slot int32) int32 {

@@ -36,6 +36,10 @@ type Snapshot struct {
 	AcceptedPerViewer []int
 	// Groups counts live view groups.
 	Groups int
+	// ResubscribeExhausted counts the operations whose stream-subscription
+	// propagation ran out of budget with viewers still queued, each of
+	// which may have left a κ-spread violation behind.
+	ResubscribeExhausted int
 }
 
 // AcceptanceRatio returns ρ = N_accepted / N_total (1 when nothing was
@@ -66,6 +70,8 @@ func (m *Manager) Snapshot() Snapshot {
 		StreamsAccepted:  m.streamsAccepted,
 		CDNUsage:         m.cdn.Snapshot(),
 		Groups:           len(m.groups),
+
+		ResubscribeExhausted: m.resubscribeExhausted,
 	}
 	for _, id := range m.SortedViewerIDs() {
 		v := m.viewers[id]
@@ -98,6 +104,8 @@ func (m *Manager) QuickSnapshot() Snapshot {
 		StreamsRequested: m.streamsRequested,
 		StreamsAccepted:  m.streamsAccepted,
 		Groups:           len(m.groups),
+
+		ResubscribeExhausted: m.resubscribeExhausted,
 	}
 	for _, v := range m.viewers {
 		for _, n := range v.Nodes {

@@ -8,8 +8,12 @@ import (
 // worklist: any mutation that changes a node's delay state enqueues the
 // affected viewers, and processPending drains the queue, running one
 // subscription pass per viewer. The overlay property (§IV-B2) keeps the
-// serve relation acyclic within a group, so the drain terminates; a
-// generous budget guards against pathological churn.
+// serve relation acyclic within one tree, but not across a group's trees:
+// two viewers can parent each other in different streams, so a κ push-down
+// chain can cycle and the drain is not guaranteed to terminate on its own.
+// A per-operation budget cuts such a chain off; it does bind in practice
+// (ROADMAP item 2), each time leaving a κ-spread violation behind, and every
+// exhaustion is counted in Snapshot.ResubscribeExhausted.
 
 // enqueueResub marks a viewer for a subscription pass.
 func (m *Manager) enqueueResub(id model.ViewerID) {
@@ -29,34 +33,44 @@ func (m *Manager) enqueueNodes(nodes []*Node) {
 
 // enqueueSubtree marks every viewer in the subtree rooted at n.
 func (m *Manager) enqueueSubtree(n *Node) {
-	stack := []*Node{n}
+	stack := append(m.subtreeStack[:0], n)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		m.enqueueResub(cur.Viewer)
 		stack = append(stack, cur.Children...)
 	}
+	m.subtreeStack = stack
 }
 
-// processPending drains the subscription worklist.
+// processPending drains the subscription worklist. The queue is consumed
+// through a head cursor and compacted whenever the consumed prefix is at
+// least half of it, so its backing array is reused across operations and
+// stays proportional to the viewers actually waiting — a chain that cycles
+// for the whole budget pops a million entries but never has many queued.
 func (m *Manager) processPending() {
-	for len(m.pendingQ) > 0 && m.resubscribeBudget > 0 {
+	for m.pendingHead < len(m.pendingQ) && m.resubscribeBudget > 0 {
 		m.resubscribeBudget--
-		id := m.pendingQ[0]
-		m.pendingQ = m.pendingQ[1:]
+		id := m.pendingQ[m.pendingHead]
+		m.pendingHead++
+		if 2*m.pendingHead >= len(m.pendingQ) {
+			n := copy(m.pendingQ, m.pendingQ[m.pendingHead:])
+			m.pendingQ = m.pendingQ[:n]
+			m.pendingHead = 0
+		}
 		delete(m.pendingSet, id)
 		if v, ok := m.viewers[id]; ok {
 			m.resubscribeOne(v)
 		}
 	}
-	// A drained budget with work left would mean the propagation chain
-	// cycled, which the overlay property rules out; clear the queue so a
-	// later operation starts clean rather than replaying stale work.
-	if len(m.pendingQ) > 0 {
+	// A drained budget with work left means the propagation chain cycled
+	// across trees. Count the miss and drop the residue so a later
+	// operation starts clean rather than replaying stale work.
+	if m.pendingHead < len(m.pendingQ) {
+		m.resubscribeExhausted++
+		clear(m.pendingSet)
 		m.pendingQ = m.pendingQ[:0]
-		for id := range m.pendingSet {
-			delete(m.pendingSet, id)
-		}
+		m.pendingHead = 0
 	}
 }
 

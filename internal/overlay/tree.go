@@ -16,10 +16,13 @@ import (
 //     FreeSlots an O(1) read;
 //   - degTotals: the out-degree census of the attached nodes, bounding
 //     HasSupplyFor's displacement check;
-//   - levels: per-depth out-degree buckets (index.go) that findPosition
-//     walks instead of BFS-sorting every level.
+//   - levels: per-depth out-degree buckets, each ordered under the
+//     candidate order (index.go), that findPosition walks instead of
+//     BFS-sorting every level.
 type Tree struct {
 	Stream treeStream
+	// roots are the direct CDN children; store.rootPos mirrors each one's
+	// index so replacing or removing a root needs no search.
 	roots  []*Node
 	nodes  map[viewerID]*Node
 	prop   PropFunc
@@ -43,6 +46,9 @@ type Tree struct {
 	changed []*Node
 	// fifoQ is the reusable BFS queue of InsertFIFO.
 	fifoQ []*Node
+	// alwaysWalk disables SetLayer's unchanged-layer short-circuit. Only
+	// tests set it, to show the short-circuit changes no outcome.
+	alwaysWalk bool
 }
 
 // treeStream is the slice of stream metadata the tree needs.
@@ -86,8 +92,8 @@ func (t *Tree) FreeSlots() int { return t.free }
 // either a free slot exists, or a joining viewer with the given out-degree
 // and capacity could displace an attached node (degree push-down always
 // nets one extra position in that case). The free-slot case is an O(1)
-// counter read; the displacement case consults the degree census and only
-// scans real nodes on an exact-degree capacity tie.
+// counter read; the displacement case consults the degree census and, on an
+// exact-degree tie, one bucket minimum per level.
 func (t *Tree) HasSupplyFor(outDeg int, outCap float64) bool {
 	if t.free > 0 {
 		return true
@@ -105,13 +111,8 @@ func (t *Tree) HasSupplyFor(outDeg int, outCap float64) bool {
 			if li.count == 0 {
 				break
 			}
-			if outDeg >= len(li.heads) {
-				continue
-			}
-			for slot := li.heads[outDeg]; slot != -1; slot = t.store.next[slot] {
-				if t.store.cap[slot] < outCap {
-					return true
-				}
+			if li.hasWeakerCap(t.store, outDeg, outCap) {
+				return true
 			}
 		}
 	}
@@ -253,13 +254,16 @@ func sortCandidates(level []*Node) {
 	})
 }
 
-// attachUnder puts u into one of parent's free child slots.
+// attachUnder puts u into one of parent's free child slots. Like every
+// attach primitive it refreshes the moved subtree's delays before filing it,
+// so each node enters its heap with its final key instead of being re-keyed
+// a moment later.
 func (t *Tree) attachUnder(parent, u *Node) {
 	t.trackNode(u)
 	depth := t.depthOf(parent)
 	t.linkChild(parent, u)
-	t.indexSubtree(u, depth+1)
 	t.refreshDelays(u)
+	t.indexSubtree(u, depth+1)
 }
 
 // displace puts u in z's position: z and its subtree move one level down as
@@ -267,14 +271,13 @@ func (t *Tree) attachUnder(parent, u *Node) {
 func (t *Tree) displace(z, u *Node) {
 	depth := t.depthOf(z)
 	t.unindexSubtree(z)
+	t.trackNode(u) // binds u's slot, which the root mirror needs
 	u.Parent = z.Parent
 	if z.Parent == nil {
-		for i, r := range t.roots {
-			if r == z {
-				t.roots[i] = u
-				break
-			}
-		}
+		rp := t.store.rootPos
+		i := rp[z.slot-1]
+		t.roots[i] = u
+		rp[u.slot-1], rp[z.slot-1] = i, -1
 	} else {
 		for i, c := range z.Parent.Children {
 			if c == z {
@@ -284,10 +287,9 @@ func (t *Tree) displace(z, u *Node) {
 		}
 	}
 	z.Parent = nil
-	t.trackNode(u)
 	t.linkChild(u, z)
-	t.indexSubtree(u, depth)
 	t.refreshDelays(u)
+	t.indexSubtree(u, depth)
 }
 
 // AttachToCDN places u as a direct child of the CDN (a tree root). The
@@ -295,23 +297,25 @@ func (t *Tree) displace(z, u *Node) {
 // fresh nodes and detached victims.
 func (t *Tree) AttachToCDN(u *Node) {
 	u.Parent = nil
-	t.roots = append(t.roots, u)
 	t.trackNode(u)
-	t.indexSubtree(u, 0)
+	t.addRoot(u)
 	t.refreshDelays(u)
+	t.indexSubtree(u, 0)
 }
 
 // MoveToCDN detaches n from its current parent, keeping its subtree, and
 // re-roots it at the CDN. The caller must have reserved CDN capacity first.
 // If n was already a root this only refreshes delays.
 func (t *Tree) MoveToCDN(n *Node) {
-	if n.Parent != nil {
-		t.unindexSubtree(n)
-		t.unlinkChild(n)
-		t.roots = append(t.roots, n)
-		t.indexSubtree(n, 0)
+	if n.Parent == nil {
+		t.refreshDelays(n)
+		return
 	}
+	t.unindexSubtree(n)
+	t.unlinkChild(n)
+	t.addRoot(n)
 	t.refreshDelays(n)
+	t.indexSubtree(n, 0)
 }
 
 // Detach removes u from the tree and returns its children as victims, each
@@ -384,8 +388,8 @@ func (t *Tree) linkChild(p, u *Node) {
 	t.free--
 	ps := p.slot - 1
 	t.store.kids[ps]++
-	if t.store.filed[ps] && p.FreeSlots() == 0 {
-		t.levels[t.store.depth[ps]].adjustFree(p.OutDeg, -1)
+	if t.store.filed(ps) && p.FreeSlots() == 0 {
+		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
 
@@ -408,23 +412,27 @@ func (t *Tree) unlinkChild(u *Node) {
 	t.free++
 	ps := p.slot - 1
 	t.store.kids[ps]--
-	if t.store.filed[ps] && p.FreeSlots() == 1 {
-		t.levels[t.store.depth[ps]].adjustFree(p.OutDeg, +1)
+	if t.store.filed(ps) && p.FreeSlots() == 1 {
+		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
 
-// removeRoot drops u from the root list by swap-delete.
+// addRoot appends a tracked node to the root list.
+func (t *Tree) addRoot(u *Node) {
+	t.store.rootPos[u.slot-1] = int32(len(t.roots))
+	t.roots = append(t.roots, u)
+}
+
+// removeRoot drops u from the root list by swap-delete, found through its
+// position mirror.
 func (t *Tree) removeRoot(u *Node) {
-	rs := t.roots
-	for i, r := range rs {
-		if r == u {
-			last := len(rs) - 1
-			rs[i] = rs[last]
-			rs[last] = nil
-			t.roots = rs[:last]
-			return
-		}
-	}
+	rp, rs := t.store.rootPos, t.roots
+	i, last := rp[u.slot-1], len(rs)-1
+	rs[i] = rs[last]
+	rp[rs[i].slot-1] = i
+	rs[last] = nil
+	t.roots = rs[:last]
+	rp[u.slot-1] = -1
 }
 
 // levelFor returns (growing if needed) the index of one depth.
@@ -438,9 +446,7 @@ func (t *Tree) levelFor(depth int) *levelIndex {
 // indexSubtree files n and its subtree into the level index from the given
 // depth and updates the degree census.
 func (t *Tree) indexSubtree(n *Node, depth int) {
-	slot := n.slot - 1
-	t.store.depth[slot] = int32(depth)
-	t.store.filed[slot] = true
+	t.store.depth[n.slot-1] = int32(depth)
 	t.levelFor(depth).add(t.store, n)
 	for len(t.degTotals) <= n.OutDeg {
 		t.degTotals = append(t.degTotals, 0)
@@ -454,9 +460,7 @@ func (t *Tree) indexSubtree(n *Node, depth int) {
 // unindexSubtree removes n and its subtree from the level index and the
 // degree census.
 func (t *Tree) unindexSubtree(n *Node) {
-	slot := n.slot - 1
-	t.levels[t.store.depth[slot]].remove(t.store, n)
-	t.store.filed[slot] = false
+	t.levels[t.depthOf(n)].remove(t.store, n)
 	t.degTotals[n.OutDeg]--
 	for _, c := range n.Children {
 		t.unindexSubtree(c)
@@ -498,8 +502,13 @@ func (t *Tree) refreshNode(n *Node) {
 	if n.EffE2E < pos {
 		n.EffE2E = pos
 	}
-	if n.slot != 0 {
-		t.store.eff[n.slot-1] = n.EffE2E
+	if n.slot != 0 && t.store.eff[n.slot-1] != n.EffE2E {
+		// EffE2E is a key of the node's index heap: re-key a filed node.
+		slot := n.slot - 1
+		t.store.eff[slot] = n.EffE2E
+		if t.store.filed(slot) {
+			t.levels[t.store.depth[slot]].rekey(t.store, n)
+		}
 	}
 	if n.MinE2E != oldMin || n.Layer != oldLayer || n.EffE2E != oldEff {
 		t.changed = append(t.changed, n)
@@ -513,10 +522,32 @@ func (t *Tree) refreshNode(n *Node) {
 // propagates the resulting effective-delay change through the subtree,
 // returning the nodes whose delay state changed (tree-owned scratch, valid
 // until the next refresh).
+//
+// When the clamped layer is the one the node already has there is nothing
+// to propagate and no walk is made. refreshNode derives a node's delay
+// state from exactly four inputs — its parent link, the parent's EffE2E,
+// its own Layer, and prop — and is idempotent. Every write to the first
+// three is followed, before the tree hands control back, by a refresh of
+// everything below it: attachUnder, displace, AttachToCDN and MoveToCDN
+// refresh the subtree they re-parent; refreshNode recurses below any EffE2E
+// it moves; and Layer is written only here (walk follows), by refreshNode's
+// own minimum-layer ratchet, and by RestoreManager, which refreshes every
+// root after pinning layers. Detach and Orphan do cut victims loose
+// unrefreshed, but a victim is re-placed through one of the attach
+// primitives, or dropped, before the manager runs another subscription
+// pass. So whenever SetLayer is called every attached subtree is a fixpoint
+// of refreshNode for the prop values it was last refreshed with, and
+// re-walking one with an unchanged Layer would recompute every delay to the
+// value it already holds and report no change. A drift in prop itself is
+// not a tree mutation; picking it up is RefreshAll's job (§VI's periodic
+// adaptation), which walks every root.
 func (t *Tree) SetLayer(n *Node, layer int) []*Node {
 	min := t.params.Hierarchy.LayerOf(n.MinE2E)
 	if layer < min {
 		layer = min
+	}
+	if layer == n.Layer && !t.alwaysWalk {
+		return nil
 	}
 	n.Layer = layer
 	return t.refreshDelays(n)

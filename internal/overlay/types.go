@@ -94,12 +94,11 @@ type Node struct {
 	EffE2E time.Duration
 
 	// slot is the node's 1-based binding into the owning tree's slab
-	// (slab.go); 0 means unbound. The admission-index bookkeeping that
-	// used to live here — depth, bucket links, filed flag — sits in the
-	// store's SoA arrays at slot-1, together with dense mirrors of the
-	// hot fields above, so findPosition walks contiguous memory. A node
-	// belongs to exactly one tree, so one slot suffices and bucket
-	// membership still never allocates.
+	// (slab.go); 0 means unbound. The admission-index bookkeeping —
+	// depth, heap position, root position — sits in the store's SoA
+	// arrays at slot-1, together with dense mirrors of the hot fields
+	// above, so the index's heap sifts compare inside contiguous memory.
+	// A node belongs to exactly one tree, so one slot suffices.
 	slot int32
 }
 

@@ -315,6 +315,7 @@ func (c *Controller) Stats() Stats {
 		agg.ViaCDN += s.ViaCDN
 		agg.ViaP2P += s.ViaP2P
 		agg.Groups += s.Groups
+		agg.ResubscribeExhausted += s.ResubscribeExhausted
 		agg.MaxLayerPerViewer = append(agg.MaxLayerPerViewer, s.MaxLayerPerViewer...)
 		agg.AcceptedPerViewer = append(agg.AcceptedPerViewer, s.AcceptedPerViewer...)
 	}
@@ -352,6 +353,7 @@ func (c *Controller) SampleStats() Stats {
 		agg.ViaCDN += s.ViaCDN
 		agg.ViaP2P += s.ViaP2P
 		agg.Groups += s.Groups
+		agg.ResubscribeExhausted += s.ResubscribeExhausted
 	}
 	agg.CDNUsage = c.cdn.UsageTotals()
 	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops()}
