@@ -14,7 +14,7 @@ import (
 
 // newScenarioController sizes a controller for a collected schedule: the
 // latency matrix holds the GSC, one LSC per region, and every join event.
-func newScenarioController(t testing.TB, events []Event, seed int64) (*session.Controller, *model.Session) {
+func newScenarioController(t testing.TB, events []Event, seed int64, opts ...session.Option) (*session.Controller, *model.Session) {
 	t.Helper()
 	producers, err := model.NewSession(
 		model.NewRingSite("A", 8, 2.0, 10),
@@ -33,7 +33,7 @@ func newScenarioController(t testing.TB, events []Event, seed int64) (*session.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := session.NewController(producers, lat)
+	ctrl, err := session.NewController(producers, lat, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
