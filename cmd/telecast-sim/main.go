@@ -40,7 +40,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "drive joins through the sharded JoinBatch fan-out (concurrent per-region LSC admission)")
 	scenario := flag.String("scenario", "flash-churn", "catalog scenario for -exp scenario: "+strings.Join(workload.CatalogNames(), "|"))
 	samples := flag.String("samples", "", "write the scenario's per-second time series to this file (.json for JSON Lines, CSV otherwise)")
-	simMode := flag.Bool("sim", false, "replay -exp scenario on the deterministic discrete-event engine instead of the wall-clock parallel executor")
+	simMode := flag.Bool("sim", false, "replay -exp scenario on the deterministic discrete-event runner instead of the wall-clock parallel executor")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the experiment run; use -sample_index=alloc_space to see allocation sites (the run's state is torn down by then, so inuse is near-zero)")
 	flag.Parse()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"telecast/internal/buffer"
+	"telecast/internal/cdn"
 	"telecast/internal/media"
 	"telecast/internal/model"
 	"telecast/internal/session"
@@ -105,7 +106,7 @@ func Start(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emu: %w", err)
 	}
-	cdnCfg := session.DefaultConfig(cfg.Producers, lat).CDN
+	cdnCfg := cdn.DefaultConfig()
 	cdnCfg.Delta = cfg.Delta
 	cdnCfg.OutboundCapacityMbps = 0 // unbounded for live runs
 	ctrl, err := session.NewController(cfg.Producers, lat,

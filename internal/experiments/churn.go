@@ -40,7 +40,11 @@ func RunChurn(setup Setup) (ChurnResult, error) {
 	cfg.InboundMbps = setup.InboundMbps
 	// Materialize the schedule first so the latency matrix can be sized
 	// for every join it contains.
-	events, err := workload.Generate(cfg)
+	sc, err := workload.FlashChurn(cfg)
+	if err != nil {
+		return ChurnResult{}, fmt.Errorf("churn: %w", err)
+	}
+	events, err := workload.Collect(sc, cfg.Seed)
 	if err != nil {
 		return ChurnResult{}, fmt.Errorf("churn: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 type ScenarioOptions struct {
 	// Wallclock selects the parallel executor (JoinBatch/DepartBatch
 	// fan-outs across LSC shards, achieved joins/s); false replays on the
-	// deterministic discrete-event engine.
+	// deterministic discrete-event runner.
 	Wallclock bool
 	// Duration is the scenario horizon (default 30 s).
 	Duration time.Duration

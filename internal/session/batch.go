@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -252,22 +251,7 @@ func (c *Controller) DepartBatch(ctx context.Context, ids []model.ViewerID) []Ba
 					tr.Finish(int(lsc.Region), string(id), telemetry.OutcomeError)
 					continue
 				}
-				nodeIdx, err := lsc.leave(id, &tr)
-				if err != nil {
-					if errors.Is(err, ErrShardDown) {
-						// Keep the viewer routed so recovery rebuilds it
-						// and the departure can be retried afterwards.
-						c.bindRoute(id, lsc)
-					} else {
-						c.dropRoute(id)
-					}
-					out[i].Err = fmt.Errorf("session leave %s: %w", id, err)
-					tr.Finish(int(lsc.Region), string(id), telemetry.OutcomeError)
-					continue
-				}
-				c.dropRoute(id)
-				c.nodes.release(nodeIdx)
-				tr.Finish(int(lsc.Region), string(id), telemetry.OutcomeOK)
+				out[i].Err = c.depart(lsc, id, &tr)
 			}
 		}(lsc, idxs)
 	}

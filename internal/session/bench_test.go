@@ -37,7 +37,7 @@ func benchBatchPrepare(b *testing.B, regions int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := NewControllerFromConfig(DefaultConfig(producers, lat))
+	c, err := NewController(producers, lat)
 	if err != nil {
 		b.Fatal(err)
 	}

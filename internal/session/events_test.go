@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"telecast/internal/cdn"
 	"telecast/internal/model"
 	"telecast/internal/trace"
 )
@@ -26,7 +27,7 @@ func testController16(t *testing.T, viewers int, cdnCapMbps float64) *Controller
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdnCfg := DefaultConfig(producers, lat).CDN
+	cdnCfg := cdn.DefaultConfig()
 	cdnCfg.OutboundCapacityMbps = cdnCapMbps
 	c, err := NewController(producers, lat, WithCDN(cdnCfg))
 	if err != nil {
@@ -357,66 +358,6 @@ func TestDepartBatchCancellationKeepsViewersLeavable(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOptionsMatchConfigShim checks that the functional options and the
-// Config compatibility shim assemble identical control planes.
-func TestOptionsMatchConfigShim(t *testing.T) {
-	producers, err := model.NewSession(
-		model.NewRingSite("A", 8, 2.0, 10),
-		model.NewRingSite("B", 8, 2.0, 10),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(64, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(producers, lat)
-	cfg.CDN.OutboundCapacityMbps = 240
-	cfg.Buff = 200 * time.Millisecond
-	cfg.Kappa = 3
-	cfg.DMax = 70 * time.Second
-	cfg.Proc = 50 * time.Millisecond
-	cfg.GSCProc = 10 * time.Millisecond
-	cfg.LSCProc = 30 * time.Millisecond
-	cfg.CutoffDF = 0.4
-	cfg.StrictFastPath = true
-
-	viaShim, err := NewControllerFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdnCfg := DefaultConfig(producers, lat).CDN
-	cdnCfg.OutboundCapacityMbps = 240
-	viaOpts, err := NewController(producers, lat,
-		WithCDN(cdnCfg),
-		WithHierarchy(200*time.Millisecond, 3, 70*time.Second),
-		WithProcessing(50*time.Millisecond, 10*time.Millisecond, 30*time.Millisecond),
-		WithCutoffDF(0.4),
-		WithStrictFastPath(true),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Events normalization aside, the configs must agree.
-	a, b := viaShim.cfg, viaOpts.cfg
-	if a != b {
-		t.Fatalf("configs differ:\nshim %+v\nopts %+v", a, b)
-	}
-	// And the assembled planes behave identically on a joint schedule.
-	view := model.NewUniformView(producers, 0)
-	for i := 0; i < 12; i++ {
-		oa, ea := viaShim.Join(testCtx, vid(i), 12, float64(i%5), view)
-		ob, eb := viaOpts.Join(testCtx, vid(i), 12, float64(i%5), view)
-		if (ea == nil) != (eb == nil) {
-			t.Fatalf("join %d: shim err %v, opts err %v", i, ea, eb)
-		}
-		if oa.Result.Admitted != ob.Result.Admitted || len(oa.Result.Accepted) != len(ob.Result.Accepted) {
-			t.Fatalf("join %d diverged: %+v vs %+v", i, oa.Result, ob.Result)
-		}
 	}
 }
 

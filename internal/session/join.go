@@ -182,11 +182,18 @@ func (c *Controller) Leave(ctx context.Context, id model.ViewerID) error {
 		return fmt.Errorf("session leave %s: %w", id, err)
 	}
 	tr.Phase(telemetry.PhaseRoute)
-	nodeIdx, err := lsc.leave(id, &tr)
+	return c.depart(lsc, id, &tr)
+}
+
+// depart is the shard half of every departure, single or batched: the
+// caller has taken the viewer's route from lsc and started tr. A killed
+// shard (ErrShardDown) cannot process the departure, so the viewer is bound
+// back and stays routed for recovery to rebuild and a retry to succeed; any
+// other failure drops the route.
+func (c *Controller) depart(lsc *LSC, id model.ViewerID, tr *telemetry.OpTrace) error {
+	nodeIdx, err := lsc.leave(id, tr)
 	if err != nil {
 		if errors.Is(err, ErrShardDown) {
-			// The shard cannot process the departure; keep the viewer
-			// routed so recovery rebuilds it and a retry can succeed.
 			c.bindRoute(id, lsc)
 		} else {
 			c.dropRoute(id)

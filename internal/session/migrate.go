@@ -223,49 +223,13 @@ func (c *Controller) migrateProtocolDelay(vNew, srcL, dstL int, worstParentRTT t
 		worstParentRTT
 }
 
-// groupMigrations buckets a migration batch by destination region. Like
-// JoinBatch's prepare, the pass is striped across batchWorkers(n) chunk
-// workers — each buckets a contiguous slice into a local map — and the
-// chunk-order merge keeps every destination group in input order, so the
-// result is byte-for-byte what the serial loop produced.
+// groupMigrations buckets a migration batch by destination region, each
+// group in input order.
 func (c *Controller) groupMigrations(migs []Migration, out []MigrateBatchOutcome) map[trace.Region][]int {
 	perDest := make(map[trace.Region][]int, len(c.lscs))
-	workers := batchWorkers(len(migs))
-	if workers <= 1 {
-		for i, mig := range migs {
-			out[i].ID = mig.ID
-			perDest[mig.Req.To] = append(perDest[mig.Req.To], i)
-		}
-		return perDest
-	}
-	parts := make([]map[trace.Region][]int, workers)
-	chunk := (len(migs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(migs) {
-			hi = len(migs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := make(map[trace.Region][]int, len(c.lscs))
-			for i := lo; i < hi; i++ {
-				out[i].ID = migs[i].ID
-				local[migs[i].Req.To] = append(local[migs[i].Req.To], i)
-			}
-			parts[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, local := range parts {
-		for r, idxs := range local {
-			perDest[r] = append(perDest[r], idxs...)
-		}
+	for i, mig := range migs {
+		out[i].ID = mig.ID
+		perDest[mig.Req.To] = append(perDest[mig.Req.To], i)
 	}
 	return perDest
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Option customizes a controller under construction. Options mutate the
-// paper's evaluation defaults (DefaultConfig); pass none to get exactly the
-// §VII setup for the given producers and latency substrate.
+// paper's evaluation defaults; pass none to get exactly the §VII setup for
+// the given producers and latency substrate.
 type Option func(*Config)
 
 // WithCDN bounds the shared distribution substrate: egress budget C^cdn_obw,
@@ -82,12 +82,11 @@ func WithSlowOpThreshold(d time.Duration) Option {
 //	    session.WithStrictFastPath(true))
 //
 // The latency matrix must be large enough for the GSC, one LSC per region,
-// and every viewer that will join. Applications holding a fully-populated
-// Config can use NewControllerFromConfig instead.
+// and every viewer that will join. It is the only constructor.
 func NewController(producers *model.Session, lat *trace.LatencyMatrix, opts ...Option) (*Controller, error) {
-	cfg := DefaultConfig(producers, lat)
+	cfg := defaultConfig(producers, lat)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewControllerFromConfig(cfg)
+	return newController(cfg)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"telecast/internal/cdn"
 	"telecast/internal/model"
 	"telecast/internal/trace"
 )
@@ -323,9 +324,9 @@ func benchRecovery(b *testing.B, viewers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig(producers, lat)
-	cfg.CDN.OutboundCapacityMbps = 0 // unbounded: population never rejects
-	c, err := NewControllerFromConfig(cfg)
+	cdnCfg := cdn.DefaultConfig()
+	cdnCfg.OutboundCapacityMbps = 0 // unbounded: population never rejects
+	c, err := NewController(producers, lat, WithCDN(cdnCfg))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,8 @@ import (
 	"telecast/internal/trace"
 )
 
-// Config assembles a 4D TeleCast session.
+// Config assembles a 4D TeleCast session. NewController starts from the
+// paper's evaluation defaults and each Option refines one part of it.
 type Config struct {
 	// Producers is the static producer-side session description.
 	Producers *model.Session
@@ -78,10 +79,10 @@ type Config struct {
 // is zero.
 const defaultEventBuffer = 4096
 
-// DefaultConfig mirrors the paper's evaluation parameters for a given
+// defaultConfig mirrors the paper's evaluation parameters for a given
 // producer session and latency matrix: Δ=60 s via cdn.DefaultConfig,
 // d_buff=300 ms, κ=2, d_max=65 s, 25 s cache implied by d_max−Δ−d_buff.
-func DefaultConfig(producers *model.Session, lat *trace.LatencyMatrix) Config {
+func defaultConfig(producers *model.Session, lat *trace.LatencyMatrix) Config {
 	return Config{
 		Producers: producers,
 		CDN:       cdn.DefaultConfig(),
@@ -326,12 +327,9 @@ func (a *nodeAllocator) release(idx int) {
 	}
 }
 
-// NewControllerFromConfig builds the control plane from an explicit Config.
-// It is the compatibility entry point behind NewController's functional
-// options; new code should prefer NewController. The latency matrix must be
-// large enough for the GSC, one LSC per region, and every viewer that will
-// join.
-func NewControllerFromConfig(cfg Config) (*Controller, error) {
+// newController builds the control plane from the Config NewController's
+// options assembled.
+func newController(cfg Config) (*Controller, error) {
 	if cfg.Producers == nil {
 		return nil, fmt.Errorf("session: producers required")
 	}

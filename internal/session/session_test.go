@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"telecast/internal/cdn"
 	"telecast/internal/model"
 	"telecast/internal/trace"
 )
@@ -16,9 +17,9 @@ import (
 // testCtx is the background context threaded through test operations.
 var testCtx = context.Background()
 
-// testController builds through the Config compatibility shim so that path
-// stays covered; options_test.go covers the functional-options constructor.
-func testController(t *testing.T, nodes int, cdnCapMbps float64, opts ...func(*Config)) *Controller {
+// testController builds a two-site controller over an n-node matrix with the
+// given CDN egress bound, refined by opts.
+func testController(t *testing.T, nodes int, cdnCapMbps float64, opts ...Option) *Controller {
 	t.Helper()
 	producers, err := model.NewSession(
 		model.NewRingSite("A", 8, 2.0, 10),
@@ -31,12 +32,9 @@ func testController(t *testing.T, nodes int, cdnCapMbps float64, opts ...func(*C
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(producers, lat)
-	cfg.CDN.OutboundCapacityMbps = cdnCapMbps
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	c, err := NewControllerFromConfig(cfg)
+	cdnCfg := cdn.DefaultConfig()
+	cdnCfg.OutboundCapacityMbps = cdnCapMbps
+	c, err := NewController(producers, lat, append([]Option{WithCDN(cdnCfg)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +55,10 @@ func joinTolerant(t *testing.T, c *Controller, id model.ViewerID, in, out float6
 func vid(i int) model.ViewerID { return model.ViewerID(fmt.Sprintf("v%04d", i)) }
 
 func TestNewControllerValidation(t *testing.T) {
-	if _, err := NewControllerFromConfig(Config{}); err == nil {
-		t.Error("empty config accepted")
-	}
 	producers, _ := model.NewSession(model.NewRingSite("A", 4, 2, 10))
+	if _, err := NewController(nil, nil); err == nil {
+		t.Error("nil producers accepted")
+	}
 	if _, err := NewController(producers, nil); err == nil {
 		t.Error("nil latency matrix accepted")
 	}
@@ -206,7 +204,7 @@ func TestChangeViewFastPath(t *testing.T) {
 }
 
 func TestChangeViewWithoutCDNBudgetFallsBack(t *testing.T) {
-	c := testController(t, 64, 12, func(cfg *Config) { cfg.StrictFastPath = true })
+	c := testController(t, 64, 12, WithStrictFastPath(true))
 	view0 := model.NewUniformView(c.cfg.Producers, 0)
 	view1 := model.NewUniformView(c.cfg.Producers, math.Pi/2)
 	if _, err := c.Join(testCtx, vid(1), 12, 12, view0); err != nil {

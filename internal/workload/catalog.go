@@ -12,10 +12,10 @@ import (
 	"telecast/internal/trace"
 )
 
-// FlashChurn is the legacy scenario: a flash crowd inside the first window
+// FlashChurn is the original scenario: a flash crowd inside the first window
 // followed by steady Poisson arrivals, exponential sessions, and occasional
-// view changes. Its schedule is byte-identical to Generate's — the golden
-// test pins it — so existing experiments reproduce exactly.
+// view changes. A golden test pins its schedule byte for byte, so existing
+// experiments reproduce exactly.
 func FlashChurn(cfg Config) (Scenario, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("workload: duration must be positive")

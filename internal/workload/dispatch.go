@@ -8,7 +8,7 @@ import (
 	"telecast/internal/session"
 )
 
-// This file defines the controller-facing seam of the wall-clock executor:
+// This file defines the controller-facing seam of the scenario executor:
 // one request vocabulary covering every event kind, one batched Exec verb,
 // and one cheap counter snapshot. The executor builds same-kind runs of
 // Requests and never cares who executes them — NewLocalPlane dispatches into
@@ -87,7 +87,7 @@ func (c Counters) CDNFraction() float64 {
 	return float64(c.ViaCDN) / float64(c.LiveStreams)
 }
 
-// ControlPlane is what the wall-clock executor needs from a control plane.
+// ControlPlane is what the scenario executor needs from a control plane.
 // Exec executes a batch of requests and returns outcomes in input order;
 // consecutive same-kind requests form a run and runs execute in input order,
 // so a mixed batch behaves exactly like the per-kind calls it replaces.
@@ -97,11 +97,14 @@ type ControlPlane interface {
 	Counters(ctx context.Context) (Counters, error)
 }
 
-// NewLocalPlane binds the unified vocabulary to an in-process controller:
-// join runs dispatch through JoinBatch, leaves through DepartBatch,
-// migrations through MigrateBatch, and view changes through a bounded
-// worker pool (at most maxParallel wide, ≤0 means 256) with same-viewer
-// changes split into ordered waves.
+// NewLocalPlane binds the unified vocabulary to an in-process controller.
+// A run of one request goes to the matching single-op method (Admit, Leave,
+// ChangeView, Migrate): a batch of one would pay for a fan-out it cannot
+// use. Longer runs dispatch joins through JoinBatch, leaves through
+// DepartBatch, migrations through MigrateBatch, and view changes through a
+// bounded worker pool (at most maxParallel wide, ≤0 means 256) with
+// same-viewer changes split into ordered waves. This file is the only place
+// the workload package calls the controller's operation methods.
 func NewLocalPlane(ctrl *session.Controller, producers *model.Session, maxParallel int) ControlPlane {
 	if maxParallel <= 0 {
 		maxParallel = 256
@@ -116,7 +119,8 @@ type localPlane struct {
 }
 
 // Exec splits the batch into consecutive same-kind runs and dispatches each
-// through the controller's batch entry points.
+// by its length: single-op method for one request, batch entry point for
+// more.
 func (p *localPlane) Exec(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	outs := make([]Outcome, len(reqs))
 	for start := 0; start < len(reqs); {
@@ -124,19 +128,21 @@ func (p *localPlane) Exec(ctx context.Context, reqs []Request) ([]Outcome, error
 		for end < len(reqs) && reqs[end].Kind == reqs[start].Kind {
 			end++
 		}
-		run := reqs[start:end]
-		switch run[0].Kind {
-		case EventJoin:
-			p.execJoins(ctx, run, outs[start:end])
-		case EventLeave:
-			p.execLeaves(ctx, run, outs[start:end])
-		case EventViewChange:
-			p.execViewChanges(ctx, run, outs[start:end])
-		case EventMigrate:
-			p.execMigrations(ctx, run, outs[start:end])
+		run, runOuts := reqs[start:end], outs[start:end]
+		switch kind := run[0].Kind; {
+		case len(run) == 1:
+			runOuts[0] = p.execOne(ctx, run[0])
+		case kind == EventJoin:
+			p.execJoins(ctx, run, runOuts)
+		case kind == EventLeave:
+			p.execLeaves(ctx, run, runOuts)
+		case kind == EventViewChange:
+			p.execViewChanges(ctx, run, runOuts)
+		case kind == EventMigrate:
+			p.execMigrations(ctx, run, runOuts)
 		default:
-			for i := range run {
-				outs[start+i] = Outcome{ID: run[i].ID, Region: -1}
+			for i, rq := range run {
+				runOuts[i] = p.execOne(ctx, rq)
 			}
 		}
 		start = end
@@ -144,52 +150,55 @@ func (p *localPlane) Exec(ctx context.Context, reqs []Request) ([]Outcome, error
 	return outs, nil
 }
 
-func (p *localPlane) execJoins(ctx context.Context, run []Request, outs []Outcome) {
-	joins := make([]session.JoinRequest, len(run))
-	for i, rq := range run {
-		joins[i] = session.JoinRequest{
-			ID:           rq.ID,
-			InboundMbps:  rq.InboundMbps,
-			OutboundMbps: rq.OutboundMbps,
-			View:         model.NewUniformView(p.producers, rq.ViewAngle),
-			Region:       rq.Region,
-		}
+// execOne runs one request through the controller's single-op method; a
+// kind with no control-plane operation is a no-op outcome.
+func (p *localPlane) execOne(ctx context.Context, rq Request) Outcome {
+	switch rq.Kind {
+	case EventJoin:
+		out, err := p.ctrl.Admit(ctx, p.joinRequest(rq))
+		return joinOutcome(rq.ID, out, err)
+	case EventLeave:
+		return leaveOutcome(rq.ID, p.ctrl.Leave(ctx, rq.ID))
+	case EventViewChange:
+		return p.changeView(ctx, rq)
+	case EventMigrate:
+		out, err := p.ctrl.Migrate(ctx, rq.ID, migrateRequest(rq))
+		return migrationOutcome(rq.ID, out, err)
 	}
-	for i, b := range p.ctrl.JoinBatch(ctx, joins) {
-		o := Outcome{ID: b.ID, Region: -1, Admitted: b.Err == nil, Err: b.Err}
-		if b.Outcome != nil {
-			o.Region = b.Outcome.LSCRegion
-		}
-		outs[i] = o
+	return Outcome{ID: rq.ID, Region: -1}
+}
+
+func (p *localPlane) joinRequest(rq Request) session.JoinRequest {
+	return session.JoinRequest{
+		ID:           rq.ID,
+		InboundMbps:  rq.InboundMbps,
+		OutboundMbps: rq.OutboundMbps,
+		View:         model.NewUniformView(p.producers, rq.ViewAngle),
+		Region:       rq.Region,
 	}
 }
 
-func (p *localPlane) execLeaves(ctx context.Context, run []Request, outs []Outcome) {
-	ids := make([]model.ViewerID, len(run))
-	for i, rq := range run {
-		ids[i] = rq.ID
-	}
-	for i, b := range p.ctrl.DepartBatch(ctx, ids) {
-		outs[i] = Outcome{ID: b.ID, Region: -1, Departed: b.Err == nil, Err: b.Err}
-	}
+func migrateRequest(rq Request) session.MigrateRequest {
+	to, _ := rq.Region.Region()
+	return session.MigrateRequest{To: to, Reason: rq.Cause, DepartOnReject: rq.DepartOnReject}
 }
 
-func (p *localPlane) execMigrations(ctx context.Context, run []Request, outs []Outcome) {
-	migs := make([]session.Migration, len(run))
-	for i, rq := range run {
-		to, _ := rq.Region.Region()
-		migs[i] = session.Migration{ID: rq.ID, Req: session.MigrateRequest{
-			To: to, Reason: rq.Cause, DepartOnReject: rq.DepartOnReject,
-		}}
+// joinOutcome folds an admission result into the unified vocabulary: the
+// region is known whenever the request reached a shard, rejections included.
+func joinOutcome(id model.ViewerID, out *session.JoinOutcome, err error) Outcome {
+	o := Outcome{ID: id, Region: -1, Admitted: err == nil, Err: err}
+	if out != nil {
+		o.Region = out.LSCRegion
 	}
-	for i, b := range p.ctrl.MigrateBatch(ctx, migs) {
-		outs[i] = migrationOutcome(b.ID, b.Outcome, b.Err)
-	}
+	return o
 }
 
-// migrationOutcome folds a MigrateOutcome into the unified vocabulary. The
-// discrete-event runner and the HTTP server share it with the local plane so
-// every executor classifies handoffs identically.
+func leaveOutcome(id model.ViewerID, err error) Outcome {
+	return Outcome{ID: id, Region: -1, Departed: err == nil, Err: err}
+}
+
+// migrationOutcome folds a MigrateOutcome into the unified vocabulary, so
+// the single-op and batch paths classify handoffs identically.
 func migrationOutcome(id model.ViewerID, out *session.MigrateOutcome, err error) Outcome {
 	o := Outcome{ID: id, Region: -1, Err: err}
 	if out == nil {
@@ -207,6 +216,41 @@ func migrationOutcome(id model.ViewerID, out *session.MigrateOutcome, err error)
 		o.Admitted = true
 	}
 	return o
+}
+
+func (p *localPlane) changeView(ctx context.Context, rq Request) Outcome {
+	out, err := p.ctrl.ChangeView(ctx, rq.ID, model.NewUniformView(p.producers, rq.ViewAngle))
+	return Outcome{ID: rq.ID, Region: -1, Admitted: out != nil && out.Result.Admitted, Err: err}
+}
+
+func (p *localPlane) execJoins(ctx context.Context, run []Request, outs []Outcome) {
+	joins := make([]session.JoinRequest, len(run))
+	for i, rq := range run {
+		joins[i] = p.joinRequest(rq)
+	}
+	for i, b := range p.ctrl.JoinBatch(ctx, joins) {
+		outs[i] = joinOutcome(b.ID, b.Outcome, b.Err)
+	}
+}
+
+func (p *localPlane) execLeaves(ctx context.Context, run []Request, outs []Outcome) {
+	ids := make([]model.ViewerID, len(run))
+	for i, rq := range run {
+		ids[i] = rq.ID
+	}
+	for i, b := range p.ctrl.DepartBatch(ctx, ids) {
+		outs[i] = leaveOutcome(b.ID, b.Err)
+	}
+}
+
+func (p *localPlane) execMigrations(ctx context.Context, run []Request, outs []Outcome) {
+	migs := make([]session.Migration, len(run))
+	for i, rq := range run {
+		migs[i] = session.Migration{ID: rq.ID, Req: migrateRequest(rq)}
+	}
+	for i, b := range p.ctrl.MigrateBatch(ctx, migs) {
+		outs[i] = migrationOutcome(b.ID, b.Outcome, b.Err)
+	}
 }
 
 // execViewChanges dispatches distinct-viewer changes concurrently on a
@@ -235,13 +279,7 @@ func (p *localPlane) viewChangeWave(ctx context.Context, wave []Request, outs []
 		go func(i int, rq Request) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out, err := p.ctrl.ChangeView(ctx, rq.ID, model.NewUniformView(p.producers, rq.ViewAngle))
-			outs[i] = Outcome{
-				ID:       rq.ID,
-				Region:   -1,
-				Admitted: out != nil && out.Result.Admitted,
-				Err:      err,
-			}
+			outs[i] = p.changeView(ctx, rq)
 		}(i, rq)
 	}
 	wg.Wait()

@@ -23,18 +23,18 @@ func formatSchedule(events []Event) []byte {
 	return buf.Bytes()
 }
 
-// TestGenerateMatchesGoldenSchedule pins the legacy schedule byte-for-byte:
-// the golden file was captured from the pre-Scenario implementation, so this
-// proves the refactor preserved Generate exactly — same draws, same order,
-// same floats.
+// TestGenerateMatchesGoldenSchedule pins the FlashChurn schedule
+// byte-for-byte: the golden file was captured from the pre-Scenario
+// generator, so this proves every refactor since preserved it exactly — same
+// draws, same order, same floats.
 func TestGenerateMatchesGoldenSchedule(t *testing.T) {
-	events, err := Generate(DefaultConfig(42))
+	events, err := flashChurnSchedule(DefaultConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ev := range events {
 		if ev.Region != (session.RegionHint{}) {
-			t.Fatalf("legacy event %d carries a region hint", i)
+			t.Fatalf("flash-churn event %d carries a region hint", i)
 		}
 	}
 	got := formatSchedule(events)
@@ -56,31 +56,5 @@ func TestGenerateMatchesGoldenSchedule(t *testing.T) {
 			}
 		}
 		t.Fatalf("schedule length differs: got %d lines, want %d", len(gotLines), len(wantLines))
-	}
-}
-
-// TestFlashChurnScenarioEqualsGenerate proves the catalog scenario and the
-// legacy entry point are the same generator.
-func TestFlashChurnScenarioEqualsGenerate(t *testing.T) {
-	cfg := DefaultConfig(7)
-	fromGenerate, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := FlashChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromScenario, err := Collect(sc, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromGenerate) != len(fromScenario) {
-		t.Fatalf("lengths differ: %d vs %d", len(fromGenerate), len(fromScenario))
-	}
-	for i := range fromGenerate {
-		if fromGenerate[i] != fromScenario[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, fromGenerate[i], fromScenario[i])
-		}
 	}
 }

@@ -13,29 +13,39 @@ import (
 	"telecast/internal/telemetry"
 )
 
-// parallelRunner is the wall-clock executor: it streams the scenario in time
-// order, bins due events into windows of BatchWindow simulated time, and
-// dispatches each window through the unified ControlPlane seam — same-kind
-// runs of Requests executed by JoinBatch/DepartBatch/MigrateBatch fan-outs
-// (and a bounded view-change pool) across the LSC shards.
+// runner is the one scenario executor. It streams the scenario in time
+// order, bins events, and dispatches each bin through the unified
+// ControlPlane seam as schedule-order runs of same-kind Requests. Faults are
+// barriers, samples are taken on a quiescent plane between bins, and events
+// past the horizon never execute.
 //
-// Bins are pipelined, not barriered: bin k+1 is dispatched as soon as its
-// viewer-ID set is disjoint from every bin still in flight, so its
-// prepare/routing phase overlaps bin k's shard admissions. Two events for
-// one viewer can therefore never reorder — a bin naming viewer X waits until
-// every earlier bin holding X has fully settled — and within a bin,
-// consecutive events of one kind form a run, and runs execute in schedule
-// order. The MaxInFlight option stays the global backpressure bound: the
-// pipeline admits a new bin only while the total in-flight event count has
-// room. This is the deployment shape the paper's GSC/LSC split describes:
-// many simultaneous arrivals hit region shards concurrently, and the Result
-// reports the achieved joins/s.
-type parallelRunner struct{}
+// Serial mode (NewSimRunner) is the deterministic discrete-event replay:
+// every event is its own bin, flushed inline as soon as the next event
+// arrives and before anything else executes, so each run reaching the plane
+// is one request, which the local plane answers with the controller's
+// single-op method, and a sample at time t sees exactly the events at or
+// before t.
+//
+// Wall-clock mode (NewParallelRunner) bins due events into windows of
+// BatchWindow simulated time, which the plane executes through
+// JoinBatch/DepartBatch/MigrateBatch fan-outs (and a bounded view-change
+// pool) across the LSC shards. Bins are pipelined, not barriered: bin k+1 is
+// dispatched as soon as its viewer-ID set is disjoint from every bin still
+// in flight, so its prepare/routing phase overlaps bin k's shard admissions.
+// Two events for one viewer can therefore never reorder — a bin naming
+// viewer X waits until every earlier bin holding X has fully settled — and
+// within a bin, consecutive events of one kind form a run, and runs execute
+// in schedule order. The MaxInFlight option stays the global backpressure
+// bound: the pipeline admits a new bin only while the total in-flight event
+// count has room. This is the deployment shape the paper's GSC/LSC split
+// describes: many simultaneous arrivals hit region shards concurrently, and
+// the Result reports the achieved joins/s.
+type runner struct{ serial bool }
 
-func (parallelRunner) Run(ctx context.Context, ctrl *session.Controller, producers *model.Session, sc Scenario, opts ...Option) (Result, error) {
+func (r runner) Run(ctx context.Context, ctrl *session.Controller, producers *model.Session, sc Scenario, opts ...Option) (Result, error) {
 	o := buildOptions(opts)
 	cp := NewLocalPlane(ctrl, producers, o.MaxInFlight)
-	return runParallel(ctx, cp, ctrl, sc, o)
+	return runScenario(ctx, cp, ctrl, sc, o, r.serial)
 }
 
 // RunRemote executes a scenario against an arbitrary ControlPlane — the seam
@@ -44,19 +54,19 @@ func (parallelRunner) Run(ctx context.Context, ctrl *session.Controller, produce
 // windows) intact. Sampling reads ControlPlane.Counters; the local-only
 // monitor advance and invariant validation are skipped.
 func RunRemote(ctx context.Context, cp ControlPlane, sc Scenario, opts ...Option) (Result, error) {
-	return runParallel(ctx, cp, nil, sc, buildOptions(opts))
+	return runScenario(ctx, cp, nil, sc, buildOptions(opts), false)
 }
 
-// runParallel is the shared wall-clock engine. local is non-nil only when
-// the plane wraps an in-process controller, which unlocks the monitor
-// advance and the per-sample invariant checker.
-func runParallel(ctx context.Context, cp ControlPlane, local *session.Controller, sc Scenario, o Options) (Result, error) {
+// runScenario is the executor's event loop. local is non-nil only when the
+// plane wraps an in-process controller, which unlocks the monitor advance
+// and the per-sample invariant checker.
+func runScenario(ctx context.Context, cp ControlPlane, local *session.Controller, sc Scenario, o Options, serial bool) (Result, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	stats := NewStatsSink()
 	sinks := multiSink(append(append([]Sink{}, o.Sinks...), stats))
 	t := newTally(sc.Name())
 	telBefore, tel := telemetryWindow(local)
-	ex := newParallelExec(ctx, cp, o, t, tel)
+	ex := newExecutor(ctx, cp, o, t, tel, serial)
 
 	start := time.Now()
 	var (
@@ -95,8 +105,8 @@ func runParallel(ctx context.Context, cp ControlPlane, local *session.Controller
 		if !ok {
 			break
 		}
-		// Mirror the discrete-event engine's horizon: events past it never
-		// execute (events exactly at the horizon still do).
+		// Events past the horizon never execute (events exactly at the
+		// horizon still do).
 		if o.Horizon > 0 && ev.At > o.Horizon {
 			break
 		}
@@ -127,13 +137,13 @@ func runParallel(ctx context.Context, cp ControlPlane, local *session.Controller
 			t.res.FaultsInjected++
 			continue
 		}
-		if len(bin) == 0 {
-			binStart = ev.At
-		} else if ev.At >= binStart+o.BatchWindow {
+		if len(bin) > 0 && (serial || ev.At >= binStart+o.BatchWindow) {
 			if err := ex.dispatch(bin); err != nil {
 				return Result{}, err
 			}
 			bin = nil // the dispatched bin owns its backing array now
+		}
+		if len(bin) == 0 {
 			if nextSample < ev.At {
 				// Sample points before ev.At must see every earlier event
 				// settled and quiescent; bins without a due sample keep
@@ -173,12 +183,13 @@ func runParallel(ctx context.Context, cp ControlPlane, local *session.Controller
 	return res, err
 }
 
-// parallelExec executes bins on behalf of the runner, pipelining bins whose
-// viewer sets are disjoint.
-type parallelExec struct {
-	ctx context.Context
-	cp  ControlPlane
-	o   Options
+// executor executes bins on behalf of the runner: inline in serial mode,
+// otherwise pipelining bins whose viewer sets are disjoint.
+type executor struct {
+	ctx    context.Context
+	cp     ControlPlane
+	o      Options
+	serial bool
 
 	// t is the run tally; tmu guards it because concurrently in-flight bins
 	// record outcomes concurrently. (The runner itself reads the tally only
@@ -205,22 +216,26 @@ type binJob struct {
 	n   int
 }
 
-func newParallelExec(ctx context.Context, cp ControlPlane, o Options, t *tally, tel *telemetry.Collector) *parallelExec {
-	ex := &parallelExec{ctx: ctx, cp: cp, o: o, t: t, tel: tel}
+func newExecutor(ctx context.Context, cp ControlPlane, o Options, t *tally, tel *telemetry.Collector, serial bool) *executor {
+	ex := &executor{ctx: ctx, cp: cp, o: o, serial: serial, t: t, tel: tel}
 	ex.cond = sync.NewCond(&ex.mu)
 	return ex
 }
 
-// dispatch hands one bin to the pipeline. It blocks while any in-flight bin
-// shares a viewer with this one — the disjointness rule that preserves
-// per-viewer event order — or while the bin would overflow the MaxInFlight
-// window, then executes the bin on its own goroutine so the next bin's
-// routing and view composition overlap this bin's shard admissions. A bin
-// larger than MaxInFlight on its own is admitted alone (its runs are chunked
-// internally). Dispatch takes ownership of the bin slice.
-func (ex *parallelExec) dispatch(bin []Event) error {
+// dispatch hands one bin to the pipeline. In serial mode it flushes the bin
+// inline. Otherwise it blocks while any in-flight bin shares a viewer with
+// this one — the disjointness rule that preserves per-viewer event order —
+// or while the bin would overflow the MaxInFlight window, then executes the
+// bin on its own goroutine so the next bin's routing and view composition
+// overlap this bin's shard admissions. A bin larger than MaxInFlight on its
+// own is admitted alone (its runs are chunked internally). Dispatch takes
+// ownership of the bin slice.
+func (ex *executor) dispatch(bin []Event) error {
 	if len(bin) == 0 {
 		return nil
+	}
+	if ex.serial {
+		return ex.flush(bin)
 	}
 	ids := make(map[model.ViewerID]struct{}, len(bin))
 	for _, ev := range bin {
@@ -263,7 +278,7 @@ func (ex *parallelExec) dispatch(bin []Event) error {
 // overlapsLocked reports whether ids intersects any in-flight bin's viewer
 // set. Callers hold mu. Bins are adjacent windows of one schedule, so the
 // sets are small and the scan is cheap next to a batch dispatch.
-func (ex *parallelExec) overlapsLocked(ids map[model.ViewerID]struct{}) bool {
+func (ex *executor) overlapsLocked(ids map[model.ViewerID]struct{}) bool {
 	for _, job := range ex.inflight {
 		small, big := ids, job.ids
 		if len(big) < len(small) {
@@ -281,7 +296,7 @@ func (ex *parallelExec) overlapsLocked(ids map[model.ViewerID]struct{}) bool {
 // drain blocks until every in-flight bin has settled, returning the first
 // bin failure. After drain the control plane is quiescent (safe to sample
 // and validate) and the tally is safe to read from the runner goroutine.
-func (ex *parallelExec) drain() error {
+func (ex *executor) drain() error {
 	ex.mu.Lock()
 	for len(ex.inflight) > 0 {
 		ex.cond.Wait()
@@ -296,7 +311,7 @@ func (ex *parallelExec) drain() error {
 // the ControlPlane a MaxInFlight window at a time. No per-kind dispatch
 // lives here anymore — stale-event filtering and dedup are the only
 // kind-specific steps, and they are runner state, not control-plane calls.
-func (ex *parallelExec) flush(bin []Event) error {
+func (ex *executor) flush(bin []Event) error {
 	for start := 0; start < len(bin); {
 		end := start + 1
 		for end < len(bin) && bin[end].Kind == bin[start].Kind {
@@ -326,7 +341,7 @@ func (ex *parallelExec) flush(bin []Event) error {
 // granularity, and dedup keeps MigrateBatch from racing a viewer against
 // itself. Reading the routed set is safe against concurrent bins because
 // in-flight viewer sets are disjoint.
-func (ex *parallelExec) buildRun(run []Event) []Request {
+func (ex *executor) buildRun(run []Event) []Request {
 	kind := run[0].Kind
 	reqs := make([]Request, 0, len(run))
 	ex.tmu.Lock()
@@ -381,7 +396,7 @@ func (ex *parallelExec) buildRun(run []Event) []Request {
 // apply folds one chunk of outcomes into the tally, failing the run on any
 // protocol error. Admission rejections (and, for migrations, an exhausted
 // destination node pool) are workload outcomes, not run errors.
-func (ex *parallelExec) apply(kind EventKind, outs []Outcome) error {
+func (ex *executor) apply(kind EventKind, outs []Outcome) error {
 	ex.tmu.Lock()
 	defer ex.tmu.Unlock()
 	for _, out := range outs {

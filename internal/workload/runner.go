@@ -2,14 +2,11 @@ package workload
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"telecast/internal/fault"
 	"telecast/internal/model"
 	"telecast/internal/session"
-	"telecast/internal/sim"
 	"telecast/internal/telemetry"
 )
 
@@ -129,9 +126,8 @@ type Result struct {
 	Regions int
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
-	// JoinsPerSec is the achieved admission throughput — (Joins+Rejected)/
-	// Elapsed — reported by the wall-clock executor (zero on the
-	// discrete-event runner, whose wall time measures nothing useful).
+	// JoinsPerSec is the achieved admission throughput, (Joins+Rejected)/
+	// Elapsed. On the deterministic runner it is the one-at-a-time rate.
 	JoinsPerSec float64
 	// FinalAcceptance and MinAcceptance summarize ρ over the samples.
 	FinalAcceptance, MinAcceptance float64
@@ -141,21 +137,22 @@ type Result struct {
 	Latency []OpLatency
 }
 
-// Runner executes scenarios against a control plane. Two executors implement
-// it: NewSimRunner replays deterministically on the discrete-event engine,
-// NewParallelRunner drives the sharded control plane at wall-clock speed.
+// Runner executes scenarios against a control plane. Both constructors
+// return the one executor (parallel.go) in one of its two modes.
 type Runner interface {
 	Run(ctx context.Context, ctrl *session.Controller, producers *model.Session, sc Scenario, opts ...Option) (Result, error)
 }
 
-// NewSimRunner returns the deterministic executor: events replay in exact
-// schedule order on the discrete-event engine, one at a time.
-func NewSimRunner() Runner { return simRunner{} }
+// NewSimRunner returns the deterministic executor — the paper's discrete
+// event simulation: events execute one at a time in exact schedule order,
+// each through the controller's single-op method, and a sample at time t
+// sees every event at or before t.
+func NewSimRunner() Runner { return runner{serial: true} }
 
 // NewParallelRunner returns the wall-clock executor: due events are binned
 // into JoinBatch/DepartBatch fan-outs across the LSC shards with a bounded
 // in-flight window, and the Result reports achieved joins/s.
-func NewParallelRunner() Runner { return parallelRunner{} }
+func NewParallelRunner() Runner { return runner{} }
 
 // tally tracks per-viewer liveness and the Result counters while a run
 // executes. routed mirrors the GSC routing table (rejected viewers stay
@@ -271,164 +268,6 @@ func (t *tally) finish(stats *StatsSink, sinks Sink) (Result, error) {
 	return t.res, sinks.Flush()
 }
 
-type simRunner struct{}
-
-func (simRunner) Run(ctx context.Context, ctrl *session.Controller, producers *model.Session, sc Scenario, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
-	events, err := Collect(sc, o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	horizon := o.Horizon
-	if horizon <= 0 && len(events) > 0 {
-		horizon = events[len(events)-1].At
-	}
-	stats := NewStatsSink()
-	sinks := multiSink(append(append([]Sink{}, o.Sinks...), stats))
-	t := newTally(sc.Name())
-	telBefore, tel := telemetryWindow(ctrl)
-	engine := sim.NewEngine()
-	var execErr error
-	fail := func(err error) {
-		if execErr == nil {
-			execErr = err
-		}
-	}
-	start := time.Now()
-	for _, ev := range events {
-		ev := ev
-		err := engine.At(ev.At, func() {
-			if execErr != nil {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				fail(fmt.Errorf("workload %s at %v: %w", sc.Name(), ev.At, err))
-				return
-			}
-			switch ev.Kind {
-			case EventJoin:
-				view := model.NewUniformView(producers, ev.ViewAngle)
-				// Admission rejections keep the viewer routed (it can
-				// retry or depart) and feed the acceptance metrics;
-				// only protocol errors abort the run.
-				out, err := ctrl.Admit(ctx, session.JoinRequest{
-					ID:           ev.Viewer,
-					InboundMbps:  o.InboundMbps,
-					OutboundMbps: ev.OutboundMbps,
-					View:         view,
-					Region:       ev.Region,
-				})
-				if errors.Is(err, session.ErrShardDown) {
-					// The join was fully unwound on the killed shard — a
-					// fault outcome, not a run error or a rejection.
-					t.res.ShardDown++
-					return
-				}
-				if err != nil && !errors.Is(err, session.ErrRejected) {
-					fail(fmt.Errorf("join %s at %v: %w", ev.Viewer, ev.At, err))
-					return
-				}
-				region := -1
-				if out != nil {
-					region = out.LSCRegion
-				}
-				t.join(ev.Viewer, region, err == nil)
-			case EventLeave:
-				if _, ok := t.routed[ev.Viewer]; !ok {
-					return
-				}
-				if err := ctrl.Leave(ctx, ev.Viewer); err != nil {
-					if errors.Is(err, session.ErrShardDown) {
-						// The viewer stays routed for recovery to rebuild.
-						t.res.ShardDown++
-						return
-					}
-					fail(fmt.Errorf("leave %s at %v: %w", ev.Viewer, ev.At, err))
-					return
-				}
-				t.leave(ev.Viewer)
-			case EventViewChange:
-				if _, ok := t.routed[ev.Viewer]; !ok {
-					return
-				}
-				view := model.NewUniformView(producers, ev.ViewAngle)
-				out, err := ctrl.ChangeView(ctx, ev.Viewer, view)
-				if errors.Is(err, session.ErrShardDown) {
-					t.res.ShardDown++
-					return
-				}
-				if err != nil && !errors.Is(err, session.ErrRejected) {
-					fail(fmt.Errorf("view change %s at %v: %w", ev.Viewer, ev.At, err))
-					return
-				}
-				t.viewChange(ev.Viewer, out != nil && out.Result.Admitted)
-			case EventMigrate:
-				if _, ok := t.routed[ev.Viewer]; !ok {
-					return
-				}
-				to, ok := ev.Region.Region()
-				if !ok {
-					return
-				}
-				// A refused destination restores the viewer (part of the
-				// handoff contract) and a full destination node pool fails
-				// the migration with the session untouched — both are
-				// workload outcomes, not run errors.
-				out, err := ctrl.Migrate(ctx, ev.Viewer, session.MigrateRequest{To: to, Reason: "mobility"})
-				if errors.Is(err, session.ErrShardDown) {
-					// Source or destination shard killed mid-handoff: the
-					// migration settled totally on the surviving side.
-					t.res.ShardDown++
-				} else if err != nil && !errors.Is(err, session.ErrRejected) && !errors.Is(err, session.ErrMatrixExhausted) {
-					fail(fmt.Errorf("migrate %s at %v: %w", ev.Viewer, ev.At, err))
-					return
-				}
-				t.migrate(ev.Viewer, migrationOutcome(ev.Viewer, out, err))
-			case EventFault:
-				if err := injectFault(ctx, &o, ev); err != nil {
-					fail(err)
-					return
-				}
-				t.res.FaultsInjected++
-			}
-		})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	// Periodic sampling; events scheduled first win ties at the same
-	// instant, so a sample sees every event at or before its time.
-	for at := o.SampleEvery; at <= horizon; at += o.SampleEvery {
-		at := at
-		if err := engine.At(at, func() {
-			if execErr != nil {
-				return
-			}
-			if mon := ctrl.Monitor(); mon != nil {
-				mon.Advance(at)
-			}
-			sinks.Record(t.sample(at, localCounters(ctrl)))
-			if o.Validate {
-				if err := ctrl.Validate(); err != nil {
-					fail(fmt.Errorf("invariants at %v: %w", at, err))
-				}
-			}
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-	engine.Run(horizon)
-	if execErr != nil {
-		return Result{}, execErr
-	}
-	t.res.Elapsed = time.Since(start)
-	res, err := t.finish(stats, sinks)
-	if err == nil && tel != nil {
-		res.Latency = LatencyFromTelemetry(telBefore, tel.Snapshot())
-	}
-	return res, err
-}
-
 // telemetryWindow opens a latency window over a local controller: when its
 // collector is enabled, the returned snapshot is the window's start and the
 // collector non-nil; otherwise the collector is nil and the runner skips the
@@ -442,18 +281,4 @@ func telemetryWindow(ctrl *session.Controller) (telemetry.Snapshot, *telemetry.C
 		return telemetry.Snapshot{}, nil
 	}
 	return tel.Snapshot(), tel
-}
-
-// Execute runs a fixed schedule against a controller on the discrete-event
-// engine — the legacy entry point, now a shim over NewSimRunner with the
-// Schedule scenario. New code should use a Runner directly.
-func Execute(ctrl *session.Controller, producers *model.Session, events []Event, cfg Config, sampleEvery time.Duration, validate bool) (Result, error) {
-	return NewSimRunner().Run(context.Background(), ctrl, producers,
-		Schedule("flash-churn", events),
-		WithInbound(cfg.InboundMbps),
-		WithHorizon(cfg.Duration),
-		WithSampleEvery(sampleEvery),
-		WithSeed(cfg.Seed),
-		WithValidation(validate),
-	)
 }

@@ -158,9 +158,8 @@ func (l *limitScenario) Next(rng *rand.Rand) (Event, bool) {
 }
 
 // eventQueue is a stable min-heap of future events ordered by (At, push
-// order), built on container/heap the same way the discrete-event engine's
-// queue is; streaming scenarios park departures and view changes here while
-// arrivals advance.
+// order), built on container/heap; streaming scenarios park departures and
+// view changes here while arrivals advance.
 type eventQueue struct {
 	h   queuedEvents
 	seq uint64

@@ -38,7 +38,7 @@ func TestGenerateLargeSchedule(t *testing.T) {
 	cfg.FlashCrowd = 12000
 	cfg.ArrivalRate = 400
 	start := time.Now()
-	events, err := Generate(cfg)
+	events, err := flashChurnSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

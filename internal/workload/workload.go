@@ -8,15 +8,17 @@
 //     original flash-crowd/Poisson-churn mix plus diurnal load, regional
 //     hotspots, correlated mass departures, synchronized view sweeps, and
 //     trace-driven replay; Merge/Shift/Limit compose them.
-//   - Runner: executes a scenario against a session.Controller. NewSimRunner
-//     replays deterministically on the discrete-event engine; NewParallelRunner
-//     bins due events into JoinBatch/DepartBatch fan-outs and drives the
-//     sharded control plane at wall-clock speed, reporting achieved joins/s.
+//   - Runner: executes a scenario against a session.Controller through one
+//     executor with two modes. NewSimRunner replays deterministically, one
+//     event at a time through the controller's single-op methods;
+//     NewParallelRunner bins due events into JoinBatch/DepartBatch fan-outs
+//     and drives the sharded control plane at wall-clock speed, reporting
+//     achieved joins/s.
 //   - Sink: typed consumers of the periodic samples (stats, CSV, JSON), plus
 //     an event-stream-backed AcceptanceTracker over Controller.Subscribe.
 //
-// Config/Generate/Execute remain as the legacy fixed-scenario surface;
-// schedules they produce are pinned byte-for-byte by a golden test.
+// Golden tests pin the FlashChurn schedule and the deterministic runner's
+// per-scenario results byte for byte.
 package workload
 
 import (
@@ -86,9 +88,9 @@ type Event struct {
 	Fault fault.Fault
 }
 
-// Config parameterizes the legacy flash-crowd + Poisson-churn schedule. New
-// code should prefer the Scenario catalog; Config remains the stable surface
-// behind Generate and the churn experiment.
+// Config parameterizes the FlashChurn scenario: a flash crowd followed by
+// Poisson churn. The churn experiment builds it directly; FromCatalog derives
+// it from Knobs.
 type Config struct {
 	// Seed drives all draws.
 	Seed int64
@@ -131,21 +133,10 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Generate produces the legacy deterministic event schedule. Events are
-// returned in time order; runners break remaining ties by schedule order.
-// It is equivalent to collecting the FlashChurn scenario with cfg.Seed, and
-// a golden test pins its output byte-for-byte.
-func Generate(cfg Config) ([]Event, error) {
-	sc, err := FlashChurn(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(sc, cfg.Seed)
-}
-
-// generateFlashChurn is the legacy generation algorithm, draw-for-draw: the
-// byte-compatibility of Generate (and of the FlashChurn scenario) depends on
-// the rng consumption order in this function never changing.
+// generateFlashChurn is the FlashChurn generation algorithm, draw-for-draw:
+// the scenario's golden schedule depends on the rng consumption order in this
+// function never changing. Events come out in time order, ties in generation
+// order.
 func generateFlashChurn(cfg Config, rng *rand.Rand) []Event {
 	var events []Event
 	next := 0

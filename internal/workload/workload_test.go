@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,13 +10,23 @@ import (
 	"telecast/internal/trace"
 )
 
+// flashChurnSchedule collects the FlashChurn scenario for cfg, seeded by
+// cfg.Seed.
+func flashChurnSchedule(cfg Config) ([]Event, error) {
+	sc, err := FlashChurn(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(sc, cfg.Seed)
+}
+
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(Config{}); err == nil {
+	if _, err := flashChurnSchedule(Config{}); err == nil {
 		t.Error("zero duration accepted")
 	}
 	cfg := DefaultConfig(1)
 	cfg.ViewAngles = nil
-	if _, err := Generate(cfg); err == nil {
+	if _, err := flashChurnSchedule(cfg); err == nil {
 		t.Error("no view angles accepted")
 	}
 }
@@ -24,11 +35,11 @@ func TestGenerateDeterministicAndOrdered(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.Duration = 20 * time.Second
 	cfg.FlashCrowd = 50
-	a, err := Generate(cfg)
+	a, err := flashChurnSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Generate(cfg)
+	b, _ := flashChurnSchedule(cfg)
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic schedule: %d vs %d", len(a), len(b))
 	}
@@ -47,7 +58,7 @@ func TestGenerateShape(t *testing.T) {
 	cfg.Duration = 30 * time.Second
 	cfg.FlashCrowd = 100
 	cfg.FlashWindow = time.Second
-	events, err := Generate(cfg)
+	events, err := flashChurnSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestExecuteChurnScenario(t *testing.T) {
 	cfg.FlashCrowd = 80
 	cfg.ArrivalRate = 4
 	cfg.MeanSession = 10 * time.Second
-	events, err := Generate(cfg)
+	events, err := flashChurnSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,13 @@ func TestExecuteChurnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(ctrl, producers, events, cfg, time.Second, true)
+	res, err := NewSimRunner().Run(context.Background(), ctrl, producers,
+		Schedule("flash-churn", events),
+		WithSeed(cfg.Seed),
+		WithInbound(cfg.InboundMbps),
+		WithHorizon(cfg.Duration),
+		WithValidation(true),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +174,7 @@ func TestGenerateNoDeparturesWhenMeanSessionZero(t *testing.T) {
 	cfg.Duration = 10 * time.Second
 	cfg.MeanSession = 0
 	cfg.FlashCrowd = 20
-	events, err := Generate(cfg)
+	events, err := flashChurnSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +201,6 @@ func TestExecuteSkipsActionsOnDepartedViewers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
-	cfg.Duration = 5 * time.Second
 	// Hand-built schedule: join, leave, then a stale view change and a
 	// stale second leave that must both be skipped silently.
 	events := []Event{
@@ -194,7 +209,8 @@ func TestExecuteSkipsActionsOnDepartedViewers(t *testing.T) {
 		{At: 3 * time.Second, Kind: EventViewChange, Viewer: "w", ViewAngle: 1},
 		{At: 4 * time.Second, Kind: EventLeave, Viewer: "w"},
 	}
-	res, err := Execute(ctrl, producers, events, cfg, time.Second, false)
+	res, err := NewSimRunner().Run(context.Background(), ctrl, producers,
+		Schedule("stale", events), WithHorizon(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,8 @@ type (
 	// changes, statistics, events, and invariant checking.
 	Controller = session.Controller
 	// Config assembles a session: producers, CDN bounds, delay-layer
-	// geometry, latency substrate, protocol processing times. Most code
-	// should use NewController with options instead.
+	// geometry, latency substrate, protocol processing times. It is what an
+	// Option refines; NewController is the only way to build from it.
 	Config = session.Config
 	// Option customizes NewController (WithCDN, WithHierarchy, …).
 	Option = session.Option
@@ -214,13 +214,8 @@ var (
 	// NewController builds the GSC/LSC control plane for a producer
 	// session over a latency substrate, refined by functional options.
 	NewController = session.NewController
-	// NewControllerFromConfig builds from an explicit Config (the
-	// compatibility path behind the options).
-	NewControllerFromConfig = session.NewControllerFromConfig
 	// InRegion builds a RegionHint pinning a JoinRequest to an LSC region.
 	InRegion = session.InRegion
-	// DefaultConfig mirrors the paper's evaluation parameters.
-	DefaultConfig = session.DefaultConfig
 	// NewHierarchy validates a delay-layer geometry.
 	NewHierarchy = layering.NewHierarchy
 	// DefaultCDNConfig is the paper's CDN: Δ=60 s, 6000 Mbps egress.
