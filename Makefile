@@ -9,9 +9,11 @@ SHELL := bash
 # The hot control-plane paths whose numbers the perf trajectory
 # (BENCH_control_plane.json) tracks. BenchmarkBatchPrepare lives in
 # internal/session (it drives the unexported prepare phase directly), so the
-# bench targets cover that package alongside the root.
+# bench targets cover that package alongside the root. internal/trace is
+# listed so `make bench` reports the latency substrate's build cost
+# (BenchmarkGenerateLatencyMatrix); it is in no guard.
 HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery
-BENCH_PKGS = . ./internal/session
+BENCH_PKGS = . ./internal/session ./internal/trace
 
 # bench-smoke fails when a guarded benchmark's joins/s falls more than
 # MAX_REGRESS below the checked-in trajectory.

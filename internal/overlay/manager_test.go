@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -390,6 +391,19 @@ func TestRandomChurnInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			angles := []float64{0, math.Pi / 2, math.Pi}
 			live := map[int]bool{}
+			// victim draws a live viewer from the seeded stream; choosing
+			// by map order would make the schedule differ run to run.
+			victim := func() (int, bool) {
+				if len(live) == 0 {
+					return 0, false
+				}
+				ids := make([]int, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Ints(ids)
+				return ids[rng.Intn(len(ids))], true
+			}
 			next := 0
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(10); {
@@ -401,20 +415,18 @@ func TestRandomChurnInvariants(t *testing.T) {
 					live[next] = true
 					next++
 				case op < 8: // leave
-					for id := range live {
+					if id, ok := victim(); ok {
 						if err := m.Leave(model.ViewerID(fmt.Sprintf("v%04d", id))); err != nil {
 							t.Fatalf("step %d leave: %v", step, err)
 						}
 						delete(live, id)
-						break
 					}
 				default: // view change
-					for id := range live {
+					if id, ok := victim(); ok {
 						vid := model.ViewerID(fmt.Sprintf("v%04d", id))
 						if _, err := m.ChangeView(vid, model.NewUniformView(sessionOf(m), angles[rng.Intn(3)])); err != nil {
 							t.Fatalf("step %d change: %v", step, err)
 						}
-						break
 					}
 				}
 				if step%20 == 0 {

@@ -59,51 +59,65 @@ func DefaultLatencyConfig(nodes int, seed int64) LatencyConfig {
 // with region labels per node. It implements the paper's d_prop.
 //
 // Two storage modes share the type. The dense mode
-// (GenerateLatencyMatrix) materializes the flattened upper-triangular
-// matrix — O(n²) memory, fine up to a few thousand endpoints and byte-stable
-// across calls. The hashed mode (GenerateHashedLatencyMatrix) stores only
-// the region labels and derives every pair delay on demand from
-// (seed, i, j), so a million-endpoint substrate costs O(n) memory instead
-// of terabytes; it is equally deterministic, just a different (per-pair
-// independent) draw than the dense generator's sequential stream.
+// (GenerateLatencyMatrix) materializes the strict upper triangle in 4-byte
+// nanosecond cells — 2·n² bytes, ~72 MB at 6000 endpoints — and is
+// byte-stable across calls. The hashed mode (GenerateHashedLatencyMatrix)
+// stores only the region labels and derives every pair delay on demand
+// from (seed, i, j), so a million-endpoint substrate costs O(n) memory
+// instead of terabytes; it is equally deterministic, just a different
+// (per-pair independent) draw than the dense generator's sequential stream.
+// Both modes bound every pair delay with clampDelay.
 type LatencyMatrix struct {
 	cfg     LatencyConfig
 	regions []Region
-	// delays is the dense mode's flattened upper-triangular matrix; nil in
-	// hashed mode.
-	delays []time.Duration
+	// muIntra and muInter are the lognormal location parameters of the
+	// intra- and inter-region delay families: mean = exp(mu + sigma²/2).
+	muIntra, muInter float64
+	// delays is the dense mode's strict upper triangle in nanoseconds,
+	// row-major, indexed by triIndex; nil in hashed mode.
+	delays []uint32
 }
 
-// GenerateLatencyMatrix synthesizes the matrix from the config.
-func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
+// newLatencyMatrix validates cfg, labels every node with a region and
+// computes the two lognormal locations. It returns the RNG positioned just
+// past the labels, where the dense generator continues its stream.
+func newLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, *rand.Rand, error) {
 	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("latency matrix: nodes must be positive, got %d", cfg.Nodes)
+		return nil, nil, fmt.Errorf("latency matrix: nodes must be positive, got %d", cfg.Nodes)
 	}
 	if cfg.Regions <= 0 {
-		return nil, fmt.Errorf("latency matrix: regions must be positive, got %d", cfg.Regions)
+		return nil, nil, fmt.Errorf("latency matrix: regions must be positive, got %d", cfg.Regions)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	regions := make([]Region, cfg.Nodes)
 	for i := range regions {
 		regions[i] = Region(rng.Intn(cfg.Regions))
 	}
+	mu := func(mean time.Duration) float64 { return math.Log(float64(mean)) - cfg.Sigma*cfg.Sigma/2 }
+	return &LatencyMatrix{cfg: cfg, regions: regions, muIntra: mu(cfg.IntraMean), muInter: mu(cfg.InterMean)}, rng, nil
+}
+
+// GenerateLatencyMatrix synthesizes the matrix from the config. Pairs are
+// drawn row-major over i < j, one normal deviate each, from the stream that
+// labelled the regions.
+func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
+	m, rng, err := newLatencyMatrix(cfg)
+	if err != nil {
+		return nil, err
+	}
 	n := cfg.Nodes
-	delays := make([]time.Duration, n*(n+1)/2)
+	m.delays = make([]uint32, n*(n-1)/2)
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			idx := triIndex(n, i, j)
-			if i == j {
-				delays[idx] = 0
-				continue
+		row := m.delays[triIndex(n, i, i+1):][:n-1-i]
+		for c := range row {
+			mu := m.muInter
+			if m.regions[i] == m.regions[i+1+c] {
+				mu = m.muIntra
 			}
-			mean := cfg.InterMean
-			if regions[i] == regions[j] {
-				mean = cfg.IntraMean
-			}
-			delays[idx] = lognormalDelay(rng, mean, cfg.Sigma)
+			row[c] = uint32(clampDelay(math.Exp(mu + cfg.Sigma*rng.NormFloat64())))
 		}
 	}
-	return &LatencyMatrix{cfg: cfg, regions: regions, delays: delays}, nil
+	return m, nil
 }
 
 // GenerateHashedLatencyMatrix builds the O(n)-memory variant of the
@@ -111,39 +125,35 @@ func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
 // but pair delays are computed on demand by hashing (seed, i, j) into the
 // same lognormal family instead of being materialized. This is the only
 // mode that scales to the paper's audience sizes — a dense 100k-node matrix
-// is ~40 GB of delays before a single viewer joins.
+// is ~20 GB of delays before a single viewer joins.
 func GenerateHashedLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("latency matrix: nodes must be positive, got %d", cfg.Nodes)
-	}
-	if cfg.Regions <= 0 {
-		return nil, fmt.Errorf("latency matrix: regions must be positive, got %d", cfg.Regions)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	regions := make([]Region, cfg.Nodes)
-	for i := range regions {
-		regions[i] = Region(rng.Intn(cfg.Regions))
-	}
-	return &LatencyMatrix{cfg: cfg, regions: regions}, nil
+	m, _, err := newLatencyMatrix(cfg)
+	return m, err
 }
 
-// hashedDelay derives the pair delay of the hashed mode: two splitmix64
-// streams keyed by (seed, i, j) feed a Box–Muller transform, producing the
-// same lognormal family as lognormalDelay with per-pair independence.
+// hashedDelay derives the pair delay of the hashed mode for i < j: two
+// splitmix64 streams keyed by (seed, i, j) feed a Box–Muller transform,
+// producing the dense mode's lognormal family with per-pair independence.
 func (m *LatencyMatrix) hashedDelay(i, j int) time.Duration {
-	if i > j {
-		i, j = j, i
-	}
-	mean := m.cfg.InterMean
+	mu := m.muInter
 	if m.regions[i] == m.regions[j] {
-		mean = m.cfg.IntraMean
+		mu = m.muIntra
 	}
 	key := uint64(m.cfg.Seed)*0x9E3779B97F4A7C15 ^ uint64(i)<<32 ^ uint64(j)
 	u1 := unitFloat(splitmix64(key))
 	u2 := unitFloat(splitmix64(key ^ 0xD1B54A32D192ED03))
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	mu := math.Log(float64(mean)) - m.cfg.Sigma*m.cfg.Sigma/2
-	d := time.Duration(math.Exp(mu + m.cfg.Sigma*z))
+	return clampDelay(math.Exp(mu + m.cfg.Sigma*z))
+}
+
+// clampDelay turns a drawn delay in nanoseconds into a pair delay in
+// [1 ms, math.MaxUint32 ns ≈ 4.29 s], the range a dense 4-byte cell holds.
+// The upper bound is a 9σ draw under DefaultLatencyConfig; no seed reaches it.
+func clampDelay(ns float64) time.Duration {
+	if ns > math.MaxUint32 {
+		return math.MaxUint32
+	}
+	d := time.Duration(ns)
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
@@ -164,23 +174,10 @@ func unitFloat(h uint64) float64 {
 	return (float64(h>>11) + 0.5) / (1 << 53)
 }
 
-// lognormalDelay draws a delay with the given mean and lognormal sigma.
-func lognormalDelay(rng *rand.Rand, mean time.Duration, sigma float64) time.Duration {
-	// For a lognormal with parameters (mu, sigma), mean = exp(mu+sigma²/2).
-	mu := math.Log(float64(mean)) - sigma*sigma/2
-	d := time.Duration(math.Exp(mu + sigma*rng.NormFloat64()))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
+// triIndex is the position of pair (i, j), i < j, in the row-major strict
+// upper triangle: rows 0..i-1 hold (n-1) + ... + (n-i) = i(2n-i-1)/2 cells.
 func triIndex(n, i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	// Row i starts after rows 0..i-1, which hold n + (n-1) + ... entries.
-	return i*n - i*(i-1)/2 + (j - i)
+	return i*(2*n-i-1)/2 + (j - i - 1)
 }
 
 // Nodes returns the number of endpoints in the matrix.
@@ -190,14 +187,17 @@ func (m *LatencyMatrix) Nodes() int { return m.cfg.Nodes }
 // It panics on out-of-range indices: indices come from internal placement
 // logic, so a bad index is a programming error, not an input error.
 func (m *LatencyMatrix) Delay(i, j int) time.Duration {
+	if i > j {
+		i, j = j, i
+	}
+	_ = m.regions[j] // the larger index panics when out of range, in both modes
+	if i == j {
+		return 0
+	}
 	if m.delays == nil {
-		if i == j {
-			_ = m.regions[i] // preserve the out-of-range panic
-			return 0
-		}
 		return m.hashedDelay(i, j)
 	}
-	return m.delays[triIndex(m.cfg.Nodes, i, j)]
+	return time.Duration(m.delays[triIndex(m.cfg.Nodes, i, j)])
 }
 
 // RegionOf returns the region label of endpoint i. The session layer uses it

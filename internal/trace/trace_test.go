@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,23 +91,96 @@ func TestLatencyMatrixRegionStructure(t *testing.T) {
 	}
 }
 
+// triIndex must map the strict upper triangle (i < j, no diagonal) onto
+// exactly [0, n(n-1)/2), in the row-major order the dense generator fills.
 func TestTriIndexBijective(t *testing.T) {
-	n := 17
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			idx := triIndex(n, i, j)
-			if seen[idx] {
-				t.Fatalf("collision at (%d,%d)", i, j)
-			}
-			seen[idx] = true
-			if idx != triIndex(n, j, i) {
-				t.Fatalf("triIndex not symmetric at (%d,%d)", i, j)
+	for _, n := range []int{1, 2, 3, 17} {
+		want := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if idx := triIndex(n, i, j); idx != want {
+					t.Fatalf("n=%d: triIndex(%d,%d) = %d, want %d", n, i, j, idx, want)
+				}
+				want++
 			}
 		}
+		if want != n*(n-1)/2 {
+			t.Fatalf("n=%d: covered %d cells, want %d", n, want, n*(n-1)/2)
+		}
 	}
-	if len(seen) != n*(n+1)/2 {
-		t.Fatalf("covered %d cells, want %d", len(seen), n*(n+1)/2)
+}
+
+// Means far out in both tails force draws above a 4-byte cell's range and
+// below the 1 ms floor; both modes must clamp them to [1 ms, MaxUint32 ns]
+// and both bounds must actually be hit.
+func TestLatencyClampBothModes(t *testing.T) {
+	cfg := LatencyConfig{Nodes: 200, Regions: 2, IntraMean: time.Second, InterMean: 20 * time.Second, Sigma: 3, Seed: 5}
+	const lo, hi = time.Millisecond, time.Duration(math.MaxUint32)
+	for name, gen := range map[string]func(LatencyConfig) (*LatencyMatrix, error){
+		"dense": GenerateLatencyMatrix, "hashed": GenerateHashedLatencyMatrix,
+	} {
+		m, err := gen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var atLo, atHi int
+		for i := 0; i < cfg.Nodes; i++ {
+			for j := i + 1; j < cfg.Nodes; j++ {
+				d := m.Delay(i, j)
+				if d < lo || d > hi {
+					t.Fatalf("%s: Delay(%d,%d) = %v outside [%v, %v]", name, i, j, d, lo, hi)
+				}
+				if d == lo {
+					atLo++
+				}
+				if d == hi {
+					atHi++
+				}
+			}
+		}
+		if atLo == 0 || atHi == 0 {
+			t.Errorf("%s: clamp not exercised: %d pairs at the floor, %d at the ceiling", name, atLo, atHi)
+		}
+	}
+}
+
+// A dense build may allocate its 4-byte strict upper triangle, the region
+// labels and a constant, and no more. int64 cells would double the first
+// term; a stored diagonal adds 4n bytes, more than the constant slack at
+// this n (which covers the RNG's ~4.9 KB state and page rounding).
+func TestDenseMatrixAllocationBound(t *testing.T) {
+	const n = 6000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := GenerateLatencyMatrix(DefaultLatencyConfig(n, 1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(4*n*(n-1)/2 + 8*n + 16<<10) // 8n: one int per region label
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("dense %d-node build allocated %d bytes, want <= %d", n, got, limit)
+	}
+	runtime.KeepAlive(m)
+}
+
+func BenchmarkGenerateLatencyMatrix(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		nodes int
+		gen   func(LatencyConfig) (*LatencyMatrix, error)
+	}{
+		{"dense/6016", 6016, GenerateLatencyMatrix},
+		{"hashed/30016", 30016, GenerateHashedLatencyMatrix},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.gen(DefaultLatencyConfig(bc.nodes, 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
