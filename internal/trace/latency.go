@@ -148,7 +148,7 @@ func (m *LatencyMatrix) hashedDelay(i, j int) time.Duration {
 
 // clampDelay turns a drawn delay in nanoseconds into a pair delay in
 // [1 ms, math.MaxUint32 ns ≈ 4.29 s], the range a dense 4-byte cell holds.
-// The upper bound is a 9σ draw under DefaultLatencyConfig; no seed reaches it.
+// The upper bound is a 9σ draw under DefaultLatencyConfig (p ≈ 1e-19 a pair).
 func clampDelay(ns float64) time.Duration {
 	if ns > math.MaxUint32 {
 		return math.MaxUint32
