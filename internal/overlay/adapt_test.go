@@ -13,8 +13,10 @@ import (
 // mutableProp is a propagation-delay model tests can change mid-run to
 // emulate network dynamism.
 type mutableProp struct {
-	mu    sync.Mutex
-	base  time.Duration
+	mu   sync.Mutex
+	base time.Duration
+	// pairs, when set, replaces the constant base with a per-pair delay.
+	pairs PropFunc
 	extra map[model.ViewerID]time.Duration
 }
 
@@ -25,7 +27,11 @@ func newMutableProp(base time.Duration) *mutableProp {
 func (p *mutableProp) fn(a, b model.ViewerID) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + p.extra[a] + p.extra[b]
+	d := p.base
+	if p.pairs != nil {
+		d = p.pairs(a, b)
+	}
+	return d + p.extra[a] + p.extra[b]
 }
 
 // degrade adds one-way delay on every path touching the viewer.

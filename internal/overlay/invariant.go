@@ -55,6 +55,9 @@ func (t *Tree) validate() error {
 			if c.MinE2E < n.EffE2E {
 				return errDelayOrder(string(c.Viewer), "MinE2E below parent EffE2E")
 			}
+			if c.MinE2E != n.EffE2E+t.prop(n.Viewer, c.Viewer)+t.params.Proc {
+				return errDelayOrder(string(c.Viewer), "MinE2E off the parent's delay chain")
+			}
 			if err := rec(c, depth+1); err != nil {
 				return err
 			}
