@@ -146,16 +146,32 @@ func TestInsertFIFOOnlyFillsFreeSlots(t *testing.T) {
 	requireValid(t, tree)
 }
 
+// TestInsertFIFODuplicateRefused pins the tree's half of the one-node-per-
+// viewer contract: Insert and InsertFIFO refuse a node the tree already
+// tracks. A second node of the same viewer is not the tree's to refuse — the
+// manager never builds one (ErrViewerExists) — but validate names it.
 func TestInsertFIFODuplicateRefused(t *testing.T) {
 	tree := newTestTree(t, constProp(20*time.Millisecond))
-	root := mkNode("root", 2)
+	root := mkNode("root", 3)
 	tree.AttachToCDN(root)
 	n := mkNode("n", 0)
 	if !tree.InsertFIFO(n) {
 		t.Fatal("first insert failed")
 	}
-	if tree.InsertFIFO(mkNode("n", 0)) {
-		t.Fatal("duplicate accepted")
+	if tree.InsertFIFO(n) {
+		t.Fatal("InsertFIFO re-inserted a tracked node")
+	}
+	if placed, _ := tree.Insert(n); placed {
+		t.Fatal("Insert re-inserted a tracked node")
+	}
+	requireValid(t, tree)
+
+	if !tree.InsertFIFO(mkNode("n", 0)) {
+		t.Fatal("a second node of the viewer found no free slot")
+	}
+	err := tree.validate()
+	if err == nil || err.Error() != errDuplicateNode("n").Error() {
+		t.Fatalf("validate = %v, want %v", err, errDuplicateNode("n"))
 	}
 }
 

@@ -17,21 +17,14 @@ import (
 // Algorithm 1's placement semantics.
 
 // hasSupplyScan is the pre-index reference supply test: a full walk of the
-// viewer map, exactly what HasSupplyFor used to do.
+// tracked nodes, exactly what HasSupplyFor used to do.
 func (t *Tree) hasSupplyScan(outDeg int, outCap float64) bool {
-	total := 0
-	for _, n := range t.nodes {
-		total += n.FreeSlots()
-	}
-	if total > 0 {
-		return true
-	}
-	for _, z := range t.nodes {
-		if beats(outDeg, outDeg, outCap, z) {
-			return true
-		}
-	}
-	return false
+	total, beaten := 0, false
+	t.eachTracked(func(z *Node) {
+		total += z.FreeSlots()
+		beaten = beaten || beats(outDeg, outDeg, outCap, z)
+	})
+	return total > 0 || beaten
 }
 
 // checkAgainstReference probes one candidate joiner against both position
@@ -168,6 +161,44 @@ func TestInsertSequenceMatchesReference(t *testing.T) {
 	}
 }
 
+// viewersOf lists the viewers of a changed-node slice.
+func viewersOf(nodes []*Node) string {
+	out := ""
+	for _, n := range nodes {
+		out += string(n.Viewer) + " "
+	}
+	return out
+}
+
+// sameDelays walks two trees in lockstep and reports the first node where
+// their shape, delay state or (below a root) cached edge differs.
+func sameDelays(a, b *Tree) error {
+	var rec func(x, y *Node) error
+	rec = func(x, y *Node) error {
+		if x.Viewer != y.Viewer || len(x.Children) != len(y.Children) ||
+			x.MinE2E != y.MinE2E || x.Layer != y.Layer || x.EffE2E != y.EffE2E ||
+			x.Parent != nil && a.store.edge[x.slot-1] != b.store.edge[y.slot-1] {
+			return fmt.Errorf("%s (min %v layer %d eff %v) vs %s (min %v layer %d eff %v)",
+				x.Viewer, x.MinE2E, x.Layer, x.EffE2E, y.Viewer, y.MinE2E, y.Layer, y.EffE2E)
+		}
+		for i := range x.Children {
+			if err := rec(x.Children[i], y.Children[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(a.roots) != len(b.roots) {
+		return fmt.Errorf("%d roots vs %d", len(a.roots), len(b.roots))
+	}
+	for i := range a.roots {
+		if err := rec(a.roots[i], b.roots[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // treeShape serializes parent links, depths, and delay state, so equality
 // means equality of every placement decision made so far.
 func treeShape(t *Tree) string {
@@ -192,6 +223,12 @@ func treeShape(t *Tree) string {
 // mutation asks for — a join, a recovered victim — is resolved by both
 // searches before it is applied, and the full validator recounts the heaps
 // after every churn step.
+//
+// A twin tree replays every mutation with alwaysWalk set, i.e. with the
+// delay refresh the tree made before its shortcuts (every edge re-derived
+// from prop, no early stop, no unchanged-layer short-circuit). After every
+// churn step the two trees must agree node for node, and every SetLayer
+// must report the same changed nodes.
 func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5000-node tree under the reference scan")
@@ -201,16 +238,21 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 		churnSteps = 1500
 	)
 	rng := rand.New(rand.NewSource(18))
-	tree := newTestTree(t, func(a, b model.ViewerID) time.Duration {
+	prop := func(a, b model.ViewerID) time.Duration {
 		return time.Duration(10+10*((len(a)+int(a[len(a)-1])+3*int(b[len(b)-1]))%4)) * time.Millisecond
-	})
+	}
+	tree, twin := newTestTree(t, prop), newTestTree(t, prop)
+	twin.alwaysWalk = true
 	next := 0
-	var live []*Node
-	place := func(u *Node) {
+	var live, twinLive []*Node
+	place := func(u, u2 *Node) {
 		t.Helper()
 		checkAgainstReference(t, tree, u)
 		if placed, _ := tree.place(u); !placed {
 			tree.AttachToCDN(u)
+		}
+		if placed, _ := twin.place(u2); !placed {
+			twin.AttachToCDN(u2)
 		}
 	}
 	join := func() {
@@ -221,8 +263,10 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 			OutCap: float64(rng.Intn(13)),
 		}
 		next++
-		place(u)
+		u2 := *u
+		place(u, &u2)
 		live = append(live, u)
+		twinLive = append(twinLive, &u2)
 	}
 	for step := 0; len(live) < target; step++ {
 		join()
@@ -239,20 +283,30 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 		case r < 6:
 			op = "detach+reattach"
 			i := rng.Intn(len(live))
-			n := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			for _, v := range tree.Detach(n) {
-				place(v)
+			n, n2 := live[i], twinLive[i]
+			live[i], twinLive[i] = live[len(live)-1], twinLive[len(live)-1]
+			live, twinLive = live[:len(live)-1], twinLive[:len(live)-1]
+			victims, twinVictims := tree.Detach(n), twin.Detach(n2)
+			for j, v := range victims {
+				place(v, twinVictims[j])
 			}
 		case r < 8:
 			op = "move-to-cdn"
-			tree.MoveToCDN(live[rng.Intn(len(live))])
+			i := rng.Intn(len(live))
+			tree.MoveToCDN(live[i])
+			twin.MoveToCDN(twinLive[i])
 		default:
 			op = "set-layer"
-			tree.SetLayer(live[rng.Intn(len(live))], rng.Intn(6))
+			i, layer := rng.Intn(len(live)), rng.Intn(6)
+			got := viewersOf(tree.SetLayer(live[i], layer))
+			if want := viewersOf(twin.SetLayer(twinLive[i], layer)); got != want {
+				t.Fatalf("step %d: SetLayer reports %q changed, the full walk %q", step, got, want)
+			}
 		}
 		requireInvariants(t, tree, step, op)
+		if err := sameDelays(tree, twin); err != nil {
+			t.Fatalf("step %d after %s: %v", step, op, err)
+		}
 	}
 	if len(live) < target || tree.Size() != len(live) {
 		t.Fatalf("tree size %d, live census %d, want ≥ %d", tree.Size(), len(live), target)

@@ -10,9 +10,13 @@ package overlay
 //   - root bookkeeping: roots have no parent and appear exactly once, and
 //     the slot-indexed root-position mirror names each root's index in the
 //     root list and -1 for every other slot;
-//   - delay monotonicity: EffE2E ≥ MinE2E everywhere, a child's minimum
-//     delay never undercuts its parent's effective delay, and no layer
-//     sits below the minimum its path implies;
+//   - delay chain: EffE2E ≥ MinE2E everywhere, every child's minimum delay
+//     is exactly its parent's effective delay plus d_prop plus δ, its
+//     cached edge equals d_prop, and no layer sits below the minimum its
+//     path implies;
+//   - membership: the tracked flags count to the size counter, every
+//     tracked slot is bound, and the tracked nodes are exactly the attached
+//     ones (no victim may be left in flight);
 //   - counters: the O(1) free-slot counter equals a full recount, the
 //     degree census equals a recount of attached nodes;
 //   - level index: every attached node is filed exactly once, at its true
@@ -21,23 +25,39 @@ package overlay
 //     heap-ordered under lessSlot; the position mirror names each member's
 //     actual heap index and -1 for every unfiled slot; and every per-level
 //     count (nodes, free slots) equals a recount;
-//   - slab/SoA bookkeeping: every tracked node is bound to a slot whose
-//     registry entry points back at it, the dense mirrors (degree,
-//     capacity, effective delay, child count) agree with the struct
-//     fields, unattached nodes hold no heap position and non-roots no root
+//   - slab/SoA bookkeeping: every bound slot's registry entry points back
+//     at its node, the dense mirrors of tracked nodes (degree, capacity,
+//     effective delay, child count) agree with the struct fields,
+//     unattached nodes hold no heap position and non-roots no root
 //     position, the free list holds exactly the unbound slots with no
 //     duplicates, and every per-slot array spans the slab.
 
 // validate checks every tree invariant; tests call it after mutations.
 func (t *Tree) validate() error {
-	seen := make(map[viewerID]bool, len(t.nodes))
-	depths := make(map[*Node]int, len(t.nodes))
+	tracked := 0
+	for slot, on := range t.store.tracked {
+		if !on {
+			continue
+		}
+		if t.store.nodes[slot] == nil {
+			return errIndexDrift("slab", "unbound slot tracked")
+		}
+		tracked++
+	}
+	if tracked != t.size {
+		return errCounterDrift("tracked nodes", t.size, tracked)
+	}
+	seen := make(map[viewerID]bool, t.size)
+	depths := make(map[*Node]int, t.size)
 	var rec func(n *Node, depth int) error
 	rec = func(n *Node, depth int) error {
 		if seen[n.Viewer] {
 			return errDuplicateNode(string(n.Viewer))
 		}
 		seen[n.Viewer] = true
+		if !t.tracks(n) || t.store.nodes[n.slot-1] != n {
+			return errIndexDrift(string(n.Viewer), "attached but not tracked")
+		}
 		depths[n] = depth
 		if len(n.Children) > n.OutDeg {
 			return errOverDegree(string(n.Viewer), len(n.Children), n.OutDeg)
@@ -55,7 +75,11 @@ func (t *Tree) validate() error {
 			if c.MinE2E < n.EffE2E {
 				return errDelayOrder(string(c.Viewer), "MinE2E below parent EffE2E")
 			}
-			if c.MinE2E != n.EffE2E+t.prop(n.Viewer, c.Viewer)+t.params.Proc {
+			d := t.prop(n.Viewer, c.Viewer)
+			if c.slot != 0 && t.store.edge[c.slot-1] != d {
+				return errIndexDrift(string(c.Viewer), "edge mirror drift")
+			}
+			if c.MinE2E != n.EffE2E+d+t.params.Proc {
 				return errDelayOrder(string(c.Viewer), "MinE2E off the parent's delay chain")
 			}
 			if err := rec(c, depth+1); err != nil {
@@ -73,7 +97,7 @@ func (t *Tree) validate() error {
 			return errRootBookkeeping(string(r.Viewer), "listed twice")
 		}
 		rootSeen[r] = true
-		if t.nodes[r.Viewer] != r {
+		if !t.tracks(r) {
 			return errRootBookkeeping(string(r.Viewer), "not tracked")
 		}
 		if r.slot == 0 || t.store.rootPos[r.slot-1] != int32(i) {
@@ -83,8 +107,8 @@ func (t *Tree) validate() error {
 			return err
 		}
 	}
-	if len(seen) != len(t.nodes) {
-		return errOrphanNodes(len(t.nodes) - len(seen))
+	if len(seen) != t.size {
+		return errOrphanNodes(t.size - len(seen))
 	}
 	return t.validateIndexes(depths)
 }
@@ -92,11 +116,9 @@ func (t *Tree) validate() error {
 // validateIndexes recounts every incremental index against the attached
 // nodes in depths (node → true depth).
 func (t *Tree) validateIndexes(depths map[*Node]int) error {
-	// O(1) free-slot counter vs. a recount over the viewer map.
+	// O(1) free-slot counter vs. a recount over the tracked nodes.
 	free := 0
-	for _, n := range t.nodes {
-		free += n.FreeSlots()
-	}
+	t.eachTracked(func(n *Node) { free += n.FreeSlots() })
 	if free != t.free {
 		return errCounterDrift("free slots", t.free, free)
 	}
@@ -179,7 +201,7 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		return errCounterDrift("slab capacity", len(s.blocks)*slabBlockSize, total)
 	}
 	for _, l := range []int{len(s.deg), len(s.cap), len(s.eff), len(s.kids),
-		len(s.depth), len(s.pos), len(s.rootPos)} {
+		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge), len(s.tracked)} {
 		if l != total {
 			return errCounterDrift("slab array span", l, total)
 		}
@@ -214,14 +236,12 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		if (n.Parent != nil || !s.filed(int32(slot))) && s.rootPos[slot] != -1 {
 			return errIndexDrift(string(n.Viewer), "non-root keeps a root position")
 		}
-	}
-	for _, n := range t.nodes {
-		if n.slot == 0 {
-			return errIndexDrift(string(n.Viewer), "tracked node unbound")
+		// The bucket walk proved every attached node's heap position.
+		if _, attached := depths[n]; s.filed(int32(slot)) && !attached {
+			return errIndexDrift(string(n.Viewer), "unattached node keeps a heap position")
 		}
-		slot := n.slot - 1
-		if s.nodes[slot] != n {
-			return errIndexDrift(string(n.Viewer), "registry points elsewhere")
+		if !s.tracked[slot] {
+			continue
 		}
 		if s.deg[slot] != int32(n.OutDeg) || s.cap[slot] != n.OutCap {
 			return errIndexDrift(string(n.Viewer), "degree/capacity mirror drift")
@@ -232,10 +252,15 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		if s.eff[slot] != n.EffE2E {
 			return errIndexDrift(string(n.Viewer), "effective-delay mirror drift")
 		}
-		// The bucket walk proved every attached node's heap position.
-		if _, attached := depths[n]; s.filed(slot) && !attached {
-			return errIndexDrift(string(n.Viewer), "unattached node keeps a heap position")
-		}
 	}
 	return nil
+}
+
+// eachTracked calls fn on every node the tree tracks, in slot order.
+func (t *Tree) eachTracked(fn func(*Node)) {
+	for slot, on := range t.store.tracked {
+		if on {
+			fn(t.store.nodes[slot])
+		}
+	}
 }

@@ -164,10 +164,11 @@ func TestManagerChurnInvariants(t *testing.T) {
 }
 
 // TestValidateSeesPlantedIndexCorruption plants one bookkeeping slip at a
-// time into the ordered buckets and the root mirror of a healthy tree and
-// requires the validator to name it — the guarantee that a slip in the
-// incremental maintenance fails at the mutation that made it, not at a
-// later placement that trips over it.
+// time into the ordered buckets, the root mirror, the cached edges and the
+// slot membership of a healthy tree, and a stale handle into a viewer
+// record, and requires the validator to name it — the guarantee that a slip
+// in the incremental maintenance fails at the mutation that made it, not at
+// a later placement that trips over it.
 func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tree := newTestTree(t, func(a, b model.ViewerID) time.Duration {
@@ -248,6 +249,15 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		{"unbound slot given a heap position",
 			func() { s.pos[unbound] = 0 },
 			func() { s.pos[unbound] = -1 }},
+		{"cached edge off prop",
+			func() { s.edge[inner.slot-1] += time.Millisecond },
+			func() { s.edge[inner.slot-1] -= time.Millisecond }},
+		{"attached node's tracked flag cleared",
+			func() { s.tracked[inner.slot-1] = false },
+			func() { s.tracked[inner.slot-1] = true }},
+		{"size counter drift",
+			func() { tree.size++ },
+			func() { tree.size-- }},
 	}
 	for _, c := range cases {
 		c.plant()
@@ -258,5 +268,30 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		if err := tree.validate(); err != nil {
 			t.Fatalf("%s: undo left the tree invalid: %v", c.name, err)
 		}
+	}
+
+	// A viewer record holding a recycled node: the stale-handle shape of
+	// ROADMAP item 2. v0001 hangs below v0000 in every tree at layer ≤ 1, so
+	// the zeroed handle (slot 0, layer 0) keeps its κ spread within bounds
+	// and only the slot-binding check can see it.
+	m := newTestManager(t, 6000)
+	mustJoin(t, m, viewerN(0, 12, 12), 0)
+	mustJoin(t, m, viewerN(1, 12, 0), 0)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v1, _ := m.Viewer("v0001")
+	id := v1.AcceptedStreams()[0]
+	n, tree1 := v1.Nodes[id], v1.Group.Trees[id]
+	if n.Parent == nil || len(n.Children) != 0 || n.Layer > 1 {
+		t.Fatal("fixture viewer is not a low-layer leaf")
+	}
+	tree1.Detach(n)
+	tree1.Recycle(n)
+	if n.slot != 0 {
+		t.Fatal("recycle left the handle bound")
+	}
+	if err := m.Validate(); err == nil {
+		t.Error("viewer record holding a recycled node: validator saw nothing")
 	}
 }

@@ -637,16 +637,17 @@ func (m *Manager) SortedViewerIDs() []model.ViewerID {
 }
 
 // RefreshAll re-derives every tree's delay state from the current
-// propagation delays and re-runs stream subscription for every viewer whose
-// state changed — the periodic delay-layer adaptation of §VI. It returns
-// the number of nodes whose delay state changed.
+// propagation delays — every cached edge included, by the full walk — and
+// re-runs stream subscription for every viewer whose state changed: the
+// periodic delay-layer adaptation of §VI. It returns the number of nodes
+// whose delay state changed.
 func (m *Manager) RefreshAll() int {
 	m.resubscribeBudget = m.propagationCap()
 	changed := 0
 	for _, g := range m.groups {
 		for _, t := range g.Trees {
 			for _, r := range t.Roots() {
-				nodes := t.refreshDelays(r)
+				nodes := t.refreshFull(r)
 				changed += len(nodes)
 				m.enqueueNodes(nodes)
 			}

@@ -20,7 +20,13 @@ import "time"
 //     level-index heap it is filed in and in the tree's root list, so heap
 //     sifts compare inside consecutive memory, never dereference a Node
 //     short of a full (capacity, delay) tie, and removing a node from
-//     either structure needs no search.
+//     either structure needs no search;
+//   - the delay refresh reads each node's tree edge, d_prop(parent, node),
+//     from a dense column written once where the edge forms, instead of
+//     calling the propagation function per edge per refresh;
+//   - tree membership is a per-slot flag plus a counter, so tracking,
+//     untracking and the duplicate and recycle guards index by slot rather
+//     than hashing viewer IDs.
 //
 // Every tracked node is bound to a slot. Production nodes are slab-born
 // (Tree.NewNode); tests that build &Node{} by hand are adopted at trackNode
@@ -61,6 +67,14 @@ type nodeStore struct {
 	// Tree.roots, -1 for a non-root. They are the position mirrors that
 	// make heap removal, re-keying and root removal search-free.
 	pos, rootPos []int32
+	// edge is prop(parent, node), the d_prop of the node's tree edge, valid
+	// while the node has a parent. It is written where the edge forms
+	// (linkChild, displace) and re-derived only by the full walks
+	// (Tree.refreshFull); refreshNode reads it.
+	edge []time.Duration
+	// tracked marks the slots whose node the tree tracks: every attached
+	// node plus victims whose recovery is in flight. Tree.size counts them.
+	tracked []bool
 }
 
 func newNodeStore() *nodeStore { return &nodeStore{} }
@@ -77,6 +91,8 @@ func (s *nodeStore) grow() {
 	s.depth = append(s.depth, make([]int32, slabBlockSize)...)
 	s.pos = append(s.pos, make([]int32, slabBlockSize)...)
 	s.rootPos = append(s.rootPos, make([]int32, slabBlockSize)...)
+	s.edge = append(s.edge, make([]time.Duration, slabBlockSize)...)
+	s.tracked = append(s.tracked, make([]bool, slabBlockSize)...)
 	// LIFO: push in reverse so low slots are handed out first. An unbound
 	// slot holds no position; release keeps it that way.
 	for i := int32(slabBlockSize) - 1; i >= 0; i-- {
@@ -139,6 +155,7 @@ func (s *nodeStore) release(n *Node) {
 	s.deg[slot], s.cap[slot] = 0, 0
 	s.eff[slot], s.kids[slot], s.depth[slot] = 0, 0, 0
 	s.pos[slot], s.rootPos[slot] = -1, -1
+	s.edge[slot], s.tracked[slot] = 0, false
 	if s.owns(n, slot) {
 		*n = Node{} // clears n.slot too
 	} else {
@@ -193,13 +210,26 @@ func (t *Tree) NewNode(viewer viewerID, outDeg int, outCap float64) *Node {
 // tracked by the tree is left alone, which also makes double-recycling a
 // no-op.
 func (t *Tree) Recycle(n *Node) {
-	if n.slot == 0 {
-		return
-	}
-	if cur, ok := t.nodes[n.Viewer]; ok && cur == n {
+	if t.tracks(n) {
 		return
 	}
 	t.store.release(n)
+}
+
+// tracks reports whether the tree tracks the node itself (not merely some
+// node of the same viewer): its slot is bound and flagged.
+func (t *Tree) tracks(n *Node) bool {
+	return n.slot != 0 && t.store.tracked[n.slot-1]
+}
+
+// binds reports whether n is the viewer's live node in this tree: bound to a
+// slot of this tree's slab that points back at it, tracked, and carrying the
+// viewer's ID. A handle whose slot was recycled (slot 0) or re-issued to
+// another node fails it.
+func (t *Tree) binds(vid viewerID, n *Node) bool {
+	s := t.store
+	return n.slot != 0 && int(n.slot) <= len(s.nodes) && s.nodes[n.slot-1] == n &&
+		s.tracked[n.slot-1] && n.Viewer == vid
 }
 
 // depthOf returns the level-index depth of a filed node (0 = CDN child).

@@ -190,7 +190,7 @@ func (m *Manager) validateViewer(vid model.ViewerID, v *Viewer) error {
 	var inUse float64
 	for id, n := range v.Nodes {
 		tree := v.Group.Trees[id]
-		if tn, ok := tree.Node(vid); !ok || tn != n {
+		if tree == nil || !tree.binds(vid, n) {
 			return errViewerTreeMismatch(string(vid), id.String())
 		}
 		inUse += tree.Stream.BitrateMbps

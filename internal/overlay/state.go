@@ -166,7 +166,7 @@ func (m *Manager) ExportState() *ShardState {
 		sortedStreamIDs(streamIDs)
 		for _, id := range streamIDs {
 			t := g.Trees[id]
-			ts := TreeState{Stream: id.String(), Nodes: make([]NodeState, 0, len(t.nodes))}
+			ts := TreeState{Stream: id.String(), Nodes: make([]NodeState, 0, t.Size())}
 			var dfs func(parent model.ViewerID, n *Node)
 			dfs = func(parent model.ViewerID, n *Node) {
 				ts.Nodes = append(ts.Nodes, NodeState{
@@ -228,8 +228,9 @@ func (m *Manager) ExportState() *ShardState {
 // RestoreManager rebuilds a manager from an exported state on fresh slabs.
 // Tree topology is replayed through the same attachment primitives the
 // admission path uses (NewNode, AttachToCDN, attachUnder), so slot handles,
-// SoA mirrors, and level indexes are rebuilt from scratch; κ-layers are then
-// pinned from the export and the delay chain recomputed root-down, which
+// SoA mirrors, cached edges and level indexes are rebuilt from scratch;
+// κ-layers are then pinned from the export and the delay chain recomputed
+// root-down by the full walk (every edge re-derived, no early stop), which
 // reproduces the exported MinE2E/EffE2E exactly because refreshNode never
 // lowers a layer that still satisfies its d_max bound.
 //
@@ -260,6 +261,9 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 		return nil, err
 	}
 
+	// restored binds each rebuilt tree's nodes by viewer, for the viewer
+	// records below.
+	restored := make(map[*Tree]map[model.ViewerID]*Node)
 	for gi := range st.Groups {
 		gs := &st.Groups[gi]
 		view := viewFromStates(gs.View)
@@ -280,6 +284,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			}
 			t := m.treeFor(g, s)
 			byViewer := make(map[model.ViewerID]*Node, len(ts.Nodes))
+			restored[t] = byViewer
 			for ni := range ts.Nodes {
 				ns := &ts.Nodes[ni]
 				n := t.NewNode(ns.Viewer, ns.OutDeg, ns.OutCap)
@@ -311,7 +316,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 				byViewer[ts.Nodes[ni].Viewer].Layer = ts.Nodes[ni].Layer
 			}
 			for _, r := range t.roots {
-				t.refreshDelays(r)
+				t.refreshFull(r)
 			}
 		}
 	}
@@ -369,7 +374,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			v.OutDeg[sid] = d.Deg
 		}
 		for sid, t := range g.Trees {
-			if n, ok := t.Node(vs.ID); ok {
+			if n, ok := restored[t][vs.ID]; ok {
 				if v.Nodes == nil {
 					v.Nodes = make(map[model.StreamID]*Node)
 				}

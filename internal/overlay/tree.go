@@ -24,12 +24,13 @@ type Tree struct {
 	// roots are the direct CDN children; store.rootPos mirrors each one's
 	// index so replacing or removing a root needs no search.
 	roots  []*Node
-	nodes  map[viewerID]*Node
 	prop   PropFunc
 	params Params
 
-	// free is Σ FreeSlots over nodes — attached ones and victims whose
-	// recovery is in flight — exactly the set the map walk used to visit.
+	// size counts the tracked nodes (store.tracked): attached ones and
+	// victims whose recovery is in flight.
+	size int
+	// free is Σ FreeSlots over the tracked nodes.
 	free int
 	// degTotals counts attached nodes per out-degree.
 	degTotals []int
@@ -46,8 +47,10 @@ type Tree struct {
 	changed []*Node
 	// fifoQ is the reusable BFS queue of InsertFIFO.
 	fifoQ []*Node
-	// alwaysWalk disables SetLayer's unchanged-layer short-circuit. Only
-	// tests set it, to show the short-circuit changes no outcome.
+	// alwaysWalk turns every refresh into the full walk the tree made before
+	// its shortcuts: SetLayer never short-circuits, refreshNode never stops
+	// early, and every edge is re-derived from prop. Only tests set it, to
+	// show the shortcuts change no outcome.
 	alwaysWalk bool
 }
 
@@ -64,24 +67,18 @@ type streamID = modelStreamID
 func newTree(id streamID, bitrate, frameRate float64, prop PropFunc, params Params) *Tree {
 	return &Tree{
 		Stream: treeStream{ID: id, BitrateMbps: bitrate, FrameRate: frameRate},
-		nodes:  make(map[viewerID]*Node),
 		prop:   prop,
 		params: params,
 		store:  newNodeStore(),
 	}
 }
 
-// Size returns the number of viewers in the tree.
-func (t *Tree) Size() int { return len(t.nodes) }
+// Size returns the number of nodes the tree tracks: attached ones and
+// victims whose recovery is in flight.
+func (t *Tree) Size() int { return t.size }
 
 // Roots returns the direct CDN children.
 func (t *Tree) Roots() []*Node { return t.roots }
-
-// Node returns the tree node of a viewer, if present.
-func (t *Tree) Node(v viewerID) (*Node, bool) {
-	n, ok := t.nodes[v]
-	return n, ok
-}
 
 // FreeSlots returns the unused out-degree across all nodes: the P2P supply
 // available without displacing anyone. O(1) — the counter is maintained by
@@ -145,8 +142,13 @@ func beats(outDeg, freeSlots int, outCap float64, z *Node) bool {
 // case the caller provisions the stream from the CDN or rejects it
 // (§IV-B2). displaced is the real node pushed down, if any; its subtree's
 // delays were recomputed and its viewers need a stream-subscription pass.
+//
+// Insert refuses a node the tree already tracks. It does not look for
+// another node of the same viewer: one node per viewer per tree is the
+// manager's invariant (a second Join fails with ErrViewerExists), and
+// validate's duplicate check enforces it.
 func (t *Tree) Insert(u *Node) (placed bool, displaced *Node) {
-	if _, dup := t.nodes[u.Viewer]; dup {
+	if t.tracks(u) {
 		return false, nil
 	}
 	return t.place(u)
@@ -267,11 +269,12 @@ func (t *Tree) attachUnder(parent, u *Node) {
 }
 
 // displace puts u in z's position: z and its subtree move one level down as
-// u's child.
+// u's child. u inherits z's parent, which forms u's edge here; linkChild
+// forms z's.
 func (t *Tree) displace(z, u *Node) {
 	depth := t.depthOf(z)
 	t.unindexSubtree(z)
-	t.trackNode(u) // binds u's slot, which the root mirror needs
+	t.trackNode(u) // binds u's slot, which the root mirror and edge need
 	u.Parent = z.Parent
 	if z.Parent == nil {
 		rp := t.store.rootPos
@@ -279,6 +282,7 @@ func (t *Tree) displace(z, u *Node) {
 		t.roots[i] = u
 		rp[u.slot-1], rp[z.slot-1] = i, -1
 	} else {
+		t.store.edge[u.slot-1] = t.prop(z.Parent.Viewer, u.Viewer)
 		for i, c := range z.Parent.Children {
 			if c == z {
 				z.Parent.Children[i] = u
@@ -349,7 +353,7 @@ func (t *Tree) Orphan(victim *Node) []*Node {
 	if victim.slot != 0 {
 		t.store.kids[victim.slot-1] = 0
 	}
-	if _, tracked := t.nodes[victim.Viewer]; tracked {
+	if t.tracks(victim) {
 		t.free += len(children) // the victim's slots all came free…
 	}
 	t.untrackNode(victim) // …and leave the census with it
@@ -359,32 +363,37 @@ func (t *Tree) Orphan(victim *Node) []*Node {
 	return children
 }
 
-// trackNode enters a node into the viewer map and the free-slot counter,
+// trackNode flags a node tracked and enters it into the free-slot counter,
 // binding it to a slab slot if it was built outside the slab (tests).
-// Re-tracking a victim that never left the map is a no-op.
+// Re-tracking a victim that was never untracked is a no-op.
 func (t *Tree) trackNode(n *Node) {
-	if _, ok := t.nodes[n.Viewer]; ok {
+	if t.tracks(n) {
 		return
 	}
 	t.store.adopt(n)
-	t.nodes[n.Viewer] = n
+	t.store.tracked[n.slot-1] = true
+	t.size++
 	t.free += n.FreeSlots()
 }
 
-// untrackNode removes a node from the viewer map and the free-slot counter.
+// untrackNode clears a node's tracked flag and takes it out of the
+// free-slot counter. The slot stays bound until Recycle.
 func (t *Tree) untrackNode(n *Node) {
-	if _, ok := t.nodes[n.Viewer]; !ok {
+	if !t.tracks(n) {
 		return
 	}
-	delete(t.nodes, n.Viewer)
+	t.store.tracked[n.slot-1] = false
+	t.size--
 	t.free -= n.FreeSlots()
 }
 
-// linkChild appends u to p's children. p must be tracked and have a free
-// slot; u's own slot census is unaffected.
+// linkChild appends u to p's children and forms u's edge. p must be
+// tracked and have a free slot, and u must be bound; u's own slot census is
+// unaffected.
 func (t *Tree) linkChild(p, u *Node) {
 	p.Children = append(p.Children, u)
 	u.Parent = p
+	t.store.edge[u.slot-1] = t.prop(p.Viewer, u.Viewer)
 	t.free--
 	ps := p.slot - 1
 	t.store.kids[ps]++
@@ -467,27 +476,53 @@ func (t *Tree) unindexSubtree(n *Node) {
 	}
 }
 
-// refreshDelays recomputes MinE2E, Layer, and EffE2E for n and its subtree.
-// The assigned layer never drops below the minimum implied by the path, and
-// a node already pushed down (Layer > minimum) keeps its deeper layer: the
-// stream-subscription pass decides moves, not the tree. It returns every
-// node whose delay state changed so that the manager can re-run stream
-// subscription for the affected viewers — silently updated descendants are
-// exactly how κ-bound violations would otherwise slip through. The returned
-// slice is scratch owned by the tree, valid until the next refresh.
+// refreshDelays recomputes MinE2E, Layer, and EffE2E for n and the part of
+// its subtree whose inputs moved. The assigned layer never drops below the
+// minimum implied by the path, and a node already pushed down (Layer >
+// minimum) keeps its deeper layer: the stream-subscription pass decides
+// moves, not the tree. It returns every node whose delay state changed so
+// that the manager can re-run stream subscription for the affected viewers
+// — silently updated descendants are exactly how κ-bound violations would
+// otherwise slip through. The returned slice is scratch owned by the tree,
+// valid until the next refresh.
+//
+// The walk always visits n's children, since one of them may have just
+// gained its edge (displace links the displaced node under n). Below them it
+// descends only where a node's EffE2E changed: a node's delay state is
+// derived from its parent's EffE2E, its edge and its own Layer, so under a
+// node whose EffE2E held still every descendant already holds the value the
+// walk would recompute (SetLayer states the fixpoint argument).
 func (t *Tree) refreshDelays(n *Node) (changed []*Node) {
+	return t.walkDelays(n, t.alwaysWalk)
+}
+
+// refreshFull is the full walk: it re-derives every edge in n's subtree
+// from prop and refreshes every node, stopping nowhere. RefreshAll needs it
+// because prop itself may have drifted (§VI's periodic adaptation, a
+// DelayShift), and RestoreManager because it pins layers without walking.
+func (t *Tree) refreshFull(n *Node) (changed []*Node) {
+	return t.walkDelays(n, true)
+}
+
+func (t *Tree) walkDelays(n *Node, full bool) []*Node {
 	t.changed = t.changed[:0]
-	t.refreshNode(n)
+	t.refreshNode(n, full, true)
 	return t.changed
 }
 
-func (t *Tree) refreshNode(n *Node) {
+// refreshNode re-derives one node's delay state and walks on: into every
+// child when full or descend is set, otherwise only if its EffE2E moved.
+func (t *Tree) refreshNode(n *Node, full, descend bool) {
 	h := t.params.Hierarchy
+	slot := n.slot - 1
 	oldMin, oldLayer, oldEff := n.MinE2E, n.Layer, n.EffE2E
 	if n.Parent == nil {
 		n.MinE2E = h.Delta
 	} else {
-		n.MinE2E = n.Parent.EffE2E + t.prop(n.Parent.Viewer, n.Viewer) + t.params.Proc
+		if full {
+			t.store.edge[slot] = t.prop(n.Parent.Viewer, n.Viewer)
+		}
+		n.MinE2E = n.Parent.EffE2E + t.store.edge[slot] + t.params.Proc
 	}
 	minLayer := h.LayerOf(n.MinE2E)
 	if n.Layer < minLayer {
@@ -502,9 +537,8 @@ func (t *Tree) refreshNode(n *Node) {
 	if n.EffE2E < pos {
 		n.EffE2E = pos
 	}
-	if n.slot != 0 && t.store.eff[n.slot-1] != n.EffE2E {
+	if t.store.eff[slot] != n.EffE2E {
 		// EffE2E is a key of the node's index heap: re-key a filed node.
-		slot := n.slot - 1
 		t.store.eff[slot] = n.EffE2E
 		if t.store.filed(slot) {
 			t.levels[t.store.depth[slot]].rekey(t.store, n)
@@ -513,8 +547,11 @@ func (t *Tree) refreshNode(n *Node) {
 	if n.MinE2E != oldMin || n.Layer != oldLayer || n.EffE2E != oldEff {
 		t.changed = append(t.changed, n)
 	}
+	if !full && !descend && n.EffE2E == oldEff {
+		return // early stop: nothing below can move
+	}
 	for _, c := range n.Children {
-		t.refreshNode(c)
+		t.refreshNode(c, full, false)
 	}
 }
 
@@ -526,21 +563,27 @@ func (t *Tree) refreshNode(n *Node) {
 // When the clamped layer is the one the node already has there is nothing
 // to propagate and no walk is made. refreshNode derives a node's delay
 // state from exactly four inputs — its parent link, the parent's EffE2E,
-// its own Layer, and prop — and is idempotent. Every write to the first
-// three is followed, before the tree hands control back, by a refresh of
-// everything below it: attachUnder, displace, AttachToCDN and MoveToCDN
-// refresh the subtree they re-parent; refreshNode recurses below any EffE2E
-// it moves; and Layer is written only here (walk follows), by refreshNode's
-// own minimum-layer ratchet, and by RestoreManager, which refreshes every
-// root after pinning layers. Detach and Orphan do cut victims loose
-// unrefreshed, but a victim is re-placed through one of the attach
-// primitives, or dropped, before the manager runs another subscription
-// pass. So whenever SetLayer is called every attached subtree is a fixpoint
-// of refreshNode for the prop values it was last refreshed with, and
-// re-walking one with an unchanged Layer would recompute every delay to the
-// value it already holds and report no change. A drift in prop itself is
-// not a tree mutation; picking it up is RefreshAll's job (§VI's periodic
-// adaptation), which walks every root.
+// its own Layer, and its edge (the cached prop of its parent link) — and is
+// idempotent. Every write to them is followed, before the tree hands
+// control back, by a refresh of the node it feeds: linkChild and displace
+// form edges only inside attachUnder and displace, which, like AttachToCDN
+// and MoveToCDN, refresh the subtree they re-parent, always including the
+// walk root's children (where displace's new edge sits); refreshNode visits
+// the children of any node whose EffE2E it moves; and Layer is written only
+// here (walk follows), by refreshNode's own minimum-layer ratchet, and by
+// RestoreManager, which runs the full walk from every root after pinning
+// layers. Detach and Orphan do cut victims loose unrefreshed, but a victim
+// is re-placed through one of the attach primitives, or dropped, before the
+// manager runs another subscription pass. So whenever SetLayer is called
+// every attached subtree is a fixpoint of refreshNode for the edges it
+// holds, and whenever a walk starts everything below the walk root's
+// children is. Two shortcuts rest on that: re-walking a subtree with an unchanged Layer
+// would recompute every delay to the value it already holds and report no
+// change, so SetLayer skips it; and below a node whose EffE2E a walk left
+// unchanged nothing can move, so refreshNode stops there. A drift in prop
+// itself is not a tree mutation and reaches no cached edge; picking it up
+// is RefreshAll's job (§VI's periodic adaptation), whose full walk
+// re-derives every edge and stops nowhere.
 func (t *Tree) SetLayer(n *Node, layer int) []*Node {
 	min := t.params.Hierarchy.LayerOf(n.MinE2E)
 	if layer < min {
@@ -583,9 +626,10 @@ type viewerID = modelViewerID
 
 // InsertFIFO attaches u to the first free slot found in BFS order, without
 // any displacement — the no-push-down strawman the ablations compare
-// against. Returns false when the tree has no free slot.
+// against. Returns false when the tree has no free slot or already tracks u
+// (like Insert, it leaves one node per viewer to the manager).
 func (t *Tree) InsertFIFO(u *Node) bool {
-	if _, dup := t.nodes[u.Viewer]; dup {
+	if t.tracks(u) {
 		return false
 	}
 	q := t.fifoQ[:0]

@@ -22,7 +22,10 @@ import (
 //   - mu is the owner lock: it serializes all calls into the single-threaded
 //     overlay shard (the toxcore-style one-subsystem-one-lock discipline).
 //   - vmu guards the viewer registry, read-mostly so the overlay's
-//     propagation-delay lookups take only an RLock.
+//     propagation-delay lookups take only an RLock. The overlay caches
+//     d_prop per tree edge, so those lookups run once per edge formed (and
+//     on RefreshAll, restore and validation walks), not once per delay
+//     refresh.
 //
 // Lock order is mu before vmu; nothing may acquire mu while holding vmu.
 type LSC struct {
@@ -129,7 +132,10 @@ func (l *LSC) emitJoinLocked(kind EventKind, id model.ViewerID, res *overlay.Joi
 // propFunc adapts the latency matrix to the overlay's viewer-pair delays
 // using the shard-local registry; the lookup never leaves the shard. A miss
 // is a registration-order bug — viewers are registered with their LSC before
-// any overlay insertion — so it panics instead of fabricating a delay.
+// any overlay insertion — so it panics instead of fabricating a delay. The
+// overlay calls it when a tree edge forms and caches the result, so a change
+// of the delay scale reaches existing edges only through RefreshAll (which
+// ShiftDelays runs) or a shard rebuild.
 func (l *LSC) propFunc() overlay.PropFunc {
 	return func(a, b model.ViewerID) time.Duration {
 		l.vmu.RLock()

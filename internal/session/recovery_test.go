@@ -351,3 +351,76 @@ func benchRecovery(b *testing.B, viewers int) {
 	}
 	b.ReportMetric(float64(viewers)*float64(b.N)/b.Elapsed().Seconds(), "viewers/s")
 }
+
+// requireDelayChain checks every tree node of every live shard against the
+// latency matrix scaled by factor: a CDN child sits at Δ, every other node
+// at its parent's effective delay plus factor × d_prop plus δ. It returns the
+// number of peer edges checked.
+func requireDelayChain(t *testing.T, c *Controller, factor int64) int {
+	t.Helper()
+	edges := 0
+	for r, l := range c.lscs {
+		l.mu.Lock()
+		l.vmu.RLock()
+		for id := range l.viewers {
+			v, ok := l.shard.Viewer(id)
+			if !ok {
+				continue
+			}
+			for sid, n := range v.Nodes {
+				want := c.params.Hierarchy.Delta
+				if p := n.Parent; p != nil {
+					d := c.cfg.Latency.Delay(l.viewers[p.Viewer].nodeIdx, l.viewers[n.Viewer].nodeIdx)
+					want = p.EffE2E + time.Duration(factor)*d + c.params.Proc
+					edges++
+				}
+				if n.MinE2E != want {
+					t.Errorf("region %d viewer %s stream %v: MinE2E %v, want %v at %d× delays",
+						r, id, sid, n.MinE2E, want, factor)
+				}
+			}
+		}
+		l.vmu.RUnlock()
+		l.mu.Unlock()
+	}
+	return edges
+}
+
+// TestShiftDelaysRederivesEveryEdge pins that a DelayShift reaches every
+// tree edge: the overlay caches d_prop per edge, and ShiftDelays' RefreshAll
+// must re-derive each cached value, not just re-walk the trees. A region
+// killed and recovered after the shift must rebuild under the shifted
+// landscape too.
+func TestShiftDelaysRederivesEveryEdge(t *testing.T) {
+	c := testController(t, 256, 6000)
+	view := model.NewUniformView(c.cfg.Producers, 0)
+	region := trace.Region(0)
+	joinInRegion(t, c, region, "s", 60, view)
+	if edges := requireDelayChain(t, c, 1); edges == 0 {
+		t.Fatal("fixture has no peer edges")
+	}
+	if err := c.SnapshotRegion(region); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.ShiftDelays(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("after the shift: %v", err)
+	}
+	requireDelayChain(t, c, 2)
+
+	if err := c.KillRegion(region); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecoverRegion(testCtx, region); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("after recovery: %v", err)
+	}
+	if edges := requireDelayChain(t, c, 2); edges == 0 {
+		t.Fatal("recovered shard has no peer edges")
+	}
+}
