@@ -115,6 +115,18 @@ func errViewerTreeMismatch(viewer, stream string) error {
 	return fmt.Errorf("state invariant: viewer %s and tree %s disagree", viewer, stream)
 }
 
+func errRecordDrift(viewer, what string) error {
+	return fmt.Errorf("state invariant: viewer %s %s", viewer, what)
+}
+
+func errWorklist(queued int) error {
+	return fmt.Errorf("state invariant: %d subscription passes left queued", queued)
+}
+
+func errSpareStore(what string) error {
+	return fmt.Errorf("state invariant: spare node store %s", what)
+}
+
 func errCDNAccounting(stream string, got, want float64) error {
 	return fmt.Errorf("cdn invariant: stream %s accounts %v Mbps, trees imply %v", stream, got, want)
 }

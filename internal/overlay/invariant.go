@@ -1,5 +1,7 @@
 package overlay
 
+import "fmt"
+
 // The tree-invariant checker. validate() is called by tests after every
 // mutation (and transitively by Manager.Validate after bulk operations); it
 // re-derives from first principles everything the incremental admission
@@ -30,7 +32,16 @@ package overlay
 //     effective delay, child count) agree with the struct fields,
 //     unattached nodes hold no heap position and non-roots no root
 //     position, the free list holds exactly the unbound slots with no
-//     duplicates, and every per-slot array spans the slab.
+//     duplicates, no unbound slot names an owner, and every per-slot array
+//     spans the slab.
+//
+// Manager.Validate adds the manager-level bookkeeping on top (the checks at
+// the end of this file): registration — an admitted record's group is the
+// registered group of its key and lists it as a member, a rejected record
+// holds no node, every member is the routed record — the subscription
+// worklist is empty with no record flagged pending, every bound slot's
+// owner is the member whose Nodes map binds it, and the spare node stores
+// are within their cap, held once, in no registered tree, and all free.
 
 // validate checks every tree invariant; tests call it after mutations.
 func (t *Tree) validate() error {
@@ -201,7 +212,7 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		return errCounterDrift("slab capacity", len(s.blocks)*slabBlockSize, total)
 	}
 	for _, l := range []int{len(s.deg), len(s.cap), len(s.eff), len(s.kids),
-		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge), len(s.tracked)} {
+		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge), len(s.tracked), len(s.owner)} {
 		if l != total {
 			return errCounterDrift("slab array span", l, total)
 		}
@@ -227,6 +238,9 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 			if s.pos[slot] != -1 || s.rootPos[slot] != -1 {
 				return errIndexDrift("slab", "unbound slot keeps a position")
 			}
+			if s.owner[slot] != nil {
+				return errIndexDrift("slab", "unbound slot keeps an owner")
+			}
 			continue
 		}
 		if n.slot != int32(slot)+1 {
@@ -251,6 +265,82 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		}
 		if s.eff[slot] != n.EffE2E {
 			return errIndexDrift(string(n.Viewer), "effective-delay mirror drift")
+		}
+	}
+	return nil
+}
+
+// validateRecords checks registration and the worklist. The worklist is
+// empty and no record is flagged pending: every operation drains it or
+// clears it on exhaustion. An admitted record's group is the registered
+// group of its key and lists the record as a member; a rejected record,
+// which may keep a retired group, holds no node.
+func (m *Manager) validateRecords() error {
+	if len(m.pendingQ) != 0 || m.pendingHead != 0 {
+		return errWorklist(len(m.pendingQ) - m.pendingHead)
+	}
+	for id, v := range m.viewers {
+		switch {
+		case v.pending:
+			return errRecordDrift(string(id), "flagged pending outside an operation")
+		case v.Rejected:
+			if len(v.Nodes) != 0 {
+				return errRecordDrift(string(id), "rejected but holds a node")
+			}
+		case m.groups[v.Group.Key] != v.Group:
+			return errRecordDrift(string(id), "admitted into an unregistered group")
+		case v.Group.Members[id] != v:
+			return errRecordDrift(string(id), "admitted but not a member of its group")
+		}
+	}
+	return nil
+}
+
+// validateOwners checks one tree of group g against the viewer records:
+// every bound slot's owner is the group member whose Nodes map binds the
+// slot's node under the tree's stream, and no bound node sits beyond the
+// d_max layer. The tree check has already shown every attached node bound.
+func (m *Manager) validateOwners(g *Group, id modelStreamID, t *Tree) error {
+	maxLayer := m.params.Hierarchy.MaxLayer()
+	for slot, n := range t.store.nodes {
+		if n == nil {
+			continue
+		}
+		if n.Layer > maxLayer {
+			return errDelayBound(string(n.Viewer), n.Layer, maxLayer)
+		}
+		if o := t.store.owner[slot]; o == nil || o.Nodes[id] != n || g.Members[n.Viewer] != o {
+			return errViewerTreeMismatch(string(n.Viewer), id.String())
+		}
+	}
+	return nil
+}
+
+// validateSpares checks the spare node stores: no more than the cap, each
+// held once and by no registered tree, and each with every slot free and
+// ownerless, so reset can rebuild its free stack and it pins no record.
+func (m *Manager) validateSpares() error {
+	if len(m.spare) > m.spareMax {
+		return errSpareStore(fmt.Sprintf("list holds %d, cap %d", len(m.spare), m.spareMax))
+	}
+	held := make(map[*nodeStore]bool, len(m.spare))
+	for _, g := range m.groups {
+		for _, t := range g.Trees {
+			held[t.store] = true
+		}
+	}
+	for _, s := range m.spare {
+		if held[s] {
+			return errSpareStore("held twice or by a registered tree")
+		}
+		held[s] = true
+		if !s.allFree() {
+			return errSpareStore("has a bound slot")
+		}
+		for slot, n := range s.nodes {
+			if n != nil || s.owner[slot] != nil {
+				return errSpareStore("has a bound or owned slot")
+			}
 		}
 	}
 	return nil

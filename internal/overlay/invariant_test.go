@@ -164,11 +164,12 @@ func TestManagerChurnInvariants(t *testing.T) {
 }
 
 // TestValidateSeesPlantedIndexCorruption plants one bookkeeping slip at a
-// time into the ordered buckets, the root mirror, the cached edges and the
-// slot membership of a healthy tree, and a stale handle into a viewer
-// record, and requires the validator to name it — the guarantee that a slip
-// in the incremental maintenance fails at the mutation that made it, not at
-// a later placement that trips over it.
+// time into the ordered buckets, the root mirror, the cached edges, the slot
+// membership and the owner column of a healthy tree, a stale handle into a
+// viewer record, and slips into a manager's registration, worklist, slot
+// owners and spare stores, and requires the validator to name each — the
+// guarantee that a slip in the incremental maintenance fails at the
+// mutation that made it, not at a later placement that trips over it.
 func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tree := newTestTree(t, func(a, b model.ViewerID) time.Duration {
@@ -258,6 +259,9 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		{"size counter drift",
 			func() { tree.size++ },
 			func() { tree.size-- }},
+		{"unbound slot given an owner",
+			func() { s.owner[unbound] = &Viewer{} },
+			func() { s.owner[unbound] = nil }},
 	}
 	for _, c := range cases {
 		c.plant()
@@ -293,5 +297,86 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 	}
 	if err := m.Validate(); err == nil {
 		t.Error("viewer record holding a recycled node: validator saw nothing")
+	}
+
+	// Manager-level bookkeeping: registration, the worklist, slot owners and
+	// the spare stores, planted into a manager holding two admitted viewers
+	// and a rejected record.
+	m = newTestManager(t, 6000)
+	mustJoin(t, m, viewerN(0, 12, 12), 0)
+	mustJoin(t, m, viewerN(1, 12, 0), 0)
+	if res := mustJoin(t, m, viewerN(2, 0.5, 0), 0); res.Admitted {
+		t.Fatal("fixture viewer was admitted")
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v0, _ := m.Viewer("v0000")
+	v1, _ = m.Viewer("v0001")
+	rej, _ := m.Viewer("v0002")
+	g := v0.Group
+	id = v0.AcceptedStreams()[0]
+	tree0 := g.Trees[id]
+	slot1 := v1.Nodes[id].slot - 1
+	// The fixture has retired no group, so its spare list starts empty.
+	plantSpares := func(stores ...*nodeStore) func() {
+		return func() { m.spare = stores }
+	}
+	undoSpares := func() { m.spare = nil }
+	boundStore := newNodeStore()
+	boundStore.alloc()
+	ownedStore := newNodeStore()
+	ownedStore.grow()
+	ownedStore.owner[0] = v0
+	shortStore := newNodeStore()
+	shortStore.grow()
+	shortStore.freeList = shortStore.freeList[1:]
+	var overCap []*nodeStore
+	for i := 0; i <= m.spareMax; i++ {
+		overCap = append(overCap, newNodeStore())
+	}
+	empty := newNodeStore()
+	staleGroup := *g
+	mcases := []struct {
+		name        string
+		plant, undo func()
+	}{
+		{"admitted record holding a stale copy of its group",
+			func() { v0.Group = &staleGroup },
+			func() { v0.Group = g }},
+		{"admitted record outside its group's members",
+			func() { m.viewers["ghost"] = &Viewer{Info: ViewerInfo{ID: "ghost"}, Group: g} },
+			func() { delete(m.viewers, "ghost") }},
+		{"group member no longer routed",
+			func() { delete(m.viewers, v1.Info.ID) },
+			func() { m.viewers[v1.Info.ID] = v1 }},
+		{"rejected record holding a node",
+			func() { rej.Nodes[id] = v1.Nodes[id] },
+			func() { delete(rej.Nodes, id) }},
+		{"worklist left non-empty",
+			func() { m.pendingQ = append(m.pendingQ, v0) },
+			func() { m.pendingQ = m.pendingQ[:0] }},
+		{"record left flagged pending",
+			func() { v0.pending = true },
+			func() { v0.pending = false }},
+		{"bound slot owned by another record",
+			func() { tree0.store.owner[slot1] = v0 },
+			func() { tree0.store.owner[slot1] = v1 }},
+		{"spare list over its cap", plantSpares(overCap...), undoSpares},
+		{"spare store held twice", plantSpares(empty, empty), undoSpares},
+		{"spare store held by a registered tree", plantSpares(tree0.store), undoSpares},
+		{"spare store with a bound slot", plantSpares(boundStore), undoSpares},
+		{"spare store with an owned free slot", plantSpares(ownedStore), undoSpares},
+		{"spare store whose free stack lost a slot", plantSpares(shortStore), undoSpares},
+	}
+	for _, c := range mcases {
+		c.plant()
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: validator saw nothing", c.name)
+		}
+		c.undo()
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: undo left the manager invalid: %v", c.name, err)
+		}
 	}
 }

@@ -41,10 +41,10 @@ type Manager struct {
 	viewersAdmitted  int
 
 	// Subscription worklist: viewers whose nodes' delay state changed
-	// and that need a stream-subscription pass.
-	// pendingQ[pendingHead:] is the unprocessed part of the queue.
-	pendingSet  map[model.ViewerID]bool
-	pendingQ    []model.ViewerID
+	// and that need a stream-subscription pass (subscribe.go).
+	// pendingQ[pendingHead:] is the unprocessed part of the queue; a
+	// queued record has its pending flag set.
+	pendingQ    []*Viewer
 	pendingHead int
 	// subtreeStack is the reusable DFS stack of enqueueSubtree.
 	subtreeStack []*Node
@@ -84,6 +84,17 @@ type Manager struct {
 	// budgetOverride replaces propagationCap's constant when positive;
 	// tests use it to force an exhaustion.
 	budgetOverride int
+	// alwaysWalk is Tree.alwaysWalk for the whole manager: trees it
+	// creates inherit it and resubscribeOne hands every layer to SetLayer,
+	// unchanged ones too. Only tests set it.
+	alwaysWalk bool
+
+	// spare holds the node stores of retired trees, every slot free, for
+	// treeFor to reuse (slab.go). It never holds more than spareMax, the
+	// session's stream count: the most trees one group can have, so the
+	// pool is bounded by one group's peak.
+	spare    []*nodeStore
+	spareMax int
 }
 
 // displacement is one degree push-down of a join: the pushed-down node and
@@ -102,6 +113,10 @@ func NewManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params Par
 	if params.Proc < 0 {
 		return nil, fmt.Errorf("overlay manager: negative processing delay %v", params.Proc)
 	}
+	spareMax := 0
+	for _, site := range session.Sites {
+		spareMax += len(site.Streams)
+	}
 	return &Manager{
 		session:    session,
 		cdn:        dist,
@@ -109,8 +124,8 @@ func NewManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params Par
 		params:     params,
 		groups:     make(map[model.ViewKey]*Group),
 		viewers:    make(map[model.ViewerID]*Viewer, viewerMapSeed),
-		pendingSet: make(map[model.ViewerID]bool),
 		viewIntern: make(map[string]model.ViewRequest, 16),
+		spareMax:   spareMax,
 	}, nil
 }
 
@@ -260,6 +275,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 			tree.AttachToCDN(node)
 		}
 		v.Nodes[id] = node
+		tree.setOwner(node, v)
 		v.InUsedMbps += bw
 		if displaced != nil {
 			resub = append(resub, displacement{tree: tree, node: displaced})
@@ -270,7 +286,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		reason := m.coverageLossReason(v, req, dropCause)
 		m.evict(v)
 		for _, d := range resub {
-			m.enqueueSubtree(d.node)
+			m.enqueueSubtree(d.tree, d.node)
 		}
 		m.resub = resub[:0] // displacements drained into the worklist
 		m.processPending()
@@ -287,11 +303,11 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		return res, nil
 	}
 
-	m.enqueueResub(v.Info.ID)
+	m.enqueueResub(v)
 	for _, d := range resub {
 		// The displaced node moved one level deeper together with its
 		// subtree; every viewer in it needs a subscription pass.
-		m.enqueueSubtree(d.node)
+		m.enqueueSubtree(d.tree, d.node)
 	}
 	m.resub = resub[:0] // displacements drained into the worklist
 	m.processPending()
@@ -424,9 +440,7 @@ func (m *Manager) Leave(id model.ViewerID) error {
 	m.evict(v)
 	m.processPending()
 	delete(m.viewers, id)
-	if len(v.Group.Members) == 0 {
-		delete(m.groups, v.Group.Key)
-	}
+	m.retireGroup(v.Group)
 	return nil
 }
 
@@ -441,26 +455,46 @@ func (m *Manager) ChangeView(id model.ViewerID, view model.View) (*JoinResult, e
 		return nil, fmt.Errorf("view change %s: %w", id, ErrViewerUnknown)
 	}
 	m.resubscribeBudget = m.propagationCap()
-	info := v.Info
-	wasRejected := v.Rejected
 	m.evict(v)
 	m.processPending()
 	delete(m.viewers, id)
-	if len(v.Group.Members) == 0 {
-		delete(m.groups, v.Group.Key)
-	}
+	m.retireGroup(v.Group)
 	// A previously rejected viewer re-requesting is a fresh admission;
 	// nothing else to undo.
-	_ = wasRejected
-	return m.joinRequest(info, m.composeView(view))
+	return m.joinRequest(v.Info, m.composeView(view))
+}
+
+// retireGroup unregisters a group that has no member left and hands each of
+// its trees' node stores to the spare list. Only the registered group is
+// retired: a rejected record keeps the group it was refused in, and once
+// that group has emptied and been retired a new group can hold the same
+// view key, so a stale group is left alone rather than unregistering (or
+// pooling the stores of) the live one.
+func (m *Manager) retireGroup(g *Group) {
+	if len(g.Members) != 0 || m.groups[g.Key] != g {
+		return
+	}
+	delete(m.groups, g.Key)
+	for _, t := range g.Trees {
+		// A store with a bound slot (only a corrupted tree has one) is
+		// left to the GC rather than pooled.
+		if len(m.spare) < m.spareMax && t.store.allFree() {
+			m.spare = append(m.spare, t.store)
+		}
+	}
+	// A rejected record may still hold the retired group; through it,
+	// nothing must reach the stores other trees now use.
+	clear(g.Trees)
 }
 
 // evict removes all of a viewer's tree nodes (recovering victims) and
-// releases its allocations. The viewer record itself is left to the caller.
+// releases its allocations, in request priority order. The viewer record
+// itself is left to the caller. Recovering the victims of one stream never
+// touches the viewer's node in another tree, so walking the request drops
+// exactly the streams held on entry, without allocating their list.
 func (m *Manager) evict(v *Viewer) {
-	ids := v.AcceptedStreams()
-	for _, id := range ids {
-		m.dropStream(v, id, true)
+	for _, rs := range v.Request.Streams {
+		m.dropStream(v, rs.Stream.ID, true)
 	}
 	delete(v.Group.Members, v.Info.ID)
 }
@@ -504,15 +538,15 @@ func (m *Manager) dropStream(v *Viewer, id model.StreamID, recover bool) {
 // children becoming victims in turn.
 func (m *Manager) recoverVictim(tree *Tree, victim *Node) {
 	if placed, displaced := tree.Reattach(victim); placed {
-		m.enqueueSubtree(victim)
+		m.enqueueSubtree(tree, victim)
 		if displaced != nil {
-			m.enqueueSubtree(displaced)
+			m.enqueueSubtree(tree, displaced)
 		}
 		return
 	}
 	if err := m.cdn.Allocate(tree.Stream.ID, tree.Stream.BitrateMbps); err == nil {
 		tree.AttachToCDN(victim)
-		m.enqueueSubtree(victim)
+		m.enqueueSubtree(tree, victim)
 		return
 	}
 	m.cascadeDrop(tree, victim)
@@ -523,36 +557,21 @@ func (m *Manager) recoverVictim(tree *Tree, victim *Node) {
 func (m *Manager) cascadeDrop(tree *Tree, victim *Node) {
 	// The victim reaches here only after both recovery paths failed:
 	// degree push-down found no position and the CDN had no egress left.
-	vid := victim.Viewer
-	m.logDrop(vid, tree.Stream.ID, ReasonCDNEgress)
-	group := m.groupOfTree(tree)
-	children := tree.Orphan(victim)
-	if group != nil {
-		if vv, ok := group.Members[vid]; ok {
-			delete(vv.Nodes, tree.Stream.ID)
-			vv.InUsedMbps -= tree.Stream.BitrateMbps
-			if vv.InUsedMbps < 0 {
-				vv.InUsedMbps = 0
-			}
+	m.logDrop(victim.Viewer, tree.Stream.ID, ReasonCDNEgress)
+	if vv := tree.ownerOf(victim); vv != nil {
+		delete(vv.Nodes, tree.Stream.ID)
+		vv.InUsedMbps -= tree.Stream.BitrateMbps
+		if vv.InUsedMbps < 0 {
+			vv.InUsedMbps = 0
 		}
 	}
+	children := tree.Orphan(victim)
 	// Dropped for good: recycle before recursing so a deep cascade frees
 	// slots as it unwinds.
 	tree.Recycle(victim)
 	for _, c := range children {
 		m.recoverVictim(tree, c)
 	}
-}
-
-// groupOfTree finds the group owning a tree. Trees store no back-pointer to
-// keep them independently testable; the lookup is O(groups).
-func (m *Manager) groupOfTree(tree *Tree) *Group {
-	for _, g := range m.groups {
-		if g.Trees[tree.Stream.ID] == tree {
-			return g
-		}
-	}
-	return nil
 }
 
 // groupFor returns (creating if needed) the view group of a request.
@@ -574,12 +593,23 @@ func (m *Manager) groupFor(req model.ViewRequest) *Group {
 	return g
 }
 
-// treeFor returns (creating if needed) the group's tree for a stream.
+// treeFor returns (creating if needed) the group's tree for a stream. A new
+// tree takes a spare store before it grows one of its own.
 func (m *Manager) treeFor(g *Group, s model.Stream) *Tree {
 	if t, ok := g.Trees[s.ID]; ok {
 		return t
 	}
-	t := newTree(s.ID, s.BitrateMbps, s.FrameRate, m.prop, m.params)
+	var store *nodeStore
+	if n := len(m.spare); n > 0 {
+		store = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+		store.reset()
+	} else {
+		store = newNodeStore()
+	}
+	t := newTree(s.ID, s.BitrateMbps, s.FrameRate, store, m.prop, m.params)
+	t.alwaysWalk = m.alwaysWalk
 	g.Trees[s.ID] = t
 	return t
 }
@@ -649,7 +679,7 @@ func (m *Manager) RefreshAll() int {
 			for _, r := range t.Roots() {
 				nodes := t.refreshFull(r)
 				changed += len(nodes)
-				m.enqueueNodes(nodes)
+				m.enqueueNodes(t, nodes)
 			}
 		}
 	}

@@ -60,9 +60,7 @@ func (m *Manager) Extract(id model.ViewerID) (MigrationState, error) {
 	m.evict(v)
 	m.processPending()
 	delete(m.viewers, id)
-	if len(v.Group.Members) == 0 {
-		delete(m.groups, v.Group.Key)
-	}
+	m.retireGroup(v.Group)
 	return st, nil
 }
 
@@ -87,9 +85,7 @@ func (m *Manager) AdmitMigrant(st MigrationState, keepIfRejected bool) (*JoinRes
 	if v, ok := m.viewers[st.Info.ID]; ok {
 		delete(m.viewers, st.Info.ID)
 		delete(v.Group.Members, st.Info.ID)
-		if len(v.Group.Members) == 0 {
-			delete(m.groups, v.Group.Key)
-		}
+		m.retireGroup(v.Group)
 	}
 	return res, nil
 }

@@ -84,7 +84,7 @@ func TestRejectedRecordKeepsLiveGroup(t *testing.T) {
 // ramps it again, and requires the second ramp to export byte-identical
 // state to the same ramp on a fresh manager over the same propagation
 // model: a group that forms where an emptied one stood starts exactly as a
-// first group would.
+// first group would, on the node stores the emptied group left behind.
 func TestRefilledGroupMatchesFresh(t *testing.T) {
 	const n = 600
 	refilled, s := newStateTestManager(t, 0)
@@ -99,6 +99,12 @@ func TestRefilledGroupMatchesFresh(t *testing.T) {
 		}
 	}
 	ramp(refilled, 0)
+	stores := make(map[*nodeStore]bool)
+	for _, g := range refilled.groups {
+		for _, tree := range g.Trees {
+			stores[tree.store] = true
+		}
+	}
 	for i := 0; i < n; i++ {
 		if err := refilled.Leave(viewerN(i, 0, 0).ID); err != nil {
 			t.Fatal(err)
@@ -107,8 +113,18 @@ func TestRefilledGroupMatchesFresh(t *testing.T) {
 	if len(refilled.groups) != 0 {
 		t.Fatalf("drain left %d groups", len(refilled.groups))
 	}
+	if len(refilled.spare) != len(stores) {
+		t.Fatalf("retiring the group pooled %d of its %d stores", len(refilled.spare), len(stores))
+	}
 	ramp(refilled, n)
 	ramp(fresh, n)
+	for _, g := range refilled.groups {
+		for _, tree := range g.Trees {
+			if !stores[tree.store] {
+				t.Fatalf("refilled tree %s grew a new store instead of taking a spare", tree.Stream.ID)
+			}
+		}
+	}
 	for _, m := range []*Manager{refilled, fresh} {
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
@@ -131,5 +147,64 @@ func TestRefilledGroupMatchesFresh(t *testing.T) {
 	}
 	if len(a.Groups) != 1 || len(a.Groups[0].Trees) == 0 {
 		t.Fatalf("fixture formed %d groups", len(a.Groups))
+	}
+}
+
+// TestCascadeDropInReformedGroupUpdatesRecord drives the leak's second
+// consequence: a cascade drop in a group whose view key a rejected record
+// once shared. B roots every tree of the view at a CDN bound B alone fills,
+// with D1 and D2 as its children; the rejected record leaves; then B
+// leaves, one victim takes B's released CDN slot and the other has nowhere
+// to go and is cascade-dropped. The dropped viewer's record must lose those
+// subscriptions with its nodes, so its own departure later finds no
+// recycled handle.
+func TestCascadeDropInReformedGroupUpdatesRecord(t *testing.T) {
+	m := newTestManager(t, 12) // six 2 Mbps streams: one CDN root each
+	r := viewerN(0, 0.5, 0)
+	if res := mustJoin(t, m, r, 0); res.Admitted {
+		t.Fatal("fixture viewer was admitted")
+	}
+	a := viewerN(1, 12, 0)
+	mustJoin(t, m, a, 0)
+	if err := m.Leave(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	b := mustJoin(t, m, viewerN(2, 12, 24), 0) // out-degree 2 per stream
+	d1 := mustJoin(t, m, viewerN(3, 12, 0), 0)
+	d2 := mustJoin(t, m, viewerN(4, 12, 0), 0)
+	for _, res := range []*JoinResult{b, d1, d2} {
+		if !res.Admitted {
+			t.Fatalf("%s was rejected", res.Viewer.Info.ID)
+		}
+	}
+	if err := m.Leave(r.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Leave(b.Viewer.Info.ID); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, res := range []*JoinResult{d1, d2} {
+		v := res.Viewer
+		dropped += len(res.Accepted) - len(v.Nodes)
+		for id, n := range v.Nodes {
+			if !v.Group.Trees[id].binds(v.Info.ID, n) {
+				t.Fatalf("%s keeps a handle in %s its tree does not bind", v.Info.ID, id)
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("fixture cascade-dropped nothing")
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*JoinResult{d1, d2} {
+		if err := m.Leave(res.Viewer.Info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

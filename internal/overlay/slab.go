@@ -26,7 +26,17 @@ import "time"
 //     calling the propagation function per edge per refresh;
 //   - tree membership is a per-slot flag plus a counter, so tracking,
 //     untracking and the duplicate and recycle guards index by slot rather
-//     than hashing viewer IDs.
+//     than hashing viewer IDs;
+//   - each slot names the viewer record that owns its node (owner), so the
+//     subscription worklist (subscribe.go) and a cascade drop go from a
+//     node to its viewer without hashing the viewer ID or searching the
+//     groups for the tree;
+//   - a store outlives its tree: when an emptied view group is retired
+//     (Manager.retireGroup), each of its trees whose slots are all free
+//     hands its store to the manager's spare list, and the next tree the
+//     manager creates takes it (reset) instead of growing a new one, so a
+//     view that drains to zero and ramps again reuses its blocks, columns
+//     and free stack rather than reallocating them.
 //
 // Every tracked node is bound to a slot. Production nodes are slab-born
 // (Tree.NewNode); tests that build &Node{} by hand are adopted at trackNode
@@ -75,6 +85,11 @@ type nodeStore struct {
 	// tracked marks the slots whose node the tree tracks: every attached
 	// node plus victims whose recovery is in flight. Tree.size counts them.
 	tracked []bool
+	// owner is the viewer record whose Nodes map binds the slot's node. The
+	// manager sets it where it binds the node (Tree.setOwner) and release
+	// clears it, so a free slot, and so a spare store, pins no record;
+	// trees driven without a manager (tests) leave it nil.
+	owner []*Viewer
 }
 
 func newNodeStore() *nodeStore { return &nodeStore{} }
@@ -93,6 +108,7 @@ func (s *nodeStore) grow() {
 	s.rootPos = append(s.rootPos, make([]int32, slabBlockSize)...)
 	s.edge = append(s.edge, make([]time.Duration, slabBlockSize)...)
 	s.tracked = append(s.tracked, make([]bool, slabBlockSize)...)
+	s.owner = append(s.owner, make([]*Viewer, slabBlockSize)...)
 	// LIFO: push in reverse so low slots are handed out first. An unbound
 	// slot holds no position; release keeps it that way.
 	for i := int32(slabBlockSize) - 1; i >= 0; i-- {
@@ -100,6 +116,20 @@ func (s *nodeStore) grow() {
 		s.pos[base+i], s.rootPos[base+i] = -1, -1
 	}
 }
+
+// reset readies a store whose slots are all free for a new tree: the free
+// stack is rebuilt so slots are handed out low-first, exactly as grow stacks
+// them, so a reused store assigns every slot a fresh one would. release has
+// already cleared every per-slot column, so nothing else is left to reset.
+func (s *nodeStore) reset() {
+	top := int32(len(s.freeList)) - 1
+	for i := range s.freeList {
+		s.freeList[i] = top - int32(i)
+	}
+}
+
+// allFree reports whether no slot of the store is bound.
+func (s *nodeStore) allFree() bool { return len(s.freeList) == len(s.nodes) }
 
 // popSlot takes a free slot, growing the slab if none is left.
 func (s *nodeStore) popSlot() int32 {
@@ -156,6 +186,7 @@ func (s *nodeStore) release(n *Node) {
 	s.eff[slot], s.kids[slot], s.depth[slot] = 0, 0, 0
 	s.pos[slot], s.rootPos[slot] = -1, -1
 	s.edge[slot], s.tracked[slot] = 0, false
+	s.owner[slot] = nil
 	if s.owns(n, slot) {
 		*n = Node{} // clears n.slot too
 	} else {
@@ -214,6 +245,19 @@ func (t *Tree) Recycle(n *Node) {
 		return
 	}
 	t.store.release(n)
+}
+
+// setOwner records v as the viewer record that binds n, a bound node of
+// this tree.
+func (t *Tree) setOwner(n *Node, v *Viewer) { t.store.owner[n.slot-1] = v }
+
+// ownerOf returns the viewer record that binds n, or nil when n is unbound
+// (a recycled handle) or bound by no record.
+func (t *Tree) ownerOf(n *Node) *Viewer {
+	if n.slot == 0 {
+		return nil
+	}
+	return t.store.owner[n.slot-1]
 }
 
 // tracks reports whether the tree tracks the node itself (not merely some

@@ -121,11 +121,16 @@ func (m *Manager) QuickSnapshot() Snapshot {
 }
 
 // Validate checks every structural invariant of the overlay: tree shape,
-// per-node degree bounds, CDN accounting consistency, viewer/tree agreement,
-// the κ bound per viewer, and the d_max bound per node. Tests and the
-// experiment harness call it after bulk operations; it returns the first
-// violation found.
+// per-node degree bounds, CDN accounting consistency, viewer/tree agreement
+// (every bound slot owned by the member record that binds it), registration
+// of every viewer record, the empty subscription worklist, the spare node
+// stores, the κ bound per viewer, and the d_max bound per node. Tests and
+// the experiment harness call it after bulk operations; it returns the
+// first violation found.
 func (m *Manager) Validate() error {
+	if err := m.validateRecords(); err != nil {
+		return err
+	}
 	cdnMbps := make(map[model.StreamID]float64)
 	for _, g := range m.groups {
 		for id, tree := range g.Trees {
@@ -136,28 +141,21 @@ func (m *Manager) Validate() error {
 				cdnMbps[id] += tree.Stream.BitrateMbps
 				_ = r
 			}
-			var verr error
-			tree.Walk(func(n *Node) {
-				if verr != nil {
-					return
-				}
-				if n.Layer > m.params.Hierarchy.MaxLayer() {
-					verr = errDelayBound(string(n.Viewer), n.Layer, m.params.Hierarchy.MaxLayer())
-				}
-				v, ok := g.Members[n.Viewer]
-				if !ok || v.Nodes[id] != n {
-					verr = errViewerTreeMismatch(string(n.Viewer), id.String())
-				}
-			})
-			if verr != nil {
-				return verr
+			if err := m.validateOwners(g, id, tree); err != nil {
+				return err
 			}
 		}
 		for vid, v := range g.Members {
+			if m.viewers[vid] != v {
+				return errRecordDrift(string(vid), "member but not the routed record")
+			}
 			if err := m.validateViewer(vid, v); err != nil {
 				return err
 			}
 		}
+	}
+	if err := m.validateSpares(); err != nil {
+		return err
 	}
 	// The CDN is shared with other managers (one per LSC), so this
 	// manager's trees give a lower bound on the per-stream accounting;

@@ -379,6 +379,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 					v.Nodes = make(map[model.StreamID]*Node)
 				}
 				v.Nodes[sid] = n
+				t.setOwner(n, v)
 			}
 		}
 		if !vs.Rejected {

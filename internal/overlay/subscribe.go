@@ -1,9 +1,5 @@
 package overlay
 
-import (
-	"telecast/internal/model"
-)
-
 // The stream-subscription process of §V-B3 is driven by a deduplicated
 // worklist: any mutation that changes a node's delay state enqueues the
 // affected viewers, and processPending drains the queue, running one
@@ -14,30 +10,45 @@ import (
 // A per-operation budget cuts such a chain off; it does bind in practice
 // (ROADMAP item 2), each time leaving a κ-spread violation behind, and every
 // exhaustion is counted in Snapshot.ResubscribeExhausted.
+//
+// The worklist holds viewer records, not IDs, and a record's pending flag is
+// its dedup bit, so the pass hashes no viewer ID: a node reaches its record
+// through its slot's owner column (slab.go). Popping a record without
+// looking it up in Manager.viewers is sound because of one invariant:
+//
+//	the worklist is empty whenever a record enters or leaves Manager.viewers.
+//
+// Every public operation ends by draining it (or clearing it on
+// exhaustion); joinRequest, behind Join, ChangeView and AdmitMigrant, files
+// its record before it queues anything; and Leave, ChangeView, Extract and
+// AdmitMigrant delete a record only after their drain. So every queued
+// record is live when it is popped. A node bound by no record — a handle
+// recycled before its subtree was queued — queues nobody.
 
-// enqueueResub marks a viewer for a subscription pass.
-func (m *Manager) enqueueResub(id model.ViewerID) {
-	if m.pendingSet[id] {
+// enqueueResub marks a viewer record for a subscription pass; nil is a
+// no-op.
+func (m *Manager) enqueueResub(v *Viewer) {
+	if v == nil || v.pending {
 		return
 	}
-	m.pendingSet[id] = true
-	m.pendingQ = append(m.pendingQ, id)
+	v.pending = true
+	m.pendingQ = append(m.pendingQ, v)
 }
 
-// enqueueNodes marks the viewers of changed tree nodes.
-func (m *Manager) enqueueNodes(nodes []*Node) {
+// enqueueNodes marks the viewers of changed nodes of the tree.
+func (m *Manager) enqueueNodes(t *Tree, nodes []*Node) {
 	for _, n := range nodes {
-		m.enqueueResub(n.Viewer)
+		m.enqueueResub(t.ownerOf(n))
 	}
 }
 
-// enqueueSubtree marks every viewer in the subtree rooted at n.
-func (m *Manager) enqueueSubtree(n *Node) {
+// enqueueSubtree marks every viewer in the subtree of the tree rooted at n.
+func (m *Manager) enqueueSubtree(t *Tree, n *Node) {
 	stack := append(m.subtreeStack[:0], n)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m.enqueueResub(cur.Viewer)
+		m.enqueueResub(t.ownerOf(cur))
 		stack = append(stack, cur.Children...)
 	}
 	m.subtreeStack = stack
@@ -48,27 +59,36 @@ func (m *Manager) enqueueSubtree(n *Node) {
 // least half of it, so its backing array is reused across operations and
 // stays proportional to the viewers actually waiting — a chain that cycles
 // for the whole budget pops a million entries but never has many queued.
+//
+// Compaction clears the tail it leaves behind, and the last pop always
+// compacts, so every popped entry is cleared; exhaustion clears the
+// residue. Between operations the backing array holds no record, so it
+// never keeps a departed viewer's record alive. The pop relies on the
+// empty-worklist invariant in the header above: the record it takes is
+// live, so it is not looked up again.
 func (m *Manager) processPending() {
 	for m.pendingHead < len(m.pendingQ) && m.resubscribeBudget > 0 {
 		m.resubscribeBudget--
-		id := m.pendingQ[m.pendingHead]
+		v := m.pendingQ[m.pendingHead]
 		m.pendingHead++
 		if 2*m.pendingHead >= len(m.pendingQ) {
 			n := copy(m.pendingQ, m.pendingQ[m.pendingHead:])
+			clear(m.pendingQ[n:])
 			m.pendingQ = m.pendingQ[:n]
 			m.pendingHead = 0
 		}
-		delete(m.pendingSet, id)
-		if v, ok := m.viewers[id]; ok {
-			m.resubscribeOne(v)
-		}
+		v.pending = false
+		m.resubscribeOne(v)
 	}
 	// A drained budget with work left means the propagation chain cycled
 	// across trees. Count the miss and drop the residue so a later
 	// operation starts clean rather than replaying stale work.
 	if m.pendingHead < len(m.pendingQ) {
 		m.resubscribeExhausted++
-		clear(m.pendingSet)
+		for _, v := range m.pendingQ[m.pendingHead:] {
+			v.pending = false
+		}
+		clear(m.pendingQ)
 		m.pendingQ = m.pendingQ[:0]
 		m.pendingHead = 0
 	}
@@ -100,14 +120,14 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 			tree := v.Group.Trees[id]
 			if node.Parent != nil && m.cdn.Allocate(id, tree.Stream.BitrateMbps) == nil {
 				tree.MoveToCDN(node)
-				m.enqueueSubtree(node)
+				m.enqueueSubtree(tree, node)
 			} else {
 				m.logDrop(v.Info.ID, id, ReasonDelayBound)
 				m.dropStream(v, id, true)
 			}
 			// The viewer's layer picture changed; run a fresh pass for
 			// it rather than applying the stale subscription.
-			m.enqueueResub(v.Info.ID)
+			m.enqueueResub(v)
 			return
 		}
 		if l > pin {
@@ -121,11 +141,16 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 		if layer < floor {
 			layer = floor // layer push-down: κ-bounded spread
 		}
+		// layer is already at least the node's path minimum, so SetLayer
+		// would not clamp it, and an unchanged layer makes it return
+		// without walking: skip the call and the tree lookup with it.
+		if layer == node.Layer && !m.alwaysWalk {
+			continue
+		}
 		tree := v.Group.Trees[id]
-		changed := tree.SetLayer(node, layer)
-		for _, c := range changed {
+		for _, c := range tree.SetLayer(node, layer) {
 			if c != node {
-				m.enqueueResub(c.Viewer)
+				m.enqueueResub(tree.ownerOf(c))
 			}
 		}
 	}

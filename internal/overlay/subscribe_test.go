@@ -25,9 +25,13 @@ func TestResubscribeExhaustedCounted(t *testing.T) {
 	if got := m.QuickSnapshot().ResubscribeExhausted; got != 1 {
 		t.Fatalf("QuickSnapshot counts %d exhaustions, want 1", got)
 	}
-	if len(m.pendingQ) != 0 || m.pendingHead != 0 || len(m.pendingSet) != 0 {
-		t.Fatalf("exhaustion left the worklist dirty: q=%d head=%d set=%d",
-			len(m.pendingQ), m.pendingHead, len(m.pendingSet))
+	if len(m.pendingQ) != 0 || m.pendingHead != 0 {
+		t.Fatalf("exhaustion left the worklist dirty: q=%d head=%d", len(m.pendingQ), m.pendingHead)
+	}
+	for id, v := range m.viewers {
+		if v.pending {
+			t.Fatalf("exhaustion left %s flagged pending", id)
+		}
 	}
 	m.budgetOverride = 0
 	mustJoin(t, m, viewerN(3, 12, 13), 0)
@@ -36,13 +40,51 @@ func TestResubscribeExhaustedCounted(t *testing.T) {
 	}
 }
 
+// TestWorklistRetainsNoRecord requires processPending to leave no record
+// behind, whether it drained the worklist or gave up on an exhausted budget:
+// every slot of the queue's backing array is nil and no record is flagged
+// pending, so the array never keeps a departed viewer's record alive.
+func TestWorklistRetainsNoRecord(t *testing.T) {
+	for _, budget := range []int{0, 1} {
+		m := newTestManager(t, 6000)
+		m.budgetOverride = budget
+		for i := 0; i < 40; i++ {
+			mustJoin(t, m, viewerN(i, 12, float64(i%13)), 0)
+		}
+		for i := 0; i < 40; i += 3 {
+			if err := m.Leave(viewerN(i, 0, 0).ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exhausted := m.Snapshot().ResubscribeExhausted
+		if (budget == 1) != (exhausted > 0) {
+			t.Fatalf("budget %d: %d exhaustions", budget, exhausted)
+		}
+		if cap(m.pendingQ) == 0 {
+			t.Fatalf("budget %d: the worklist was never used", budget)
+		}
+		for i, v := range m.pendingQ[:cap(m.pendingQ)] {
+			if v != nil {
+				t.Fatalf("budget %d: queue slot %d still holds %s", budget, i, v.Info.ID)
+			}
+		}
+		for id, v := range m.viewers {
+			if v.pending {
+				t.Fatalf("budget %d: %s still flagged pending", budget, id)
+			}
+		}
+	}
+}
+
 // TestSetLayerShortCircuitKeepsExportState runs one deep-shaped cycle — 3000
 // viewers joining one view with capacities i mod 13, then leaving in join
 // order — through two managers, one with the delay refresh's shortcuts
-// (SetLayer's unchanged-layer short-circuit, refreshNode's early stop, the
-// cached edges) and one forced through the full walk every time (alwaysWalk:
-// every subtree walked, every edge re-derived from prop), and requires
-// byte-identical exported state at the peak, mid-drain and near the end.
+// (SetLayer's unchanged-layer short-circuit and the subscription pass's skip
+// of an unchanged layer, refreshNode's early stop, the cached edges) and one
+// forced through the full walk every time (alwaysWalk: every layer handed
+// to SetLayer, every subtree walked, every edge re-derived from prop), and
+// requires byte-identical exported state at the peak, mid-drain and near
+// the end.
 func TestSetLayerShortCircuitKeepsExportState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-viewer cycle, twice")
@@ -50,13 +92,7 @@ func TestSetLayerShortCircuitKeepsExportState(t *testing.T) {
 	const n = 3000
 	short, s := newStateTestManager(t, 0)
 	walk, _ := newStateTestManager(t, 0)
-	forceWalks := func() {
-		for _, g := range walk.groups {
-			for _, tree := range g.Trees {
-				tree.alwaysWalk = true
-			}
-		}
-	}
+	walk.alwaysWalk = true
 	compare := func(when string) {
 		t.Helper()
 		a, err := short.ExportState().Encode()
@@ -82,7 +118,6 @@ func TestSetLayerShortCircuitKeepsExportState(t *testing.T) {
 				t.Fatalf("join %s: %v", info.ID, err)
 			}
 		}
-		forceWalks() // trees appear with the first join
 	}
 	compare("peak")
 	for i := 0; i < n-1; i++ {

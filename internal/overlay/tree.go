@@ -63,13 +63,14 @@ type treeStream struct {
 
 type streamID = modelStreamID
 
-// NewTree builds an empty tree for the stream.
-func newTree(id streamID, bitrate, frameRate float64, prop PropFunc, params Params) *Tree {
+// newTree builds an empty tree for the stream on the given node store, a
+// fresh one or a spare whose slots are all free.
+func newTree(id streamID, bitrate, frameRate float64, store *nodeStore, prop PropFunc, params Params) *Tree {
 	return &Tree{
 		Stream: treeStream{ID: id, BitrateMbps: bitrate, FrameRate: frameRate},
 		prop:   prop,
 		params: params,
-		store:  newNodeStore(),
+		store:  store,
 	}
 }
 

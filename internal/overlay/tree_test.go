@@ -25,7 +25,7 @@ func constProp(d time.Duration) PropFunc {
 
 func newTestTree(t *testing.T, prop PropFunc) *Tree {
 	t.Helper()
-	return newTree(model.StreamID{Site: "A", Index: 1}, 2.0, 10, prop, testParams(t))
+	return newTree(model.StreamID{Site: "A", Index: 1}, 2.0, 10, newNodeStore(), prop, testParams(t))
 }
 
 func mkNode(id string, deg int) *Node {

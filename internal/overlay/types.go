@@ -128,6 +128,10 @@ type Viewer struct {
 	// Rejected records that admission failed (the viewer stays known so
 	// that experiments can report it in distributions).
 	Rejected bool
+
+	// pending marks a record queued on the manager's subscription
+	// worklist (subscribe.go).
+	pending bool
 }
 
 // AcceptedStreams returns the viewer's currently accepted stream IDs in
