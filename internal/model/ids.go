@@ -5,6 +5,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -55,4 +56,13 @@ func (s StreamID) Less(o StreamID) bool {
 		return s.Site < o.Site
 	}
 	return s.Index < o.Index
+}
+
+// Compare is Less as a three-way comparison, for the slices package's
+// sorts and searches.
+func (s StreamID) Compare(o StreamID) int {
+	if c := cmp.Compare(s.Site, o.Site); c != 0 {
+		return c
+	}
+	return cmp.Compare(s.Index, o.Index)
 }

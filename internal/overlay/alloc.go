@@ -34,16 +34,26 @@ func AllocateInbound(req model.ViewRequest, inboundMbps float64, supply SupplyFu
 }
 
 // CoversAllSites reports whether the accepted prefix contains at least one
-// stream from every site present in the request. Because acceptance cuts
-// from the low-priority end, a covered site is always covered by its
-// highest-priority stream; the admission rule N^u_accepted ≥ n (§II-D)
-// therefore reduces to this check.
-func CoversAllSites(req model.ViewRequest, accepted []model.RankedStream) bool {
-	need := req.SitesCovered()
-	for _, rs := range accepted {
-		delete(need, rs.Stream.ID.Site)
+// stream from every site of the request, given as its distinct sites (a
+// view group's Sites). Because acceptance cuts from the low-priority end, a
+// covered site is always covered by its highest-priority stream; the
+// admission rule N^u_accepted ≥ n (§II-D) therefore reduces to this check.
+// The site and stream sets are small, so the quadratic scan allocates
+// nothing.
+func CoversAllSites(sites []model.SiteID, accepted []model.RankedStream) bool {
+	for _, site := range sites {
+		covered := false
+		for _, rs := range accepted {
+			if rs.Stream.ID.Site == site {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return false
+		}
 	}
-	return len(need) == 0
+	return true
 }
 
 // OutboundAllocation is the result of the round-robin outbound assignment.

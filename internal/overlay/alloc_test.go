@@ -79,10 +79,14 @@ func TestAllocateInboundZeroCapacity(t *testing.T) {
 func TestCoversAllSites(t *testing.T) {
 	s := allocSession(t)
 	req := paperRequest(t, s)
-	if !CoversAllSites(req, req.Streams) {
+	sites := newGroup(req).Sites
+	if len(sites) != len(req.SitesCovered()) {
+		t.Fatalf("group derives %d sites, request covers %d", len(sites), len(req.SitesCovered()))
+	}
+	if !CoversAllSites(sites, req.Streams) {
 		t.Error("full acceptance should cover")
 	}
-	if CoversAllSites(req, nil) {
+	if CoversAllSites(sites, nil) {
 		t.Error("empty acceptance should not cover")
 	}
 	// The global priority order of a symmetric view interleaves sites, so
@@ -91,7 +95,7 @@ func TestCoversAllSites(t *testing.T) {
 	for k := 0; k <= len(req.Streams); k++ {
 		prefix := req.Streams[:k]
 		want := len(req.SitesCovered()) == coveredBy(prefix)
-		if got := CoversAllSites(req, prefix); got != want {
+		if got := CoversAllSites(sites, prefix); got != want {
 			t.Errorf("prefix %d: covers = %v, want %v", k, got, want)
 		}
 	}

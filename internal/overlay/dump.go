@@ -22,15 +22,12 @@ func (m *Manager) DumpTrees() string {
 	for _, key := range keys {
 		g := m.groups[key]
 		fmt.Fprintf(&b, "group %s (%d members)\n", shortKey(key), len(g.Members))
-		ids := make([]model.StreamID, 0, len(g.Trees))
-		for id := range g.Trees {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for _, id := range ids {
-			tree := g.Trees[id]
+		for _, tree := range g.Trees { // already in stream order
+			if tree == nil {
+				continue
+			}
 			fmt.Fprintf(&b, "  stream %s (%d nodes, depth %d, %d free slots)\n",
-				id, tree.Size(), tree.Depth(), tree.FreeSlots())
+				tree.Stream.ID, tree.Size(), tree.Depth(), tree.FreeSlots())
 			roots := append([]*Node(nil), tree.Roots()...)
 			sortNodesByID(roots)
 			for _, r := range roots {

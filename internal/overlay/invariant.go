@@ -1,6 +1,9 @@
 package overlay
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The tree-invariant checker. validate() is called by tests after every
 // mutation (and transitively by Manager.Validate after bulk operations); it
@@ -40,8 +43,12 @@ import "fmt"
 // registered group of its key and lists it as a member, a rejected record
 // holds no node, every member is the routed record — the subscription
 // worklist is empty with no record flagged pending, every bound slot's
-// owner is the member whose Nodes map binds it, and the spare node stores
-// are within their cap, held once, in no registered tree, and all free.
+// owner is the member whose Nodes hold it, the positional stream
+// index is consistent (each group's Trees span its stream set with every
+// tree at its own stream's position, and each record's Nodes follow its
+// request's priority order, each bound by the tree its stream index
+// names), and the spare node stores are within their cap, held once, in no
+// registered tree, and all free.
 
 // validate checks every tree invariant; tests call it after mutations.
 func (t *Tree) validate() error {
@@ -296,11 +303,12 @@ func (m *Manager) validateRecords() error {
 	return nil
 }
 
-// validateOwners checks one tree of group g against the viewer records:
-// every bound slot's owner is the group member whose Nodes map binds the
-// slot's node under the tree's stream, and no bound node sits beyond the
-// d_max layer. The tree check has already shown every attached node bound.
-func (m *Manager) validateOwners(g *Group, id modelStreamID, t *Tree) error {
+// validateOwners checks g.Trees[i] against the viewer records: every bound
+// slot's node carries the tree's position as its stream index, its owner
+// is the group member that binds it, and the owner's Nodes hold it; no
+// bound node sits beyond the d_max layer. The tree check has already shown
+// every attached node bound.
+func (m *Manager) validateOwners(g *Group, i int, t *Tree) error {
 	maxLayer := m.params.Hierarchy.MaxLayer()
 	for slot, n := range t.store.nodes {
 		if n == nil {
@@ -309,8 +317,24 @@ func (m *Manager) validateOwners(g *Group, id modelStreamID, t *Tree) error {
 		if n.Layer > maxLayer {
 			return errDelayBound(string(n.Viewer), n.Layer, maxLayer)
 		}
-		if o := t.store.owner[slot]; o == nil || o.Nodes[id] != n || g.Members[n.Viewer] != o {
-			return errViewerTreeMismatch(string(n.Viewer), id.String())
+		o := t.store.owner[slot]
+		if o == nil || int(n.stream) != i || g.Members[n.Viewer] != o || !slices.Contains(o.Nodes, n) {
+			return errViewerTreeMismatch(string(n.Viewer), t.Stream.ID.String())
+		}
+	}
+	return nil
+}
+
+// validateStreamIndex checks a registered group's positional stream index:
+// Trees spans the group's stream set, and every tree sits at its own
+// stream's position.
+func validateStreamIndex(g *Group) error {
+	if len(g.Trees) != len(g.Request.Streams) || len(g.ids) != len(g.Request.Streams) {
+		return errIndexDrift(string(g.Key), "trees do not span the group's streams")
+	}
+	for i, t := range g.Trees {
+		if t != nil && t.Stream.ID != g.ids[i] {
+			return errIndexDrift(t.Stream.ID.String(), "tree off its stream's position")
 		}
 	}
 	return nil
@@ -326,7 +350,9 @@ func (m *Manager) validateSpares() error {
 	held := make(map[*nodeStore]bool, len(m.spare))
 	for _, g := range m.groups {
 		for _, t := range g.Trees {
-			held[t.store] = true
+			if t != nil {
+				held[t.store] = true
+			}
 		}
 	}
 	for _, s := range m.spare {

@@ -2,7 +2,9 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,9 +149,12 @@ func TestManagerChurnInvariants(t *testing.T) {
 			m.RefreshAll()
 		}
 		for _, g := range m.Groups() {
-			for id, tree := range g.Trees {
+			for _, tree := range g.Trees {
+				if tree == nil {
+					continue
+				}
 				if err := tree.validate(); err != nil {
-					t.Fatalf("step %d, tree %s: %v", step, id, err)
+					t.Fatalf("step %d, tree %s: %v", step, tree.Stream.ID, err)
 				}
 			}
 		}
@@ -285,8 +290,8 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1, _ := m.Viewer("v0001")
-	id := v1.AcceptedStreams()[0]
-	n, tree1 := v1.Nodes[id], v1.Group.Trees[id]
+	n := v1.Nodes[0]
+	tree1 := v1.Group.Trees[n.stream]
 	if n.Parent == nil || len(n.Children) != 0 || n.Layer > 1 {
 		t.Fatal("fixture viewer is not a low-layer leaf")
 	}
@@ -299,14 +304,20 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		t.Error("viewer record holding a recycled node: validator saw nothing")
 	}
 
-	// Manager-level bookkeeping: registration, the worklist, slot owners and
-	// the spare stores, planted into a manager holding two admitted viewers
-	// and a rejected record.
+	// Manager-level bookkeeping: registration, the worklist, slot owners,
+	// the positional stream index and the spare stores, planted into a
+	// manager holding two admitted viewers of one view, a rejected record,
+	// and a viewer of another view whose group has trees for only some of
+	// its streams. v0001's inbound leaves it headroom, so a repeated stream
+	// breaks only the order check.
 	m = newTestManager(t, 6000)
 	mustJoin(t, m, viewerN(0, 12, 12), 0)
-	mustJoin(t, m, viewerN(1, 12, 0), 0)
+	mustJoin(t, m, viewerN(1, 100, 0), 0)
 	if res := mustJoin(t, m, viewerN(2, 0.5, 0), 0); res.Admitted {
 		t.Fatal("fixture viewer was admitted")
+	}
+	if res := mustJoin(t, m, viewerN(3, 4, 0), math.Pi); !res.Admitted {
+		t.Fatal("fixture viewer was rejected")
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -314,10 +325,22 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 	v0, _ := m.Viewer("v0000")
 	v1, _ = m.Viewer("v0001")
 	rej, _ := m.Viewer("v0002")
-	g := v0.Group
-	id = v0.AcceptedStreams()[0]
-	tree0 := g.Trees[id]
-	slot1 := v1.Nodes[id].slot - 1
+	v3, _ := m.Viewer("v0003")
+	g, g3 := v0.Group, v3.Group
+	if len(v1.Nodes) != 6 || g3 == g {
+		t.Fatal("fixture viewers do not hold the expected streams and groups")
+	}
+	tree0 := g.Trees[v0.Nodes[0].stream]
+	slot1 := slices.IndexFunc(tree0.store.nodes, func(n *Node) bool { return n != nil && n.Viewer == v1.Info.ID })
+	// An empty tree of one of g3's streams, for the position g3 has no tree
+	// at: it is off its stream's position and nothing binds it.
+	nilPos := slices.Index(g3.Trees, nil)
+	if nilPos < 0 {
+		t.Fatal("fixture group has a tree for every stream")
+	}
+	offStream := model.Stream{ID: g3.ids[(nilPos+1)%len(g3.ids)], BitrateMbps: 2, FrameRate: 10}
+	offTree := newTree(offStream.ID, offStream.BitrateMbps, offStream.FrameRate, newNodeStore(), m.prop, m.params)
+	stream0, v1Nodes := v1.Nodes[0].stream, v1.Nodes
 	// The fixture has retired no group, so its spare list starts empty.
 	plantSpares := func(stores ...*nodeStore) func() {
 		return func() { m.spare = stores }
@@ -351,8 +374,26 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 			func() { delete(m.viewers, v1.Info.ID) },
 			func() { m.viewers[v1.Info.ID] = v1 }},
 		{"rejected record holding a node",
-			func() { rej.Nodes[id] = v1.Nodes[id] },
-			func() { delete(rej.Nodes, id) }},
+			func() { rej.Nodes = append(rej.Nodes, v1.Nodes[0]) },
+			func() { rej.Nodes = nil }},
+		{"record missing a node its tree binds",
+			func() { v1.Nodes = v1.Nodes[1:] },
+			func() { v1.Nodes = v1Nodes }},
+		{"node whose stream index names another tree",
+			func() { v1.Nodes[0].stream = (stream0 + 1) % int32(len(g.Trees)) },
+			func() { v1.Nodes[0].stream = stream0 }},
+		{"record's streams out of request priority order",
+			func() { v1.Nodes[0], v1.Nodes[1] = v1.Nodes[1], v1.Nodes[0] },
+			func() { v1.Nodes[0], v1.Nodes[1] = v1.Nodes[1], v1.Nodes[0] }},
+		{"record repeating a stream",
+			func() { v1.Nodes = append(v1.Nodes, v1.Nodes[len(v1.Nodes)-1]) },
+			func() { v1.Nodes = v1.Nodes[:len(v1.Nodes)-1] }},
+		{"group trees beyond its stream set",
+			func() { g.Trees = append(g.Trees, nil) },
+			func() { g.Trees = g.Trees[:len(g.Trees)-1] }},
+		{"tree off its stream's position",
+			func() { g3.Trees[nilPos] = offTree },
+			func() { g3.Trees[nilPos] = nil }},
 		{"worklist left non-empty",
 			func() { m.pendingQ = append(m.pendingQ, v0) },
 			func() { m.pendingQ = m.pendingQ[:0] }},

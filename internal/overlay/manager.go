@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -214,7 +215,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		return m.supplyFor(group, info, id, bw)
 	}
 	accepted := AllocateInbound(req, info.InboundMbps, supply)
-	if !CoversAllSites(req, accepted) {
+	if !CoversAllSites(group.Sites, accepted) {
 		return m.rejectViewer(info, req, group, m.diagnoseReject(group, info, req)), nil
 	}
 	allocate := AllocateOutbound
@@ -227,7 +228,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		Info:     info,
 		Request:  req,
 		Group:    group,
-		Nodes:    make(map[model.StreamID]*Node, len(accepted)),
+		Nodes:    make([]*Node, 0, len(accepted)),
 		OutAlloc: out.Mbps,
 		OutDeg:   out.Degree,
 	}
@@ -239,8 +240,10 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 	for _, rs := range accepted {
 		id := rs.Stream.ID
 		bw := rs.Stream.BitrateMbps
-		tree := m.treeFor(group, rs.Stream)
+		pos := group.streamIndex(id)
+		tree := m.treeFor(group, pos, rs.Stream)
 		node := tree.NewNode(info.ID, out.Degree[id], info.OutboundMbps)
+		node.stream = int32(pos)
 		var placed bool
 		var displaced *Node
 		if m.fifoAttachment {
@@ -274,7 +277,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 			}
 			tree.AttachToCDN(node)
 		}
-		v.Nodes[id] = node
+		v.Nodes = append(v.Nodes, node)
 		tree.setOwner(node, v)
 		v.InUsedMbps += bw
 		if displaced != nil {
@@ -315,8 +318,13 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 	m.viewersAdmitted++
 	m.streamsAccepted += len(v.Nodes)
 	res := &JoinResult{Viewer: v, Admitted: true, Accepted: v.AcceptedStreams(), CDNReserve: reserve}
+	// Accepted is a subsequence of the request in the same priority order,
+	// so one cursor separates it from the dropped streams.
+	next := 0
 	for _, rs := range req.Streams {
-		if _, ok := v.Nodes[rs.Stream.ID]; !ok {
+		if next < len(res.Accepted) && res.Accepted[next] == rs.Stream.ID {
+			next++
+		} else {
 			res.Dropped = append(res.Dropped, rs.Stream.ID)
 		}
 	}
@@ -325,8 +333,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 
 // rejectViewer records an inadmissible request without mutating any tree.
 func (m *Manager) rejectViewer(info ViewerInfo, req model.ViewRequest, group *Group, reason RejectReason) *JoinResult {
-	v := &Viewer{Info: info, Request: req, Group: group, Rejected: true,
-		Nodes: map[model.StreamID]*Node{}}
+	v := &Viewer{Info: info, Request: req, Group: group, Rejected: true}
 	m.viewers[info.ID] = v
 	m.viewersRejected++
 	return &JoinResult{Viewer: v, Admitted: false, Reason: reason, Dropped: req.StreamIDs()}
@@ -335,7 +342,7 @@ func (m *Manager) rejectViewer(info ViewerInfo, req model.ViewRequest, group *Gr
 // supplyFor reports whether one more subscriber of the stream can currently
 // be served, by the group's peer layer or by the CDN (§IV-B1's supply test).
 func (m *Manager) supplyFor(group *Group, info ViewerInfo, id model.StreamID, bw float64) bool {
-	if tree := group.Trees[id]; tree != nil {
+	if tree := group.Trees[group.streamIndex(id)]; tree != nil {
 		deg := 0
 		if bw > 0 {
 			deg = int(info.OutboundMbps / bw)
@@ -360,7 +367,7 @@ func (m *Manager) diagnoseReject(group *Group, info ViewerInfo, req model.ViewRe
 			return ReasonInboundBound
 		}
 		if !m.supplyFor(group, info, rs.Stream.ID, bw) {
-			if t := group.Trees[rs.Stream.ID]; t != nil && t.Size() > 0 {
+			if t := group.Trees[group.streamIndex(rs.Stream.ID)]; t != nil && t.Size() > 0 {
 				return ReasonDegreeExhausted
 			}
 			return ReasonCDNEgress
@@ -374,13 +381,9 @@ func (m *Manager) diagnoseReject(group *Group, info ViewerInfo, req model.ViewRe
 // recorded drop cause of the highest-priority stream belonging to a site the
 // viewer failed to cover.
 func (m *Manager) coverageLossReason(v *Viewer, req model.ViewRequest, dropCause map[model.StreamID]RejectReason) RejectReason {
-	need := req.SitesCovered()
-	for id := range v.Nodes {
-		delete(need, id.Site)
-	}
 	for _, rs := range req.Streams {
 		id := rs.Stream.ID
-		if !need[id.Site] {
+		if v.covers(id.Site) {
 			continue
 		}
 		if cause, ok := dropCause[id]; ok {
@@ -415,18 +418,21 @@ func (m *Manager) DrainDrops() []DropRecord {
 // set difference on every join.
 func (m *Manager) coverageHolds(v *Viewer) bool {
 	for _, site := range v.Group.Sites {
-		covered := false
-		for id := range v.Nodes {
-			if id.Site == site {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !v.covers(site) {
 			return false
 		}
 	}
 	return true
+}
+
+// covers reports whether the viewer holds a node of some stream of the site.
+func (v *Viewer) covers(site model.SiteID) bool {
+	for _, n := range v.Nodes {
+		if v.Group.ids[n.stream].Site == site {
+			return true
+		}
+	}
+	return false
 }
 
 // Leave removes a viewer from the session, recovering the victims its
@@ -478,7 +484,7 @@ func (m *Manager) retireGroup(g *Group) {
 	for _, t := range g.Trees {
 		// A store with a bound slot (only a corrupted tree has one) is
 		// left to the GC rather than pooled.
-		if len(m.spare) < m.spareMax && t.store.allFree() {
+		if t != nil && len(m.spare) < m.spareMax && t.store.allFree() {
 			m.spare = append(m.spare, t.store)
 		}
 	}
@@ -490,28 +496,25 @@ func (m *Manager) retireGroup(g *Group) {
 // evict removes all of a viewer's tree nodes (recovering victims) and
 // releases its allocations, in request priority order. The viewer record
 // itself is left to the caller. Recovering the victims of one stream never
-// touches the viewer's node in another tree, so walking the request drops
-// exactly the streams held on entry, without allocating their list.
+// touches the viewer's node in another tree, so dropping the head of Nodes
+// until none is left drops exactly the streams held on entry.
 func (m *Manager) evict(v *Viewer) {
-	for _, rs := range v.Request.Streams {
-		m.dropStream(v, rs.Stream.ID, true)
+	for len(v.Nodes) > 0 {
+		m.dropStream(v, 0, true)
 	}
 	delete(v.Group.Members, v.Info.ID)
 }
 
-// dropStream removes one stream subscription of a viewer. Victims (the
-// node's children) are recovered per §VI: re-inserted via degree push-down,
-// else served from the CDN at their current delay layer, else dropped in
+// dropStream removes a viewer's subscription Nodes[i]. Victims (the node's
+// children) are recovered per §VI: re-inserted via degree push-down, else
+// served from the CDN at their current delay layer, else dropped in
 // cascade. When recover is false victims are dropped outright.
-func (m *Manager) dropStream(v *Viewer, id model.StreamID, recover bool) {
-	node, ok := v.Nodes[id]
-	if !ok {
-		return
-	}
-	tree := v.Group.Trees[id]
+func (m *Manager) dropStream(v *Viewer, i int, recover bool) {
+	node := v.Nodes[i]
+	tree := v.Group.Trees[node.stream]
 	wasRoot := node.Parent == nil
 	victims := tree.Detach(node)
-	delete(v.Nodes, id)
+	v.Nodes = slices.Delete(v.Nodes, i, i+1)
 	v.InUsedMbps -= tree.Stream.BitrateMbps
 	if v.InUsedMbps < 0 {
 		v.InUsedMbps = 0
@@ -519,7 +522,7 @@ func (m *Manager) dropStream(v *Viewer, id model.StreamID, recover bool) {
 	if wasRoot {
 		// Releasing our own accounting error would corrupt totals;
 		// surface it loudly in tests via validate, ignore here.
-		_ = m.cdn.Release(id, tree.Stream.BitrateMbps)
+		_ = m.cdn.Release(tree.Stream.ID, tree.Stream.BitrateMbps)
 	}
 	// The node is fully disconnected and every reference is gone: its
 	// slab slot goes back on the free list before victim recovery runs.
@@ -559,7 +562,9 @@ func (m *Manager) cascadeDrop(tree *Tree, victim *Node) {
 	// degree push-down found no position and the CDN had no egress left.
 	m.logDrop(victim.Viewer, tree.Stream.ID, ReasonCDNEgress)
 	if vv := tree.ownerOf(victim); vv != nil {
-		delete(vv.Nodes, tree.Stream.ID)
+		if i := slices.Index(vv.Nodes, victim); i >= 0 {
+			vv.Nodes = slices.Delete(vv.Nodes, i, i+1)
+		}
 		vv.InUsedMbps -= tree.Stream.BitrateMbps
 		if vv.InUsedMbps < 0 {
 			vv.InUsedMbps = 0
@@ -580,23 +585,16 @@ func (m *Manager) groupFor(req model.ViewRequest) *Group {
 	if g, ok := m.groups[key]; ok {
 		return g
 	}
-	g := &Group{
-		Key:     key,
-		Request: req,
-		Trees:   make(map[model.StreamID]*Tree),
-		Members: make(map[model.ViewerID]*Viewer),
-	}
-	for site := range req.SitesCovered() {
-		g.Sites = append(g.Sites, site)
-	}
+	g := newGroup(req)
 	m.groups[key] = g
 	return g
 }
 
-// treeFor returns (creating if needed) the group's tree for a stream. A new
-// tree takes a spare store before it grows one of its own.
-func (m *Manager) treeFor(g *Group, s model.Stream) *Tree {
-	if t, ok := g.Trees[s.ID]; ok {
+// treeFor returns (creating if needed) the group's tree for stream s, the
+// group's stream at position i. A new tree takes a spare store before it
+// grows one of its own.
+func (m *Manager) treeFor(g *Group, i int, s model.Stream) *Tree {
+	if t := g.Trees[i]; t != nil {
 		return t
 	}
 	var store *nodeStore
@@ -610,7 +608,7 @@ func (m *Manager) treeFor(g *Group, s model.Stream) *Tree {
 	}
 	t := newTree(s.ID, s.BitrateMbps, s.FrameRate, store, m.prop, m.params)
 	t.alwaysWalk = m.alwaysWalk
-	g.Trees[s.ID] = t
+	g.Trees[i] = t
 	return t
 }
 
@@ -640,7 +638,7 @@ func (m *Manager) MeanTreeDepth() float64 {
 	total, count := 0, 0
 	for _, g := range m.groups {
 		for _, t := range g.Trees {
-			if t.Size() > 0 {
+			if t != nil && t.Size() > 0 {
 				total += t.Depth()
 				count++
 			}
@@ -676,6 +674,9 @@ func (m *Manager) RefreshAll() int {
 	changed := 0
 	for _, g := range m.groups {
 		for _, t := range g.Trees {
+			if t == nil {
+				continue
+			}
 			for _, r := range t.Roots() {
 				nodes := t.refreshFull(r)
 				changed += len(nodes)

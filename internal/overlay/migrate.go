@@ -52,8 +52,8 @@ func (m *Manager) Extract(id model.ViewerID) (MigrationState, error) {
 	st := MigrationState{Info: v.Info, Request: v.Request, Rejected: v.Rejected}
 	if len(v.Nodes) > 0 {
 		st.Layers = make(map[model.StreamID]int, len(v.Nodes))
-		for sid, n := range v.Nodes {
-			st.Layers[sid] = n.Layer
+		for _, n := range v.Nodes {
+			st.Layers[v.Group.ids[n.stream]] = n.Layer
 		}
 	}
 	m.resubscribeBudget = m.propagationCap()

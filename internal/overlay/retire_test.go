@@ -102,7 +102,9 @@ func TestRefilledGroupMatchesFresh(t *testing.T) {
 	stores := make(map[*nodeStore]bool)
 	for _, g := range refilled.groups {
 		for _, tree := range g.Trees {
-			stores[tree.store] = true
+			if tree != nil {
+				stores[tree.store] = true
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -120,7 +122,7 @@ func TestRefilledGroupMatchesFresh(t *testing.T) {
 	ramp(fresh, n)
 	for _, g := range refilled.groups {
 		for _, tree := range g.Trees {
-			if !stores[tree.store] {
+			if tree != nil && !stores[tree.store] {
 				t.Fatalf("refilled tree %s grew a new store instead of taking a spare", tree.Stream.ID)
 			}
 		}
@@ -187,9 +189,9 @@ func TestCascadeDropInReformedGroupUpdatesRecord(t *testing.T) {
 	for _, res := range []*JoinResult{d1, d2} {
 		v := res.Viewer
 		dropped += len(res.Accepted) - len(v.Nodes)
-		for id, n := range v.Nodes {
-			if !v.Group.Trees[id].binds(v.Info.ID, n) {
-				t.Fatalf("%s keeps a handle in %s its tree does not bind", v.Info.ID, id)
+		for i, n := range v.Nodes {
+			if !v.Group.Trees[n.stream].binds(v.Info.ID, n) {
+				t.Fatalf("%s keeps a handle in %s its tree does not bind", v.Info.ID, v.AcceptedStreams()[i])
 			}
 		}
 	}

@@ -85,7 +85,7 @@ type nodeStore struct {
 	// tracked marks the slots whose node the tree tracks: every attached
 	// node plus victims whose recovery is in flight. Tree.size counts them.
 	tracked []bool
-	// owner is the viewer record whose Nodes map binds the slot's node. The
+	// owner is the viewer record whose Nodes hold the slot's node. The
 	// manager sets it where it binds the node (Tree.setOwner) and release
 	// clears it, so a free slot, and so a spare store, pins no record;
 	// trees driven without a manager (tests) leave it nil.

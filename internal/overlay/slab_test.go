@@ -5,9 +5,22 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"telecast/internal/model"
 )
+
+// TestNodeSize pins the node's footprint on 64-bit platforms: the stream
+// index shares the padding after the slot, so every slab block stays
+// 256 × 96 B.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Node{}); got != 96 {
+		t.Errorf("Node is %d B, want 96", got)
+	}
+}
 
 // TestSlabNewNodeAndRecycle pins the basic slot lifecycle: slab-born nodes
 // get distinct slots, Recycle returns the slot LIFO, and the next NewNode

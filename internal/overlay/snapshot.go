@@ -133,15 +133,21 @@ func (m *Manager) Validate() error {
 	}
 	cdnMbps := make(map[model.StreamID]float64)
 	for _, g := range m.groups {
-		for id, tree := range g.Trees {
+		if err := validateStreamIndex(g); err != nil {
+			return err
+		}
+		for i, tree := range g.Trees {
+			if tree == nil {
+				continue
+			}
 			if err := tree.validate(); err != nil {
 				return err
 			}
 			for _, r := range tree.Roots() {
-				cdnMbps[id] += tree.Stream.BitrateMbps
+				cdnMbps[tree.Stream.ID] += tree.Stream.BitrateMbps
 				_ = r
 			}
-			if err := m.validateOwners(g, id, tree); err != nil {
+			if err := m.validateOwners(g, i, tree); err != nil {
 				return err
 			}
 		}
@@ -150,6 +156,9 @@ func (m *Manager) Validate() error {
 				return errRecordDrift(string(vid), "member but not the routed record")
 			}
 			if err := m.validateViewer(vid, v); err != nil {
+				return err
+			}
+			if err := validateOutbound(vid, v); err != nil {
 				return err
 			}
 		}
@@ -175,22 +184,42 @@ func (m *Manager) Validate() error {
 func (m *Manager) CDNImplied() map[model.StreamID]float64 {
 	implied := make(map[model.StreamID]float64)
 	for _, g := range m.groups {
-		for id, tree := range g.Trees {
-			implied[id] += float64(len(tree.Roots())) * tree.Stream.BitrateMbps
+		for _, tree := range g.Trees {
+			if tree != nil {
+				implied[tree.Stream.ID] += float64(len(tree.Roots())) * tree.Stream.BitrateMbps
+			}
 		}
 	}
 	return implied
 }
 
+// validateViewer checks a member record against its group's trees: each of
+// its Nodes is bound by the tree its stream index names, the streams
+// appear strictly in the request's priority order (so none repeats), the
+// layers span at most κ, and the accepted bitrate fits the inbound
+// capacity.
 func (m *Manager) validateViewer(vid model.ViewerID, v *Viewer) error {
 	h := m.params.Hierarchy
+	g := v.Group
 	lo, hi := 1<<30, -1
 	var inUse float64
-	for id, n := range v.Nodes {
-		tree := v.Group.Trees[id]
+	next := 0 // cursor into the request's priority order
+	for _, n := range v.Nodes {
+		if n == nil || n.stream < 0 || int(n.stream) >= len(g.Trees) {
+			return errRecordDrift(string(vid), "node without a valid stream index")
+		}
+		id := g.ids[n.stream]
+		tree := g.Trees[n.stream]
 		if tree == nil || !tree.binds(vid, n) {
 			return errViewerTreeMismatch(string(vid), id.String())
 		}
+		for next < len(v.Request.Streams) && v.Request.Streams[next].Stream.ID != id {
+			next++
+		}
+		if next == len(v.Request.Streams) {
+			return errRecordDrift(string(vid), "nodes out of request priority order")
+		}
+		next++
 		inUse += tree.Stream.BitrateMbps
 		if n.Layer < lo {
 			lo = n.Layer
@@ -205,12 +234,20 @@ func (m *Manager) validateViewer(vid model.ViewerID, v *Viewer) error {
 	if inUse > v.Info.InboundMbps+1e-6 {
 		return errInboundBound(string(vid), inUse, v.Info.InboundMbps)
 	}
-	var outUse float64
-	for id, deg := range v.OutDeg {
-		if n, ok := v.Nodes[id]; ok && len(n.Children) > deg {
+	return nil
+}
+
+// validateOutbound checks a member's outbound allocation (OutDeg and
+// OutAlloc, keyed by stream ID): no node has more children than the
+// out-degree the allocation grants its stream, and the allocation fits the
+// outbound capacity.
+func validateOutbound(vid model.ViewerID, v *Viewer) error {
+	for _, n := range v.Nodes {
+		if deg, ok := v.OutDeg[v.Group.ids[n.stream]]; ok && len(n.Children) > deg {
 			return errOverDegree(string(vid), len(n.Children), deg)
 		}
 	}
+	var outUse float64
 	for _, mbps := range v.OutAlloc {
 		outUse += mbps
 	}

@@ -159,14 +159,11 @@ func (m *Manager) ExportState() *ShardState {
 	for _, k := range groupKeys {
 		g := m.groups[k]
 		gs := GroupState{Key: string(k), View: orientationStates(g.Request.View)}
-		streamIDs := make([]model.StreamID, 0, len(g.Trees))
-		for id := range g.Trees {
-			streamIDs = append(streamIDs, id)
-		}
-		sortedStreamIDs(streamIDs)
-		for _, id := range streamIDs {
-			t := g.Trees[id]
-			ts := TreeState{Stream: id.String(), Nodes: make([]NodeState, 0, t.Size())}
+		for _, t := range g.Trees { // already in stream order
+			if t == nil {
+				continue
+			}
+			ts := TreeState{Stream: t.Stream.ID.String(), Nodes: make([]NodeState, 0, t.Size())}
 			var dfs func(parent model.ViewerID, n *Node)
 			dfs = func(parent model.ViewerID, n *Node) {
 				ts.Nodes = append(ts.Nodes, NodeState{
@@ -282,12 +279,17 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			if !ok {
 				return fail(fmt.Errorf("overlay restore: group %q: unknown stream %v", gs.Key, sid))
 			}
-			t := m.treeFor(g, s)
+			pos := g.streamIndex(sid)
+			if pos < 0 {
+				return fail(fmt.Errorf("overlay restore: group %q: stream %v is not in its view", gs.Key, sid))
+			}
+			t := m.treeFor(g, pos, s)
 			byViewer := make(map[model.ViewerID]*Node, len(ts.Nodes))
 			restored[t] = byViewer
 			for ni := range ts.Nodes {
 				ns := &ts.Nodes[ni]
 				n := t.NewNode(ns.Viewer, ns.OutDeg, ns.OutCap)
+				n.stream = int32(pos)
 				if ns.Parent == "" {
 					if err := dist.Allocate(sid, s.BitrateMbps); err != nil {
 						t.store.release(n)
@@ -333,15 +335,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			// A rejected record can outlive its group; restore it with a
 			// detached group object (not registered in m.groups), matching
 			// the live structure after the last member departs.
-			g = &Group{
-				Key:     req.Key(),
-				Request: req,
-				Trees:   make(map[model.StreamID]*Tree),
-				Members: make(map[model.ViewerID]*Viewer),
-			}
-			for site := range req.SitesCovered() {
-				g.Sites = append(g.Sites, site)
-			}
+			g = newGroup(req)
 		}
 		v := &Viewer{
 			Info:       ViewerInfo{ID: vs.ID, InboundMbps: vs.InboundMbps, OutboundMbps: vs.OutboundMbps},
@@ -349,9 +343,6 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			Group:      g,
 			InUsedMbps: vs.InUsedMbps,
 			Rejected:   vs.Rejected,
-		}
-		if !vs.Rejected {
-			v.Nodes = make(map[model.StreamID]*Node)
 		}
 		for _, a := range vs.OutAlloc {
 			sid, err := model.ParseStreamID(a.Stream)
@@ -373,12 +364,12 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			}
 			v.OutDeg[sid] = d.Deg
 		}
-		for sid, t := range g.Trees {
+		// Bind the viewer's restored nodes in its request's priority
+		// order, the order Viewer.Nodes keeps.
+		for _, rs := range req.Streams {
+			t := g.Trees[g.streamIndex(rs.Stream.ID)]
 			if n, ok := restored[t][vs.ID]; ok {
-				if v.Nodes == nil {
-					v.Nodes = make(map[model.StreamID]*Node)
-				}
-				v.Nodes[sid] = n
+				v.Nodes = append(v.Nodes, n)
 				t.setOwner(n, v)
 			}
 		}

@@ -105,25 +105,30 @@ func (m *Manager) processPending() {
 // highest minimum, lift stragglers to pin−κ — because building Subscribe's
 // intermediate maps on a path this hot dominated the allocation profile.
 // layering.Hierarchy.Subscribe remains the semantic reference.
+//
+// Both walks visit the viewer's streams in its request's priority order
+// (the order of Viewer.Nodes), so the push-down queue a pass builds is a
+// function of the overlay state alone, and each node reaches its tree by
+// position (Node.stream) rather than by hashing its stream ID.
 func (m *Manager) resubscribeOne(v *Viewer) {
 	h := m.params.Hierarchy
 	maxLayer := h.MaxLayer()
 
 	pin := 0
-	for id, node := range v.Nodes {
+	for i, node := range v.Nodes {
 		l := h.LayerOf(node.MinE2E)
 		if l > maxLayer {
 			// Delay layer adaptation (§VI): a stream whose minimum
 			// layer already violates d_max is re-provisioned from the
 			// CDN when its parent is a viewer; when the parent is the
 			// CDN nothing faster exists and the subscription drops.
-			tree := v.Group.Trees[id]
-			if node.Parent != nil && m.cdn.Allocate(id, tree.Stream.BitrateMbps) == nil {
+			tree := v.Group.Trees[node.stream]
+			if node.Parent != nil && m.cdn.Allocate(tree.Stream.ID, tree.Stream.BitrateMbps) == nil {
 				tree.MoveToCDN(node)
 				m.enqueueSubtree(tree, node)
 			} else {
-				m.logDrop(v.Info.ID, id, ReasonDelayBound)
-				m.dropStream(v, id, true)
+				m.logDrop(v.Info.ID, tree.Stream.ID, ReasonDelayBound)
+				m.dropStream(v, i, true)
 			}
 			// The viewer's layer picture changed; run a fresh pass for
 			// it rather than applying the stale subscription.
@@ -136,7 +141,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 	}
 
 	floor := pin - h.Kappa
-	for id, node := range v.Nodes {
+	for _, node := range v.Nodes {
 		layer := h.LayerOf(node.MinE2E)
 		if layer < floor {
 			layer = floor // layer push-down: κ-bounded spread
@@ -147,7 +152,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 		if layer == node.Layer && !m.alwaysWalk {
 			continue
 		}
-		tree := v.Group.Trees[id]
+		tree := v.Group.Trees[node.stream]
 		for _, c := range tree.SetLayer(node, layer) {
 			if c != node {
 				m.enqueueResub(tree.ownerOf(c))

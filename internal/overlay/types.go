@@ -8,6 +8,7 @@
 package overlay
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -100,6 +101,11 @@ type Node struct {
 	// above, so the index's heap sifts compare inside contiguous memory.
 	// A node belongs to exactly one tree, so one slot suffices.
 	slot int32
+	// stream is the position of the node's tree in its group's Trees,
+	// which is its stream's position in the group's sorted stream set:
+	// the manager reaches a node's tree through it without hashing the
+	// stream ID. It sits in the padding after slot.
+	stream int32
 }
 
 // FreeSlots returns the node's unused out-degree.
@@ -116,8 +122,11 @@ type Viewer struct {
 	Info    ViewerInfo
 	Request model.ViewRequest
 	Group   *Group
-	// Nodes maps each accepted stream to the viewer's tree position.
-	Nodes map[model.StreamID]*Node
+	// Nodes holds the viewer's tree position per accepted stream, in the
+	// request's priority order and with no nil entry: Nodes[i] is the
+	// node of AcceptedStreams()[i], and its tree is
+	// Group.Trees[Nodes[i].stream].
+	Nodes []*Node
 	// OutAlloc is the outbound bandwidth assigned per accepted stream by
 	// the round-robin allocation.
 	OutAlloc map[model.StreamID]float64
@@ -135,13 +144,11 @@ type Viewer struct {
 }
 
 // AcceptedStreams returns the viewer's currently accepted stream IDs in
-// request priority order.
+// request priority order, aligned with Nodes.
 func (v *Viewer) AcceptedStreams() []model.StreamID {
-	ids := make([]model.StreamID, 0, len(v.Nodes))
-	for _, rs := range v.Request.Streams {
-		if _, ok := v.Nodes[rs.Stream.ID]; ok {
-			ids = append(ids, rs.Stream.ID)
-		}
+	ids := make([]model.StreamID, len(v.Nodes))
+	for i, n := range v.Nodes {
+		ids[i] = v.Group.ids[n.stream]
 	}
 	return ids
 }
@@ -166,9 +173,46 @@ func (v *Viewer) MaxAssignedLayer() (int, bool) {
 type Group struct {
 	Key     model.ViewKey
 	Request model.ViewRequest
-	Trees   map[model.StreamID]*Tree
+	// Trees holds one tree per stream of the group, aligned with the
+	// group's stream set in sorted StreamID order (the order the Key
+	// lists them in). An entry is nil until a member's admission first
+	// reaches that stream.
+	Trees   []*Tree
 	Members map[model.ViewerID]*Viewer
-	// Sites are the distinct producer sites of the request, derived once
-	// so per-join coverage checks allocate nothing.
+	// Sites are the distinct producer sites of the request in sorted
+	// order, derived once so per-join coverage checks allocate nothing.
 	Sites []model.SiteID
+
+	// ids is the group's stream set in sorted order: ids[i] is the
+	// stream of Trees[i]. Read-only after newGroup.
+	ids []model.StreamID
+}
+
+// newGroup builds the empty view group of a request.
+func newGroup(req model.ViewRequest) *Group {
+	ids := req.StreamIDs()
+	slices.SortFunc(ids, model.StreamID.Compare)
+	g := &Group{
+		Key:     req.Key(),
+		Request: req,
+		Trees:   make([]*Tree, len(ids)),
+		Members: make(map[model.ViewerID]*Viewer),
+		ids:     ids,
+	}
+	for _, id := range ids {
+		if n := len(g.Sites); n == 0 || g.Sites[n-1] != id.Site {
+			g.Sites = append(g.Sites, id.Site)
+		}
+	}
+	return g
+}
+
+// streamIndex returns the position of a stream in the group's stream set,
+// or -1 when the group does not carry it.
+func (g *Group) streamIndex(id model.StreamID) int {
+	i, found := slices.BinarySearchFunc(g.ids, id, model.StreamID.Compare)
+	if !found {
+		return -1
+	}
+	return i
 }

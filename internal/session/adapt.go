@@ -95,8 +95,8 @@ func (l *LSC) subscriptionPoints(id model.ViewerID, mon *MonitorReader, producer
 	}
 	hier := l.shard.Params().Hierarchy
 	points := make([]SubscriptionPoint, 0, len(v.Nodes))
-	for _, sid := range v.AcceptedStreams() {
-		node := v.Nodes[sid]
+	for i, sid := range v.AcceptedStreams() {
+		node := v.Nodes[i]
 		status, err := mon.Status(sid)
 		if err != nil {
 			return nil, err

@@ -421,11 +421,11 @@ func (l *LSC) ViewerParents(id model.ViewerID) (map[model.StreamID]model.ViewerI
 		return nil, false
 	}
 	out := make(map[model.StreamID]model.ViewerID, len(v.Nodes))
-	for sid, n := range v.Nodes {
-		if n.Parent == nil {
+	for i, sid := range v.AcceptedStreams() {
+		if p := v.Nodes[i].Parent; p == nil {
 			out[sid] = ""
 		} else {
-			out[sid] = n.Parent.Viewer
+			out[sid] = p.Viewer
 		}
 	}
 	return out, true

@@ -367,7 +367,8 @@ func requireDelayChain(t *testing.T, c *Controller, factor int64) int {
 			if !ok {
 				continue
 			}
-			for sid, n := range v.Nodes {
+			for i, sid := range v.AcceptedStreams() {
+				n := v.Nodes[i]
 				want := c.params.Hierarchy.Delta
 				if p := n.Parent; p != nil {
 					d := c.cfg.Latency.Delay(l.viewers[p.Viewer].nodeIdx, l.viewers[n.Viewer].nodeIdx)
