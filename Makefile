@@ -36,7 +36,7 @@ MAX_MEM_GROWTH = 0.25
 TEL_DELTA_PAIR = BenchmarkJoin/telemetry=on:BenchmarkJoin/telemetry=off
 MAX_TEL_DELTA = 0.05
 
-.PHONY: build test test-race test-determinism bench bench-json bench-smoke bench-e2e bench-deep chaos-smoke soak soak-smoke e2e-smoke obs-smoke vet lint
+.PHONY: build test test-race test-determinism bench bench-json bench-smoke bench-e2e bench-deep chaos-smoke soak soak-smoke e2e-smoke obs-smoke fuzz-smoke vet lint
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,18 @@ e2e-smoke:
 # (replay -obs-verify) and /debug/slowops answers with captured entries.
 obs-smoke:
 	./scripts/obs_smoke.sh
+
+# fuzz-smoke fuzzes each target of the op-path wire codec for FUZZ_TIME
+# against its encoding/json oracle (internal/httpapi/codec_fuzz_test.go).
+# The seed corpus under internal/httpapi/testdata/fuzz runs in every
+# `go test`; a failing input the fuzzer finds is written there too.
+FUZZ_TARGETS = FuzzDecodeWireRequest FuzzDecodeBatchRequest FuzzDecodeBatchResponse FuzzEncodeDecoded FuzzEncodeValues
+FUZZ_TIME = 10s
+
+fuzz-smoke:
+	for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZ_TIME) ./internal/httpapi || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS)

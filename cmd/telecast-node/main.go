@@ -73,6 +73,10 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long serve waits for a request's headers, so
+// a client that opens a connection and stalls cannot hold it open forever.
+const readHeaderTimeout = 10 * time.Second
+
 // runServe hosts the control plane behind the httpapi surface until SIGINT/
 // SIGTERM, then drains gracefully: health flips to draining, event feeds
 // terminate, in-flight batches finish, and the controller shuts down.
@@ -132,7 +136,7 @@ func runServe(args []string) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"telecast/internal/httpapi"
 	"telecast/internal/model"
@@ -45,37 +46,63 @@ func New(base string, opts ...Option) *Client {
 
 var _ workload.ControlPlane = (*Client)(nil)
 
-// post sends a JSON body and decodes the response into out when the status
-// matches wantStatus; any other status decodes the structured error body.
-func (c *Client) post(ctx context.Context, path string, in, out any) (int, *httpapi.WireError, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, nil, fmt.Errorf("client: encode %s: %w", path, err)
-	}
+// post sends an encoded op body. A 200 answer is handed to decode; any
+// other status decodes the structured error body.
+func (c *Client) post(ctx context.Context, path string, body []byte, decode func([]byte) error) (*httpapi.WireError, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, fmt.Errorf("client: %s: %w", path, err)
+		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, nil, fmt.Errorf("client: %s: %w", path, err)
+		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, rerr := buf.ReadFrom(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		var we httpapi.WireError
-		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Code == "" {
-			return resp.StatusCode, nil, fmt.Errorf("client: %s: unexpected status %d", path, resp.StatusCode)
+		if rerr != nil || httpapi.DecodeWireError(buf.Bytes(), &we) != nil || we.Code == "" {
+			return nil, fmt.Errorf("client: %s: unexpected status %d", path, resp.StatusCode)
 		}
-		return resp.StatusCode, &we, nil
+		return &we, nil
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, nil, fmt.Errorf("client: decode %s: %w", path, err)
-		}
+	if rerr != nil {
+		return nil, fmt.Errorf("client: read %s: %w", path, rerr)
 	}
-	return resp.StatusCode, nil, nil
+	if err := decode(buf.Bytes()); err != nil {
+		return nil, fmt.Errorf("client: decode %s: %w", path, err)
+	}
+	return nil, nil
 }
+
+// maxPooledBuffer keeps the buffer of an unusually large answer out of
+// bodyPool, so one such answer does not pin its memory for good.
+const maxPooledBuffer = 1 << 20
+
+// bodyPool recycles the buffers answers are read into; decoding copies out
+// everything it keeps.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+}
+
+// marshalForm drops the encoder's trailing newline: request bodies go out
+// as json.Marshal writes them, as they always have.
+func marshalForm(body []byte) []byte { return body[:len(body)-1] }
+
+// requestBytes estimates one encoded request, to size a body in one
+// allocation.
+const requestBytes = 128
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
@@ -89,7 +116,7 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var we httpapi.WireError
-		if err := json.NewDecoder(resp.Body).Decode(&we); err == nil && we.Code != "" {
+		if body, err := io.ReadAll(resp.Body); err == nil && httpapi.DecodeWireError(body, &we) == nil && we.Code != "" {
 			return DecodeError(&we)
 		}
 		return fmt.Errorf("client: %s: unexpected status %d", path, resp.StatusCode)
@@ -122,8 +149,14 @@ func (c *Client) Exec(ctx context.Context, reqs []workload.Request) ([]workload.
 	for i, rq := range reqs {
 		br.Requests[i] = httpapi.ToWireRequest(rq)
 	}
+	body, err := httpapi.AppendBatchRequest(make([]byte, 0, 16+requestBytes*len(reqs)), &br)
+	if err != nil {
+		return nil, fmt.Errorf("client: encode %s: %w", httpapi.PathBatch, err)
+	}
 	var resp httpapi.BatchResponse
-	_, we, err := c.post(ctx, httpapi.PathBatch, br, &resp)
+	we, err := c.post(ctx, httpapi.PathBatch, marshalForm(body), func(b []byte) error {
+		return httpapi.DecodeBatchResponse(b, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -209,8 +242,15 @@ func (c *Client) Do(ctx context.Context, rq workload.Request) (workload.Outcome,
 	default:
 		return workload.Outcome{}, fmt.Errorf("client: unknown request kind %v", rq.Kind)
 	}
+	wr := httpapi.ToWireRequest(rq)
+	body, err := httpapi.AppendWireRequest(make([]byte, 0, requestBytes), &wr)
+	if err != nil {
+		return workload.Outcome{}, fmt.Errorf("client: encode %s: %w", path, err)
+	}
 	var w httpapi.WireOutcome
-	_, we, err := c.post(ctx, path, httpapi.ToWireRequest(rq), &w)
+	we, err := c.post(ctx, path, marshalForm(body), func(b []byte) error {
+		return httpapi.DecodeWireOutcome(b, &w)
+	})
 	if err != nil {
 		return workload.Outcome{}, err
 	}

@@ -2,8 +2,8 @@ package httpapi_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -46,7 +46,7 @@ func newTestServer(t *testing.T, matrixSize int, opts ...session.Option) (*httpt
 }
 
 // TestErrorRoundTrip proves every sentinel and every RejectionError reason
-// survives encode → JSON → decode and still matches with errors.Is /
+// survives encode → wire codec → decode and still matches with errors.Is /
 // errors.As — the property the replay client's outcome handling depends on.
 func TestErrorRoundTrip(t *testing.T) {
 	reasons := []session.RejectReason{
@@ -68,6 +68,8 @@ func TestErrorRoundTrip(t *testing.T) {
 		{"matrix-exhausted", session.ErrMatrixExhausted, session.ErrMatrixExhausted, httpapi.CodeMatrixExhausted, http.StatusServiceUnavailable},
 		{"unknown-region", session.ErrUnknownRegion, session.ErrUnknownRegion, httpapi.CodeUnknownRegion, http.StatusBadRequest},
 		{"canceled", context.Canceled, context.Canceled, httpapi.CodeCanceled, http.StatusServiceUnavailable},
+		// An over-long body has no session sentinel; the client keeps its code.
+		{"too-large", fmt.Errorf("read body: %w", &http.MaxBytesError{Limit: httpapi.MaxBodyBytes}), nil, httpapi.CodeTooLarge, http.StatusRequestEntityTooLarge},
 	}
 	for _, r := range reasons {
 		cases = append(cases, struct {
@@ -93,16 +95,12 @@ func TestErrorRoundTrip(t *testing.T) {
 			if got := httpapi.StatusFor(we.Code); got != tc.wantStatus {
 				t.Fatalf("status for %q: %d, want %d", we.Code, got, tc.wantStatus)
 			}
-			buf, err := json.Marshal(we)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var back httpapi.WireError
-			if err := json.Unmarshal(buf, &back); err != nil {
+			if err := httpapi.DecodeWireError(httpapi.AppendWireError(nil, we), &back); err != nil {
 				t.Fatal(err)
 			}
 			out := client.DecodeError(&back)
-			if !errors.Is(out, tc.sentinel) {
+			if tc.sentinel != nil && !errors.Is(out, tc.sentinel) {
 				t.Fatalf("decoded %v does not match sentinel %v", out, tc.sentinel)
 			}
 			var want *session.RejectionError

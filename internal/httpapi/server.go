@@ -1,12 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -118,8 +120,64 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// MaxBodyBytes caps the body an op endpoint reads; a longer one is answered
+// 413 with CodeTooLarge. 16 MiB holds some 80 000 requests of 200 bytes (a
+// migration with every field set), more viewers than a latency matrix
+// admits at once.
+const MaxBodyBytes = 16 << 20
+
+// maxPooledBuffer keeps the buffer of an unusually large batch out of
+// bodyPool, so one such batch does not pin its memory for good.
+const maxPooledBuffer = 1 << 20
+
+// bodyPool recycles the op endpoints' buffers: a request body is read into
+// one, decoded, and the response encoded into the same one.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+}
+
+// readBody reads r's body into buf in one pass, sized from Content-Length
+// and bounded by MaxBodyBytes. A failure comes back as the error body to
+// answer: CodeTooLarge past the bound, CodeBadRequest otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) *WireError {
+	n := r.ContentLength
+	if n > MaxBodyBytes {
+		return EncodeError(&http.MaxBytesError{Limit: MaxBodyBytes})
+	}
+	if n > 0 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		we := EncodeError(fmt.Errorf("read body: %w", err))
+		if we.Code == CodeInternal {
+			we.Code = CodeBadRequest
+		}
+		return we
+	}
+	return nil
+}
+
+// respond sends an encoded body with its length, in one Write.
+func respond(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 func writeError(w http.ResponseWriter, we *WireError) {
-	writeJSON(w, StatusFor(we.Code), we)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	buf.Write(AppendWireError(buf.AvailableBuffer(), we))
+	respond(w, StatusFor(we.Code), buf.Bytes())
 }
 
 func badRequest(w http.ResponseWriter, err error) {
@@ -163,8 +221,14 @@ func (s *Server) count(kind workload.EventKind, o workload.Outcome) {
 // per-outcome errors embedded — request-level failures are 400s, operation
 // results are data.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if we := readBody(w, r, buf); we != nil {
+		writeError(w, we)
+		return
+	}
 	var br BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
+	if err := DecodeBatchRequest(buf.Bytes(), &br); err != nil {
 		badRequest(w, fmt.Errorf("decode batch: %w", err))
 		return
 	}
@@ -193,15 +257,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.count(reqs[i].Kind, o)
 		resp.Outcomes[i] = ToWireOutcome(o)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// The response reuses the request's buffer: nothing decoded aliases it.
+	buf.Reset()
+	buf.Write(AppendBatchResponse(buf.AvailableBuffer(), &resp))
+	respond(w, http.StatusOK, buf.Bytes())
 }
 
 // single builds the one-operation handler for a kind: one WireRequest in,
 // one WireOutcome out, with operation errors promoted to HTTP statuses.
 func (s *Server) single(kind workload.EventKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		buf := getBuffer()
+		defer putBuffer(buf)
+		if we := readBody(w, r, buf); we != nil {
+			writeError(w, we)
+			return
+		}
 		var wr WireRequest
-		if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
+		if err := DecodeWireRequest(buf.Bytes(), &wr); err != nil {
 			badRequest(w, fmt.Errorf("decode request: %w", err))
 			return
 		}
@@ -224,7 +297,10 @@ func (s *Server) single(kind workload.EventKind) http.HandlerFunc {
 			writeError(w, EncodeError(o.Err))
 			return
 		}
-		writeJSON(w, http.StatusOK, ToWireOutcome(o))
+		wo := ToWireOutcome(o)
+		buf.Reset()
+		buf.Write(AppendWireOutcome(buf.AvailableBuffer(), &wo))
+		respond(w, http.StatusOK, buf.Bytes())
 	}
 }
 

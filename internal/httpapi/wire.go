@@ -97,6 +97,8 @@ const (
 	CodeCanceled        = "canceled"
 	CodeBadRequest      = "bad-request"
 	CodeInternal        = "internal"
+	// CodeTooLarge answers an op request whose body exceeds MaxBodyBytes.
+	CodeTooLarge = "too-large"
 )
 
 // WireError is the structured error body. Code drives reconstruction;
@@ -116,7 +118,10 @@ func EncodeError(err error) *WireError {
 	}
 	we := &WireError{Code: CodeInternal, Message: err.Error()}
 	var rej *session.RejectionError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		we.Code = CodeTooLarge
 	case errors.As(err, &rej):
 		we.Code = CodeRejected
 		we.Viewer = string(rej.Viewer)
@@ -155,6 +160,8 @@ func StatusFor(code string) int {
 		return http.StatusUnprocessableEntity
 	case CodeCanceled:
 		return http.StatusServiceUnavailable
+	case CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusInternalServerError
 	}
