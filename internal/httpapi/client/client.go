@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"telecast/internal/httpapi"
 	"telecast/internal/model"
@@ -59,12 +58,9 @@ func (c *Client) post(ctx context.Context, path string, body []byte, decode func
 		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer putBuffer(buf)
-	if n := resp.ContentLength; n > 0 {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	_, rerr := buf.ReadFrom(resp.Body)
+	buf := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(buf)
+	rerr := httpapi.ReadBody(buf, resp.Body, resp.ContentLength)
 	if resp.StatusCode != http.StatusOK {
 		var we httpapi.WireError
 		if rerr != nil || httpapi.DecodeWireError(buf.Bytes(), &we) != nil || we.Code == "" {
@@ -79,21 +75,6 @@ func (c *Client) post(ctx context.Context, path string, body []byte, decode func
 		return nil, fmt.Errorf("client: decode %s: %w", path, err)
 	}
 	return nil, nil
-}
-
-// maxPooledBuffer keeps the buffer of an unusually large answer out of
-// bodyPool, so one such answer does not pin its memory for good.
-const maxPooledBuffer = 1 << 20
-
-// bodyPool recycles the buffers answers are read into; decoding copies out
-// everything it keeps.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func putBuffer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuffer {
-		buf.Reset()
-		bodyPool.Put(buf)
-	}
 }
 
 // marshalForm drops the encoder's trailing newline: request bodies go out

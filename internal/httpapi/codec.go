@@ -627,9 +627,8 @@ func (d *decoder) boolField(p *bool) error {
 }
 
 // number returns the JSON number at the read position, after checking it
-// against the grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and
-// whether it is a bare integer (no fraction, no exponent).
-func (d *decoder) number() (num []byte, integer bool, err error) {
+// against the grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func (d *decoder) number() (num []byte, err error) {
 	data, i := d.data, d.off
 	if i < len(data) && data[i] == '-' {
 		i++
@@ -641,20 +640,17 @@ func (d *decoder) number() (num []byte, integer bool, err error) {
 		i = skipDigits(data, i)
 	default:
 		d.off = i
-		return nil, false, d.errorf("invalid number")
+		return nil, d.errorf("invalid number")
 	}
-	integer = true
 	if i < len(data) && data[i] == '.' {
-		integer = false
 		if j := skipDigits(data, i+1); j > i+1 {
 			i = j
 		} else {
 			d.off = j
-			return nil, false, d.errorf("invalid number: no digits after decimal point")
+			return nil, d.errorf("invalid number: no digits after decimal point")
 		}
 	}
 	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		integer = false
 		i++
 		if i < len(data) && (data[i] == '+' || data[i] == '-') {
 			i++
@@ -663,12 +659,12 @@ func (d *decoder) number() (num []byte, integer bool, err error) {
 			i = j
 		} else {
 			d.off = j
-			return nil, false, d.errorf("invalid number: no digits in exponent")
+			return nil, d.errorf("invalid number: no digits in exponent")
 		}
 	}
 	num = data[d.off:i]
 	d.off = i
-	return num, integer, nil
+	return num, nil
 }
 
 func skipDigits(data []byte, i int) int {
@@ -683,43 +679,23 @@ func isNumberStart(c byte) bool { return c == '-' || '0' <= c && c <= '9' }
 // numberValue reads a numeric field's value: a number, checked against the
 // grammar, or null, for which it returns a nil num and leaves the field as
 // it is.
-func (d *decoder) numberValue(want string) (num []byte, integer bool, err error) {
+func (d *decoder) numberValue(want string) (num []byte, err error) {
 	switch c := d.peek(); {
 	case c == 'n':
-		return nil, false, d.literal("null")
+		return nil, d.literal("null")
 	case isNumberStart(c):
 		return d.number()
 	}
-	return nil, false, d.mismatch(want)
+	return nil, d.mismatch(want)
 }
 
 // floatField, intField and uint8Field convert a number with strconv exactly
 // as encoding/json does, so fractions and exponents fail for the integer
 // fields, and any value out of the field's range fails.
 func (d *decoder) floatField(p *float64) error {
-	num, integer, err := d.numberValue("float64")
+	num, err := d.numberValue("float64")
 	if num == nil || err != nil {
 		return err
-	}
-	// An integer of at most 15 digits is exact in a float64, so converting
-	// it directly gives what strconv.ParseFloat would.
-	if digits := num; integer && len(digits) <= 16 {
-		neg := digits[0] == '-'
-		if neg {
-			digits = digits[1:]
-		}
-		if len(digits) <= 15 {
-			var n int64
-			for _, c := range digits {
-				n = n*10 + int64(c-'0')
-			}
-			f := float64(n)
-			if neg {
-				f = -f
-			}
-			*p = f
-			return nil
-		}
 	}
 	f, err := strconv.ParseFloat(string(num), 64)
 	if err != nil {
@@ -730,7 +706,7 @@ func (d *decoder) floatField(p *float64) error {
 }
 
 func (d *decoder) intField(p *int) error {
-	num, _, err := d.numberValue("int")
+	num, err := d.numberValue("int")
 	if num == nil || err != nil {
 		return err
 	}
@@ -743,7 +719,7 @@ func (d *decoder) intField(p *int) error {
 }
 
 func (d *decoder) uint8Field(p *uint8) error {
-	num, _, err := d.numberValue("uint8")
+	num, err := d.numberValue("uint8")
 	if num == nil || err != nil {
 		return err
 	}
@@ -794,7 +770,7 @@ func (d *decoder) skip() error {
 	case c == 'n':
 		return d.literal("null")
 	case isNumberStart(c):
-		_, _, err := d.number()
+		_, err := d.number()
 		return err
 	}
 	return d.mismatch("value")

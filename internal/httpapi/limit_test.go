@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"telecast/internal/httpapi"
@@ -77,5 +78,57 @@ func TestBodyLimit(t *testing.T) {
 		if o.ID != reqs[i].ID || o.Err != nil {
 			t.Fatalf("64-op batch outcome %d: %+v", i, o)
 		}
+	}
+}
+
+// stalledBody stands in for a client that sent its headers and then
+// stalled: its first Read reports how much the process had allocated by
+// then and blocks until released, then fails.
+type stalledBody struct {
+	reached chan<- uint64
+	release <-chan struct{}
+}
+
+func (s stalledBody) Read([]byte) (int, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	select {
+	case s.reached <- ms.TotalAlloc:
+	default:
+	}
+	<-s.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestStalledBodyNotPreallocated pins that a declared Content-Length
+// reserves memory only up to a small cap before any body byte arrives: a
+// request declaring MaxBodyBytes that then stalls must not cost the server
+// MaxBodyBytes while it waits.
+func TestStalledBodyNotPreallocated(t *testing.T) {
+	_, _, api := newTestServer(t, 200)
+	h := api.Handler()
+	for name, path := range map[string]string{"batch": httpapi.PathBatch, "join": httpapi.PathJoin} {
+		t.Run(name, func(t *testing.T) {
+			reached, release := make(chan uint64, 1), make(chan struct{})
+			req := httptest.NewRequest(http.MethodPost, path, stalledBody{reached, release})
+			req.ContentLength = httpapi.MaxBodyBytes
+			rec := httptest.NewRecorder()
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				h.ServeHTTP(rec, req)
+			}()
+			grown := <-reached - before.TotalAlloc
+			close(release)
+			<-done
+			if grown >= httpapi.MaxBodyBytes/4 {
+				t.Errorf("allocated %d bytes before the first body byte of a request declaring %d", grown, httpapi.MaxBodyBytes)
+			}
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("stalled then broken body: status %d, want 400", rec.Code)
+			}
+		})
 	}
 }

@@ -126,35 +126,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // admits at once.
 const MaxBodyBytes = 16 << 20
 
-// maxPooledBuffer keeps the buffer of an unusually large batch out of
-// bodyPool, so one such batch does not pin its memory for good.
-const maxPooledBuffer = 1 << 20
-
-// bodyPool recycles the op endpoints' buffers: a request body is read into
-// one, decoded, and the response encoded into the same one.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBuffer() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
-
-func putBuffer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuffer {
-		buf.Reset()
-		bodyPool.Put(buf)
-	}
-}
-
-// readBody reads r's body into buf in one pass, sized from Content-Length
-// and bounded by MaxBodyBytes. A failure comes back as the error body to
-// answer: CodeTooLarge past the bound, CodeBadRequest otherwise.
+// readBody reads r's body into buf in one pass, bounded by MaxBodyBytes. A
+// failure comes back as the error body to answer: CodeTooLarge past the
+// bound, CodeBadRequest otherwise.
 func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) *WireError {
 	n := r.ContentLength
 	if n > MaxBodyBytes {
 		return EncodeError(&http.MaxBytesError{Limit: MaxBodyBytes})
 	}
-	if n > 0 {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+	if err := ReadBody(buf, http.MaxBytesReader(w, r.Body, MaxBodyBytes), n); err != nil {
 		we := EncodeError(fmt.Errorf("read body: %w", err))
 		if we.Code == CodeInternal {
 			we.Code = CodeBadRequest
@@ -174,8 +154,8 @@ func respond(w http.ResponseWriter, status int, body []byte) {
 }
 
 func writeError(w http.ResponseWriter, we *WireError) {
-	buf := getBuffer()
-	defer putBuffer(buf)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	buf.Write(AppendWireError(buf.AvailableBuffer(), we))
 	respond(w, StatusFor(we.Code), buf.Bytes())
 }
@@ -221,8 +201,8 @@ func (s *Server) count(kind workload.EventKind, o workload.Outcome) {
 // per-outcome errors embedded — request-level failures are 400s, operation
 // results are data.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	buf := getBuffer()
-	defer putBuffer(buf)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	if we := readBody(w, r, buf); we != nil {
 		writeError(w, we)
 		return
@@ -267,8 +247,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // one WireOutcome out, with operation errors promoted to HTTP statuses.
 func (s *Server) single(kind workload.EventKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		buf := getBuffer()
-		defer putBuffer(buf)
+		buf := GetBuffer()
+		defer PutBuffer(buf)
 		if we := readBody(w, r, buf); we != nil {
 			writeError(w, we)
 			return
