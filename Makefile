@@ -41,12 +41,16 @@ MAX_TEL_DELTA = 0.05
 build:
 	$(GO) build ./...
 
+# benchmark/ is a nested module: `go vet ./...` at the root never reaches
+# it, so vet it (with and without its bench tag) on its own.
 lint:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 test: vet
 	$(GO) build ./...

@@ -9,7 +9,6 @@
 //	telecast-sim -exp fig13a        # one figure
 //	telecast-sim -exp fig15b -seed 7 -audience 500
 //	telecast-sim -exp concurrent    # join throughput vs LSC shard count
-//	telecast-sim -exp fig14c -parallel   # admissions fan out across shards
 //	telecast-sim -exp scenario -scenario diurnal          # catalog scenario,
 //	                                                      # wall-clock executor
 //	telecast-sim -exp scenario -scenario view-sweep -sim  # discrete-event replay
@@ -37,7 +36,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig13a|fig13b|fig13c|fig14a|fig14b|fig14c|fig15a|fig15b|ablations|churn|concurrent|scenario|migration|faults|all")
 	seed := flag.Int64("seed", 42, "random seed for traces and capacity draws")
 	audience := flag.Int("audience", 1000, "viewer count for fixed-size experiments")
-	parallel := flag.Bool("parallel", false, "drive joins through the sharded JoinBatch fan-out (concurrent per-region LSC admission)")
 	scenario := flag.String("scenario", "flash-churn", "catalog scenario for -exp scenario: "+strings.Join(workload.CatalogNames(), "|"))
 	samples := flag.String("samples", "", "write the scenario's per-second time series to this file (.json for JSON Lines, CSV otherwise)")
 	simMode := flag.Bool("sim", false, "replay -exp scenario on the deterministic discrete-event runner instead of the wall-clock parallel executor")
@@ -58,7 +56,6 @@ func main() {
 	}
 	setup := experiments.DefaultSetup(*seed)
 	setup.Audience = *audience
-	setup.Parallel = *parallel
 	if err := run(*exp, setup, *scenario, *samples, *simMode); err != nil {
 		// The deferred profile writer must run; don't log.Fatal past it.
 		pprof.StopCPUProfile()
@@ -358,14 +355,12 @@ func runScenario(setup experiments.Setup, name, samplesPath string, simMode bool
 		return err
 	}
 	opts := experiments.ScenarioOptions{Wallclock: !simMode}
-	var out *os.File
 	if samplesPath != "" {
 		f, err := os.Create(samplesPath)
 		if err != nil {
 			return err
 		}
-		out = f
-		defer out.Close()
+		defer f.Close()
 		if strings.HasSuffix(samplesPath, ".json") {
 			opts.Sinks = append(opts.Sinks, workload.NewJSONSink(f))
 		} else {
@@ -376,20 +371,9 @@ func runScenario(setup experiments.Setup, name, samplesPath string, simMode bool
 	if err != nil {
 		return err
 	}
-	w := newTab()
-	fmt.Fprintln(w, "events\tjoins\trejected\tleaves\tview changes\tpeak\tregions\telapsed\tjoins/s")
-	fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%.0f\n",
-		res.Events, res.Joins, res.Rejected, res.Leaves, res.ViewChanges,
-		res.PeakViewers, res.Regions, res.Elapsed.Round(time.Millisecond), res.JoinsPerSec)
-	w.Flush()
-	fmt.Printf("acceptance: final %.3f, minimum %.3f; event stream: %d accepted / %d rejected (dropped %d)\n",
-		res.FinalAcceptance, res.MinAcceptance, res.StreamAccepted, res.StreamRejected, res.EventsDropped)
-	workload.WriteLatency(os.Stdout, res.Latency)
+	printRun(res)
 	if samplesPath != "" {
 		fmt.Printf("samples written to %s\n", samplesPath)
-	}
-	if !simMode {
-		fmt.Printf("(achieved joins/s from the wall-clock executor: %d-region JoinBatch/DepartBatch fan-outs)\n", res.Regions)
 	}
 	return nil
 }
@@ -400,14 +384,8 @@ func runMigration(setup experiments.Setup) error {
 	if err != nil {
 		return err
 	}
-	w := newTab()
-	fmt.Fprintln(w, "events\tjoins\trejected\tleaves\tmigrations\tbounced\tview changes\tpeak\tregions\telapsed")
-	fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
-		res.Events, res.Joins, res.Rejected, res.Leaves, res.Migrations, res.MigrationsBounced,
-		res.ViewChanges, res.PeakViewers, res.Regions, res.Elapsed.Round(time.Millisecond))
-	w.Flush()
-	fmt.Printf("acceptance: final %.3f, minimum %.3f; every handoff ended rebound, restored, or departed (invariants + CDN accounting validated after the run)\n",
-		res.FinalAcceptance, res.MinAcceptance)
+	printRun(res)
+	fmt.Println("\nevery handoff ended rebound, restored, or departed (invariants + CDN accounting validated after the run)")
 	return nil
 }
 
@@ -417,15 +395,20 @@ func runFaults(setup experiments.Setup) error {
 	if err != nil {
 		return err
 	}
-	// Final counters go through the same formatter as `telecast-node replay`,
-	// so a chaos run and a wire replay read line-for-line identically.
 	for _, r := range rows {
-		fmt.Printf("\n--- %s on %s executor (%d events, %d evacuations) ---\n",
-			r.Scenario, r.Executor, r.Events, r.Evacuations)
-		workload.WriteSummary(os.Stdout, r.Result)
+		printRun(r)
 	}
 	fmt.Println("\nevery run ended with all shards recovered, the online validator clean, and event-stream admissions matching the runner's count")
 	return nil
+}
+
+// printRun prints a scenario run's final counters through the same
+// formatter as `telecast-node replay`, so a local run and a wire replay read
+// line-for-line identically.
+func printRun(r experiments.ScenarioResult) {
+	fmt.Printf("\n--- %s on %s executor (%d events; event stream: %d accepted, %d rejected, %d evacuations, %d dropped) ---\n",
+		r.Scenario, r.Executor, r.Events, r.Stream.Accepted, r.Stream.Rejected, r.Stream.Evacuations, r.Stream.EventsDropped)
+	workload.WriteSummary(os.Stdout, r.Result)
 }
 
 func runChurn(setup experiments.Setup) error {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +10,7 @@ import (
 	"telecast/internal/overlay"
 	"telecast/internal/session"
 	"telecast/internal/trace"
+	"telecast/internal/workload"
 )
 
 // AblationFadeRow compares the ℜ = τr push-down offset (positions a pushed-
@@ -139,22 +138,18 @@ func RunAblationViewChange(setup Setup) (AblationViewChangeRow, error) {
 			return row, err
 		}
 		// With 1 Mbps of CDN the plain-mode audience must self-serve.
-		ctx := context.Background()
 		rng := rand.New(rand.NewSource(setup.Seed))
-		view0 := model.NewUniformView(producers, 0)
-		view1 := model.NewUniformView(producers, math.Pi/2)
 		n := setup.Audience / 2
-		for i := 0; i < n; i++ {
-			id := model.ViewerID(fmt.Sprintf("v%05d", i))
-			if _, err := ctrl.Join(ctx, id, setup.InboundMbps, 8+4*rng.Float64(), view0); err != nil && !errors.Is(err, session.ErrRejected) {
-				return row, err
-			}
-		}
+		events := joinEvents(n, UniformObw(8, 12), []float64{0}, rng)
 		for i := 0; i < n/3; i++ {
-			id := model.ViewerID(fmt.Sprintf("v%05d", rng.Intn(n)))
-			if _, err := ctrl.ChangeView(ctx, id, view1); err != nil && !errors.Is(err, session.ErrRejected) {
-				return row, err
-			}
+			events = append(events, workload.Event{
+				Kind:      workload.EventViewChange,
+				Viewer:    viewerID(rng.Intn(n)),
+				ViewAngle: math.Pi / 2,
+			})
+		}
+		if err := setup.replay(ctrl, producers, "ablation-view-change", events); err != nil {
+			return row, err
 		}
 		st := ctrl.Stats()
 		if plain {

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"telecast/internal/trace"
 	"telecast/internal/workload"
 )
 
@@ -22,7 +20,7 @@ type ChurnResult struct {
 	PeakViewers                          int
 	// FinalAcceptance is ρ over the whole run, including churn.
 	FinalAcceptance float64
-	// MinAcceptance is the worst ρ observed at any sample point.
+	// MinAcceptance is the worst ρ observed at any sample.
 	MinAcceptance float64
 }
 
@@ -30,42 +28,15 @@ type ChurnResult struct {
 // deterministic discrete-event runner with invariant validation at every
 // sample.
 func RunChurn(setup Setup) (ChurnResult, error) {
-	producers, err := setup.producers()
-	if err != nil {
-		return ChurnResult{}, err
-	}
 	cfg := workload.DefaultConfig(setup.Seed)
 	cfg.FlashCrowd = setup.Audience / 2
 	cfg.ViewAngles = []float64{0, 1.5707963267948966, 3.141592653589793}
 	cfg.InboundMbps = setup.InboundMbps
-	// Materialize the schedule first so the latency matrix can be sized
-	// for every join it contains.
 	sc, err := workload.FlashChurn(cfg)
 	if err != nil {
 		return ChurnResult{}, fmt.Errorf("churn: %w", err)
 	}
-	events, err := workload.Collect(sc, cfg.Seed)
-	if err != nil {
-		return ChurnResult{}, fmt.Errorf("churn: %w", err)
-	}
-	joins := 0
-	for _, ev := range events {
-		if ev.Kind == workload.EventJoin {
-			joins++
-		}
-	}
-	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(joins+16, setup.Seed))
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	ctrl, err := setup.controllerWith(lat, 6000)
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	res, err := workload.NewSimRunner().Run(context.Background(), ctrl, producers,
-		workload.Schedule("flash-churn", events),
-		workload.WithSeed(cfg.Seed),
-		workload.WithInbound(cfg.InboundMbps),
+	res, err := setup.execute(sc, false,
 		workload.WithHorizon(cfg.Duration),
 		workload.WithSampleEvery(time.Second),
 		workload.WithValidation(true),

@@ -55,11 +55,7 @@ func RunConcurrentJoin(setup Setup, regionCounts []int) ([]ConcurrentJoinRow, er
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := setup.controllerWith(lat, 0)
-		if err != nil {
-			return nil, err
-		}
-		producers, err := setup.producers()
+		ctrl, producers, err := setup.controllerWith(lat, 0)
 		if err != nil {
 			return nil, err
 		}

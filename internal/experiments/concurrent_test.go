@@ -22,33 +22,3 @@ func TestRunConcurrentJoinScalesRegions(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelPopulateMatchesSequential checks that the parallel driver
-// admits the same audience the sequential one does on an unbounded CDN
-// (admission there is order-independent: no shared-capacity races).
-func TestParallelPopulateMatchesSequential(t *testing.T) {
-	seq := DefaultSetup(3)
-	seq.Audience = 150
-	seq.MaxViewers = 220
-	par := seq
-	par.Parallel = true
-	par.BatchSize = 32
-
-	seqStats, err := seq.runScenario(seq.Audience, UniformObw(0, 12), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parStats, err := par.runScenario(par.Audience, UniformObw(0, 12), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.Overlay.Viewers != parStats.Overlay.Viewers {
-		t.Errorf("viewers: seq %d, par %d", seqStats.Overlay.Viewers, parStats.Overlay.Viewers)
-	}
-	if seqStats.Overlay.StreamsRequested != parStats.Overlay.StreamsRequested {
-		t.Errorf("requested: seq %d, par %d", seqStats.Overlay.StreamsRequested, parStats.Overlay.StreamsRequested)
-	}
-	if seqStats.Overlay.StreamsAccepted != parStats.Overlay.StreamsAccepted {
-		t.Errorf("accepted: seq %d, par %d", seqStats.Overlay.StreamsAccepted, parStats.Overlay.StreamsAccepted)
-	}
-}

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"telecast/internal/model"
 	"telecast/internal/session"
 	"telecast/internal/trace"
+	"telecast/internal/workload"
 )
 
 // Setup fixes the evaluation parameters shared by all experiments; the zero
@@ -45,13 +45,6 @@ type Setup struct {
 	Audience int
 	// Sizes is the viewer-count sweep for Fig 13 and Fig 15(b).
 	Sizes []int
-	// Parallel drives joins through the sharded JoinBatch fan-out instead
-	// of one sequential join per viewer. The request schedule is identical
-	// either way; admission order across regions becomes concurrent, which
-	// is exactly the deployment the paper's GSC/LSC split describes.
-	Parallel bool
-	// BatchSize bounds one JoinBatch fan-out in parallel mode (0 = 256).
-	BatchSize int
 }
 
 // DefaultSetup returns the §VII parameters.
@@ -122,96 +115,75 @@ func (s Setup) latency() (*trace.LatencyMatrix, error) {
 
 // newController assembles a controller with the given CDN egress bound
 // (0 = unbounded, used to measure required capacity in Fig. 13a).
-func (s Setup) newController(cdnCapMbps float64) (*session.Controller, error) {
+func (s Setup) newController(cdnCapMbps float64) (*session.Controller, *model.Session, error) {
 	lat, err := s.latency()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return s.controllerWith(lat, cdnCapMbps)
 }
 
-// controllerWith assembles a controller over an explicit latency matrix.
-func (s Setup) controllerWith(lat *trace.LatencyMatrix, cdnCapMbps float64) (*session.Controller, error) {
+// controllerWith assembles a controller over an explicit latency matrix and
+// returns it with the producers its views are composed against.
+func (s Setup) controllerWith(lat *trace.LatencyMatrix, cdnCapMbps float64) (*session.Controller, *model.Session, error) {
 	producers, err := s.producers()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cdnCfg := cdn.DefaultConfig()
 	cdnCfg.OutboundCapacityMbps = cdnCapMbps
 	// Telemetry is armed for every experiment controller: the scenario
 	// runners reduce the collector window into their exit latency tables,
 	// and the concurrent-join measurement counts outcomes from it.
-	return session.NewController(producers, lat,
+	ctrl, err := session.NewController(producers, lat,
 		session.WithCutoffDF(s.CutoffDF),
 		session.WithCDN(cdnCfg),
 		session.WithTelemetry(true))
+	return ctrl, producers, err
 }
 
-// populate joins n viewers with outbound capacities drawn from the spec and
-// views cycling through the setup's angles. In parallel mode the same
-// schedule is fanned out across LSC shards via JoinBatch. Admission-control
-// rejections are part of the measurement (they feed the acceptance-ratio
-// figures), so they are tolerated; every other error aborts the run.
-func (s Setup) populate(c *session.Controller, producers *model.Session, n int, obw OutboundSpec, rng *rand.Rand) error {
-	if s.Parallel {
-		return s.populateParallel(c, producers, n, obw, rng)
-	}
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
-		angle := s.ViewAngles[i%len(s.ViewAngles)]
-		view := model.NewUniformView(producers, angle)
-		id := model.ViewerID(fmt.Sprintf("v%05d", i))
-		if _, err := c.Join(ctx, id, s.InboundMbps, obw.Draw(rng), view); err != nil && !errors.Is(err, session.ErrRejected) {
-			return fmt.Errorf("populate viewer %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// viewerID names the i-th viewer of a population schedule.
+func viewerID(i int) model.ViewerID { return model.ViewerID(fmt.Sprintf("v%05d", i)) }
 
-// populateParallel drives the same deterministic request schedule through
-// the sharded batch admission path.
-func (s Setup) populateParallel(c *session.Controller, producers *model.Session, n int, obw OutboundSpec, rng *rand.Rand) error {
-	batch := s.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	reqs := make([]session.JoinRequest, n)
-	for i := 0; i < n; i++ {
-		angle := s.ViewAngles[i%len(s.ViewAngles)]
-		reqs[i] = session.JoinRequest{
-			ID:           model.ViewerID(fmt.Sprintf("v%05d", i)),
-			InboundMbps:  s.InboundMbps,
+// joinEvents is the population schedule of the controller-level figures: n
+// joins at t=0, outbound capacities drawn from obw in join order and views
+// cycling through angles.
+func joinEvents(n int, obw OutboundSpec, angles []float64, rng *rand.Rand) []workload.Event {
+	events := make([]workload.Event, n)
+	for i := range events {
+		events[i] = workload.Event{
+			Kind:         workload.EventJoin,
+			Viewer:       viewerID(i),
 			OutboundMbps: obw.Draw(rng),
-			View:         model.NewUniformView(producers, angle),
+			ViewAngle:    angles[i%len(angles)],
 		}
 	}
-	ctx := context.Background()
-	for at := 0; at < n; at += batch {
-		end := at + batch
-		if end > n {
-			end = n
-		}
-		for i, out := range c.JoinBatch(ctx, reqs[at:end]) {
-			if out.Err != nil && !errors.Is(out.Err, session.ErrRejected) {
-				return fmt.Errorf("populate viewer %d: %w", at+i, out.Err)
-			}
-		}
+	return events
+}
+
+// replay executes a schedule whose events all sit at t=0 on the
+// deterministic runner: every op goes through the controller's single-op
+// method in schedule order, and no sample point or monitor advance fires.
+// Admission-control rejections are part of the measurement (they feed the
+// acceptance-ratio figures), so the runner tolerates them; every other error
+// aborts the run.
+func (s Setup) replay(ctrl *session.Controller, producers *model.Session, name string, events []workload.Event) error {
+	_, err := workload.NewSimRunner().Run(context.Background(), ctrl, producers,
+		workload.Schedule(name, events), workload.WithInbound(s.InboundMbps))
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil
 }
 
 // runScenario joins n viewers and returns the session stats.
 func (s Setup) runScenario(n int, obw OutboundSpec, cdnCapMbps float64) (session.Stats, error) {
-	c, err := s.newController(cdnCapMbps)
-	if err != nil {
-		return session.Stats{}, err
-	}
-	producers, err := s.producers()
+	c, producers, err := s.newController(cdnCapMbps)
 	if err != nil {
 		return session.Stats{}, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	if err := s.populate(c, producers, n, obw, rng); err != nil {
+	if err := s.replay(c, producers, "populate", joinEvents(n, obw, s.ViewAngles, rng)); err != nil {
 		return session.Stats{}, err
 	}
 	if err := c.Validate(); err != nil {

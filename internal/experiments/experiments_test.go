@@ -380,8 +380,11 @@ func TestScenarioExperimentWallclock(t *testing.T) {
 	if res.JoinsPerSec <= 0 {
 		t.Error("no achieved throughput reported")
 	}
-	if res.EventsDropped == 0 && res.StreamAccepted != res.Joins {
-		t.Errorf("stream counted %d admissions, runner %d", res.StreamAccepted, res.Joins)
+	if res.Executor != "wallclock" {
+		t.Errorf("executor = %q, want wallclock", res.Executor)
+	}
+	if res.Stream.EventsDropped == 0 && res.Stream.Accepted != res.Joins {
+		t.Errorf("stream counted %d admissions, runner %d", res.Stream.Accepted, res.Joins)
 	}
 }
 

@@ -1,46 +1,21 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"telecast/internal/trace"
 	"telecast/internal/workload"
 )
-
-// FaultRow is one fault-injection run: a catalog chaos scenario executed on
-// one runner, with the control plane validated after the last recovery.
-type FaultRow struct {
-	Scenario string
-	// Executor names the runner: "sim" (discrete-event) or "wallclock"
-	// (parallel batch pipeline).
-	Executor string
-	Events   int
-	// FaultsInjected counts executed fault events; ShardDown the operations
-	// refused by a killed shard.
-	FaultsInjected, ShardDown int
-	Joins, Rejected, Leaves   int
-	// Evacuations counts recovery-driven handoffs that landed on a
-	// surviving region (from the event stream).
-	Evacuations     int
-	PeakViewers     int
-	FinalAcceptance float64
-	Elapsed         time.Duration
-	// Result is the runner's full tally, so callers can feed the shared
-	// workload.WriteSummary formatter (counters plus the telemetry-derived
-	// latency table).
-	Result workload.Result
-}
 
 // RunFaults drives the kill/recover chaos scenarios through both runners:
 // the outage scenario (two snapshot/kill/recover cycles of the hot shard
 // under region-concentrated churn) on the discrete-event and the wall-clock
 // executor, and the cdn-collapse scenario (egress shrunk to 40% mid-run) on
-// the wall-clock executor. Every run finishes with the epoch-based online
-// validator clean and the event-stream counters reconciled against the
-// runner's — the acceptance criterion of the fault-injection subsystem.
-func RunFaults(setup Setup) ([]FaultRow, error) {
+// the wall-clock executor. Every run finishes with every shard recovered, the
+// epoch-based online validator clean and the event-stream counters
+// reconciled against the runner's — the acceptance criterion of the
+// fault-injection subsystem.
+func RunFaults(setup Setup) ([]ScenarioResult, error) {
 	runs := []struct {
 		name      string
 		wallclock bool
@@ -49,101 +24,25 @@ func RunFaults(setup Setup) ([]FaultRow, error) {
 		{"outage", true},
 		{"cdn-collapse", true},
 	}
-	rows := make([]FaultRow, 0, len(runs))
+	rows := make([]ScenarioResult, 0, len(runs))
 	for _, r := range runs {
-		row, err := runFaultScenario(setup, r.name, r.wallclock)
+		sc, err := workload.FromCatalog(r.name, workload.Knobs{
+			Seed:       setup.Seed,
+			Audience:   setup.Audience,
+			Duration:   30 * time.Second,
+			ViewAngles: setup.ViewAngles,
+		})
 		if err != nil {
 			return nil, err
+		}
+		row, err := setup.execute(sc, r.wallclock, workload.WithValidation(true))
+		if err != nil {
+			return nil, fmt.Errorf("faults %w", err)
+		}
+		if row.FaultsInjected == 0 {
+			return nil, fmt.Errorf("faults %s/%s: scenario injected no faults", r.name, row.Executor)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func runFaultScenario(setup Setup, name string, wallclock bool) (FaultRow, error) {
-	const duration = 30 * time.Second
-	sc, err := workload.FromCatalog(name, workload.Knobs{
-		Seed:       setup.Seed,
-		Audience:   setup.Audience,
-		Duration:   duration,
-		ViewAngles: setup.ViewAngles,
-	})
-	if err != nil {
-		return FaultRow{}, err
-	}
-	events, err := workload.Collect(sc, setup.Seed)
-	if err != nil {
-		return FaultRow{}, err
-	}
-	joins := 0
-	for _, ev := range events {
-		if ev.Kind == workload.EventJoin {
-			joins++
-		}
-	}
-	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(joins+16, setup.Seed))
-	if err != nil {
-		return FaultRow{}, err
-	}
-	producers, err := setup.producers()
-	if err != nil {
-		return FaultRow{}, err
-	}
-	ctrl, err := setup.controllerWith(lat, 6000)
-	if err != nil {
-		return FaultRow{}, err
-	}
-	runner := workload.NewSimRunner()
-	executor := "sim"
-	if wallclock {
-		runner = workload.NewParallelRunner()
-		executor = "wallclock"
-	}
-	tracker := workload.TrackAcceptance(ctrl)
-	res, err := runner.Run(context.Background(), ctrl, producers,
-		workload.Schedule(name, events),
-		workload.WithSeed(setup.Seed),
-		workload.WithInbound(setup.InboundMbps),
-		workload.WithValidation(true),
-		workload.WithInjector(ctrl),
-	)
-	totals := tracker.Stop()
-	if err != nil {
-		return FaultRow{}, fmt.Errorf("faults %s/%s: %w", name, executor, err)
-	}
-	if res.FaultsInjected == 0 {
-		return FaultRow{}, fmt.Errorf("faults %s/%s: scenario injected no faults", name, executor)
-	}
-	// Every region must be back up and the whole plane consistent: overlay
-	// invariants on every shard, CDN accounting exact.
-	for r := 0; r < trace.DefaultRegions; r++ {
-		if ctrl.ShardDown(trace.Region(r)) {
-			return FaultRow{}, fmt.Errorf("faults %s/%s: region %d still down after run", name, executor, r)
-		}
-	}
-	if err := ctrl.Validate(); err != nil {
-		return FaultRow{}, fmt.Errorf("faults %s/%s: invariants after run: %w", name, executor, err)
-	}
-	// Cross-check the runner against the observation path. Replayed
-	// re-admissions during recovery happen below the event layer, so the
-	// stream's Accepted total still matches the runner's join count exactly.
-	if totals.EventsDropped == 0 && totals.Accepted != res.Joins {
-		return FaultRow{}, fmt.Errorf("faults %s/%s: event stream counted %d admissions, runner says %d",
-			name, executor, totals.Accepted, res.Joins)
-	}
-	return FaultRow{
-		Scenario:        name,
-		Executor:        executor,
-		Events:          len(events),
-		FaultsInjected:  res.FaultsInjected,
-		ShardDown:       res.ShardDown,
-		Joins:           res.Joins,
-		Rejected:        res.Rejected,
-		Leaves:          res.Leaves,
-		Evacuations:     totals.Evacuations,
-		PeakViewers:     res.PeakViewers,
-		FinalAcceptance: res.FinalAcceptance,
-		Elapsed:         res.Elapsed,
-		Result:          res,
-	}, nil
 }

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"telecast/internal/metrics"
-	"telecast/internal/model"
-	"telecast/internal/session"
+	"telecast/internal/workload"
 )
 
 // Fig14aResult is the distribution of the maximum delay layer across each
@@ -110,28 +107,25 @@ type Fig14cResult struct {
 // RunFig14c joins 1000 viewers and performs 300 view changes, collecting the
 // protocol latencies.
 func RunFig14c(setup Setup) (Fig14cResult, error) {
-	c, err := setup.newController(6000)
-	if err != nil {
-		return Fig14cResult{}, err
-	}
-	producers, err := setup.producers()
+	c, producers, err := setup.newController(6000)
 	if err != nil {
 		return Fig14cResult{}, err
 	}
 	rng := rand.New(rand.NewSource(setup.Seed))
-	if err := setup.populate(c, producers, setup.Audience, UniformObw(0, 12), rng); err != nil {
-		return Fig14cResult{}, fmt.Errorf("fig14c populate: %w", err)
-	}
-	changes := setup.Audience / 3
-	for i := 0; i < changes; i++ {
-		id := model.ViewerID(fmt.Sprintf("v%05d", rng.Intn(setup.Audience)))
+	events := joinEvents(setup.Audience, UniformObw(0, 12), setup.ViewAngles, rng)
+	for i := 0; i < setup.Audience/3; i++ {
 		angle := math.Pi / 2
 		if i%2 == 1 {
 			angle = math.Pi
 		}
-		if _, err := c.ChangeView(context.Background(), id, model.NewUniformView(producers, angle)); err != nil && !errors.Is(err, session.ErrRejected) {
-			return Fig14cResult{}, fmt.Errorf("fig14c change %d: %w", i, err)
-		}
+		events = append(events, workload.Event{
+			Kind:      workload.EventViewChange,
+			Viewer:    viewerID(rng.Intn(setup.Audience)),
+			ViewAngle: angle,
+		})
+	}
+	if err := setup.replay(c, producers, "fig14c", events); err != nil {
+		return Fig14cResult{}, err
 	}
 	if err := c.Validate(); err != nil {
 		return Fig14cResult{}, fmt.Errorf("fig14c invariants: %w", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"telecast/internal/baseline"
 	"telecast/internal/cdn"
 	"telecast/internal/model"
 )
@@ -26,26 +25,25 @@ type Fig15Result struct {
 
 // runRandomScenario joins n viewers through the baseline router with the
 // same CDN budget, inbound capacity, and view mix as the TeleCast runs.
-func (s Setup) runRandomScenario(n int, obw OutboundSpec, cdnCapMbps float64) (baseline.Snapshot, error) {
+func (s Setup) runRandomScenario(n int, obw OutboundSpec, cdnCapMbps float64) (randomSnapshot, error) {
 	producers, err := s.producers()
 	if err != nil {
-		return baseline.Snapshot{}, err
+		return randomSnapshot{}, err
 	}
 	dist := cdn.New(cdn.Config{OutboundCapacityMbps: cdnCapMbps, Delta: evalDelta})
 	rng := rand.New(rand.NewSource(s.Seed))
-	router, err := baseline.NewRouter(producers, dist, rng, s.CutoffDF)
+	router, err := newRandomRouter(producers, dist, rng, s.CutoffDF)
 	if err != nil {
-		return baseline.Snapshot{}, err
+		return randomSnapshot{}, err
 	}
 	for i := 0; i < n; i++ {
 		angle := s.ViewAngles[i%len(s.ViewAngles)]
 		view := model.NewUniformView(producers, angle)
-		id := model.ViewerID(fmt.Sprintf("v%05d", i))
-		if _, err := router.Join(id, s.InboundMbps, obw.Draw(rng), view); err != nil {
-			return baseline.Snapshot{}, fmt.Errorf("random join %d: %w", i, err)
+		if _, err := router.join(viewerID(i), s.InboundMbps, obw.Draw(rng), view); err != nil {
+			return randomSnapshot{}, fmt.Errorf("random join %d: %w", i, err)
 		}
 	}
-	return router.Snapshot(), nil
+	return router.snapshot(), nil
 }
 
 // RunFig15a sweeps the per-viewer outbound bandwidth from 0 to 10 Mbps at

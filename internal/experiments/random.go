@@ -1,11 +1,12 @@
-// Package baseline implements the Random dissemination scheme the paper
-// compares against (§VII, Fig. 15): the randomized routing of [19] that
-// works well among producers but lacks 4D TeleCast's clustering and
-// bandwidth pre-allocation. A joining node is randomly attached, per stream,
-// to any node that can still serve the request; there is no view grouping,
-// no priority-ordered inbound allocation, no round-robin outbound
+package experiments
+
+// This file implements the Random dissemination scheme the paper compares
+// against (§VII, Fig. 15): the randomized routing of [19] that works well
+// among producers but lacks 4D TeleCast's clustering and bandwidth
+// pre-allocation. A joining node is randomly attached, per stream, to any
+// node that can still serve the request; there is no view grouping, no
+// priority-ordered inbound allocation, no round-robin outbound
 // pre-allocation, and no degree push-down.
-package baseline
 
 import (
 	"fmt"
@@ -15,8 +16,8 @@ import (
 	"telecast/internal/model"
 )
 
-// Viewer is the baseline's per-viewer record.
-type Viewer struct {
+// randomViewer is the baseline's per-viewer record.
+type randomViewer struct {
 	ID           model.ViewerID
 	InboundMbps  float64
 	OutboundMbps float64
@@ -31,17 +32,14 @@ type Viewer struct {
 	children map[model.StreamID][]model.ViewerID
 }
 
-// Router is the random-dissemination control plane.
-type Router struct {
+// randomRouter is the random-dissemination control plane.
+type randomRouter struct {
 	session *model.Session
 	cdn     *cdn.CDN
 	rng     *rand.Rand
 	cutoff  float64
-	// probes is how many random candidates a join tries per stream
-	// before the CDN fallback; the paper's scheme uses exactly one.
-	probes int
 
-	viewers map[model.ViewerID]*Viewer
+	viewers map[model.ViewerID]*randomViewer
 	// receivers lists, per stream, the viewers currently receiving it —
 	// the candidate parent pool.
 	receivers map[model.StreamID][]model.ViewerID
@@ -51,44 +49,41 @@ type Router struct {
 	viewersRejected  int
 }
 
-// NewRouter builds a baseline router. The rng drives parent selection; pass
-// a seeded source for reproducible experiments. The scheme attaches a
-// joining node to ONE randomly chosen node per stream ("a joining node is
-// randomly attached to another node, which can serve the request"); use
-// SetProbes to study friendlier multi-probe variants.
-func NewRouter(session *model.Session, dist *cdn.CDN, rng *rand.Rand, cutoffDF float64) (*Router, error) {
+// newRandomRouter builds a baseline router. The rng drives parent
+// selection; pass a seeded source for reproducible experiments.
+func newRandomRouter(session *model.Session, dist *cdn.CDN, rng *rand.Rand, cutoffDF float64) (*randomRouter, error) {
 	if session == nil || dist == nil || rng == nil {
 		return nil, fmt.Errorf("baseline router: session, cdn, and rng are required")
 	}
-	return &Router{
+	return &randomRouter{
 		session:   session,
 		cdn:       dist,
 		rng:       rng,
 		cutoff:    cutoffDF,
-		probes:    1,
-		viewers:   make(map[model.ViewerID]*Viewer),
+		viewers:   make(map[model.ViewerID]*randomViewer),
 		receivers: make(map[model.StreamID][]model.ViewerID),
 	}, nil
 }
 
-// JoinResult mirrors the overlay's result shape for the comparison harness.
-type JoinResult struct {
+// randomJoinResult mirrors the overlay's result shape for the comparison
+// harness.
+type randomJoinResult struct {
 	Admitted bool
 	Accepted []model.StreamID
 }
 
-// Join admits a viewer: for every requested stream (no priority order — the
+// join admits a viewer: for every requested stream (no priority order — the
 // baseline treats streams uniformly), pick a random capable parent, else the
 // CDN, else drop the stream. The same admission rule as 4D TeleCast applies
 // so the comparison is fair: at least one stream per producer site.
-func (r *Router) Join(id model.ViewerID, inMbps, outMbps float64, view model.View) (*JoinResult, error) {
+func (r *randomRouter) join(id model.ViewerID, inMbps, outMbps float64, view model.View) (*randomJoinResult, error) {
 	if _, dup := r.viewers[id]; dup {
 		return nil, fmt.Errorf("baseline join %s: viewer exists", id)
 	}
 	req := model.ComposeView(r.session, view, r.cutoff)
 	r.streamsRequested += len(req.Streams)
 
-	v := &Viewer{
+	v := &randomViewer{
 		ID:           id,
 		InboundMbps:  inMbps,
 		OutboundMbps: outMbps,
@@ -143,10 +138,10 @@ func (r *Router) Join(id model.ViewerID, inMbps, outMbps float64, view model.Vie
 		}
 		r.viewersRejected++
 		r.viewers[id] = v // known but empty, mirroring the overlay's books
-		return &JoinResult{Admitted: false}, nil
+		return &randomJoinResult{Admitted: false}, nil
 	}
 
-	res := &JoinResult{Admitted: true}
+	res := &randomJoinResult{Admitted: true}
 	for _, g := range grants {
 		if g.viaCDN {
 			v.Streams[g.id] = ""
@@ -163,36 +158,25 @@ func (r *Router) Join(id model.ViewerID, inMbps, outMbps float64, view model.Vie
 	return res, nil
 }
 
-// SetProbes overrides how many random candidates a join may try per stream
-// before falling back to the CDN. Must be at least 1.
-func (r *Router) SetProbes(n int) error {
-	if n < 1 {
-		return fmt.Errorf("baseline router: probes must be >= 1, got %d", n)
-	}
-	r.probes = n
-	return nil
-}
-
-// pickParent draws a uniformly random viewer already receiving the stream
-// and checks whether it has enough spare outbound; with the default single
-// probe this is exactly the paper's random attachment.
-func (r *Router) pickParent(id model.StreamID, bw float64) (model.ViewerID, bool) {
+// pickParent draws one uniformly random viewer already receiving the stream
+// and checks whether it has enough spare outbound: the paper's random
+// attachment ("a joining node is randomly attached to another node, which
+// can serve the request").
+func (r *randomRouter) pickParent(id model.StreamID, bw float64) (model.ViewerID, bool) {
 	pool := r.receivers[id]
 	if len(pool) == 0 {
 		return "", false
 	}
-	for i := 0; i < r.probes; i++ {
-		cand := pool[r.rng.Intn(len(pool))]
-		p := r.viewers[cand]
-		if p != nil && p.outUsed+bw <= p.OutboundMbps+1e-9 {
-			return cand, true
-		}
+	cand := pool[r.rng.Intn(len(pool))]
+	p := r.viewers[cand]
+	if p != nil && p.outUsed+bw <= p.OutboundMbps+1e-9 {
+		return cand, true
 	}
 	return "", false
 }
 
-// Snapshot summarizes acceptance for the comparison plots.
-type Snapshot struct {
+// randomSnapshot summarizes acceptance for the comparison plots.
+type randomSnapshot struct {
 	Viewers          int
 	Rejected         int
 	StreamsRequested int
@@ -201,16 +185,16 @@ type Snapshot struct {
 }
 
 // AcceptanceRatio returns ρ for the baseline.
-func (s Snapshot) AcceptanceRatio() float64 {
+func (s randomSnapshot) AcceptanceRatio() float64 {
 	if s.StreamsRequested == 0 {
 		return 1
 	}
 	return float64(s.StreamsAccepted) / float64(s.StreamsRequested)
 }
 
-// Snapshot returns the current accounting.
-func (r *Router) Snapshot() Snapshot {
-	return Snapshot{
+// snapshot returns the current accounting.
+func (r *randomRouter) snapshot() randomSnapshot {
+	return randomSnapshot{
 		Viewers:          len(r.viewers),
 		Rejected:         r.viewersRejected,
 		StreamsRequested: r.streamsRequested,

@@ -1,4 +1,4 @@
-package baseline
+package experiments
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 	"telecast/internal/model"
 )
 
-func testRouter(t *testing.T, cdnCap float64) (*Router, *model.Session) {
+func testRandomRouter(t *testing.T, cdnCap float64) (*randomRouter, *model.Session) {
 	t.Helper()
 	s, err := model.NewSession(
 		model.NewRingSite("A", 8, 2.0, 10),
@@ -20,87 +20,87 @@ func testRouter(t *testing.T, cdnCap float64) (*Router, *model.Session) {
 		t.Fatal(err)
 	}
 	dist := cdn.New(cdn.Config{OutboundCapacityMbps: cdnCap, Delta: 60 * time.Second})
-	r, err := NewRouter(s, dist, rand.New(rand.NewSource(3)), 0.5)
+	r, err := newRandomRouter(s, dist, rand.New(rand.NewSource(3)), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r, s
 }
 
-func TestNewRouterValidation(t *testing.T) {
-	if _, err := NewRouter(nil, nil, nil, 0); err == nil {
+func TestNewRandomRouterValidation(t *testing.T) {
+	if _, err := newRandomRouter(nil, nil, nil, 0); err == nil {
 		t.Error("nil deps accepted")
 	}
 }
 
-func TestJoinServesFromCDNWhenNoPeers(t *testing.T) {
-	r, s := testRouter(t, 6000)
-	res, err := r.Join("v1", 12, 4, model.NewUniformView(s, 0))
+func TestRandomJoinServesFromCDNWhenNoPeers(t *testing.T) {
+	r, s := testRandomRouter(t, 6000)
+	res, err := r.join("v1", 12, 4, model.NewUniformView(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Admitted || len(res.Accepted) != 6 {
 		t.Fatalf("res = %+v", res)
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if snap.CDNUsage.OutTotalMbps != 12 {
 		t.Errorf("cdn usage = %v", snap.CDNUsage.OutTotalMbps)
 	}
 }
 
-func TestJoinDuplicate(t *testing.T) {
-	r, s := testRouter(t, 6000)
-	if _, err := r.Join("v1", 12, 0, model.NewUniformView(s, 0)); err != nil {
+func TestRandomJoinDuplicate(t *testing.T) {
+	r, s := testRandomRouter(t, 6000)
+	if _, err := r.join("v1", 12, 0, model.NewUniformView(s, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Join("v1", 12, 0, model.NewUniformView(s, 0)); err == nil {
+	if _, err := r.join("v1", 12, 0, model.NewUniformView(s, 0)); err == nil {
 		t.Error("duplicate join accepted")
 	}
 }
 
-func TestJoinUsesPeersWhenAvailable(t *testing.T) {
-	r, s := testRouter(t, 12) // CDN can seed exactly one full viewer
-	first, err := r.Join("v1", 12, 100, model.NewUniformView(s, 0))
+func TestRandomJoinUsesPeersWhenAvailable(t *testing.T) {
+	r, s := testRandomRouter(t, 12) // CDN can seed exactly one full viewer
+	first, err := r.join("v1", 12, 100, model.NewUniformView(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Admitted || len(first.Accepted) != 6 {
 		t.Fatalf("first = %+v", first)
 	}
-	second, err := r.Join("v2", 12, 0, model.NewUniformView(s, 0))
+	second, err := r.join("v2", 12, 0, model.NewUniformView(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.Admitted || len(second.Accepted) != 6 {
 		t.Fatalf("second should ride on v1's outbound: %+v", second)
 	}
-	if r.Snapshot().CDNUsage.OutTotalMbps != 12 {
+	if r.snapshot().CDNUsage.OutTotalMbps != 12 {
 		t.Error("peer-served streams must not consume CDN")
 	}
 }
 
-func TestJoinRejectsWithoutSupply(t *testing.T) {
-	r, s := testRouter(t, 2) // one stream of CDN budget: cannot cover 2 sites
-	res, err := r.Join("v1", 12, 0, model.NewUniformView(s, 0))
+func TestRandomJoinRejectsWithoutSupply(t *testing.T) {
+	r, s := testRandomRouter(t, 2) // one stream of CDN budget: cannot cover 2 sites
+	res, err := r.join("v1", 12, 0, model.NewUniformView(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Admitted {
 		t.Fatalf("admitted with 2 Mbps CDN: %+v", res)
 	}
-	if r.Snapshot().Rejected != 1 {
+	if r.snapshot().Rejected != 1 {
 		t.Error("rejection not counted")
 	}
 }
 
-func TestAcceptanceAccountingAndRatio(t *testing.T) {
-	r, s := testRouter(t, 6000)
+func TestRandomAcceptanceAccountingAndRatio(t *testing.T) {
+	r, s := testRandomRouter(t, 6000)
 	for i := 0; i < 10; i++ {
-		if _, err := r.Join(model.ViewerID(fmt.Sprintf("v%d", i)), 12, 6, model.NewUniformView(s, 0)); err != nil {
+		if _, err := r.join(model.ViewerID(fmt.Sprintf("v%d", i)), 12, 6, model.NewUniformView(s, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if snap.StreamsRequested != 60 {
 		t.Fatalf("requested = %d", snap.StreamsRequested)
 	}
@@ -112,14 +112,14 @@ func TestAcceptanceAccountingAndRatio(t *testing.T) {
 	}
 }
 
-func TestOutboundNeverOversubscribed(t *testing.T) {
-	r, s := testRouter(t, 12)
+func TestRandomOutboundNeverOversubscribed(t *testing.T) {
+	r, s := testRandomRouter(t, 12)
 	// One seed with 4 Mbps outbound: at most 2 peer-served streams total.
-	if _, err := r.Join("seed", 12, 4, model.NewUniformView(s, 0)); err != nil {
+	if _, err := r.join("seed", 12, 4, model.NewUniformView(s, 0)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := r.Join(model.ViewerID(fmt.Sprintf("v%d", i)), 12, 0, model.NewUniformView(s, 0)); err != nil {
+		if _, err := r.join(model.ViewerID(fmt.Sprintf("v%d", i)), 12, 0, model.NewUniformView(s, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,9 +134,9 @@ func TestOutboundNeverOversubscribed(t *testing.T) {
 	}
 }
 
-func TestZeroRequestRatioIsOne(t *testing.T) {
-	r, _ := testRouter(t, 100)
-	if got := r.Snapshot().AcceptanceRatio(); got != 1 {
+func TestRandomZeroRequestRatioIsOne(t *testing.T) {
+	r, _ := testRandomRouter(t, 100)
+	if got := r.snapshot().AcceptanceRatio(); got != 1 {
 		t.Errorf("empty ratio = %v", got)
 	}
 }

@@ -25,33 +25,20 @@ type ScenarioOptions struct {
 	Validate bool
 }
 
-// ScenarioResult is one catalog-scenario run, with the runner's counters
-// cross-checked against the control plane's event stream.
+// ScenarioResult is one scenario run on a fresh controller: the runner's
+// tally, with its counters cross-checked against the control plane's event
+// stream and the plane validated after the last event.
 type ScenarioResult struct {
-	Scenario  string
-	Wallclock bool
-	Events    int
-	// Joins/Rejected/Leaves/ViewChanges are the runner's executed-event
-	// counters; Regions counts the distinct LSC shards that processed
-	// joins.
-	Joins, Rejected, Leaves, ViewChanges int
-	// Migrations counts cross-region handoffs that landed on their
-	// destination shard, MigrationsBounced those the destination refused
-	// (viewer restored on source or departed).
-	Migrations, MigrationsBounced int
-	PeakViewers, Regions          int
-	Elapsed                       time.Duration
-	// JoinsPerSec is the achieved admission throughput (wall-clock runs).
-	JoinsPerSec     float64
-	FinalAcceptance float64
-	MinAcceptance   float64
-	// StreamAccepted/StreamRejected/EventsDropped are what the
-	// Controller.Subscribe stream reported for the same run.
-	StreamAccepted, StreamRejected int
-	EventsDropped                  uint64
-	// Latency is the per-op wall-clock latency table reduced from the
-	// controller's telemetry collector over this run.
-	Latency []workload.OpLatency
+	workload.Result
+	// Executor names the runner: "sim" (discrete-event) or "wallclock"
+	// (parallel batch pipeline).
+	Executor string
+	// Events is the length of the executed schedule.
+	Events int
+	// Stream is what the Controller.Subscribe stream reported for the same
+	// run; its Evacuations count recovery-driven handoffs that landed on a
+	// surviving region.
+	Stream workload.AcceptanceTotals
 }
 
 // RunScenario instantiates a catalog scenario by name, sizes a controller
@@ -62,20 +49,34 @@ func RunScenario(setup Setup, name string, o ScenarioOptions) (ScenarioResult, e
 	if o.Duration <= 0 {
 		o.Duration = 30 * time.Second
 	}
-	knobs := workload.Knobs{
+	sc, err := workload.FromCatalog(name, workload.Knobs{
 		Seed:       setup.Seed,
 		Audience:   setup.Audience,
 		Duration:   o.Duration,
 		ViewAngles: []float64{0, 1.5707963267948966, 3.141592653589793},
-	}
-	sc, err := workload.FromCatalog(name, knobs)
+	})
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	// Materialize the schedule so the latency matrix covers every join.
-	events, err := workload.Collect(sc, setup.Seed)
+	opts := []workload.Option{workload.WithValidation(!o.Wallclock || o.Validate)}
+	for _, s := range o.Sinks {
+		opts = append(opts, workload.WithSink(s))
+	}
+	return setup.execute(sc, o.Wallclock, opts...)
+}
+
+// execute is the one path a scenario takes through a controller here. It
+// materialises the schedule so the latency matrix covers every join, builds
+// a controller with the paper's 6000 Mbps CDN bound, and runs the schedule
+// on the runner the mode selects, with the controller as fault injector so
+// fault-bearing scenarios run out of the box. The run must end with every
+// shard back up, the plane valid, and the event stream's admission and
+// migration-arrival counts equal to the runner's.
+func (s Setup) execute(sc workload.Scenario, wallclock bool, opts ...workload.Option) (ScenarioResult, error) {
+	name := sc.Name()
+	events, err := workload.Collect(sc, s.Seed)
 	if err != nil {
-		return ScenarioResult{}, err
+		return ScenarioResult{}, fmt.Errorf("%s: %w", name, err)
 	}
 	joins := 0
 	for _, ev := range events {
@@ -83,69 +84,48 @@ func RunScenario(setup Setup, name string, o ScenarioOptions) (ScenarioResult, e
 			joins++
 		}
 	}
-	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(joins+16, setup.Seed))
+	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(joins+16, s.Seed))
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	producers, err := setup.producers()
+	ctrl, producers, err := s.controllerWith(lat, 6000)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	ctrl, err := setup.controllerWith(lat, 6000)
-	if err != nil {
-		return ScenarioResult{}, err
+	runner, executor := workload.NewSimRunner(), "sim"
+	if wallclock {
+		runner, executor = workload.NewParallelRunner(), "wallclock"
 	}
-	runner := workload.NewSimRunner()
-	if o.Wallclock {
-		runner = workload.NewParallelRunner()
-	}
-	opts := []workload.Option{
-		workload.WithSeed(setup.Seed),
-		workload.WithInbound(setup.InboundMbps),
-		workload.WithValidation(!o.Wallclock || o.Validate),
-		// The controller is the canonical injector, so fault-bearing
-		// scenarios (outage, cdn-collapse) run out of the box.
+	run := name + "/" + executor
+	opts = append([]workload.Option{
+		workload.WithSeed(s.Seed),
+		workload.WithInbound(s.InboundMbps),
 		workload.WithInjector(ctrl),
-	}
-	for _, s := range o.Sinks {
-		opts = append(opts, workload.WithSink(s))
-	}
+	}, opts...)
 	tracker := workload.TrackAcceptance(ctrl)
 	res, err := runner.Run(context.Background(), ctrl, producers, workload.Schedule(name, events), opts...)
 	totals := tracker.Stop()
 	if err != nil {
-		return ScenarioResult{}, fmt.Errorf("scenario %s: %w", name, err)
+		return ScenarioResult{}, fmt.Errorf("%s: %w", run, err)
+	}
+	for r := 0; r < trace.DefaultRegions; r++ {
+		if ctrl.ShardDown(trace.Region(r)) {
+			return ScenarioResult{}, fmt.Errorf("%s: region %d still down after run", run, r)
+		}
 	}
 	if err := ctrl.Validate(); err != nil {
-		return ScenarioResult{}, fmt.Errorf("scenario %s: invariants after run: %w", name, err)
+		return ScenarioResult{}, fmt.Errorf("%s: invariants after run: %w", run, err)
 	}
+	// Replayed re-admissions during recovery happen below the event layer,
+	// so the stream's Accepted total matches the runner's join count
+	// exactly even under fault injection.
 	if totals.EventsDropped == 0 && totals.Accepted != res.Joins {
-		return ScenarioResult{}, fmt.Errorf("scenario %s: event stream counted %d admissions, runner says %d",
-			name, totals.Accepted, res.Joins)
+		return ScenarioResult{}, fmt.Errorf("%s: event stream counted %d admissions, runner says %d",
+			run, totals.Accepted, res.Joins)
 	}
 	if totals.EventsDropped == 0 && totals.MigratedIn != res.Migrations {
-		return ScenarioResult{}, fmt.Errorf("scenario %s: event stream counted %d migration arrivals, runner says %d",
-			name, totals.MigratedIn, res.Migrations)
+		return ScenarioResult{}, fmt.Errorf("%s: event stream counted %d migration arrivals, runner says %d",
+			run, totals.MigratedIn, res.Migrations)
 	}
-	return ScenarioResult{
-		Scenario:          name,
-		Wallclock:         o.Wallclock,
-		Events:            len(events),
-		Joins:             res.Joins,
-		Rejected:          res.Rejected,
-		Leaves:            res.Leaves,
-		ViewChanges:       res.ViewChanges,
-		Migrations:        res.Migrations,
-		MigrationsBounced: res.MigrationsBounced,
-		PeakViewers:       res.PeakViewers,
-		Regions:           res.Regions,
-		Elapsed:           res.Elapsed,
-		JoinsPerSec:       res.JoinsPerSec,
-		FinalAcceptance:   res.FinalAcceptance,
-		MinAcceptance:     res.MinAcceptance,
-		StreamAccepted:    totals.Accepted,
-		StreamRejected:    totals.Rejected,
-		EventsDropped:     totals.EventsDropped,
-		Latency:           res.Latency,
-	}, nil
+	return ScenarioResult{Result: res, Executor: executor, Events: len(events), Stream: totals}, nil
 }

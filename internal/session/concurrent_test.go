@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +208,52 @@ func TestJoinBatchAndDepartBatch(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinBatchChunksMatchSerialAdmit checks that JoinBatch fan-outs in
+// chunks of 32 admit the same audience a serial Admit loop does over the
+// same requests. The CDN is unbounded, so admission is order-independent:
+// concurrent shards race for no shared capacity.
+func TestJoinBatchChunksMatchSerialAdmit(t *testing.T) {
+	const n, chunk = 150, 32
+	serial := testController(t, 256, 0)
+	batched := testController(t, 256, 0)
+	view := model.NewUniformView(serial.cfg.Producers, 0)
+	rng := rand.New(rand.NewSource(3))
+	reqs := make([]JoinRequest, n)
+	for i := range reqs {
+		reqs[i] = JoinRequest{ID: vid(i), InboundMbps: 12, OutboundMbps: 12 * rng.Float64(), View: view}
+	}
+	for _, rq := range reqs {
+		if _, err := serial.Admit(testCtx, rq); err != nil && !errors.Is(err, ErrRejected) {
+			t.Fatalf("admit %s: %v", rq.ID, err)
+		}
+	}
+	for at := 0; at < n; at += chunk {
+		for _, out := range batched.JoinBatch(testCtx, reqs[at:min(at+chunk, n)]) {
+			if out.Err != nil && !errors.Is(out.Err, ErrRejected) {
+				t.Fatalf("batch join %s: %v", out.ID, out.Err)
+			}
+		}
+	}
+	for _, c := range []*Controller{serial, batched} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, b := serial.Stats().Overlay, batched.Stats().Overlay
+	if s.Viewers != n || s.StreamsAccepted == 0 {
+		t.Fatalf("serial run admitted %d viewers with %d streams, want %d viewers", s.Viewers, s.StreamsAccepted, n)
+	}
+	if s.Viewers != b.Viewers {
+		t.Errorf("viewers: serial %d, batched %d", s.Viewers, b.Viewers)
+	}
+	if s.StreamsRequested != b.StreamsRequested {
+		t.Errorf("requested: serial %d, batched %d", s.StreamsRequested, b.StreamsRequested)
+	}
+	if s.StreamsAccepted != b.StreamsAccepted {
+		t.Errorf("accepted: serial %d, batched %d", s.StreamsAccepted, b.StreamsAccepted)
 	}
 }
 
