@@ -11,9 +11,11 @@ SHELL := bash
 # internal/session (it drives the unexported prepare phase directly), so the
 # bench targets cover that package alongside the root. internal/trace is
 # listed so `make bench` reports the latency substrate's build cost
-# (BenchmarkGenerateLatencyMatrix); it is in no guard.
-HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery
-BENCH_PKGS = . ./internal/session ./internal/trace
+# (BenchmarkGenerateLatencyMatrix); it is in no guard. internal/overlay holds
+# BenchmarkDeepCycle, a bare overlay manager's deep-tree ramp and drain
+# (ns, B and allocs per cycle); it is in no guard either.
+HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$
+BENCH_PKGS = . ./internal/session ./internal/trace ./internal/overlay
 
 # bench-smoke fails when a guarded benchmark's joins/s falls more than
 # MAX_REGRESS below the checked-in trajectory.

@@ -43,26 +43,23 @@ type AblationOutboundRow struct {
 // highest priority stream of each site, we can support maximum number of
 // viewers but with lower media quality", Fig. 8).
 func priorityOnlyPolicy(accepted []model.RankedStream, outboundMbps float64) overlay.OutboundAllocation {
-	alloc := overlay.OutboundAllocation{
-		Mbps:   make(map[model.StreamID]float64),
-		Degree: make(map[model.StreamID]int),
-	}
-	var tops []model.RankedStream
+	alloc := overlay.OutboundAllocation{Shares: make([]overlay.OutboundShare, len(accepted))}
+	var tops []int // positions in accepted of the site-top streams
 	seen := make(map[model.SiteID]bool)
-	for _, rs := range accepted { // priority order ⇒ first per site is top
+	for i, rs := range accepted { // priority order ⇒ first per site is top
 		if !seen[rs.Stream.ID.Site] {
 			seen[rs.Stream.ID.Site] = true
-			tops = append(tops, rs)
+			tops = append(tops, i)
 		}
 	}
 	// Round-robin across the site-top streams only.
 	for {
 		progress := false
-		for _, rs := range tops {
-			bw := rs.Stream.BitrateMbps
+		for _, i := range tops {
+			bw := accepted[i].Stream.BitrateMbps
 			if alloc.UsedMbps+bw <= outboundMbps+1e-9 {
-				alloc.Mbps[rs.Stream.ID] += bw
-				alloc.Degree[rs.Stream.ID]++
+				alloc.Shares[i].Mbps += bw
+				alloc.Shares[i].Deg++
 				alloc.UsedMbps += bw
 				progress = true
 			}
@@ -76,22 +73,18 @@ func priorityOnlyPolicy(accepted []model.RankedStream, outboundMbps float64) ove
 // equalSplitPolicy divides the budget evenly across accepted streams,
 // wasting each stream's sub-bitrate remainder.
 func equalSplitPolicy(accepted []model.RankedStream, outboundMbps float64) overlay.OutboundAllocation {
-	alloc := overlay.OutboundAllocation{
-		Mbps:   make(map[model.StreamID]float64, len(accepted)),
-		Degree: make(map[model.StreamID]int, len(accepted)),
-	}
+	alloc := overlay.OutboundAllocation{Shares: make([]overlay.OutboundShare, len(accepted))}
 	if len(accepted) == 0 {
 		return alloc
 	}
 	share := outboundMbps / float64(len(accepted))
-	for _, rs := range accepted {
+	for i, rs := range accepted {
 		deg := int(share / rs.Stream.BitrateMbps)
 		if deg <= 0 {
 			continue
 		}
-		alloc.Degree[rs.Stream.ID] = deg
 		mbps := float64(deg) * rs.Stream.BitrateMbps
-		alloc.Mbps[rs.Stream.ID] = mbps
+		alloc.Shares[i] = overlay.OutboundShare{Mbps: mbps, Deg: deg}
 		alloc.UsedMbps += mbps
 	}
 	return alloc

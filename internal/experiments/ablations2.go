@@ -117,7 +117,7 @@ type AblationViewChangeRow struct {
 func RunAblationViewChange(setup Setup) (AblationViewChangeRow, error) {
 	var row AblationViewChangeRow
 	for _, plain := range []bool{false, true} {
-		lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(setup.Audience+64, setup.Seed))
+		lat, err := setup.lats.matrix(trace.DefaultLatencyConfig(setup.Audience+64, setup.Seed))
 		if err != nil {
 			return row, err
 		}

@@ -51,7 +51,7 @@ func RunConcurrentJoin(setup Setup, regionCounts []int) ([]ConcurrentJoinRow, er
 		}
 		latCfg := trace.DefaultLatencyConfig(setup.Audience+regions+1, setup.Seed)
 		latCfg.Regions = regions
-		lat, err := trace.GenerateLatencyMatrix(latCfg)
+		lat, err := setup.lats.matrix(latCfg)
 		if err != nil {
 			return nil, err
 		}

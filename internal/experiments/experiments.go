@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"telecast/internal/cdn"
@@ -45,6 +46,38 @@ type Setup struct {
 	Audience int
 	// Sizes is the viewer-count sweep for Fig 13 and Fig 15(b).
 	Sizes []int
+
+	// lats is the run's latency substrate: every experiment run from this
+	// setup, or from a copy of it, shares the matrices it builds.
+	lats *latencies
+}
+
+// latencies builds each distinct latency substrate of a run once. A
+// generated matrix is immutable and a function of its config alone, so every
+// sweep point, scenario and controller that asks for the same
+// trace.LatencyConfig shares one matrix instead of regenerating it. A nil
+// *latencies (a Setup not made by DefaultSetup) generates on every call.
+type latencies struct {
+	mu    sync.Mutex
+	built map[trace.LatencyConfig]*trace.LatencyMatrix
+}
+
+// matrix returns the run's matrix for cfg, generating it on first use.
+func (l *latencies) matrix(cfg trace.LatencyConfig) (*trace.LatencyMatrix, error) {
+	if l == nil {
+		return trace.GenerateLatencyMatrix(cfg)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lat, ok := l.built[cfg]; ok {
+		return lat, nil
+	}
+	lat, err := trace.GenerateLatencyMatrix(cfg)
+	if err != nil {
+		return nil, err
+	}
+	l.built[cfg] = lat
+	return lat, nil
 }
 
 // DefaultSetup returns the §VII parameters.
@@ -61,6 +94,7 @@ func DefaultSetup(seed int64) Setup {
 		ViewAngles:     []float64{0},
 		Audience:       1000,
 		Sizes:          []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000},
+		lats:           &latencies{built: make(map[trace.LatencyConfig]*trace.LatencyMatrix)},
 	}
 }
 
@@ -107,10 +141,10 @@ func (s Setup) producers() (*model.Session, error) {
 	return model.NewSession(sites...)
 }
 
-// latency builds (or reuses) the shared PlanetLab-like matrix.
+// latency returns the run's PlanetLab-like matrix sized for MaxViewers,
+// built on first use.
 func (s Setup) latency() (*trace.LatencyMatrix, error) {
-	cfg := trace.DefaultLatencyConfig(s.MaxViewers+16, s.Seed)
-	return trace.GenerateLatencyMatrix(cfg)
+	return s.lats.matrix(trace.DefaultLatencyConfig(s.MaxViewers+16, s.Seed))
 }
 
 // newController assembles a controller with the given CDN egress bound

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
+
+	"telecast/internal/trace"
 )
 
 // testSetup shrinks the sweeps so the shape assertions run in seconds while
@@ -391,5 +394,46 @@ func TestScenarioExperimentWallclock(t *testing.T) {
 func TestScenarioExperimentUnknownName(t *testing.T) {
 	if _, err := RunScenario(testSetup(), "no-such-scenario", ScenarioOptions{}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestLatencySubstrateBuiltOncePerRun checks the run's latency substrate:
+// every copy of a DefaultSetup, from several goroutines at once, gets the
+// one matrix its config generated; a different config gets its own; and a
+// Setup not made by DefaultSetup still gets a matrix, freshly generated.
+func TestLatencySubstrateBuiltOncePerRun(t *testing.T) {
+	s := DefaultSetup(3)
+	s.MaxViewers = 40
+	const callers = 4
+	got := make([]*trace.LatencyMatrix, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int, s Setup) {
+			defer wg.Done()
+			lat, err := s.latency()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = lat
+		}(i, s)
+	}
+	wg.Wait()
+	for i, lat := range got {
+		if lat == nil || lat != got[0] {
+			t.Fatalf("caller %d got matrix %p, caller 0 %p", i, lat, got[0])
+		}
+	}
+	bigger := s
+	bigger.MaxViewers++
+	if lat, err := bigger.latency(); err != nil || lat == got[0] || lat.Nodes() != got[0].Nodes()+1 {
+		t.Fatalf("a larger config shared the matrix or failed: %v", err)
+	}
+	bare := Setup{Seed: 3, MaxViewers: 40}
+	a, errA := bare.latency()
+	b, errB := bare.latency()
+	if errA != nil || errB != nil || a == b || a.Nodes() != got[0].Nodes() {
+		t.Fatalf("a Setup without a substrate: %v %v, shared=%v", errA, errB, a == b)
 	}
 }

@@ -84,7 +84,7 @@ func (s Setup) execute(sc workload.Scenario, wallclock bool, opts ...workload.Op
 			joins++
 		}
 	}
-	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(joins+16, s.Seed))
+	lat, err := s.lats.matrix(trace.DefaultLatencyConfig(joins+16, s.Seed))
 	if err != nil {
 		return ScenarioResult{}, err
 	}

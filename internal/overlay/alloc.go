@@ -16,9 +16,14 @@ type SupplyFunc func(id model.StreamID, bitrateMbps float64) bool
 // (1) inbound capacity remains at the viewer and (2) the P2P layer or CDN
 // has outbound supply. Allocation stops at the first violation — lower
 // priority streams get nothing and are removed from the request.
+//
+// The accepted streams are therefore always a prefix of req.Streams, and
+// that prefix is what is returned: a subslice of the request, capped at its
+// length so an append cannot write into the request, and no copy. The
+// caller shares it read-only, like the request itself.
 func AllocateInbound(req model.ViewRequest, inboundMbps float64, supply SupplyFunc) []model.RankedStream {
 	var used float64
-	accepted := make([]model.RankedStream, 0, len(req.Streams))
+	n := 0
 	for _, rs := range req.Streams {
 		bw := rs.Stream.BitrateMbps
 		if used+bw > inboundMbps+bwEpsilon {
@@ -28,9 +33,9 @@ func AllocateInbound(req model.ViewRequest, inboundMbps float64, supply SupplyFu
 			break
 		}
 		used += bw
-		accepted = append(accepted, rs)
+		n++
 	}
-	return accepted
+	return req.Streams[:n:n]
 }
 
 // CoversAllSites reports whether the accepted prefix contains at least one
@@ -56,12 +61,21 @@ func CoversAllSites(sites []model.SiteID, accepted []model.RankedStream) bool {
 	return true
 }
 
+// OutboundShare is one accepted stream's part of a viewer's outbound
+// capacity.
+type OutboundShare struct {
+	// Mbps is the outbound bandwidth assigned to the stream, obw_Si.
+	Mbps float64
+	// Deg is the stream's out-degree ⌊obw_Si / bw_Si⌋.
+	Deg int
+}
+
 // OutboundAllocation is the result of the round-robin outbound assignment.
 type OutboundAllocation struct {
-	// Mbps is the outbound bandwidth assigned per stream.
-	Mbps map[model.StreamID]float64
-	// Degree is the per-stream out-degree ⌊obw_Si / bw_Si⌋.
-	Degree map[model.StreamID]int
+	// Shares is aligned with the accepted streams: Shares[i] is the
+	// allocation of accepted[i], the zero share when the stream got no
+	// bitrate unit.
+	Shares []OutboundShare
 	// UsedMbps is the total assigned outbound bandwidth.
 	UsedMbps float64
 }
@@ -74,20 +88,17 @@ type OutboundAllocation struct {
 // ones — is what positions the overlay in the middle of the quality vs.
 // viewer-count trade-off (Fig. 8).
 func AllocateOutbound(accepted []model.RankedStream, outboundMbps float64) OutboundAllocation {
-	alloc := OutboundAllocation{
-		Mbps:   make(map[model.StreamID]float64, len(accepted)),
-		Degree: make(map[model.StreamID]int, len(accepted)),
-	}
+	alloc := OutboundAllocation{Shares: make([]OutboundShare, len(accepted))}
 	if len(accepted) == 0 {
 		return alloc
 	}
 	for {
 		progress := false
-		for _, rs := range accepted {
+		for i, rs := range accepted {
 			bw := rs.Stream.BitrateMbps
 			if alloc.UsedMbps+bw <= outboundMbps+bwEpsilon {
-				alloc.Mbps[rs.Stream.ID] += bw
-				alloc.Degree[rs.Stream.ID]++
+				alloc.Shares[i].Mbps += bw
+				alloc.Shares[i].Deg++
 				alloc.UsedMbps += bw
 				progress = true
 			}

@@ -117,8 +117,11 @@ func TestAllocateOutboundRoundRobin(t *testing.T) {
 	if out.UsedMbps != 6 {
 		t.Fatalf("used %v, want 6", out.UsedMbps)
 	}
-	for i, rs := range req.Streams {
-		deg := out.Degree[rs.Stream.ID]
+	if len(out.Shares) != len(req.Streams) {
+		t.Fatalf("%d shares for %d streams", len(out.Shares), len(req.Streams))
+	}
+	for i := range req.Streams {
+		deg := out.Shares[i].Deg
 		want := 0
 		if i < 3 {
 			want = 1
@@ -138,15 +141,14 @@ func TestAllocateOutboundWrapsAround(t *testing.T) {
 	if out.UsedMbps != 14 {
 		t.Fatalf("used %v, want 14", out.UsedMbps)
 	}
-	top := req.Streams[0].Stream.ID
-	if out.Degree[top] != 2 {
-		t.Errorf("top degree = %d, want 2", out.Degree[top])
+	if out.Shares[0].Deg != 2 {
+		t.Errorf("top degree = %d, want 2", out.Shares[0].Deg)
 	}
 }
 
 func TestAllocateOutboundEmptyAndZero(t *testing.T) {
 	out := AllocateOutbound(nil, 100)
-	if out.UsedMbps != 0 || len(out.Degree) != 0 {
+	if out.UsedMbps != 0 || len(out.Shares) != 0 {
 		t.Errorf("empty alloc = %+v", out)
 	}
 	s := allocSession(t)
@@ -171,8 +173,8 @@ func TestAllocateOutboundProperty(t *testing.T) {
 		}
 		prev := math.MaxInt32
 		minDeg, maxDeg := math.MaxInt32, 0
-		for _, rs := range req.Streams {
-			d := out.Degree[rs.Stream.ID]
+		for i := range req.Streams {
+			d := out.Shares[i].Deg
 			if d > prev {
 				return false // priority invariant violated
 			}
@@ -203,19 +205,19 @@ func TestAllocateOutboundHeterogeneous(t *testing.T) {
 	if out.UsedMbps > 6+1e-9 {
 		t.Fatalf("used %v over budget", out.UsedMbps)
 	}
-	for _, rs := range streams {
-		got := out.Mbps[rs.Stream.ID]
+	for i, rs := range streams {
+		got := out.Shares[i].Mbps
 		units := got / rs.Stream.BitrateMbps
 		if math.Abs(units-math.Round(units)) > 1e-6 {
 			t.Errorf("stream %v allocated %v, not a multiple of %v",
 				rs.Stream.ID, got, rs.Stream.BitrateMbps)
 		}
-		if out.Degree[rs.Stream.ID] != int(math.Round(units)) {
+		if out.Shares[i].Deg != int(math.Round(units)) {
 			t.Errorf("degree mismatch for %v", rs.Stream.ID)
 		}
 	}
 	// The 5 Mbps stream fits once (5), then 0.4 fits twice (5.8), 2 never.
-	if out.Degree[streams[0].Stream.ID] != 1 {
-		t.Errorf("S1 degree = %d", out.Degree[streams[0].Stream.ID])
+	if out.Shares[0].Deg != 1 {
+		t.Errorf("S1 degree = %d", out.Shares[0].Deg)
 	}
 }

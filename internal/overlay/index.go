@@ -21,9 +21,11 @@ package overlay
 // depth; a member moves between the two heaps of its bucket when a child
 // count crosses the free/full boundary (adjustFree); and a member's key
 // changes in place only when a delay refresh moves its EffE2E — the
-// tie-breaker after capacity — which refreshNode follows with rekey. Heap
-// sifts compare through nodeStore.lessSlot, i.e. inside the dense SoA
-// arrays; a Node is dereferenced only on a full (capacity, delay) tie.
+// tie-breaker after capacity — which Tree.settle follows with rekey, once
+// per node however often the node moved since the last settle (tree.go).
+// Heap sifts compare through nodeStore.lessSlot, i.e. inside the dense SoA
+// arrays; a Node is dereferenced only when capacity, delay and the 8-byte
+// viewer key all tie.
 // Because lessSlot is a total order the heap top is the unique minimum, so
 // placements are exactly those of the paper-literal findPositionScan.
 
@@ -181,7 +183,8 @@ func (li *levelIndex) adjustFree(s *nodeStore, n *Node) {
 	}
 }
 
-// rekey restores a filed node's heap position after its store.eff changed.
+// rekey restores a filed node's heap position after its store.eff changed
+// (Tree.settle).
 func (li *levelIndex) rekey(s *nodeStore, n *Node) {
 	h := li.buckets[n.OutDeg].half(n.FreeSlots() > 0)
 	s.heapFix(*h, s.pos[n.slot-1])

@@ -223,26 +223,29 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		allocate = m.outboundPolicy
 	}
 	out := allocate(accepted, info.OutboundMbps)
+	if len(out.Shares) != len(accepted) {
+		panic(fmt.Sprintf("overlay: outbound policy returned %d shares for %d accepted streams",
+			len(out.Shares), len(accepted)))
+	}
 
 	v := &Viewer{
-		Info:     info,
-		Request:  req,
-		Group:    group,
-		Nodes:    make([]*Node, 0, len(accepted)),
-		OutAlloc: out.Mbps,
-		OutDeg:   out.Degree,
+		Info:    info,
+		Request: req,
+		Group:   group,
+		Nodes:   make([]*Node, 0, len(accepted)),
+		Out:     out.Shares,
 	}
 	group.Members[info.ID] = v
 	m.viewers[info.ID] = v
 
 	resub := m.resub[:0]
 	var dropCause map[model.StreamID]RejectReason
-	for _, rs := range accepted {
+	for k, rs := range accepted {
 		id := rs.Stream.ID
 		bw := rs.Stream.BitrateMbps
 		pos := group.streamIndex(id)
 		tree := m.treeFor(group, pos, rs.Stream)
-		node := tree.NewNode(info.ID, out.Degree[id], info.OutboundMbps)
+		node := tree.NewNode(info.ID, out.Shares[k].Deg, info.OutboundMbps)
 		node.stream = int32(pos)
 		var placed bool
 		var displaced *Node
@@ -293,6 +296,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		}
 		m.resub = resub[:0] // displacements drained into the worklist
 		m.processPending()
+		group.settle()
 		m.viewersRejected++
 		res := &JoinResult{
 			Viewer:     v,
@@ -314,6 +318,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 	}
 	m.resub = resub[:0] // displacements drained into the worklist
 	m.processPending()
+	group.settle()
 
 	m.viewersAdmitted++
 	m.streamsAccepted += len(v.Nodes)
@@ -445,6 +450,7 @@ func (m *Manager) Leave(id model.ViewerID) error {
 	m.resubscribeBudget = m.propagationCap()
 	m.evict(v)
 	m.processPending()
+	v.Group.settle()
 	delete(m.viewers, id)
 	m.retireGroup(v.Group)
 	return nil
@@ -463,6 +469,7 @@ func (m *Manager) ChangeView(id model.ViewerID, view model.View) (*JoinResult, e
 	m.resubscribeBudget = m.propagationCap()
 	m.evict(v)
 	m.processPending()
+	v.Group.settle()
 	delete(m.viewers, id)
 	m.retireGroup(v.Group)
 	// A previously rejected viewer re-requesting is a fresh admission;
@@ -685,5 +692,8 @@ func (m *Manager) RefreshAll() int {
 		}
 	}
 	m.processPending()
+	for _, g := range m.groups {
+		g.settle()
+	}
 	return changed
 }

@@ -59,6 +59,7 @@ func (m *Manager) Extract(id model.ViewerID) (MigrationState, error) {
 	m.resubscribeBudget = m.propagationCap()
 	m.evict(v)
 	m.processPending()
+	v.Group.settle()
 	delete(m.viewers, id)
 	m.retireGroup(v.Group)
 	return st, nil

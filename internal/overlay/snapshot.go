@@ -237,19 +237,36 @@ func (m *Manager) validateViewer(vid model.ViewerID, v *Viewer) error {
 	return nil
 }
 
-// validateOutbound checks a member's outbound allocation (OutDeg and
-// OutAlloc, keyed by stream ID): no node has more children than the
-// out-degree the allocation grants its stream, and the allocation fits the
-// outbound capacity.
+// validateOutbound checks a member's outbound record (Viewer.Out, aligned
+// with the request's priority order): it spans no more than the request
+// and covers every stream the viewer holds a node in, each node's
+// out-degree is the one its share grants, no node has more children than
+// that, and the shares fit the outbound capacity.
 func validateOutbound(vid model.ViewerID, v *Viewer) error {
+	if len(v.Out) > len(v.Request.Streams) {
+		return errRecordDrift(string(vid), "outbound record longer than its request")
+	}
+	next := 0 // cursor into the request's priority order (validateViewer proved it)
 	for _, n := range v.Nodes {
-		if deg, ok := v.OutDeg[v.Group.ids[n.stream]]; ok && len(n.Children) > deg {
+		id := v.Group.ids[n.stream]
+		for next < len(v.Request.Streams) && v.Request.Streams[next].Stream.ID != id {
+			next++
+		}
+		if next >= len(v.Out) {
+			return errRecordDrift(string(vid), "node beyond its outbound record")
+		}
+		deg := v.Out[next].Deg
+		if n.OutDeg != deg {
+			return errRecordDrift(string(vid), "node out-degree off its outbound share")
+		}
+		if len(n.Children) > deg {
 			return errOverDegree(string(vid), len(n.Children), deg)
 		}
+		next++
 	}
 	var outUse float64
-	for _, mbps := range v.OutAlloc {
-		outUse += mbps
+	for _, sh := range v.Out {
+		outUse += sh.Mbps
 	}
 	if outUse > v.Info.OutboundMbps+1e-6 {
 		return errOutboundBound(string(vid), outUse, v.Info.OutboundMbps)

@@ -137,8 +137,27 @@ func viewFromStates(os []OrientationState) model.View {
 	return v
 }
 
-func sortedStreamIDs(ids []model.StreamID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+// requestIndex returns the priority position of a serialized stream ID in
+// the request.
+func requestIndex(req model.ViewRequest, stream string) (int, error) {
+	sid, err := model.ParseStreamID(stream)
+	if err != nil {
+		return 0, err
+	}
+	for i, rs := range req.Streams {
+		if rs.Stream.ID == sid {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("stream %v is not in the request", sid)
+}
+
+// growShares extends out with zero shares until index i exists.
+func growShares(out []OutboundShare, i int) []OutboundShare {
+	if i < len(out) {
+		return out
+	}
+	return append(out, make([]OutboundShare, i+1-len(out))...)
 }
 
 // ExportState captures the manager's logical state. The caller must hold the
@@ -197,24 +216,23 @@ func (m *Manager) ExportState() *ShardState {
 			InUsedMbps:   v.InUsedMbps,
 			Rejected:     v.Rejected,
 		}
-		if len(v.OutAlloc) > 0 {
-			ids := make([]model.StreamID, 0, len(v.OutAlloc))
-			for sid := range v.OutAlloc {
-				ids = append(ids, sid)
-			}
-			sortedStreamIDs(ids)
-			for _, sid := range ids {
-				vs.OutAlloc = append(vs.OutAlloc, StreamMbpsState{Stream: sid.String(), Mbps: v.OutAlloc[sid]})
-			}
+		// The shares are listed by stream ID, and only those of streams
+		// that got an outbound unit: a stream the allocation passed over
+		// holds the zero share and has no entry.
+		order := make([]int, len(v.Out))
+		for i := range order {
+			order[i] = i
 		}
-		if len(v.OutDeg) > 0 {
-			ids := make([]model.StreamID, 0, len(v.OutDeg))
-			for sid := range v.OutDeg {
-				ids = append(ids, sid)
+		sort.Slice(order, func(a, b int) bool {
+			return v.Request.Streams[order[a]].Stream.ID.Less(v.Request.Streams[order[b]].Stream.ID)
+		})
+		for _, i := range order {
+			sid, sh := v.Request.Streams[i].Stream.ID.String(), v.Out[i]
+			if sh.Mbps != 0 {
+				vs.OutAlloc = append(vs.OutAlloc, StreamMbpsState{Stream: sid, Mbps: sh.Mbps})
 			}
-			sortedStreamIDs(ids)
-			for _, sid := range ids {
-				vs.OutDeg = append(vs.OutDeg, StreamDegState{Stream: sid.String(), Deg: v.OutDeg[sid]})
+			if sh.Deg != 0 {
+				vs.OutDeg = append(vs.OutDeg, StreamDegState{Stream: sid, Deg: sh.Deg})
 			}
 		}
 		st.Viewers = append(st.Viewers, vs)
@@ -320,6 +338,7 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			for _, r := range t.roots {
 				t.refreshFull(r)
 			}
+			t.settle()
 		}
 	}
 
@@ -344,33 +363,34 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			InUsedMbps: vs.InUsedMbps,
 			Rejected:   vs.Rejected,
 		}
+		// Out is aligned with the request's priority order. The export
+		// lists only the shares of streams that got an outbound unit, so
+		// the record is rebuilt as long as its last listed share or its
+		// last node requires, with the zero share in between.
 		for _, a := range vs.OutAlloc {
-			sid, err := model.ParseStreamID(a.Stream)
+			i, err := requestIndex(req, a.Stream)
 			if err != nil {
 				return fail(fmt.Errorf("overlay restore: viewer %s: %w", vs.ID, err))
 			}
-			if v.OutAlloc == nil {
-				v.OutAlloc = make(map[model.StreamID]float64, len(vs.OutAlloc))
-			}
-			v.OutAlloc[sid] = a.Mbps
+			v.Out = growShares(v.Out, i)
+			v.Out[i].Mbps = a.Mbps
 		}
 		for _, d := range vs.OutDeg {
-			sid, err := model.ParseStreamID(d.Stream)
+			i, err := requestIndex(req, d.Stream)
 			if err != nil {
 				return fail(fmt.Errorf("overlay restore: viewer %s: %w", vs.ID, err))
 			}
-			if v.OutDeg == nil {
-				v.OutDeg = make(map[model.StreamID]int, len(vs.OutDeg))
-			}
-			v.OutDeg[sid] = d.Deg
+			v.Out = growShares(v.Out, i)
+			v.Out[i].Deg = d.Deg
 		}
 		// Bind the viewer's restored nodes in its request's priority
 		// order, the order Viewer.Nodes keeps.
-		for _, rs := range req.Streams {
+		for i, rs := range req.Streams {
 			t := g.Trees[g.streamIndex(rs.Stream.ID)]
 			if n, ok := restored[t][vs.ID]; ok {
 				v.Nodes = append(v.Nodes, n)
 				t.setOwner(n, v)
+				v.Out = growShares(v.Out, i)
 			}
 		}
 		if !vs.Rejected {

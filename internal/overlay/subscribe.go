@@ -153,7 +153,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 			continue
 		}
 		tree := v.Group.Trees[node.stream]
-		for _, c := range tree.SetLayer(node, layer) {
+		for _, c := range tree.setLayer(node, layer) {
 			if c != node {
 				m.enqueueResub(tree.ownerOf(c))
 			}

@@ -19,6 +19,21 @@ import (
 //   - levels: per-depth out-degree buckets, each ordered under the
 //     candidate order (index.go), that findPosition walks instead of
 //     BFS-sorting every level.
+//
+// A delay refresh that moves a filed node's EffE2E, one of its heap keys,
+// does not sift the node there and then: it marks the slot stale (slab.go),
+// and settle writes the key and sifts the node once. Inside one κ drain the
+// same node moves several times, and only its last value is sifted. A filed
+// node's key (store.eff) is written only by settle, one node at a time and
+// each followed by its sift, so every heap stays valid under its keys at all
+// times. settle runs before the level index is read (findPosition,
+// HasSupplyFor) and before any structural write to it (indexSubtree,
+// unindexSubtree, adjustFree), so every read sees the current keys and the
+// heap minimum it returns is the one the paper-literal scan elects. Every
+// exported method returns with the tree settled; the manager drives its
+// trees through the unexported setLayer and refreshFull, which leave the
+// settle to the end of its operation (Group.settle), so between operations
+// every key equals its node's EffE2E.
 type Tree struct {
 	Stream treeStream
 	// roots are the direct CDN children; store.rootPos mirrors each one's
@@ -49,7 +64,8 @@ type Tree struct {
 	fifoQ []*Node
 	// alwaysWalk turns every refresh into the full walk the tree made before
 	// its shortcuts: SetLayer never short-circuits, refreshNode never stops
-	// early, and every edge is re-derived from prop. Only tests set it, to
+	// early and re-keys a moved node at once instead of deferring it to
+	// settle, and every edge is re-derived from prop. Only tests set it, to
 	// show the shortcuts change no outcome.
 	alwaysWalk bool
 }
@@ -93,6 +109,7 @@ func (t *Tree) FreeSlots() int { return t.free }
 // counter read; the displacement case consults the degree census and, on an
 // exact-degree tie, one bucket minimum per level.
 func (t *Tree) HasSupplyFor(outDeg int, outCap float64) bool {
+	t.settle()
 	if t.free > 0 {
 		return true
 	}
@@ -187,6 +204,7 @@ func (t *Tree) place(u *Node) (placed bool, displaced *Node) {
 // It returns the real node to displace, or the parent with the free slot to
 // attach under (victim == nil), or neither when u beats no candidate.
 func (t *Tree) findPosition(u *Node) (victim, parent *Node) {
+	t.settle()
 	canDisplace := u.FreeSlots() > 0
 	for _, li := range t.levels {
 		if li.count == 0 {
@@ -314,6 +332,7 @@ func (t *Tree) AttachToCDN(u *Node) {
 func (t *Tree) MoveToCDN(n *Node) {
 	if n.Parent == nil {
 		t.refreshDelays(n)
+		t.settle()
 		return
 	}
 	t.unindexSubtree(n)
@@ -399,6 +418,7 @@ func (t *Tree) linkChild(p, u *Node) {
 	ps := p.slot - 1
 	t.store.kids[ps]++
 	if t.store.filed(ps) && p.FreeSlots() == 0 {
+		t.settle()
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
@@ -423,6 +443,7 @@ func (t *Tree) unlinkChild(u *Node) {
 	ps := p.slot - 1
 	t.store.kids[ps]--
 	if t.store.filed(ps) && p.FreeSlots() == 1 {
+		t.settle()
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
@@ -456,6 +477,7 @@ func (t *Tree) levelFor(depth int) *levelIndex {
 // indexSubtree files n and its subtree into the level index from the given
 // depth and updates the degree census.
 func (t *Tree) indexSubtree(n *Node, depth int) {
+	t.settle()
 	t.store.depth[n.slot-1] = int32(depth)
 	t.levelFor(depth).add(t.store, n)
 	for len(t.degTotals) <= n.OutDeg {
@@ -468,13 +490,33 @@ func (t *Tree) indexSubtree(n *Node, depth int) {
 }
 
 // unindexSubtree removes n and its subtree from the level index and the
-// degree census.
+// degree census. Settling first means no unfiled node is left stale.
 func (t *Tree) unindexSubtree(n *Node) {
+	t.settle()
 	t.levels[t.depthOf(n)].remove(t.store, n)
 	t.degTotals[n.OutDeg]--
 	for _, c := range n.Children {
 		t.unindexSubtree(c)
 	}
+}
+
+// settle writes the heap keys the delay refreshes deferred: each stale
+// slot's key takes its node's EffE2E and the node is sifted once, or not at
+// all when its delay came back to the key it is filed under. Keys are
+// written one node at a time, each followed by its sift, so the heaps are
+// valid under their keys throughout. A stale slot is always filed: its
+// subtree is unfiled only by unindexSubtree, which settles first.
+func (t *Tree) settle() {
+	s := t.store
+	for _, slot := range s.staleQ {
+		s.stale[slot] = false
+		n := s.nodes[slot]
+		if s.eff[slot] != n.EffE2E {
+			s.eff[slot] = n.EffE2E
+			t.levels[s.depth[slot]].rekey(s, n)
+		}
+	}
+	s.staleQ = s.staleQ[:0]
 }
 
 // refreshDelays recomputes MinE2E, Layer, and EffE2E for n and the part of
@@ -538,11 +580,18 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 	if n.EffE2E < pos {
 		n.EffE2E = pos
 	}
-	if t.store.eff[slot] != n.EffE2E {
-		// EffE2E is a key of the node's index heap: re-key a filed node.
-		t.store.eff[slot] = n.EffE2E
-		if t.store.filed(slot) {
-			t.levels[t.store.depth[slot]].rekey(t.store, n)
+	if s := t.store; s.eff[slot] != n.EffE2E {
+		// EffE2E is a key of the node's index heap. An unfiled node's
+		// key is written here; a filed node's waits for settle.
+		switch {
+		case !s.filed(slot):
+			s.eff[slot] = n.EffE2E
+		case t.alwaysWalk:
+			s.eff[slot] = n.EffE2E
+			t.levels[s.depth[slot]].rekey(s, n)
+		case !s.stale[slot]:
+			s.stale[slot] = true
+			s.staleQ = append(s.staleQ, slot)
 		}
 	}
 	if n.MinE2E != oldMin || n.Layer != oldLayer || n.EffE2E != oldEff {
@@ -586,6 +635,15 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 // is RefreshAll's job (§VI's periodic adaptation), whose full walk
 // re-derives every edge and stops nowhere.
 func (t *Tree) SetLayer(n *Node, layer int) []*Node {
+	changed := t.setLayer(n, layer)
+	t.settle()
+	return changed
+}
+
+// setLayer is SetLayer without the settle: the re-keys of the nodes it moves
+// wait for the next read of the level index or the end of the manager's
+// operation.
+func (t *Tree) setLayer(n *Node, layer int) []*Node {
 	min := t.params.Hierarchy.LayerOf(n.MinE2E)
 	if layer < min {
 		layer = min

@@ -10,7 +10,7 @@ import (
 	"telecast/internal/model"
 )
 
-func testParams(t *testing.T) Params {
+func testParams(t testing.TB) Params {
 	t.Helper()
 	h, err := layering.NewHierarchy(60*time.Second, 300*time.Millisecond, 65*time.Second, 2)
 	if err != nil {

@@ -127,11 +127,13 @@ type Viewer struct {
 	// node of AcceptedStreams()[i], and its tree is
 	// Group.Trees[Nodes[i].stream].
 	Nodes []*Node
-	// OutAlloc is the outbound bandwidth assigned per accepted stream by
-	// the round-robin allocation.
-	OutAlloc map[model.StreamID]float64
-	// OutDeg is ⌊OutAlloc/bw⌋ per stream.
-	OutDeg map[model.StreamID]int
+	// Out is the outbound allocation of the join, aligned with the
+	// streams its inbound allocation accepted. Those are a prefix of the
+	// request (AllocateInbound), so Out[i] is the share of
+	// Request.Streams[i]. A later drop does not shrink it: a dropped
+	// stream keeps the share it was granted. nil for a record refused
+	// before the outbound allocation ran.
+	Out []OutboundShare
 	// InUsedMbps is the inbound bandwidth consumed by accepted streams.
 	InUsedMbps float64
 	// Rejected records that admission failed (the viewer stays known so
@@ -205,6 +207,18 @@ func newGroup(req model.ViewRequest) *Group {
 		}
 	}
 	return g
+}
+
+// settle writes every heap key its trees' delay refreshes deferred
+// (Tree.settle). A subscription drain stays inside one group — it queues
+// only the owners of nodes in the trees it changes — so settling the
+// groups an operation touched leaves the whole manager settled.
+func (g *Group) settle() {
+	for _, t := range g.Trees {
+		if t != nil {
+			t.settle()
+		}
+	}
 }
 
 // streamIndex returns the position of a stream in the group's stream set,
