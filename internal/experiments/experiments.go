@@ -48,15 +48,15 @@ type Setup struct {
 	Sizes []int
 
 	// lats is the run's latency substrate: every experiment run from this
-	// setup, or from a copy of it, shares the matrices it builds.
+	// setup, or from a copy of it, shares the matrices it builds. Only
+	// DefaultSetup makes one, so every Setup starts from DefaultSetup.
 	lats *latencies
 }
 
 // latencies builds each distinct latency substrate of a run once. A
 // generated matrix is immutable and a function of its config alone, so every
 // sweep point, scenario and controller that asks for the same
-// trace.LatencyConfig shares one matrix instead of regenerating it. A nil
-// *latencies (a Setup not made by DefaultSetup) generates on every call.
+// trace.LatencyConfig shares one matrix instead of regenerating it.
 type latencies struct {
 	mu    sync.Mutex
 	built map[trace.LatencyConfig]*trace.LatencyMatrix
@@ -64,9 +64,6 @@ type latencies struct {
 
 // matrix returns the run's matrix for cfg, generating it on first use.
 func (l *latencies) matrix(cfg trace.LatencyConfig) (*trace.LatencyMatrix, error) {
-	if l == nil {
-		return trace.GenerateLatencyMatrix(cfg)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if lat, ok := l.built[cfg]; ok {

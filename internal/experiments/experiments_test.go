@@ -399,8 +399,7 @@ func TestScenarioExperimentUnknownName(t *testing.T) {
 
 // TestLatencySubstrateBuiltOncePerRun checks the run's latency substrate:
 // every copy of a DefaultSetup, from several goroutines at once, gets the
-// one matrix its config generated; a different config gets its own; and a
-// Setup not made by DefaultSetup still gets a matrix, freshly generated.
+// one matrix its config generated, and a different config gets its own.
 func TestLatencySubstrateBuiltOncePerRun(t *testing.T) {
 	s := DefaultSetup(3)
 	s.MaxViewers = 40
@@ -429,11 +428,5 @@ func TestLatencySubstrateBuiltOncePerRun(t *testing.T) {
 	bigger.MaxViewers++
 	if lat, err := bigger.latency(); err != nil || lat == got[0] || lat.Nodes() != got[0].Nodes()+1 {
 		t.Fatalf("a larger config shared the matrix or failed: %v", err)
-	}
-	bare := Setup{Seed: 3, MaxViewers: 40}
-	a, errA := bare.latency()
-	b, errB := bare.latency()
-	if errA != nil || errB != nil || a == b || a.Nodes() != got[0].Nodes() {
-		t.Fatalf("a Setup without a substrate: %v %v, shared=%v", errA, errB, a == b)
 	}
 }

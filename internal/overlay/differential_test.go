@@ -111,7 +111,8 @@ func TestFindPositionMatchesReferenceScan(t *testing.T) {
 				case op < 9: // delay-layer adaptation re-roots a subtree
 					tree.MoveToCDN(live[rng.Intn(len(live))])
 				default: // subscription pass pushes a layer down
-					tree.SetLayer(live[rng.Intn(len(live))], rng.Intn(6))
+					tree.setLayer(live[rng.Intn(len(live))], rng.Intn(6))
+					tree.settle()
 				}
 				if err := tree.validate(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
@@ -227,7 +228,7 @@ func treeShape(t *Tree) string {
 // A twin tree replays every mutation with alwaysWalk set, i.e. with the
 // delay refresh the tree made before its shortcuts (every edge re-derived
 // from prop, no early stop, no unchanged-layer short-circuit). After every
-// churn step the two trees must agree node for node, and every SetLayer
+// churn step the two trees must agree node for node, and every setLayer
 // must report the same changed nodes.
 func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 	if testing.Short() {
@@ -298,9 +299,10 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 		default:
 			op = "set-layer"
 			i, layer := rng.Intn(len(live)), rng.Intn(6)
-			got := viewersOf(tree.SetLayer(live[i], layer))
-			if want := viewersOf(twin.SetLayer(twinLive[i], layer)); got != want {
-				t.Fatalf("step %d: SetLayer reports %q changed, the full walk %q", step, got, want)
+			got := viewersOf(tree.setLayer(live[i], layer))
+			tree.settle()
+			if want := viewersOf(twin.setLayer(twinLive[i], layer)); got != want {
+				t.Fatalf("step %d: setLayer reports %q changed, the full walk %q", step, got, want)
 			}
 		}
 		requireInvariants(t, tree, step, op)

@@ -24,8 +24,7 @@ package overlay
 // tie-breaker after capacity — which Tree.settle follows with rekey, once
 // per node however often the node moved since the last settle (tree.go).
 // Heap sifts compare through nodeStore.lessSlot, i.e. inside the dense SoA
-// arrays; a Node is dereferenced only when capacity, delay and the 8-byte
-// viewer key all tie.
+// arrays; a Node is dereferenced only when capacity and delay both tie.
 // Because lessSlot is a total order the heap top is the unique minimum, so
 // placements are exactly those of the paper-literal findPositionScan.
 

@@ -32,13 +32,13 @@ import (
 //     count (nodes, free slots) equals a recount;
 //   - slab/SoA bookkeeping: every bound slot's registry entry points back
 //     at its node, the dense mirrors of tracked nodes (degree, capacity,
-//     effective delay, child count, viewer key) agree with the struct
-//     fields, no heap key is left unsettled (no slot flagged stale, an
-//     empty stale queue — so the heaps are ordered under the nodes'
-//     current EffE2E), unattached nodes hold no heap position and
-//     non-roots no root position, the free list holds exactly the unbound
-//     slots with no duplicates, no unbound slot names an owner or keeps a
-//     viewer key, and every per-slot array spans the slab.
+//     effective delay, child count) agree with the struct fields, no
+//     heap key is left unsettled (no slot flagged stale, an empty stale
+//     queue — so the heaps are ordered under the nodes' current EffE2E),
+//     unattached nodes hold no heap position and non-roots no root
+//     position, the free list holds exactly the unbound slots with no
+//     duplicates, no unbound slot names an owner, and every per-slot array
+//     spans the slab.
 //
 // Manager.Validate adds the manager-level bookkeeping on top (the checks at
 // the end of this file): registration — an admitted record's group is the
@@ -221,7 +221,7 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 		return errCounterDrift("slab capacity", len(s.blocks)*slabBlockSize, total)
 	}
 	for _, l := range []int{len(s.deg), len(s.cap), len(s.eff), len(s.kids),
-		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge), len(s.vkey),
+		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge),
 		len(s.stale), len(s.tracked), len(s.owner)} {
 		if l != total {
 			return errCounterDrift("slab array span", l, total)
@@ -260,13 +260,7 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 			if s.owner[slot] != nil {
 				return errIndexDrift("slab", "unbound slot keeps an owner")
 			}
-			if s.vkey[slot] != 0 {
-				return errIndexDrift("slab", "unbound slot keeps a viewer key")
-			}
 			continue
-		}
-		if s.vkey[slot] != viewerKey(n.Viewer) {
-			return errIndexDrift(string(n.Viewer), "viewer-key mirror drift")
 		}
 		if n.slot != int32(slot)+1 {
 			return errIndexDrift(string(n.Viewer), "slot binding mismatch")

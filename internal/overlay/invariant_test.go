@@ -83,7 +83,8 @@ func TestTreeChurnInvariants(t *testing.T) {
 					tree.MoveToCDN(live[rng.Intn(len(live))])
 					requireInvariants(t, tree, step, "move-to-cdn")
 				case op < 11:
-					tree.SetLayer(live[rng.Intn(len(live))], rng.Intn(8))
+					tree.setLayer(live[rng.Intn(len(live))], rng.Intn(8))
+					tree.settle()
 					requireInvariants(t, tree, step, "set-layer")
 				default:
 					n := &Node{

@@ -86,7 +86,7 @@ type Manager struct {
 	// tests use it to force an exhaustion.
 	budgetOverride int
 	// alwaysWalk is Tree.alwaysWalk for the whole manager: trees it
-	// creates inherit it and resubscribeOne hands every layer to SetLayer,
+	// creates inherit it and resubscribeOne hands every layer to setLayer,
 	// unchanged ones too. Only tests set it.
 	alwaysWalk bool
 
@@ -628,7 +628,11 @@ func (m *Manager) propagationCap() int {
 
 // OutboundPolicy is an alternative outbound bandwidth allocation; the
 // ablation experiments use it to contrast the paper's round-robin against
-// highest-priority-only and equal-split policies.
+// highest-priority-only and equal-split policies. accepted is read-only:
+// it is the accepted prefix of the join's request (AllocateInbound), which
+// the manager shares with every viewer of the view, so a policy that sorted
+// or edited it would rewrite later joiners' requests. The returned Shares
+// must be aligned with it, one per accepted stream.
 type OutboundPolicy func(accepted []model.RankedStream, outboundMbps float64) OutboundAllocation
 
 // SetOutboundPolicy overrides the outbound allocation for subsequent joins.

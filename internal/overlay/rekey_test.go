@@ -96,7 +96,7 @@ func TestPendingRekeysMatchReferenceScanDeep(t *testing.T) {
 			}
 			layer := n.Layer - 1 + rng.Intn(3)
 			got := viewersOf(tree.setLayer(n, layer))
-			if want := viewersOf(twin.SetLayer(n2, layer)); got != want {
+			if want := viewersOf(twin.setLayer(n2, layer)); got != want {
 				t.Fatalf("step %d: setLayer reports %q changed, the immediate re-key %q", step, got, want)
 			}
 		}
@@ -271,9 +271,9 @@ func TestDeferredRekeysKeepManagerDecisions(t *testing.T) {
 }
 
 // TestValidateSeesPlantedRekeyAndRecordCorruption plants the slips the
-// settled keys, the viewer-key column and the slice-backed outbound records
-// could make, one at a time into a manager that validates clean, and
-// requires the validator to name each.
+// settled keys and the slice-backed outbound records could make, one at a
+// time, into a manager that validates clean, and requires the validator to
+// name each.
 func TestValidateSeesPlantedRekeyAndRecordCorruption(t *testing.T) {
 	m := newTestManager(t, 6000)
 	for i := 0; i < 40; i++ {
@@ -301,13 +301,10 @@ func TestValidateSeesPlantedRekeyAndRecordCorruption(t *testing.T) {
 			// An operation that pushed a layer down and returned without
 			// its settle.
 			func() { tree.setLayer(n, layer+1) },
-			func() { tree.settle(); tree.SetLayer(n, layer) }},
+			func() { tree.setLayer(n, layer); tree.settle() }},
 		{"stale flag left on a settled key", "unsettled",
 			func() { tree.store.stale[slot] = true },
 			func() { tree.store.stale[slot] = false }},
-		{"viewer-key column off its node's ID", "viewer-key",
-			func() { tree.store.vkey[slot] ^= 1 },
-			func() { tree.store.vkey[slot] ^= 1 }},
 		{"outbound record shorter than the streams it holds", "beyond its outbound record",
 			func() { v.Out = out[:len(v.Nodes)-1] },
 			func() { v.Out = out }},

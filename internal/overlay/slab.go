@@ -24,9 +24,6 @@ import "time"
 //   - the delay refresh reads each node's tree edge, d_prop(parent, node),
 //     from a dense column written once where the edge forms, instead of
 //     calling the propagation function per edge per refresh;
-//   - the viewer ID's first 8 bytes sit in a dense key column (vkey), so
-//     the candidate order's last tie-break compares integers and reads the
-//     ID's string only when two 8-byte prefixes are equal;
 //   - tree membership is a per-slot flag plus a counter, so tracking,
 //     untracking and the duplicate and recycle guards index by slot rather
 //     than hashing viewer IDs;
@@ -85,8 +82,6 @@ type nodeStore struct {
 	// (linkChild, displace) and re-derived only by the full walks
 	// (Tree.refreshFull); refreshNode reads it.
 	edge []time.Duration
-	// vkey is viewerKey(Viewer), lessSlot's last key before the ID itself.
-	vkey []uint64
 	// stale marks the filed slots whose EffE2E moved since their heap key
 	// (eff) was written; staleQ lists them in the order they went stale.
 	// Tree.settle writes and sifts them and empties the queue (tree.go).
@@ -117,7 +112,6 @@ func (s *nodeStore) grow() {
 	s.pos = append(s.pos, make([]int32, slabBlockSize)...)
 	s.rootPos = append(s.rootPos, make([]int32, slabBlockSize)...)
 	s.edge = append(s.edge, make([]time.Duration, slabBlockSize)...)
-	s.vkey = append(s.vkey, make([]uint64, slabBlockSize)...)
 	s.stale = append(s.stale, make([]bool, slabBlockSize)...)
 	s.tracked = append(s.tracked, make([]bool, slabBlockSize)...)
 	s.owner = append(s.owner, make([]*Viewer, slabBlockSize)...)
@@ -177,7 +171,6 @@ func (s *nodeStore) adopt(n *Node) {
 	s.eff[slot] = n.EffE2E
 	s.kids[slot] = int32(len(n.Children))
 	s.depth[slot] = 0
-	s.vkey[slot] = viewerKey(n.Viewer)
 }
 
 // owns reports whether the node's struct is the slab block entry of the slot.
@@ -199,7 +192,6 @@ func (s *nodeStore) release(n *Node) {
 	s.eff[slot], s.kids[slot], s.depth[slot] = 0, 0, 0
 	s.pos[slot], s.rootPos[slot] = -1, -1
 	s.edge[slot], s.tracked[slot] = 0, false
-	s.vkey[slot] = 0
 	s.owner[slot] = nil
 	if s.owns(n, slot) {
 		*n = Node{} // clears n.slot too
@@ -211,9 +203,8 @@ func (s *nodeStore) release(n *Node) {
 
 // lessSlot is lessCandidate restricted to one out-degree bucket (members
 // share OutDeg by construction): ascending out capacity, then descending
-// effective delay, then viewer ID. Every compare but the last stays inside
-// the dense arrays: the viewer ID is compared through its 8-byte key, and
-// the Node is dereferenced only when two keys are equal.
+// effective delay, then viewer ID. The first two compares stay inside the
+// dense arrays; the Node is dereferenced only on a full tie.
 func (s *nodeStore) lessSlot(a, b int32) bool {
 	if s.cap[a] != s.cap[b] {
 		return s.cap[a] < s.cap[b]
@@ -221,27 +212,7 @@ func (s *nodeStore) lessSlot(a, b int32) bool {
 	if s.eff[a] != s.eff[b] {
 		return s.eff[a] > s.eff[b]
 	}
-	if s.vkey[a] != s.vkey[b] {
-		return s.vkey[a] < s.vkey[b]
-	}
 	return s.nodes[a].Viewer < s.nodes[b].Viewer
-}
-
-// viewerKey packs the first 8 bytes of a viewer ID into an integer,
-// big-endian and zero-padded. Whenever two IDs' keys differ, comparing the
-// keys orders the IDs as comparing the strings does: the first differing
-// byte decides both, and an ID that ends there pads with a zero, which only
-// a NUL byte ties. Equal keys decide nothing: the IDs may differ past byte 8,
-// or one may hold NUL bytes where the other ends.
-func viewerKey(id viewerID) uint64 {
-	var k uint64
-	for i := 0; i < 8; i++ {
-		k <<= 8
-		if i < len(id) {
-			k |= uint64(id[i])
-		}
-	}
-	return k
 }
 
 // filed reports whether the node at slot is currently in the level index.
@@ -267,7 +238,6 @@ func (t *Tree) NewNode(viewer viewerID, outDeg int, outCap float64) *Node {
 	slot := n.slot - 1
 	t.store.deg[slot] = int32(outDeg)
 	t.store.cap[slot] = outCap
-	t.store.vkey[slot] = viewerKey(viewer)
 	return n
 }
 

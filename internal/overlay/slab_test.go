@@ -200,35 +200,3 @@ func TestSlabAdoptsForeignNodes(t *testing.T) {
 		t.Fatalf("kid depth = %d, want 1", tree.depthOf(kid))
 	}
 }
-
-// TestViewerKeyOrdersLikeStrings holds the dense tie-break to the string
-// order it stands in for: wherever two viewer IDs' 8-byte keys differ they
-// must order the IDs as the strings do. The IDs are short, drawn from a tiny
-// alphabet that includes NUL, and often share prefixes, so keys collide and
-// padding meets real bytes.
-func TestViewerKeyOrdersLikeStrings(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	alphabet := []byte{0, 1, 'a', 'b', 0xff}
-	id := func() model.ViewerID {
-		b := make([]byte, rng.Intn(11))
-		for i := range b {
-			b[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		return model.ViewerID(b)
-	}
-	decided := 0
-	for i := 0; i < 200000; i++ {
-		a, b := id(), id()
-		ka, kb := viewerKey(a), viewerKey(b)
-		if ka == kb {
-			continue
-		}
-		decided++
-		if (ka < kb) != (a < b) {
-			t.Fatalf("keys order %q and %q against the strings (%#x vs %#x)", a, b, ka, kb)
-		}
-	}
-	if decided < 100000 {
-		t.Fatalf("only %d of 200000 pairs were decided by their keys", decided)
-	}
-}

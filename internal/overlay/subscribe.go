@@ -146,7 +146,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 		if layer < floor {
 			layer = floor // layer push-down: κ-bounded spread
 		}
-		// layer is already at least the node's path minimum, so SetLayer
+		// layer is already at least the node's path minimum, so setLayer
 		// would not clamp it, and an unchanged layer makes it return
 		// without walking: skip the call and the tree lookup with it.
 		if layer == node.Layer && !m.alwaysWalk {

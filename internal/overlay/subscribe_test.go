@@ -79,10 +79,10 @@ func TestWorklistRetainsNoRecord(t *testing.T) {
 // TestSetLayerShortCircuitKeepsExportState runs one deep-shaped cycle — 3000
 // viewers joining one view with capacities i mod 13, then leaving in join
 // order — through two managers, one with the delay refresh's shortcuts
-// (SetLayer's unchanged-layer short-circuit and the subscription pass's skip
+// (setLayer's unchanged-layer short-circuit and the subscription pass's skip
 // of an unchanged layer, refreshNode's early stop, the cached edges) and one
 // forced through the full walk every time (alwaysWalk: every layer handed
-// to SetLayer, every subtree walked, every edge re-derived from prop), and
+// to setLayer, every subtree walked, every edge re-derived from prop), and
 // requires byte-identical exported state at the peak, mid-drain and near
 // the end.
 func TestSetLayerShortCircuitKeepsExportState(t *testing.T) {

@@ -26,14 +26,19 @@ import (
 // same node moves several times, and only its last value is sifted. A filed
 // node's key (store.eff) is written only by settle, one node at a time and
 // each followed by its sift, so every heap stays valid under its keys at all
-// times. settle runs before the level index is read (findPosition,
-// HasSupplyFor) and before any structural write to it (indexSubtree,
-// unindexSubtree, adjustFree), so every read sees the current keys and the
-// heap minimum it returns is the one the paper-literal scan elects. Every
-// exported method returns with the tree settled; the manager drives its
-// trees through the unexported setLayer and refreshFull, which leave the
-// settle to the end of its operation (Group.settle), so between operations
-// every key equals its node's EffE2E.
+// times. settle runs before findPosition reads the level index and before
+// any node is filed or unfiled (indexSubtree, unindexSubtree), so every
+// position search sees the current keys and the heap minimum it returns is
+// the one the paper-literal scan elects. The other structural write, the
+// half move in linkChild/unlinkChild (adjustFree), needs no settle of its
+// own: a child is linked or unlinked only right after findPosition or
+// unindexSubtree settled, with no refresh in between, so the stale queue is
+// empty there. HasSupplyFor reads only the degree census and bucket
+// minimum capacities, which no delay key changes, so it does not settle.
+// Every exported method returns with the tree settled; the manager drives
+// its trees through the unexported setLayer and refreshFull, which leave
+// the settle to the end of its operation (Group.settle), so between
+// operations every key equals its node's EffE2E.
 type Tree struct {
 	Stream treeStream
 	// roots are the direct CDN children; store.rootPos mirrors each one's
@@ -63,7 +68,7 @@ type Tree struct {
 	// fifoQ is the reusable BFS queue of InsertFIFO.
 	fifoQ []*Node
 	// alwaysWalk turns every refresh into the full walk the tree made before
-	// its shortcuts: SetLayer never short-circuits, refreshNode never stops
+	// its shortcuts: setLayer never short-circuits, refreshNode never stops
 	// early and re-keys a moved node at once instead of deferring it to
 	// settle, and every edge is re-derived from prop. Only tests set it, to
 	// show the shortcuts change no outcome.
@@ -109,7 +114,6 @@ func (t *Tree) FreeSlots() int { return t.free }
 // counter read; the displacement case consults the degree census and, on an
 // exact-degree tie, one bucket minimum per level.
 func (t *Tree) HasSupplyFor(outDeg int, outCap float64) bool {
-	t.settle()
 	if t.free > 0 {
 		return true
 	}
@@ -409,7 +413,8 @@ func (t *Tree) untrackNode(n *Node) {
 
 // linkChild appends u to p's children and forms u's edge. p must be
 // tracked and have a free slot, and u must be bound; u's own slot census is
-// unaffected.
+// unaffected. The tree must be settled: adjustFree sifts p by the heap key
+// it is filed under, and a stale p would be sifted in the wrong half.
 func (t *Tree) linkChild(p, u *Node) {
 	p.Children = append(p.Children, u)
 	u.Parent = p
@@ -418,14 +423,13 @@ func (t *Tree) linkChild(p, u *Node) {
 	ps := p.slot - 1
 	t.store.kids[ps]++
 	if t.store.filed(ps) && p.FreeSlots() == 0 {
-		t.settle()
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
 
 // unlinkChild removes u from its parent's child list by swap-delete — O(1)
 // instead of the former O(children) shift — and returns the freed slot to
-// the census.
+// the census. Like linkChild it needs a settled tree.
 func (t *Tree) unlinkChild(u *Node) {
 	p := u.Parent
 	cs := p.Children
@@ -443,7 +447,6 @@ func (t *Tree) unlinkChild(u *Node) {
 	ps := p.slot - 1
 	t.store.kids[ps]--
 	if t.store.filed(ps) && p.FreeSlots() == 1 {
-		t.settle()
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
@@ -534,7 +537,7 @@ func (t *Tree) settle() {
 // descends only where a node's EffE2E changed: a node's delay state is
 // derived from its parent's EffE2E, its edge and its own Layer, so under a
 // node whose EffE2E held still every descendant already holds the value the
-// walk would recompute (SetLayer states the fixpoint argument).
+// walk would recompute (setLayer states the fixpoint argument).
 func (t *Tree) refreshDelays(n *Node) (changed []*Node) {
 	return t.walkDelays(n, t.alwaysWalk)
 }
@@ -605,10 +608,13 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 	}
 }
 
-// SetLayer assigns the node's delay layer (from stream subscription) and
+// setLayer assigns the node's delay layer (from stream subscription) and
 // propagates the resulting effective-delay change through the subtree,
 // returning the nodes whose delay state changed (tree-owned scratch, valid
-// until the next refresh).
+// until the next refresh). The re-keys of the filed nodes it moves stay
+// pending (settle): the next findPosition settles them, and the manager
+// settles at the end of its operation; a caller that validates the tree
+// in between settles first.
 //
 // When the clamped layer is the one the node already has there is nothing
 // to propagate and no walk is made. refreshNode derives a node's delay
@@ -624,25 +630,16 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 // RestoreManager, which runs the full walk from every root after pinning
 // layers. Detach and Orphan do cut victims loose unrefreshed, but a victim
 // is re-placed through one of the attach primitives, or dropped, before the
-// manager runs another subscription pass. So whenever SetLayer is called
+// manager runs another subscription pass. So whenever setLayer is called
 // every attached subtree is a fixpoint of refreshNode for the edges it
 // holds, and whenever a walk starts everything below the walk root's
 // children is. Two shortcuts rest on that: re-walking a subtree with an unchanged Layer
 // would recompute every delay to the value it already holds and report no
-// change, so SetLayer skips it; and below a node whose EffE2E a walk left
+// change, so setLayer skips it; and below a node whose EffE2E a walk left
 // unchanged nothing can move, so refreshNode stops there. A drift in prop
 // itself is not a tree mutation and reaches no cached edge; picking it up
 // is RefreshAll's job (§VI's periodic adaptation), whose full walk
 // re-derives every edge and stops nowhere.
-func (t *Tree) SetLayer(n *Node, layer int) []*Node {
-	changed := t.setLayer(n, layer)
-	t.settle()
-	return changed
-}
-
-// setLayer is SetLayer without the settle: the re-keys of the nodes it moves
-// wait for the next read of the level index or the end of the manager's
-// operation.
 func (t *Tree) setLayer(n *Node, layer int) []*Node {
 	min := t.params.Hierarchy.LayerOf(n.MinE2E)
 	if layer < min {

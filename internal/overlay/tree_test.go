@@ -306,11 +306,11 @@ func TestLayerAssignmentNeverBelowMinimum(t *testing.T) {
 	if got := testParams(t).Hierarchy.LayerOf(child.MinE2E); got != 2 {
 		t.Fatalf("min layer = %d, want 2", got)
 	}
-	tree.SetLayer(child, 0) // below minimum: must clamp up
+	tree.setLayer(child, 0) // below minimum: must clamp up
 	if child.Layer != 2 {
 		t.Errorf("layer = %d, want clamped to 2", child.Layer)
 	}
-	tree.SetLayer(child, 5) // push-down: allowed
+	tree.setLayer(child, 5) // push-down: allowed
 	if child.Layer != 5 {
 		t.Errorf("layer = %d, want 5", child.Layer)
 	}
