@@ -32,9 +32,10 @@ MAX_MEM_GROWTH = 0.25
 # The telemetry tax guard: the armed join path must stay within this
 # fraction of the disarmed one, both measured in the same process so the
 # comparison is immune to machine drift. The pair runs at a fixed iteration
-# count (identical work per variant) repeated -count times; benchjson keeps
-# each variant's best run, because a 5% bar needs joins/s out of scheduler
-# noise and a single sample of each swings ±10% on a shared box.
+# count (identical work per variant) repeated -count times; benchjson pairs
+# the k-th run of each variant and compares the median of the on/off ratios
+# with the bar, because a single sample of each swings ±10% on a shared box
+# and the best run of each let one outlier reference run fail the pair.
 TEL_DELTA_PAIR = BenchmarkJoin/telemetry=on:BenchmarkJoin/telemetry=off
 MAX_TEL_DELTA = 0.05
 
@@ -45,13 +46,17 @@ build:
 
 # benchmark/ is a nested module: `go vet ./...` at the root never reaches
 # it, so vet it (with and without its bench tag) on its own.
+# The windows vet type-checks the files behind `!unix` build tags (the
+# latency table's heap fallback), which no unix build compiles.
 lint:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 test: vet
@@ -59,7 +64,7 @@ test: vet
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/session ./internal/cdn ./internal/overlay ./internal/workload ./internal/emu ./internal/httpapi ./internal/telemetry
+	$(GO) test -race ./internal/session ./internal/cdn ./internal/overlay ./internal/workload ./internal/emu ./internal/httpapi ./internal/telemetry ./internal/trace
 
 # test-determinism repeats the overlay's seeded random-churn suite. Its op
 # schedule is a function of the seed, so a run that fails only sometimes

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -109,18 +110,23 @@ func main() {
 // themselves contain '=' or '/'), and the candidate's joins/s must not fall
 // more than the allowed fraction below the reference's. This is how the
 // bench smoke pins the telemetry-on overhead of the join path.
+//
+// With -count=N each variant prints N lines; the k-th line of the candidate
+// is paired with the k-th line of the reference, and the guard compares the
+// median of the N ratios with the bar. go test runs all N repetitions of
+// one sub-benchmark before the next, so the two runs of a pair are N runs
+// apart: the ratio cancels drift slower than that, and the median ignores
+// a minority of disturbed repetitions on either side. Comparing the best
+// run of each variant did neither: one lucky reference run set the bar for
+// every candidate run, so unchanged code failed on a busy box. The median
+// still sees a tax paid on every repetition in full: a 10% slower
+// candidate reads 0.90 whatever the noise on either side.
 func guardDelta(report *Report, spec string, maxDelta float64) error {
-	// Repeated lines from -count>1 keep the best run per name, so each side
-	// of a pair is compared at its own noise floor (best-of-N vs best-of-N).
-	// A single sample of each variant swings past any tight bar on a busy
-	// box; the best of several is what the code can actually do.
-	byName := make(map[string]float64, len(report.Benchmarks))
+	runs := make(map[string][]float64, len(report.Benchmarks))
 	for _, b := range report.Benchmarks {
 		if v, ok := b.Metrics[guardedMetric]; ok {
 			name := stripCPUSuffix(b.Name)
-			if v > byName[name] {
-				byName[name] = v
-			}
+			runs[name] = append(runs[name], v)
 		}
 	}
 	var failures []string
@@ -129,19 +135,26 @@ func guardDelta(report *Report, spec string, maxDelta float64) error {
 		if !ok {
 			return fmt.Errorf("bad -deltaguard pair %q (want candidate:reference)", pair)
 		}
-		cv, okC := byName[cand]
-		rv, okR := byName[ref]
-		if !okC || !okR {
+		cv, rv := runs[cand], runs[ref]
+		if len(cv) == 0 || len(rv) == 0 {
 			return fmt.Errorf("deltaguard pair %q: missing %s metric for %q and/or %q in this run",
 				pair, guardedMetric, cand, ref)
 		}
-		floor := rv * (1 - maxDelta)
-		if cv < floor {
-			failures = append(failures, fmt.Sprintf("%s: %.0f %s vs %s %.0f (floor %.0f)",
-				cand, cv, guardedMetric, ref, rv, floor))
+		if len(cv) != len(rv) {
+			return fmt.Errorf("deltaguard pair %q: %d runs of %q against %d of %q, want one per repetition",
+				pair, len(cv), cand, len(rv), ref)
+		}
+		ratios := make([]float64, len(cv))
+		for k := range cv {
+			ratios[k] = cv[k] / rv[k]
+		}
+		ratio := median(ratios)
+		line := fmt.Sprintf("%s vs %s: median %s ratio %.3f over %d repetitions %.3f (floor %.3f)",
+			cand, ref, guardedMetric, ratio, len(ratios), ratios, 1-maxDelta)
+		if ratio < 1-maxDelta {
+			failures = append(failures, line)
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: deltaguard: %s %.0f %s vs %s %.0f ok (%+.1f%%)\n",
-				cand, cv, guardedMetric, ref, rv, (cv/rv-1)*100)
+			fmt.Fprintf(os.Stderr, "benchjson: deltaguard: %s ok\n", line)
 		}
 	}
 	if len(failures) > 0 {
@@ -149,6 +162,18 @@ func guardDelta(report *Report, spec string, maxDelta float64) error {
 			maxDelta*100, strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count), sorting a copy.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
 }
 
 // guardedMetric is the throughput metric the regression guard compares.

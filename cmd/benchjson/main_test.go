@@ -190,3 +190,61 @@ func TestGuardFailsWhenNothingChecked(t *testing.T) {
 		t.Fatal("guard matching nothing must fail rather than silently pass")
 	}
 }
+
+// deltaReport lists each variant's -count repetitions in the order go test
+// prints them: every run of the first sub-benchmark, then every run of the
+// second.
+func deltaReport(off, on []float64) *Report {
+	r := &Report{Suite: "s"}
+	for _, v := range off {
+		r.Benchmarks = append(r.Benchmarks, Result{Name: "BenchmarkJoin/telemetry=off-2", NsPerOp: 1,
+			Metrics: map[string]float64{"joins/s": v}})
+	}
+	for _, v := range on {
+		r.Benchmarks = append(r.Benchmarks, Result{Name: "BenchmarkJoin/telemetry=on-2", NsPerOp: 1,
+			Metrics: map[string]float64{"joins/s": v}})
+	}
+	return r
+}
+
+const telPair = "BenchmarkJoin/telemetry=on:BenchmarkJoin/telemetry=off"
+
+// One outlier reference run must not fail a candidate whose paired ratios
+// sit within the bar. Best-of-5 read 49 600 against 62 000 here (−20%).
+func TestGuardDeltaIgnoresOneOutlierRun(t *testing.T) {
+	off := []float64{50000, 50400, 62000, 49800, 50100}
+	on := []float64{49000, 49600, 49500, 48800, 49300}
+	if err := guardDelta(deltaReport(off, on), telPair, 0.05); err != nil {
+		t.Fatalf("one outlier off-run failed the deltaguard: %v", err)
+	}
+}
+
+// A tax the candidate pays on every repetition fails, however the runs
+// scatter between repetitions, and even with one lucky candidate run.
+func TestGuardDeltaFailsRealTax(t *testing.T) {
+	off := []float64{50000, 58000, 46000, 61000, 52000}
+	on := make([]float64, len(off))
+	for i, v := range off {
+		on[i] = 0.9 * v
+	}
+	on[1] = 1.2 * off[1]
+	err := guardDelta(deltaReport(off, on), telPair, 0.05)
+	if err == nil {
+		t.Fatal("a 10% telemetry tax passed the deltaguard")
+	}
+	if !strings.Contains(err.Error(), "telemetry=on") || !strings.Contains(err.Error(), "0.900") {
+		t.Fatalf("failure does not name the pair and its median ratio: %v", err)
+	}
+}
+
+func TestGuardDeltaRejectsUnpairedRuns(t *testing.T) {
+	if err := guardDelta(deltaReport([]float64{1, 1, 1}, []float64{1, 1}), telPair, 0.05); err == nil {
+		t.Fatal("unequal repetition counts accepted")
+	}
+	if err := guardDelta(deltaReport([]float64{1}, nil), telPair, 0.05); err == nil {
+		t.Fatal("missing candidate accepted")
+	}
+	if err := guardDelta(deltaReport([]float64{1}, []float64{1}), "no-colon", 0.05); err == nil {
+		t.Fatal("malformed pair accepted")
+	}
+}

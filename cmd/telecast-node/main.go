@@ -84,7 +84,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7465", "listen address")
 	seed := fs.Int64("seed", 42, "latency-matrix seed")
-	maxViewers := fs.Int("max-viewers", 2000, "latency-matrix capacity (max concurrent viewers); the dense matrix takes 2·n² bytes, ≈72 MB at 6000")
+	maxViewers := fs.Int("max-viewers", 2000, "latency-matrix capacity (max concurrent viewers); the dense matrix takes 2·n² bytes, ≈72 MB at 6000, mapped outside the Go heap so the GC does not pace itself to it (/metricz heap.off_heap_bytes)")
 	cdnMbps := fs.Float64("cdn-mbps", 6000, "CDN egress capacity in Mbps (0 = unbounded)")
 	sites := fs.Int("sites", 2, "producer sites")
 	streams := fs.Int("streams", 8, "camera streams per site")

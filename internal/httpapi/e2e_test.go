@@ -3,6 +3,7 @@ package httpapi_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,7 +19,8 @@ import (
 // admission order throughout the churn. Run under -race this doubles as the
 // concurrency check on the whole wire path.
 func TestLoopbackReplay(t *testing.T) {
-	ts, _, api := newTestServer(t, 700)
+	const matrixSize = 700
+	ts, _, api := newTestServer(t, matrixSize)
 	cl := client.New(ts.URL)
 	ctx := context.Background()
 
@@ -109,6 +111,7 @@ func TestLoopbackReplay(t *testing.T) {
 	if after.Heap.HeapAllocBytes == 0 || after.Heap.HeapSysBytes == 0 {
 		t.Errorf("heap stats missing from /metricz: %+v", after.Heap)
 	}
+	checkOffHeapBytes(t, cl, matrixSize)
 
 	// The overlay's cumulative admission counter also covers re-admissions
 	// (view changes, migration landings), so it can only exceed the join
@@ -127,4 +130,30 @@ func TestLoopbackReplay(t *testing.T) {
 	if fc.admitted == 0 {
 		t.Fatal("feed saw no admissions during the replay")
 	}
+}
+
+// checkOffHeapBytes asserts /metricz reports the served n-endpoint matrix's
+// dense table, 2·n(n−1) bytes, as the process's off-heap bytes. Earlier
+// tests' servers are closed but their tables are unmapped only by cleanups
+// after a GC, so the check collects garbage until the figure settles on the
+// one matrix still served; a table dropped while served would read below.
+func checkOffHeapBytes(t *testing.T, cl *client.Client, n int) {
+	t.Helper()
+	if runtime.GOOS == "windows" || runtime.GOOS == "plan9" || runtime.GOOS == "js" || runtime.GOOS == "wasip1" {
+		return // no mmap: the table stays on the Go heap and off_heap_bytes reads 0
+	}
+	want := uint64(2 * n * (n - 1))
+	var got uint64
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		m, err := cl.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = m.Heap.OffHeapBytes; got == want {
+			return
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("/metricz off_heap_bytes = %d, want %d for the served %d-endpoint matrix", got, want, n)
 }

@@ -15,6 +15,7 @@ import (
 	"telecast/internal/model"
 	"telecast/internal/session"
 	"telecast/internal/telemetry"
+	"telecast/internal/trace"
 	"telecast/internal/workload"
 )
 
@@ -89,6 +90,7 @@ func (s *Server) Metrics() Metrics {
 	heap := HeapStats{
 		HeapAllocBytes: ms.HeapAlloc,
 		HeapSysBytes:   ms.HeapSys,
+		OffHeapBytes:   trace.OffHeapBytes(),
 		HeapObjects:    ms.HeapObjects,
 		NumGC:          ms.NumGC,
 		GCPauseTotalMs: float64(ms.PauseTotalNs) / 1e6,

@@ -323,8 +323,15 @@ type Totals struct {
 type HeapStats struct {
 	// HeapAllocBytes is the live heap after the most recent GC grew it;
 	// divided by the overlay's viewer count it is the node's bytes/viewer.
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64  `json:"heap_sys_bytes"`
+	// The dense latency table is not in it (see OffHeapBytes), so the
+	// quotient is the control plane's own cost per viewer, not the
+	// substrate's fixed 2·n² bytes spread over the audience.
+	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
+	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
+	// OffHeapBytes is the dense latency table mapped outside the Go heap
+	// (trace.OffHeapBytes): 2·n(n−1) bytes for an n-endpoint matrix. The
+	// node's resident set is roughly HeapSysBytes plus this.
+	OffHeapBytes   uint64  `json:"off_heap_bytes"`
 	HeapObjects    uint64  `json:"heap_objects"`
 	NumGC          uint32  `json:"num_gc"`
 	GCPauseTotalMs float64 `json:"gc_pause_total_ms"`

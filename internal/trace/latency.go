@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -67,16 +69,47 @@ func DefaultLatencyConfig(nodes int, seed int64) LatencyConfig {
 // instead of terabytes; it is equally deterministic, just a different
 // (per-pair independent) draw than the dense generator's sequential stream.
 // Both modes bound every pair delay with clampDelay.
+//
+// On unix the dense triangle lives outside the Go heap, in one anonymous
+// private mapping per matrix (OffHeapBytes counts it). The table is
+// pointer-free and never freed while the matrix is in use, but on the heap
+// it counts as live heap, and the GC sets its next goal at live heap ×
+// (1 + GOGC/100): a 72 MB triangle lets 72 MB of garbage pile up between
+// collections, next to a live overlay of ~20 MB in `telecast-node serve`.
+// Off the heap, the heap goal follows what the control plane holds, and
+// the process collects correspondingly more often. A value copy of a
+// LatencyMatrix shares the table and keeps it mapped.
 type LatencyMatrix struct {
 	cfg     LatencyConfig
 	regions []Region
 	// muIntra and muInter are the lognormal location parameters of the
 	// intra- and inter-region delay families: mean = exp(mu + sigma²/2).
 	muIntra, muInter float64
-	// delays is the dense mode's strict upper triangle in nanoseconds,
-	// row-major, indexed by triIndex; nil in hashed mode.
-	delays []uint32
+	// dense owns the dense mode's triangle; nil in hashed mode. The owner
+	// (not an empty table) is what marks the mode: a 1-node dense matrix
+	// has no cells.
+	dense *denseTable
 }
+
+// denseTable owns the dense mode's strict upper triangle in nanoseconds,
+// row-major, indexed by triIndex. newDenseTable allocates it: a mapping
+// outside the Go heap on unix (table_unix.go), unmapped by a cleanup once
+// the owner is unreachable; a plain slice elsewhere (table_other.go).
+type denseTable struct {
+	cells []uint32
+}
+
+// offHeapBytes is the size of every dense table currently mapped outside
+// the Go heap, summed over the process.
+var offHeapBytes atomic.Int64
+
+// OffHeapBytes reports the bytes of dense latency tables the process holds
+// outside the Go heap: mapped by GenerateLatencyMatrix and not yet released
+// by the cleanup that follows their matrix becoming unreachable. Together
+// with the runtime's heap figures it accounts for the substrate's share of
+// the resident set. It stays 0 on platforms without mmap, where the table
+// is an ordinary heap slice.
+func OffHeapBytes() uint64 { return uint64(offHeapBytes.Load()) }
 
 // newLatencyMatrix validates cfg, labels every node with a region and
 // computes the two lognormal locations. It returns the RNG positioned just
@@ -106,9 +139,12 @@ func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
 		return nil, err
 	}
 	n := cfg.Nodes
-	m.delays = make([]uint32, n*(n-1)/2)
+	if m.dense, err = newDenseTable(n * (n - 1) / 2); err != nil {
+		return nil, fmt.Errorf("latency matrix: %w", err)
+	}
+	cells := m.dense.cells
 	for i := 0; i < n; i++ {
-		row := m.delays[triIndex(n, i, i+1):][:n-1-i]
+		row := cells[triIndex(n, i, i+1):][:n-1-i]
 		for c := range row {
 			mu := m.muInter
 			if m.regions[i] == m.regions[i+1+c] {
@@ -194,10 +230,16 @@ func (m *LatencyMatrix) Delay(i, j int) time.Duration {
 	if i == j {
 		return 0
 	}
-	if m.delays == nil {
+	t := m.dense
+	if t == nil {
 		return m.hashedDelay(i, j)
 	}
-	return time.Duration(m.delays[triIndex(m.cfg.Nodes, i, j)])
+	d := t.cells[triIndex(m.cfg.Nodes, i, j)]
+	// The owner must stay reachable until the cell is read: its cleanup
+	// unmaps the cells, and a matrix whose last use is this call would
+	// otherwise be collectable between loading the slice and indexing it.
+	runtime.KeepAlive(t)
+	return time.Duration(d)
 }
 
 // RegionOf returns the region label of endpoint i. The session layer uses it

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,24 +143,26 @@ func TestLatencyClampBothModes(t *testing.T) {
 	}
 }
 
-// A dense build may allocate its 4-byte strict upper triangle, the region
-// labels and a constant, and no more. int64 cells would double the first
-// term; a stored diagonal adds 4n bytes, more than the constant slack at
-// this n (which covers the RNG's ~4.9 KB state and page rounding).
-func TestDenseMatrixAllocationBound(t *testing.T) {
-	const n = 6000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := GenerateLatencyMatrix(DefaultLatencyConfig(n, 1))
-	runtime.ReadMemStats(&after)
+// The dense mode is marked by its table's owner, not by the table holding
+// cells: a 1-node matrix has an empty triangle and is still dense.
+func TestOneNodeDenseMatrixIsDense(t *testing.T) {
+	m, err := GenerateLatencyMatrix(DefaultLatencyConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := uint64(4*n*(n-1)/2 + 8*n + 16<<10) // 8n: one int per region label
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("dense %d-node build allocated %d bytes, want <= %d", n, got, limit)
+	if m.dense == nil || len(m.dense.cells) != 0 {
+		t.Fatalf("1-node dense matrix: owner %v, want an owner of an empty table", m.dense)
 	}
-	runtime.KeepAlive(m)
+	if d := m.Delay(0, 0); d != 0 {
+		t.Fatalf("Delay(0, 0) = %v, want 0", d)
+	}
+	h, err := GenerateHashedLatencyMatrix(DefaultLatencyConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.dense != nil {
+		t.Fatal("1-node hashed matrix carries a dense table")
+	}
 }
 
 func BenchmarkGenerateLatencyMatrix(b *testing.B) {
