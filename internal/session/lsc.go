@@ -212,7 +212,7 @@ func (l *LSC) join(st viewerState, view model.View, tr *telemetry.OpTrace) (*ove
 		return nil, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
-	l.journalLocked(journalEntry{op: opJoin, id: st.info.ID, nodeIdx: st.nodeIdx, info: st.info, view: view.Clone()})
+	l.journalLocked(journalEntry{op: opJoin, id: st.info.ID, nodeIdx: st.nodeIdx, info: st.info, view: view})
 	l.emitJoinLocked(EventJoinAccepted, st.info.ID, res)
 	tr.Phase(telemetry.PhasePublish)
 	return res, l.worstParentRTTLocked(st, res), nil
@@ -371,7 +371,7 @@ func (l *LSC) changeView(id model.ViewerID, view model.View, tr *telemetry.OpTra
 		return nil, 0, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
-	l.journalLocked(journalEntry{op: opChangeView, id: id, view: view.Clone()})
+	l.journalLocked(journalEntry{op: opChangeView, id: id, view: view})
 	l.emitJoinLocked(EventViewChanged, id, res)
 	tr.Phase(telemetry.PhasePublish)
 	worst := l.worstParentRTTLocked(st, res)

@@ -71,6 +71,11 @@ func (l *LSC) journalLocked(e journalEntry) {
 	if l.rec == nil {
 		return
 	}
+	// The entry keeps its own copy of the caller's view. Copying here, past
+	// the check above, spares a shard that journals nothing one map per op.
+	if e.view.Orientations != nil {
+		e.view = e.view.Clone()
+	}
 	l.rec.seq++
 	l.rec.entries = append(l.rec.entries, e)
 }
