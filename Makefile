@@ -9,12 +9,13 @@ SHELL := bash
 # The hot control-plane paths whose numbers the perf trajectory
 # (BENCH_control_plane.json) tracks. BenchmarkBatchPrepare lives in
 # internal/session (it drives the unexported prepare phase directly), so the
-# bench targets cover that package alongside the root. internal/trace is
-# listed so `make bench` reports the latency substrate's build cost
-# (BenchmarkGenerateLatencyMatrix); it is in no guard. internal/overlay holds
+# bench targets cover that package alongside the root. internal/trace holds
+# BenchmarkGenerateLatencyMatrix; its dense case (the parallel build every
+# `serve` start pays for) is in HOT_BENCH so bench-smoke runs it, and it is
+# in no guard. internal/overlay holds
 # BenchmarkDeepCycle, a bare overlay manager's deep-tree ramp and drain
 # (ns, B and allocs per cycle); it is in no guard either.
-HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$
+HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$|BenchmarkGenerateLatencyMatrix/dense
 BENCH_PKGS = . ./internal/session ./internal/trace ./internal/overlay
 
 # bench-smoke fails when a guarded benchmark's joins/s falls more than

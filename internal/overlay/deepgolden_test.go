@@ -238,6 +238,9 @@ func TestDeepOverlayMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 11700-op deep-tree runs")
 	}
+	// It builds its own trees and shares nothing with other tests, so it
+	// overlaps the other long test of the package instead of following it.
+	t.Parallel()
 	runs := make(map[string]deepGolden)
 	for _, shape := range deepShapes {
 		runs[shape.name] = runDeepGolden(t, shape)

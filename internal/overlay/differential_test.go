@@ -234,6 +234,9 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5000-node tree under the reference scan")
 	}
+	// It builds its own trees and shares nothing with other tests, so it
+	// overlaps the other long test of the package instead of following it.
+	t.Parallel()
 	const (
 		target     = 5000
 		churnSteps = 1500

@@ -57,11 +57,12 @@ type Manager struct {
 	// composeMemo short-circuits view composition for the common case of
 	// many viewers requesting the same view (flash crowds, benchmarks):
 	// the session and cutoff are immutable per manager, so an equal view
-	// always composes to the same request. The memoized request is shared
-	// read-only, exactly like a Group's Request already is.
+	// always composes to the same request. The memoized request is an
+	// interned one, shared read-only exactly like a Group's Request
+	// already is; its View is the intern table's private clone, so the
+	// memo compares against that and copies nothing.
 	composeMemo struct {
 		valid bool
-		view  model.View
 		req   model.ViewRequest
 	}
 	// viewIntern dedupes composed requests behind the memo: distinct but
@@ -182,23 +183,23 @@ func (m *Manager) Join(info ViewerInfo, view model.View) (*JoinResult, error) {
 // intern table makes every recurring view share one composed request even
 // when the crowd alternates between views.
 func (m *Manager) composeView(view model.View) model.ViewRequest {
-	if m.composeMemo.valid && view.Equal(m.composeMemo.view) {
+	if m.composeMemo.valid && view.Equal(m.composeMemo.req.View) {
 		return m.composeMemo.req
 	}
 	fp := m.viewFingerprint(view)
 	req, interned := m.viewIntern[string(fp)]
 	if !interned {
-		req = model.ComposeView(m.session, view, m.params.CutoffDF)
+		// Compose from a private clone, once per distinct view: a request
+		// holding the caller's map by reference would change under an
+		// in-place orientation mutation, and the memo would then compare
+		// the map against itself and serve a stale composition.
+		req = model.ComposeView(m.session, view.Clone(), m.params.CutoffDF)
 		if len(m.viewIntern) >= viewInternMax {
 			clear(m.viewIntern)
 		}
 		m.viewIntern[string(fp)] = req
 	}
 	m.composeMemo.valid = true
-	// Snapshot the view: memoizing the caller's map by reference would
-	// make an in-place orientation mutation compare the map against
-	// itself and serve a stale composition.
-	m.composeMemo.view = view.Clone()
 	m.composeMemo.req = req
 	return req
 }

@@ -26,3 +26,21 @@ func TestComposeMemoSurvivesInPlaceViewMutation(t *testing.T) {
 		t.Fatalf("memo served stale composition: got %s, want %s (before %s)", after, want, before)
 	}
 }
+
+// The intern table composes from a private clone of the first caller's
+// view, so a caller that mutates its map after the join cannot rewrite the
+// interned request (which groups hold as their Request).
+func TestInternedRequestDoesNotAliasCallerView(t *testing.T) {
+	m := newTestManager(t, 6000)
+	view := model.NewUniformView(m.session, 0)
+	req := m.composeView(view)
+	for site, dir := range model.NewUniformView(m.session, 3).Orientations {
+		view.Orientations[site] = dir
+	}
+	if want := model.NewUniformView(m.session, 0); !req.View.Equal(want) {
+		t.Fatal("the interned request's view follows the caller's map")
+	}
+	if again := m.composeView(model.NewUniformView(m.session, 0)); again.Key() != req.Key() {
+		t.Fatalf("recomposed %s, want the interned %s", again.Key(), req.Key())
+	}
+}

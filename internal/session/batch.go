@@ -121,19 +121,27 @@ func runStriped(n int, id func(int) model.ViewerID, fn func(int)) {
 	wg.Wait()
 }
 
-// routedJoin pairs a prepared join with its input position.
-type routedJoin struct {
-	idx int
-	p   preparedJoin
+// preparedBatch is a join batch after its GSC half. joins[i] is request
+// i's prepared join, with a nil lsc where prepare failed. order lists the
+// prepared positions grouped by owning shard, in region order and in input
+// order within a shard: region r's share is order[bounds[r]:bounds[r+1]].
+type preparedBatch struct {
+	joins  []preparedJoin
+	order  []int
+	bounds []int
 }
+
+// share returns the input positions region r admits, in input order.
+func (b *preparedBatch) share(r int) []int { return b.order[b.bounds[r]:b.bounds[r+1]] }
 
 // prepareBatch runs the GSC half of a join batch — duplicate check, route
 // claim, latency-node placement, registry insert — striped by viewer-ID hash
-// across prepare workers, then groups the survivors by owning shard in input
-// order. Failures (and cancellation observed during prepare) are recorded in
-// out; prepared entries await admit or abandon.
-func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out []BatchOutcome) map[*LSC][]routedJoin {
-	prepared := make([]routedJoin, len(reqs))
+// across prepare workers, then groups the survivors by owning shard with
+// one counting pass over their regions. Failures (and cancellation observed
+// during prepare) are recorded in out; prepared entries await admit or
+// abandon.
+func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out []BatchOutcome) preparedBatch {
+	joins := make([]preparedJoin, len(reqs))
 	runStriped(len(reqs), func(i int) model.ViewerID { return reqs[i].ID }, func(i int) {
 		out[i].ID = reqs[i].ID
 		if err := ctx.Err(); err != nil {
@@ -145,15 +153,27 @@ func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out [
 			out[i].Err = fmt.Errorf("session join %s: %w", reqs[i].ID, err)
 			return
 		}
-		prepared[i] = routedJoin{idx: i, p: p}
+		joins[i] = p
 	})
-	perShard := make(map[*LSC][]routedJoin, len(c.lscs))
-	for i := range prepared {
-		if lsc := prepared[i].p.lsc; lsc != nil {
-			perShard[lsc] = append(perShard[lsc], prepared[i])
+	// bounds[r] first counts region r's share, then (summed) marks where it
+	// ends; the backward fill walks each end down to its share's start.
+	bounds := make([]int, len(c.lscs)+1)
+	for i := range joins {
+		if lsc := joins[i].lsc; lsc != nil {
+			bounds[lsc.Region]++
 		}
 	}
-	return perShard
+	for r := 1; r < len(bounds); r++ {
+		bounds[r] += bounds[r-1]
+	}
+	order := make([]int, bounds[len(c.lscs)])
+	for i := len(joins) - 1; i >= 0; i-- {
+		if lsc := joins[i].lsc; lsc != nil {
+			bounds[lsc.Region]--
+			order[bounds[lsc.Region]] = i
+		}
+	}
+	return preparedBatch{joins: joins, order: order, bounds: bounds}
 }
 
 // JoinBatch admits many viewers at once, exploiting the sharded control
@@ -176,25 +196,29 @@ func (c *Controller) JoinBatch(ctx context.Context, reqs []JoinRequest) []BatchO
 	// their own OpJoin traces inside.
 	var ptr telemetry.OpTrace
 	c.tel.StartOp(&ptr, telemetry.OpBatchPrepare)
-	perShard := c.prepareBatch(ctx, reqs, out)
+	batch := c.prepareBatch(ctx, reqs, out)
 	ptr.Finish(-1, "batch", telemetry.OutcomeOK)
 	var wg sync.WaitGroup
-	for lsc, group := range perShard {
+	for r := range len(c.lscs) {
+		share := batch.share(r)
+		if len(share) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(lsc *LSC, group []routedJoin) {
+		go func() {
 			defer wg.Done()
 			var atr telemetry.OpTrace
 			c.tel.StartOp(&atr, telemetry.OpBatchAdmit)
-			for _, r := range group {
+			for _, i := range share {
 				if err := ctx.Err(); err != nil {
-					c.abandon(r.p)
-					out[r.idx].Err = fmt.Errorf("session join %s: %w", r.p.st.info.ID, err)
+					c.abandon(batch.joins[i])
+					out[i].Err = fmt.Errorf("session join %s: %w", reqs[i].ID, err)
 					continue
 				}
-				out[r.idx].Outcome, out[r.idx].Err = c.admit(r.p)
+				out[i].Outcome, out[i].Err = c.admit(batch.joins[i])
 			}
-			atr.Finish(int(lsc.Region), "batch", telemetry.OutcomeOK)
-		}(lsc, group)
+			atr.Finish(r, "batch", telemetry.OutcomeOK)
+		}()
 	}
 	wg.Wait()
 	return out

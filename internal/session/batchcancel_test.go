@@ -211,3 +211,41 @@ func TestJoinBatchStripedPrepareKeepsContracts(t *testing.T) {
 		t.Fatalf("allocator holds %d nodes after departs", got)
 	}
 }
+
+// prepareBatch groups a batch by owning shard with one counting pass: each
+// region's share holds exactly the prepared positions its shard owns, in
+// input order, shares follow region order, and failed prepares (here the
+// in-batch duplicates) appear in none.
+func TestPrepareBatchGroupsSharesByRegion(t *testing.T) {
+	const n = 300
+	c := testController16(t, n, 0)
+	view := model.NewUniformView(c.cfg.Producers, 0)
+	reqs := make([]JoinRequest, n)
+	for i := range reqs {
+		reqs[i] = JoinRequest{ID: vid(i % (n - 20)), InboundMbps: 20, OutboundMbps: 4, View: view}
+	}
+	out := make([]BatchOutcome, n)
+	batch := c.prepareBatch(testCtx, reqs, out)
+	if len(batch.order) != n-20 {
+		t.Fatalf("grouped %d prepared joins, want %d", len(batch.order), n-20)
+	}
+	seen := 0
+	for r := range len(c.lscs) {
+		share := batch.share(r)
+		for k, i := range share {
+			if lsc := batch.joins[i].lsc; lsc == nil || int(lsc.Region) != r {
+				t.Fatalf("region %d's share holds position %d, owned by %v", r, i, lsc)
+			}
+			if k > 0 && share[k-1] >= i {
+				t.Fatalf("region %d's share is out of input order: %v", r, share)
+			}
+		}
+		seen += len(share)
+	}
+	if seen != n-20 {
+		t.Fatalf("shares cover %d positions, want %d", seen, n-20)
+	}
+	for _, i := range batch.order {
+		c.abandon(batch.joins[i])
+	}
+}

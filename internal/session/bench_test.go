@@ -50,17 +50,13 @@ func benchBatchPrepare(b *testing.B, regions int) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perShard := c.prepareBatch(ctx, reqs, out)
+		prepared := c.prepareBatch(ctx, reqs, out)
 		b.StopTimer()
-		prepared := 0
-		for _, group := range perShard {
-			for _, r := range group {
-				c.abandon(r.p)
-				prepared++
-			}
+		for _, i := range prepared.order {
+			c.abandon(prepared.joins[i])
 		}
-		if prepared != batch {
-			b.Fatalf("prepared %d of %d requests", prepared, batch)
+		if len(prepared.order) != batch {
+			b.Fatalf("prepared %d of %d requests", len(prepared.order), batch)
 		}
 		b.StartTimer()
 	}

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
+	"runtime"
 	"testing"
 )
 
@@ -67,42 +69,78 @@ func goldenPairs(n int, hashed bool, visit func(i, j int)) {
 	}
 }
 
-func writeInt64(h hash.Hash, buf []byte, v int64) {
-	binary.LittleEndian.PutUint64(buf, uint64(v))
-	h.Write(buf)
+// goldenHasher feeds little-endian int64s to a SHA-256 through a buffer, so
+// hashing 18 M pairs costs one block write per 8 KiB instead of one per value.
+type goldenHasher struct {
+	h   hash.Hash
+	buf []byte
 }
 
+func newGoldenHasher() *goldenHasher {
+	return &goldenHasher{h: sha256.New(), buf: make([]byte, 0, 8<<10)}
+}
+
+func (g *goldenHasher) writeInt64(v int64) {
+	if len(g.buf) == cap(g.buf) {
+		g.h.Write(g.buf)
+		g.buf = g.buf[:0]
+	}
+	g.buf = binary.LittleEndian.AppendUint64(g.buf, uint64(v))
+}
+
+func (g *goldenHasher) sum() string {
+	g.h.Write(g.buf)
+	g.buf = g.buf[:0]
+	return hex.EncodeToString(g.h.Sum(nil))
+}
+
+// TestLatencyMatrixGolden checks every golden; a dense one is built under
+// GOMAXPROCS 1, 2 and 4, since the dense build splits its work across that
+// many workers and every split must write the same bytes.
 func TestLatencyMatrixGolden(t *testing.T) {
 	for _, g := range latencyGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			gen := GenerateLatencyMatrix
 			if g.hashed {
-				gen = GenerateHashedLatencyMatrix
+				checkLatencyGolden(t, g)
+				return
 			}
-			m, err := gen(g.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, 8)
-			rh := sha256.New()
-			for i := 0; i < m.Nodes(); i++ {
-				writeInt64(rh, buf, int64(m.RegionOf(i)))
-			}
-			dh := sha256.New()
-			pairs := 0
-			goldenPairs(m.Nodes(), g.hashed, func(i, j int) {
-				writeInt64(dh, buf, int64(m.Delay(i, j)))
-				pairs++
-			})
-			if g.hashed && pairs < 1_000_000 {
-				t.Fatalf("hashed golden covers %d pairs, want >= 1M", pairs)
-			}
-			if got := hex.EncodeToString(rh.Sum(nil)); got != g.regions {
-				t.Errorf("region labels hash = %s, want %s", got, g.regions)
-			}
-			if got := hex.EncodeToString(dh.Sum(nil)); got != g.delays {
-				t.Errorf("delays hash over %d pairs = %s, want %s", pairs, got, g.delays)
+			for _, procs := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					checkLatencyGolden(t, g)
+				})
 			}
 		})
+	}
+}
+
+func checkLatencyGolden(t *testing.T, g latencyGolden) {
+	t.Helper()
+	gen := GenerateLatencyMatrix
+	if g.hashed {
+		gen = GenerateHashedLatencyMatrix
+	}
+	m, err := gen(g.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh := newGoldenHasher()
+	for i := 0; i < m.Nodes(); i++ {
+		rh.writeInt64(int64(m.RegionOf(i)))
+	}
+	dh := newGoldenHasher()
+	pairs := 0
+	goldenPairs(m.Nodes(), g.hashed, func(i, j int) {
+		dh.writeInt64(int64(m.Delay(i, j)))
+		pairs++
+	})
+	if g.hashed && pairs < 1_000_000 {
+		t.Fatalf("hashed golden covers %d pairs, want >= 1M", pairs)
+	}
+	if got := rh.sum(); got != g.regions {
+		t.Errorf("region labels hash = %s, want %s", got, g.regions)
+	}
+	if got := dh.sum(); got != g.delays {
+		t.Errorf("delays hash over %d pairs = %s, want %s", pairs, got, g.delays)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -100,15 +101,17 @@ type denseTable struct {
 }
 
 // offHeapBytes is the size of every dense table currently mapped outside
-// the Go heap, summed over the process.
+// the Go heap, and of the scratch of any dense build under way, summed over
+// the process.
 var offHeapBytes atomic.Int64
 
 // OffHeapBytes reports the bytes of dense latency tables the process holds
 // outside the Go heap: mapped by GenerateLatencyMatrix and not yet released
-// by the cleanup that follows their matrix becoming unreachable. Together
-// with the runtime's heap figures it accounts for the substrate's share of
-// the resident set. It stays 0 on platforms without mmap, where the table
-// is an ordinary heap slice.
+// by the cleanup that follows their matrix becoming unreachable. While a
+// build runs it also counts that build's deviate ring, which the build
+// unmaps before it returns. Together with the runtime's heap figures it
+// accounts for the substrate's share of the resident set. It stays 0 on
+// platforms without mmap, where the table is an ordinary heap slice.
 func OffHeapBytes() uint64 { return uint64(offHeapBytes.Load()) }
 
 // newLatencyMatrix validates cfg, labels every node with a region and
@@ -132,7 +135,9 @@ func newLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, *rand.Rand, error) {
 
 // GenerateLatencyMatrix synthesizes the matrix from the config. Pairs are
 // drawn row-major over i < j, one normal deviate each, from the stream that
-// labelled the regions.
+// labelled the regions. The stream is the only sequential part of the
+// build: one producer draws it chunk by chunk, and up to GOMAXPROCS workers
+// turn each chunk's deviates into its cells (see fillDense).
 func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
 	m, rng, err := newLatencyMatrix(cfg)
 	if err != nil {
@@ -142,18 +147,129 @@ func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
 	if m.dense, err = newDenseTable(n * (n - 1) / 2); err != nil {
 		return nil, fmt.Errorf("latency matrix: %w", err)
 	}
-	cells := m.dense.cells
-	for i := 0; i < n; i++ {
-		row := cells[triIndex(n, i, i+1):][:n-1-i]
-		for c := range row {
-			mu := m.muInter
-			if m.regions[i] == m.regions[i+1+c] {
-				mu = m.muIntra
-			}
-			row[c] = uint32(clampDelay(math.Exp(mu + cfg.Sigma*rng.NormFloat64())))
+	draw := func(z []float64) {
+		for k := range z {
+			z[k] = rng.NormFloat64()
 		}
 	}
+	workers := min(runtime.GOMAXPROCS(0), denseMaxWorkers)
+	if err := m.fillDense(draw, workers, denseChunkCells); err != nil {
+		return nil, fmt.Errorf("latency matrix: %w", err)
+	}
 	return m, nil
+}
+
+// denseChunkCells is the cell count a chunk of the dense build reaches
+// before its last row closes it: 128 KiB of deviates, which stay in cache
+// between the producer that draws them and the worker that reads them.
+const denseChunkCells = 1 << 14
+
+// denseMaxWorkers caps the dense build's workers. Profiles of the
+// one-loop build put 17–20 % of its time in drawing deviates and the rest
+// in turning them into cells, so the one producer keeps four or five
+// workers busy; more would wait for deviates and cost goroutine heap.
+const denseMaxWorkers = 4
+
+// denseChunk hands the rows [lo, hi) of the triangle to a worker, with z
+// holding their deviates in stream order and slot naming z's ring slot.
+type denseChunk struct {
+	lo, hi, slot int
+	z            []float64
+}
+
+// fillDense fills the dense table in chunks of whole rows, each closed by
+// the row that brings it to chunkCells cells. draw fills a chunk's
+// deviates from the stream, chunk after chunk in table order, so the table
+// holds the same stream whatever the chunking. workers goroutines
+// transform the drawn chunks from a ring of 2·workers slots, writing
+// disjoint rows (the table's first-touch page faults spread with them),
+// and hand each slot back to the producer when done. With one worker, or
+// a table under two chunks, the same loop transforms every chunk inline
+// from a single slot. The ring lives off the Go heap (newScratch) and is
+// released before fillDense returns.
+func (m *LatencyMatrix) fillDense(draw func(z []float64), workers, chunkCells int) error {
+	n, total := m.cfg.Nodes, len(m.dense.cells)
+	if total == 0 {
+		return nil
+	}
+	workers = min(workers, total/chunkCells)
+	slots := 1
+	if workers > 1 {
+		slots = 2 * workers
+	}
+	// A chunk stops below chunkCells before its closing row adds at most
+	// n-1 cells.
+	slotCap := min(total, chunkCells+n-2)
+	ring, err := newScratch(slots * slotCap)
+	if err != nil {
+		return err
+	}
+	defer freeScratch(ring)
+
+	var free chan int
+	var work chan denseChunk
+	var wg sync.WaitGroup
+	if slots > 1 {
+		// Both channels hold every slot at once, so neither side ever
+		// blocks on a send: free starts full, and work takes whatever
+		// the producer has drawn while the workers are busy.
+		free, work = make(chan int, slots), make(chan denseChunk, slots)
+		for s := range slots {
+			free <- s
+		}
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c := range work {
+					m.fillRows(c.lo, c.hi, c.z)
+					free <- c.slot
+				}
+			}()
+		}
+	}
+	for lo := 0; lo < n-1; {
+		hi, cells := lo, 0
+		for cells < chunkCells && hi < n-1 {
+			cells += n - 1 - hi
+			hi++
+		}
+		c := denseChunk{lo: lo, hi: hi}
+		if work != nil {
+			c.slot = <-free
+		}
+		c.z = ring[c.slot*slotCap:][:cells]
+		draw(c.z)
+		if work != nil {
+			work <- c
+		} else {
+			m.fillRows(c.lo, c.hi, c.z)
+		}
+		lo = hi
+	}
+	if work != nil {
+		close(work)
+		wg.Wait()
+	}
+	return nil
+}
+
+// fillRows writes the cells of rows [lo, hi) from their deviates z, in
+// stream order: each cell is the lognormal of its pair's region family.
+func (m *LatencyMatrix) fillRows(lo, hi int, z []float64) {
+	n, sigma := m.cfg.Nodes, m.cfg.Sigma
+	for i := lo; i < hi; i++ {
+		row := m.dense.cells[triIndex(n, i, i+1):][:n-1-i]
+		dev, peers := z[:len(row)], m.regions[i+1:][:len(row)]
+		z = z[len(row):]
+		for c := range row {
+			mu := m.muInter
+			if m.regions[i] == peers[c] {
+				mu = m.muIntra
+			}
+			row[c] = uint32(clampDelay(math.Exp(mu + sigma*dev[c])))
+		}
+	}
 }
 
 // GenerateHashedLatencyMatrix builds the O(n)-memory variant of the

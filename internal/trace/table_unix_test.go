@@ -3,6 +3,7 @@
 package trace
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -10,7 +11,9 @@ import (
 
 // settledOffHeap collects garbage until OffHeapBytes holds still over a few
 // rounds, so cleanups queued for matrices earlier tests dropped have run,
-// and returns the settled value.
+// and returns the settled value. A round sleeps 10 ms: on a loaded box the
+// goroutine running the cleanups can stall for a few milliseconds between
+// two of them.
 func settledOffHeap(t *testing.T) uint64 {
 	t.Helper()
 	last, stable := OffHeapBytes(), 0
@@ -19,7 +22,7 @@ func settledOffHeap(t *testing.T) uint64 {
 			t.Fatalf("off-heap bytes never settled (last %d)", last)
 		}
 		runtime.GC()
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 		if cur := OffHeapBytes(); cur == last {
 			stable++
 		} else {
@@ -63,6 +66,54 @@ func TestDenseMatrixAllocationBound(t *testing.T) {
 		t.Errorf("dense %d-node build mapped %d bytes, want %d", n, got, want)
 	}
 	runtime.KeepAlive(m)
+}
+
+// A dense build maps its deviate ring beside the table and unmaps it before
+// returning: while the producer draws, OffHeapBytes counts the ring too, and
+// after the build it reads the table alone, at every GOMAXPROCS.
+func TestDenseBuildReleasesScratch(t *testing.T) {
+	const n = 2000
+	table := uint64(4 * n * (n - 1) / 2)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := settledOffHeap(t)
+			m, rng, err := newLatencyMatrix(DefaultLatencyConfig(n, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.dense, err = newDenseTable(n * (n - 1) / 2); err != nil {
+				t.Fatal(err)
+			}
+			var peak uint64
+			draw := func(z []float64) {
+				peak = max(peak, OffHeapBytes()-base)
+				for k := range z {
+					z[k] = rng.NormFloat64()
+				}
+			}
+			if err := m.fillDense(draw, procs, denseChunkCells); err != nil {
+				t.Fatal(err)
+			}
+			if peak <= table {
+				t.Errorf("mapped %d bytes while drawing, want the %d-byte table and a ring", peak, table)
+			}
+			if got := OffHeapBytes() - base; got != table {
+				t.Errorf("mapped %d bytes after the fill, want the table's %d", got, table)
+			}
+			m2, err := GenerateLatencyMatrix(DefaultLatencyConfig(n, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := OffHeapBytes() - base; got != 2*table {
+				t.Errorf("mapped %d bytes after a second build, want two tables' %d", got, 2*table)
+			}
+			runtime.KeepAlive(m)
+			runtime.KeepAlive(m2)
+			m, m2 = nil, nil
+			waitOffHeap(t, base)
+		})
+	}
 }
 
 // Dropped matrices give their mappings back: after GC and the cleanups, the

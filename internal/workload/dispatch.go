@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"telecast/internal/model"
@@ -109,13 +110,41 @@ func NewLocalPlane(ctrl *session.Controller, producers *model.Session, maxParall
 	if maxParallel <= 0 {
 		maxParallel = 256
 	}
-	return &localPlane{ctrl: ctrl, producers: producers, maxParallel: maxParallel}
+	return &localPlane{ctrl: ctrl, producers: producers, maxParallel: maxParallel, views: make(map[uint64]model.View)}
 }
+
+// viewCacheMax bounds the local plane's per-angle view cache. A catalog
+// scenario asks for a handful of angles; the cap only keeps a continuous
+// angle sweep from growing the cache without bound, and on overflow the
+// cache resets and rebuilds the angles in use.
+const viewCacheMax = 4096
 
 type localPlane struct {
 	ctrl        *session.Controller
 	producers   *model.Session
 	maxParallel int
+	// views holds one uniform view per requested angle, keyed by the
+	// angle's bits, so a request shares its angle's orientation map
+	// instead of building one. The controller only reads a request's
+	// view (the overlay interns a private clone), so sharing is safe.
+	viewsMu sync.Mutex
+	views   map[uint64]model.View
+}
+
+// view returns the uniform view at angle, built once per distinct angle.
+func (p *localPlane) view(angle float64) model.View {
+	key := math.Float64bits(angle)
+	p.viewsMu.Lock()
+	defer p.viewsMu.Unlock()
+	v, ok := p.views[key]
+	if !ok {
+		if len(p.views) >= viewCacheMax {
+			clear(p.views)
+		}
+		v = model.NewUniformView(p.producers, angle)
+		p.views[key] = v
+	}
+	return v
 }
 
 // Exec splits the batch into consecutive same-kind runs and dispatches each
@@ -173,7 +202,7 @@ func (p *localPlane) joinRequest(rq Request) session.JoinRequest {
 		ID:           rq.ID,
 		InboundMbps:  rq.InboundMbps,
 		OutboundMbps: rq.OutboundMbps,
-		View:         model.NewUniformView(p.producers, rq.ViewAngle),
+		View:         p.view(rq.ViewAngle),
 		Region:       rq.Region,
 	}
 }
@@ -219,7 +248,7 @@ func migrationOutcome(id model.ViewerID, out *session.MigrateOutcome, err error)
 }
 
 func (p *localPlane) changeView(ctx context.Context, rq Request) Outcome {
-	out, err := p.ctrl.ChangeView(ctx, rq.ID, model.NewUniformView(p.producers, rq.ViewAngle))
+	out, err := p.ctrl.ChangeView(ctx, rq.ID, p.view(rq.ViewAngle))
 	return Outcome{ID: rq.ID, Region: -1, Admitted: out != nil && out.Result.Admitted, Err: err}
 }
 

@@ -3,8 +3,12 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"telecast/internal/model"
 	"telecast/internal/session"
 	"telecast/internal/telemetry"
 )
@@ -45,4 +49,53 @@ func TestLocalPlaneSingleOpSkipsBatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLocalPlaneBuildsEachViewOnce pins the per-angle view cache: requests
+// at one angle share one orientation map, a different angle (including -0
+// against 0, which differ in bits) gets its own, and a cache at its bound
+// resets instead of growing.
+func TestLocalPlaneBuildsEachViewOnce(t *testing.T) {
+	ctrl, producers := newScenarioController(t, []Event{{Kind: EventJoin, Viewer: vidN(0)}}, 1)
+	p := NewLocalPlane(ctrl, producers, 0).(*localPlane)
+	same := func(a, b model.View) bool {
+		return reflect.ValueOf(a.Orientations).UnsafePointer() == reflect.ValueOf(b.Orientations).UnsafePointer()
+	}
+	a, b := p.view(0.5), p.joinRequest(Request{Kind: EventJoin, ViewAngle: 0.5}).View
+	if !same(a, b) {
+		t.Error("two requests at one angle built two views")
+	}
+	if want := model.NewUniformView(producers, 0.5); !a.Equal(want) {
+		t.Errorf("cached view %v, want %v", a.Orientations, want.Orientations)
+	}
+	if same(p.view(0), p.view(math.Copysign(0, -1))) {
+		t.Error("angles 0 and -0 share a view")
+	}
+	for i := len(p.views); i < viewCacheMax; i++ {
+		p.view(float64(i) + 1000)
+	}
+	if len(p.views) != viewCacheMax {
+		t.Fatalf("cache holds %d views, want %d", len(p.views), viewCacheMax)
+	}
+	p.view(-1)
+	if len(p.views) != 1 {
+		t.Errorf("cache at its bound holds %d views after a new angle, want 1", len(p.views))
+	}
+	// Concurrent view changes share the cache: readers and builders race
+	// across a reset without corrupting it.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range viewCacheMax {
+				if v := p.view(float64(i%7 + g)); len(v.Orientations) != producers.NumSites() {
+					t.Errorf("view at %d has %d sites", i%7+g, len(v.Orientations))
+					return
+				}
+				p.view(float64(i) + 1e6)
+			}
+		}()
+	}
+	wg.Wait()
 }
