@@ -10,9 +10,10 @@ SHELL := bash
 # (BENCH_control_plane.json) tracks. BenchmarkBatchPrepare lives in
 # internal/session (it drives the unexported prepare phase directly), so the
 # bench targets cover that package alongside the root. internal/trace holds
-# BenchmarkGenerateLatencyMatrix; its dense case (the parallel build every
-# `serve` start pays for) is in HOT_BENCH so bench-smoke runs it, and it is
-# in no guard. internal/overlay holds
+# BenchmarkGenerateLatencyMatrix; its dense case (the whole parallel build,
+# timed until the background fill has written the last row, not until
+# GenerateLatencyMatrix returns) is in HOT_BENCH so bench-smoke runs it, and
+# it is in no guard. internal/overlay holds
 # BenchmarkDeepCycle, a bare overlay manager's deep-tree ramp and drain
 # (ns, B and allocs per cycle); it is in no guard either.
 HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$|BenchmarkGenerateLatencyMatrix/dense

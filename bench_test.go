@@ -201,6 +201,8 @@ func benchJoin(b *testing.B, telemetryOn bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The table fills in the background; the timed work starts on a full one.
+	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat,
 		telecast.WithCDN(unboundedCDN()), // unbounded: measure algorithm cost
 		telecast.WithTelemetry(telemetryOn))
@@ -257,6 +259,7 @@ func BenchmarkViewChange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat, telecast.WithCDN(unboundedCDN()))
 	if err != nil {
 		b.Fatal(err)
@@ -319,6 +322,7 @@ func benchConcurrentJoin(b *testing.B, regions int, subscribe bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		<-lat.Filled()
 		ctrl, err := telecast.NewController(producers, lat,
 			telecast.WithCDN(unboundedCDN())) // unbounded: measure control-plane cost
 		if err != nil {
@@ -390,6 +394,7 @@ func BenchmarkMigration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat,
 		telecast.WithCDN(unboundedCDN())) // unbounded: measure handoff cost
 	if err != nil {
@@ -465,6 +470,7 @@ func BenchmarkWorkloadParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		<-lat.Filled()
 		ctrl, err := telecast.NewController(producers, lat, telecast.WithCDN(unboundedCDN()))
 		if err != nil {
 			b.Fatal(err)

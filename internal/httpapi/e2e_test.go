@@ -111,6 +111,7 @@ func TestLoopbackReplay(t *testing.T) {
 	if after.Heap.HeapAllocBytes == 0 || after.Heap.HeapSysBytes == 0 {
 		t.Errorf("heap stats missing from /metricz: %+v", after.Heap)
 	}
+	checkLatencyFill(t, cl, matrixSize)
 	checkOffHeapBytes(t, cl, matrixSize)
 
 	// The overlay's cumulative admission counter also covers re-admissions
@@ -130,6 +131,26 @@ func TestLoopbackReplay(t *testing.T) {
 	if fc.admitted == 0 {
 		t.Fatal("feed saw no admissions during the replay")
 	}
+}
+
+// checkLatencyFill asserts /metricz reports the served n-endpoint matrix's
+// background fill complete: all n-1 rows published and a fill duration
+// recorded. A replay long past the fill that still reads it incomplete
+// means the watermark stalled.
+func checkLatencyFill(t *testing.T, cl *client.Client, n int) {
+	t.Helper()
+	var got httpapi.LatencyFill
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		m, err := cl.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = m.Fill; got.Rows == n-1 && got.RowsFilled == n-1 && got.FillSeconds > 0 {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("/metricz latency_fill = %+v, want all %d rows filled and a fill duration", got, n-1)
 }
 
 // checkOffHeapBytes asserts /metricz reports the served n-endpoint matrix's

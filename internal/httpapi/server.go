@@ -98,9 +98,16 @@ func (s *Server) Metrics() Metrics {
 	if ms.NumGC > 0 {
 		heap.LastGCPauseMs = float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e6
 	}
+	fp := s.ctrl.Latency().FillProgress()
 	return Metrics{
 		Overlay: counters,
 		Heap:    heap,
+		Fill: LatencyFill{
+			Rows:        fp.Rows,
+			RowsFilled:  fp.RowsFilled,
+			FillSeconds: fp.Took.Seconds(),
+			Waits:       fp.Waits,
+		},
 		Latency: latency,
 		Totals: Totals{
 			JoinsAccepted:       s.totals.joinsAccepted.Load(),

@@ -338,16 +338,33 @@ type HeapStats struct {
 	LastGCPauseMs  float64 `json:"last_gc_pause_ms"`
 }
 
+// LatencyFill is the dense latency table's background fill: the matrix
+// serves as soon as it is generated and publishes its rows as they are
+// written (trace.LatencyMatrix.FillProgress). The fill is complete when
+// RowsFilled equals Rows; a hashed matrix has no rows to fill.
+type LatencyFill struct {
+	Rows       int `json:"rows"`
+	RowsFilled int `json:"rows_filled"`
+	// FillSeconds runs from the start of the build to the last row; 0
+	// until the fill is complete.
+	FillSeconds float64 `json:"fill_s"`
+	// Waits counts the delay reads that asked for a row before it was
+	// written and waited for it.
+	Waits uint64 `json:"waits"`
+}
+
 // Metrics is the /metricz body: the cheap overlay counter snapshot (the
 // SampleStats path — no sorted CDFs on the request path) plus the server's
-// outcome totals and the process heap health. Latency is the since-start
-// per-op table reduced from the telemetry histograms, present only while
-// telemetry is enabled — it is what lets a remote replay print the same
-// exit table a local run computes from its own collector.
+// outcome totals, the process heap health and the latency table's fill.
+// Latency is the since-start per-op table reduced from the telemetry
+// histograms, present only while telemetry is enabled — it is what lets a
+// remote replay print the same exit table a local run computes from its
+// own collector.
 type Metrics struct {
 	Overlay workload.Counters    `json:"overlay"`
 	Totals  Totals               `json:"totals"`
 	Heap    HeapStats            `json:"heap"`
+	Fill    LatencyFill          `json:"latency_fill"`
 	Latency []workload.OpLatency `json:"latency,omitempty"`
 }
 

@@ -121,25 +121,54 @@ func runStriped(n int, id func(int) model.ViewerID, fn func(int)) {
 	wg.Wait()
 }
 
-// preparedBatch is a join batch after its GSC half. joins[i] is request
-// i's prepared join, with a nil lsc where prepare failed. order lists the
-// prepared positions grouped by owning shard, in region order and in input
-// order within a shard: region r's share is order[bounds[r]:bounds[r+1]].
-type preparedBatch struct {
-	joins  []preparedJoin
+// shares lists batch positions grouped by owning shard, in region order
+// and in input order within a shard: region r's share is
+// order[bounds[r]:bounds[r+1]].
+type shares struct {
 	order  []int
 	bounds []int
 }
 
-// share returns the input positions region r admits, in input order.
-func (b *preparedBatch) share(r int) []int { return b.order[b.bounds[r]:b.bounds[r+1]] }
+// share returns the input positions region r owns, in input order.
+func (s shares) share(r int) []int { return s.order[s.bounds[r]:s.bounds[r+1]] }
+
+// groupByRegion groups the positions 0..n-1 by the shard owner(i) names,
+// skipping the nil ones, with one counting pass over their regions.
+func groupByRegion(n, regions int, owner func(i int) *LSC) shares {
+	// bounds[r] first counts region r's share, then (summed) marks where it
+	// ends; the backward fill walks each end down to its share's start.
+	bounds := make([]int, regions+1)
+	for i := range n {
+		if lsc := owner(i); lsc != nil {
+			bounds[lsc.Region]++
+		}
+	}
+	for r := 1; r < len(bounds); r++ {
+		bounds[r] += bounds[r-1]
+	}
+	order := make([]int, bounds[regions])
+	for i := n - 1; i >= 0; i-- {
+		if lsc := owner(i); lsc != nil {
+			bounds[lsc.Region]--
+			order[bounds[lsc.Region]] = i
+		}
+	}
+	return shares{order: order, bounds: bounds}
+}
+
+// preparedBatch is a join batch after its GSC half. joins[i] is request
+// i's prepared join, with a nil lsc where prepare failed; the shares group
+// the prepared positions by owning shard.
+type preparedBatch struct {
+	shares
+	joins []preparedJoin
+}
 
 // prepareBatch runs the GSC half of a join batch — duplicate check, route
 // claim, latency-node placement, registry insert — striped by viewer-ID hash
-// across prepare workers, then groups the survivors by owning shard with
-// one counting pass over their regions. Failures (and cancellation observed
-// during prepare) are recorded in out; prepared entries await admit or
-// abandon.
+// across prepare workers, then groups the survivors by owning shard.
+// Failures (and cancellation observed during prepare) are recorded in out;
+// prepared entries await admit or abandon.
 func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out []BatchOutcome) preparedBatch {
 	joins := make([]preparedJoin, len(reqs))
 	runStriped(len(reqs), func(i int) model.ViewerID { return reqs[i].ID }, func(i int) {
@@ -155,25 +184,8 @@ func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out [
 		}
 		joins[i] = p
 	})
-	// bounds[r] first counts region r's share, then (summed) marks where it
-	// ends; the backward fill walks each end down to its share's start.
-	bounds := make([]int, len(c.lscs)+1)
-	for i := range joins {
-		if lsc := joins[i].lsc; lsc != nil {
-			bounds[lsc.Region]++
-		}
-	}
-	for r := 1; r < len(bounds); r++ {
-		bounds[r] += bounds[r-1]
-	}
-	order := make([]int, bounds[len(c.lscs)])
-	for i := len(joins) - 1; i >= 0; i-- {
-		if lsc := joins[i].lsc; lsc != nil {
-			bounds[lsc.Region]--
-			order[bounds[lsc.Region]] = i
-		}
-	}
-	return preparedBatch{joins: joins, order: order, bounds: bounds}
+	grouped := groupByRegion(len(joins), len(c.lscs), func(i int) *LSC { return joins[i].lsc })
+	return preparedBatch{shares: grouped, joins: joins}
 }
 
 // JoinBatch admits many viewers at once, exploiting the sharded control
@@ -224,15 +236,19 @@ func (c *Controller) JoinBatch(ctx context.Context, reqs []JoinRequest) []BatchO
 	return out
 }
 
-// DepartBatch removes many viewers at once: the route-take loop is striped
-// by viewer-ID hash like JoinBatch's prepare, then the taken viewers are
-// grouped by owning shard and processed in parallel across shards. Results
-// are returned in input order. Cancelling the context stops dispatching;
-// viewers not yet departed keep their session — their taken route is bound
-// back to the owning shard before the outcome reports the context error —
-// and remain leavable.
-func (c *Controller) DepartBatch(ctx context.Context, ids []model.ViewerID) []BatchOutcome {
-	out := make([]BatchOutcome, len(ids))
+// takenBatch is a departure batch after its GSC half. owners[i] is the
+// shard whose route request i took, nil where the take failed; the shares
+// group the taken positions by owning shard.
+type takenBatch struct {
+	shares
+	owners []*LSC
+}
+
+// takeBatch runs the GSC half of a departure batch: the route-take loop,
+// striped by viewer-ID hash like prepareBatch, then the taken viewers
+// grouped by owning shard. Failures (and cancellation observed during the
+// take) are recorded in out.
+func (c *Controller) takeBatch(ctx context.Context, ids []model.ViewerID, out []BatchOutcome) takenBatch {
 	owners := make([]*LSC, len(ids))
 	runStriped(len(ids), func(i int) model.ViewerID { return ids[i] }, func(i int) {
 		id := ids[i]
@@ -248,19 +264,32 @@ func (c *Controller) DepartBatch(ctx context.Context, ids []model.ViewerID) []Ba
 		}
 		owners[i] = lsc
 	})
-	perShard := make(map[*LSC][]int, len(c.lscs))
-	for i, lsc := range owners {
-		if lsc != nil {
-			perShard[lsc] = append(perShard[lsc], i)
-		}
-	}
+	grouped := groupByRegion(len(owners), len(c.lscs), func(i int) *LSC { return owners[i] })
+	return takenBatch{shares: grouped, owners: owners}
+}
+
+// DepartBatch removes many viewers at once: the route-take loop is striped
+// by viewer-ID hash like JoinBatch's prepare, then the taken viewers are
+// grouped by owning shard and each shard's share departs in input order on
+// its own goroutine, shares dispatched in region order. Results are
+// returned in input order. Cancelling the context stops dispatching;
+// viewers not yet departed keep their session — their taken route is bound
+// back to the owning shard before the outcome reports the context error —
+// and remain leavable.
+func (c *Controller) DepartBatch(ctx context.Context, ids []model.ViewerID) []BatchOutcome {
+	out := make([]BatchOutcome, len(ids))
+	batch := c.takeBatch(ctx, ids, out)
 	var wg sync.WaitGroup
-	for lsc, idxs := range perShard {
+	for r := range len(c.lscs) {
+		share := batch.share(r)
+		if len(share) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(lsc *LSC, idxs []int) {
+		go func() {
 			defer wg.Done()
-			for _, i := range idxs {
-				id := out[i].ID
+			for _, i := range share {
+				id, lsc := ids[i], batch.owners[i]
 				var tr telemetry.OpTrace
 				c.tel.StartOp(&tr, telemetry.OpLeave)
 				if err := ctx.Err(); err != nil {
@@ -277,7 +306,7 @@ func (c *Controller) DepartBatch(ctx context.Context, ids []model.ViewerID) []Ba
 				}
 				out[i].Err = c.depart(lsc, id, &tr)
 			}
-		}(lsc, idxs)
+		}()
 	}
 	wg.Wait()
 	return out

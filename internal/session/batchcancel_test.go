@@ -249,3 +249,59 @@ func TestPrepareBatchGroupsSharesByRegion(t *testing.T) {
 		c.abandon(batch.joins[i])
 	}
 }
+
+// takeBatch groups a departure batch by owning shard with the same
+// counting pass as prepareBatch: each region's share holds exactly the
+// taken positions its shard owns, in input order, shares follow region
+// order, and failed takes (here the in-batch duplicates, whose route the
+// first occurrence already took) appear in none.
+func TestDepartBatchGroupsSharesByRegion(t *testing.T) {
+	const n = 300
+	c := testController16(t, n, 0)
+	view := model.NewUniformView(c.cfg.Producers, 0)
+	joined := make([]JoinRequest, n-20)
+	for i := range joined {
+		joined[i] = JoinRequest{ID: vid(i), InboundMbps: 20, OutboundMbps: 4, View: view}
+	}
+	for _, out := range c.JoinBatch(testCtx, joined) {
+		if out.Err != nil {
+			t.Fatalf("join %s: %v", out.ID, out.Err)
+		}
+	}
+	ids := make([]model.ViewerID, n)
+	for i := range ids {
+		ids[i] = vid(i % (n - 20))
+	}
+	out := make([]BatchOutcome, n)
+	batch := c.takeBatch(testCtx, ids, out)
+	if len(batch.order) != n-20 {
+		t.Fatalf("grouped %d taken departures, want %d", len(batch.order), n-20)
+	}
+	seen := 0
+	for r := range len(c.lscs) {
+		share := batch.share(r)
+		for k, i := range share {
+			if lsc := batch.owners[i]; lsc == nil || int(lsc.Region) != r {
+				t.Fatalf("region %d's share holds position %d, owned by %v", r, i, lsc)
+			}
+			if k > 0 && share[k-1] >= i {
+				t.Fatalf("region %d's share is out of input order: %v", r, share)
+			}
+		}
+		seen += len(share)
+	}
+	if seen != n-20 {
+		t.Fatalf("shares cover %d positions, want %d", seen, n-20)
+	}
+	for _, i := range batch.order {
+		c.bindRoute(ids[i], batch.owners[i])
+	}
+	for _, out := range c.DepartBatch(testCtx, ids[:n-20]) {
+		if out.Err != nil {
+			t.Fatalf("depart %s after the rebind: %v", out.ID, out.Err)
+		}
+	}
+	if got := c.nodes.takenCount(); got != 0 {
+		t.Fatalf("allocator holds %d nodes after departs", got)
+	}
+}

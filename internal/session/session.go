@@ -410,6 +410,10 @@ func (c *Controller) Close() { c.bus.close() }
 // CDN exposes the shared distribution substrate.
 func (c *Controller) CDN() *cdn.CDN { return c.cdn }
 
+// Latency exposes the propagation-delay substrate the controller places
+// viewers on.
+func (c *Controller) Latency() *trace.LatencyMatrix { return c.cfg.Latency }
+
 // Telemetry exposes the wall-clock observability layer: enable it, set
 // the slow-op threshold, and capture snapshots on demand. The collector
 // exists for the controller's whole lifetime.

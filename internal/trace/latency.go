@@ -69,7 +69,9 @@ func DefaultLatencyConfig(nodes int, seed int64) LatencyConfig {
 // from (seed, i, j), so a million-endpoint substrate costs O(n) memory
 // instead of terabytes; it is equally deterministic, just a different
 // (per-pair independent) draw than the dense generator's sequential stream.
-// Both modes bound every pair delay with clampDelay.
+// Both modes bound every pair delay with clampDelay. The dense table is
+// filled in the background after GenerateLatencyMatrix returns; each row
+// is written once, then published by a watermark (see Delay).
 //
 // On unix the dense triangle lives outside the Go heap, in one anonymous
 // private mapping per matrix (OffHeapBytes counts it). The table is
@@ -96,22 +98,47 @@ type LatencyMatrix struct {
 // row-major, indexed by triIndex. newDenseTable allocates it: a mapping
 // outside the Go heap on unix (table_unix.go), unmapped by a cleanup once
 // the owner is unreachable; a plain slice elsewhere (table_other.go).
+//
+// fillDense writes each row once, in the background, and publishes it by
+// raising filled: every row below filled is written and never changes, so
+// Delay reads it with one atomic load and a compare. A read of a row not
+// yet published waits on cond until it is.
 type denseTable struct {
 	cells []uint32
+	// filled is the row watermark: rows [0, filled) are published. It is
+	// stored under mu and read without it.
+	filled atomic.Int64
+	// waits counts the Delay calls that found their row unpublished.
+	waits atomic.Uint64
+
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu; broadcast whenever filled rises
+	// rows is the number of rows holding cells, n-1. finished marks, bit
+	// per row, the rows of chunks written out of order above the
+	// watermark; nil once the fill ends.
+	rows     int
+	finished []uint64
+	// begin is when the build started and took how long it ran to its
+	// last row (0 until then); done is closed once the fill has ended and
+	// unmapped its ring.
+	begin time.Time
+	took  time.Duration
+	done  chan struct{}
 }
 
 // offHeapBytes is the size of every dense table currently mapped outside
-// the Go heap, and of the scratch of any dense build under way, summed over
-// the process.
+// the Go heap, and of the deviate ring of any dense fill under way, summed
+// over the process.
 var offHeapBytes atomic.Int64
 
 // OffHeapBytes reports the bytes of dense latency tables the process holds
 // outside the Go heap: mapped by GenerateLatencyMatrix and not yet released
 // by the cleanup that follows their matrix becoming unreachable. While a
-// build runs it also counts that build's deviate ring, which the build
-// unmaps before it returns. Together with the runtime's heap figures it
-// accounts for the substrate's share of the resident set. It stays 0 on
-// platforms without mmap, where the table is an ordinary heap slice.
+// table fills it also counts that fill's deviate ring, which the fill
+// unmaps when it writes the table's last row, not when GenerateLatencyMatrix
+// returns. Together with the runtime's heap figures it accounts for the
+// substrate's share of the resident set. It stays 0 on platforms without
+// mmap, where the table is an ordinary heap slice.
 func OffHeapBytes() uint64 { return uint64(offHeapBytes.Load()) }
 
 // newLatencyMatrix validates cfg, labels every node with a region and
@@ -135,10 +162,13 @@ func newLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, *rand.Rand, error) {
 
 // GenerateLatencyMatrix synthesizes the matrix from the config. Pairs are
 // drawn row-major over i < j, one normal deviate each, from the stream that
-// labelled the regions. The stream is the only sequential part of the
-// build: one producer draws it chunk by chunk, and up to GOMAXPROCS workers
-// turn each chunk's deviates into its cells (see fillDense).
+// labelled the regions. The call returns once the labels are drawn and the
+// table and its fill's deviate ring are mapped, so every error is reported
+// here; the cells are written in the background (see fillDense), row by
+// row in table order. Delay waits only for a row it asks for before that
+// row is written, and Filled reports when the last one is.
 func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
+	begin := time.Now()
 	m, rng, err := newLatencyMatrix(cfg)
 	if err != nil {
 		return nil, err
@@ -153,7 +183,7 @@ func GenerateLatencyMatrix(cfg LatencyConfig) (*LatencyMatrix, error) {
 		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), denseMaxWorkers)
-	if err := m.fillDense(draw, workers, denseChunkCells); err != nil {
+	if err := m.fillDense(begin, draw, workers, denseChunkCells); err != nil {
 		return nil, fmt.Errorf("latency matrix: %w", err)
 	}
 	return m, nil
@@ -178,18 +208,28 @@ type denseChunk struct {
 }
 
 // fillDense fills the dense table in chunks of whole rows, each closed by
-// the row that brings it to chunkCells cells. draw fills a chunk's
-// deviates from the stream, chunk after chunk in table order, so the table
-// holds the same stream whatever the chunking. workers goroutines
-// transform the drawn chunks from a ring of 2·workers slots, writing
-// disjoint rows (the table's first-touch page faults spread with them),
-// and hand each slot back to the producer when done. With one worker, or
-// a table under two chunks, the same loop transforms every chunk inline
-// from a single slot. The ring lives off the Go heap (newScratch) and is
-// released before fillDense returns.
-func (m *LatencyMatrix) fillDense(draw func(z []float64), workers, chunkCells int) error {
-	n, total := m.cfg.Nodes, len(m.dense.cells)
+// the row that brings it to chunkCells cells, and publishes every row
+// below the first chunk not yet written. draw fills a chunk's deviates
+// from the stream, chunk after chunk in table order, so the table holds
+// the same stream whatever the chunking. workers goroutines transform the
+// drawn chunks from a ring of 2·workers slots, writing disjoint rows (the
+// table's first-touch page faults spread with them), and hand each slot
+// back to the producer when done. With one worker the producer transforms
+// each chunk itself from a single slot.
+//
+// A table under two chunks fills inline before fillDense returns. A larger
+// one fills in the background: fillDense returns once the ring (off the Go
+// heap, newScratch) is mapped, and the fill runs to the last row, unmaps
+// the ring and closes the table's done channel. The fill goroutines hold
+// the matrix, so a matrix dropped mid-fill is unmapped by its cleanup once
+// the fill ends. begin is when the build started, for FillProgress.
+func (m *LatencyMatrix) fillDense(begin time.Time, draw func(z []float64), workers, chunkCells int) error {
+	t := m.dense
+	n, total := m.cfg.Nodes, len(t.cells)
+	t.cond.L = &t.mu
+	t.rows, t.begin, t.done = n-1, begin, make(chan struct{})
 	if total == 0 {
+		close(t.done)
 		return nil
 	}
 	workers = min(workers, total/chunkCells)
@@ -204,54 +244,109 @@ func (m *LatencyMatrix) fillDense(draw func(z []float64), workers, chunkCells in
 	if err != nil {
 		return err
 	}
-	defer freeScratch(ring)
+	t.finished = make([]uint64, (n-1+63)/64)
 
-	var free chan int
-	var work chan denseChunk
-	var wg sync.WaitGroup
-	if slots > 1 {
-		// Both channels hold every slot at once, so neither side ever
-		// blocks on a send: free starts full, and work takes whatever
-		// the producer has drawn while the workers are busy.
-		free, work = make(chan int, slots), make(chan denseChunk, slots)
-		for s := range slots {
-			free <- s
+	fill := func() {
+		var free chan int
+		var work chan denseChunk
+		var wg sync.WaitGroup
+		if slots > 1 {
+			// Both channels hold every slot at once, so neither side ever
+			// blocks on a send: free starts full, and work takes whatever
+			// the producer has drawn while the workers are busy.
+			free, work = make(chan int, slots), make(chan denseChunk, slots)
+			for s := range slots {
+				free <- s
+			}
+			for range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for c := range work {
+						m.fillRows(c.lo, c.hi, c.z)
+						free <- c.slot
+						t.publish(c.lo, c.hi)
+					}
+				}()
+			}
 		}
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range work {
-					m.fillRows(c.lo, c.hi, c.z)
-					free <- c.slot
-				}
-			}()
+		for lo := 0; lo < n-1; {
+			hi, cells := chunkEnd(n, lo, chunkCells)
+			c := denseChunk{lo: lo, hi: hi}
+			if work != nil {
+				c.slot = <-free
+			}
+			c.z = ring[c.slot*slotCap:][:cells]
+			draw(c.z)
+			if work != nil {
+				work <- c
+			} else {
+				m.fillRows(c.lo, c.hi, c.z)
+				t.publish(c.lo, c.hi)
+			}
+			lo = hi
 		}
-	}
-	for lo := 0; lo < n-1; {
-		hi, cells := lo, 0
-		for cells < chunkCells && hi < n-1 {
-			cells += n - 1 - hi
-			hi++
-		}
-		c := denseChunk{lo: lo, hi: hi}
 		if work != nil {
-			c.slot = <-free
+			close(work)
+			wg.Wait()
 		}
-		c.z = ring[c.slot*slotCap:][:cells]
-		draw(c.z)
-		if work != nil {
-			work <- c
-		} else {
-			m.fillRows(c.lo, c.hi, c.z)
-		}
-		lo = hi
+		freeScratch(ring)
+		close(t.done)
 	}
-	if work != nil {
-		close(work)
-		wg.Wait()
+	if total < 2*chunkCells {
+		fill()
+	} else {
+		go fill()
 	}
 	return nil
+}
+
+// chunkEnd closes the chunk of an n-node table that starts at row lo: it
+// returns the row past the chunk's last and the chunk's cell count, which
+// reaches chunkCells unless the table ends first.
+func chunkEnd(n, lo, chunkCells int) (hi, cells int) {
+	for hi = lo; cells < chunkCells && hi < n-1; hi++ {
+		cells += n - 1 - hi
+	}
+	return hi, cells
+}
+
+// publish marks rows [lo, hi) written and raises the watermark over every
+// written row below the first unwritten one, waking the readers waiting
+// for any of them. Chunks finish out of order, so a chunk above the
+// watermark stays marked in finished until the chunks below it land. The
+// table's last row records how long the build took.
+func (t *denseTable) publish(lo, hi int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for r := lo; r < hi; r++ {
+		t.finished[r/64] |= 1 << (r % 64)
+	}
+	old := int(t.filled.Load())
+	w := old
+	for w < t.rows && t.finished[w/64]&(1<<(w%64)) != 0 {
+		w++
+	}
+	if w == old {
+		return
+	}
+	t.filled.Store(int64(w))
+	t.cond.Broadcast()
+	if w == t.rows {
+		t.took = time.Since(t.begin)
+		t.finished = nil
+	}
+}
+
+// await blocks until row i is published: Delay's slow path, taken by a
+// read that overtakes the fill.
+func (t *denseTable) await(i int) {
+	t.waits.Add(1)
+	t.mu.Lock()
+	for int64(i) >= t.filled.Load() {
+		t.cond.Wait()
+	}
+	t.mu.Unlock()
 }
 
 // fillRows writes the cells of rows [lo, hi) from their deviates z, in
@@ -338,6 +433,11 @@ func (m *LatencyMatrix) Nodes() int { return m.cfg.Nodes }
 // Delay returns the one-way propagation delay between endpoints i and j.
 // It panics on out-of-range indices: indices come from internal placement
 // logic, so a bad index is a programming error, not an input error.
+//
+// A dense matrix's pair (i, j), i < j, lives in row i. Once that row is
+// published Delay is one atomic load and a compare away from the cell; a
+// call that overtakes the background fill waits until the row is written
+// (FillProgress counts such calls), then reads the same value.
 func (m *LatencyMatrix) Delay(i, j int) time.Duration {
 	if i > j {
 		i, j = j, i
@@ -350,12 +450,59 @@ func (m *LatencyMatrix) Delay(i, j int) time.Duration {
 	if t == nil {
 		return m.hashedDelay(i, j)
 	}
+	if int64(i) >= t.filled.Load() {
+		t.await(i)
+	}
 	d := t.cells[triIndex(m.cfg.Nodes, i, j)]
 	// The owner must stay reachable until the cell is read: its cleanup
 	// unmaps the cells, and a matrix whose last use is this call would
 	// otherwise be collectable between loading the slice and indexing it.
 	runtime.KeepAlive(t)
 	return time.Duration(d)
+}
+
+// closedChan is what Filled returns for a matrix with nothing to fill.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Filled returns a channel closed once the dense table is written to its
+// last row and the fill's deviate ring is unmapped; a hashed matrix's is
+// closed already. Delay never needs it. A caller waits on it to time
+// work apart from the build, to count the table's mapped bytes exactly,
+// or to report when the fill ended.
+func (m *LatencyMatrix) Filled() <-chan struct{} {
+	if m.dense == nil {
+		return closedChan
+	}
+	return m.dense.done
+}
+
+// FillProgress is how far a dense matrix's background fill has come.
+type FillProgress struct {
+	// Rows is the number of table rows that hold cells, Nodes-1 (0 in
+	// hashed mode, which has no table), and RowsFilled how many of them
+	// are published: the fill is complete when the two are equal.
+	Rows, RowsFilled int
+	// Took runs from the start of GenerateLatencyMatrix to the table's
+	// last row; 0 until the fill is complete.
+	Took time.Duration
+	// Waits counts the Delay calls that found their row unpublished and
+	// waited for it.
+	Waits uint64
+}
+
+// FillProgress reports how far the dense table's fill has come.
+func (m *LatencyMatrix) FillProgress() FillProgress {
+	t := m.dense
+	if t == nil {
+		return FillProgress{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return FillProgress{Rows: t.rows, RowsFilled: int(t.filled.Load()), Took: t.took, Waits: t.waits.Load()}
 }
 
 // RegionOf returns the region label of endpoint i. The session layer uses it

@@ -45,20 +45,22 @@ func waitOffHeap(t *testing.T, want uint64) {
 	}
 }
 
-// A dense build allocates only its region labels (8n: one int each) and the
-// RNG's ~4.9 KB state on the Go heap; the triangle is mapped outside it, at
-// exactly 4 bytes a cell. A table put back on the heap fails the first bound
-// by 72 MB at this n; int64 cells or a stored diagonal fail the second.
+// A dense build allocates only its region labels (8n: one int each), the
+// RNG's ~4.9 KB state and the fill's row bitmap (n/8) on the Go heap; the
+// triangle is mapped outside it, at exactly 4 bytes a cell. Both checks
+// run once the fill has ended. A table put back on the heap fails the first
+// bound by 72 MB at this n; int64 cells or a stored diagonal fail the second.
 func TestDenseMatrixAllocationBound(t *testing.T) {
 	const n = 6000
 	base := settledOffHeap(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m, err := GenerateLatencyMatrix(DefaultLatencyConfig(n, 1))
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitFilled(t, m)
+	runtime.ReadMemStats(&after)
 	if limit, got := uint64(8*n+16<<10), after.TotalAlloc-before.TotalAlloc; got > limit {
 		t.Errorf("dense %d-node build allocated %d heap bytes, want <= %d", n, got, limit)
 	}
@@ -68,9 +70,9 @@ func TestDenseMatrixAllocationBound(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// A dense build maps its deviate ring beside the table and unmaps it before
-// returning: while the producer draws, OffHeapBytes counts the ring too, and
-// after the build it reads the table alone, at every GOMAXPROCS.
+// A dense fill maps its deviate ring beside the table and unmaps it when it
+// ends: while the producer draws, OffHeapBytes counts the ring too, and
+// once the fill has ended it reads the table alone, at every GOMAXPROCS.
 func TestDenseBuildReleasesScratch(t *testing.T) {
 	const n = 2000
 	table := uint64(4 * n * (n - 1) / 2)
@@ -92,9 +94,10 @@ func TestDenseBuildReleasesScratch(t *testing.T) {
 					z[k] = rng.NormFloat64()
 				}
 			}
-			if err := m.fillDense(draw, procs, denseChunkCells); err != nil {
+			if err := m.fillDense(time.Now(), draw, procs, denseChunkCells); err != nil {
 				t.Fatal(err)
 			}
+			waitFilled(t, m)
 			if peak <= table {
 				t.Errorf("mapped %d bytes while drawing, want the %d-byte table and a ring", peak, table)
 			}
@@ -105,6 +108,7 @@ func TestDenseBuildReleasesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			waitFilled(t, m2)
 			if got := OffHeapBytes() - base; got != 2*table {
 				t.Errorf("mapped %d bytes after a second build, want two tables' %d", got, 2*table)
 			}
@@ -118,7 +122,8 @@ func TestDenseBuildReleasesScratch(t *testing.T) {
 
 // Dropped matrices give their mappings back: after GC and the cleanups, the
 // live mapped bytes return to where they started, round after round. The
-// sizes include an empty table (1 node) and one smaller than a page.
+// sizes include an empty table (1 node) and one smaller than a page. The
+// exact count is read once every fill has ended and unmapped its ring.
 func TestDenseTablesReleasedAfterDrop(t *testing.T) {
 	base := settledOffHeap(t)
 	sizes := []int{1, 2, 40, 300, 1000}
@@ -136,6 +141,9 @@ func TestDenseTablesReleasedAfterDrop(t *testing.T) {
 				}
 				ms = append(ms, m)
 			}
+		}
+		for _, m := range ms {
+			waitFilled(t, m)
 		}
 		if got, want := OffHeapBytes(), base+4*mapped; got != want {
 			t.Fatalf("round %d: %d bytes mapped with %d matrices live, want %d", round, got, len(ms), want)
@@ -175,5 +183,45 @@ func TestDenseMatrixValueCopyOutlivesOriginal(t *testing.T) {
 			}
 			k++
 		}
+	}
+}
+
+// A matrix dropped while its fill is held mid-table stays mapped, ring and
+// all, because the fill goroutines hold it; once the fill is released and
+// ends, the ring is unmapped and the cleanup unmaps the table, so
+// OffHeapBytes returns to where it started.
+func TestDenseMatrixDroppedMidFillIsUnmapped(t *testing.T) {
+	const n = 1000
+	table := uint64(4 * n * (n - 1) / 2)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := settledOffHeap(t)
+			m, rng, err := newLatencyMatrix(DefaultLatencyConfig(n, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.dense, err = newDenseTable(n * (n - 1) / 2); err != nil {
+				t.Fatal(err)
+			}
+			seam, held, release := holdAfter(2, func(z []float64) {
+				for k := range z {
+					z[k] = rng.NormFloat64()
+				}
+			})
+			if err := m.fillDense(time.Now(), seam, workers, denseChunkCells); err != nil {
+				t.Fatal(err)
+			}
+			<-held
+			m = nil
+			for range 3 {
+				runtime.GC()
+				time.Sleep(2 * time.Millisecond)
+			}
+			if got := OffHeapBytes() - base; got <= table {
+				t.Errorf("mapped %d bytes with a dropped matrix mid-fill, want its %d-byte table and its ring", got, table)
+			}
+			close(release)
+			waitOffHeap(t, base)
+		})
 	}
 }

@@ -177,9 +177,13 @@ func BenchmarkGenerateLatencyMatrix(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.gen(DefaultLatencyConfig(bc.nodes, 1)); err != nil {
+				m, err := bc.gen(DefaultLatencyConfig(bc.nodes, 1))
+				if err != nil {
 					b.Fatal(err)
 				}
+				// Time the whole build, not the return: the dense
+				// table fills on after GenerateLatencyMatrix returns.
+				waitFilled(b, m)
 			}
 		})
 	}
