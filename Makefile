@@ -9,15 +9,11 @@ SHELL := bash
 # The hot control-plane paths whose numbers the perf trajectory
 # (BENCH_control_plane.json) tracks. BenchmarkBatchPrepare lives in
 # internal/session (it drives the unexported prepare phase directly), so the
-# bench targets cover that package alongside the root. internal/trace holds
-# BenchmarkGenerateLatencyMatrix; its dense case (the whole parallel build,
-# timed until the background fill has written the last row, not until
-# GenerateLatencyMatrix returns) is in HOT_BENCH so bench-smoke runs it, and
-# it is in no guard. internal/overlay holds
+# bench targets cover that package alongside the root. internal/overlay holds
 # BenchmarkDeepCycle, a bare overlay manager's deep-tree ramp and drain
-# (ns, B and allocs per cycle); it is in no guard either.
-HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$|BenchmarkGenerateLatencyMatrix/dense
-BENCH_PKGS = . ./internal/session ./internal/trace ./internal/overlay
+# (ns, B and allocs per cycle); it is in no guard.
+HOT_BENCH = BenchmarkJoin/|BenchmarkViewChange$$|BenchmarkConcurrentJoin|BenchmarkChurn$$|BenchmarkWorkloadParallel$$|BenchmarkMigration$$|BenchmarkBatchPrepare|BenchmarkFootprint/100k$$|BenchmarkRecovery|BenchmarkDeepCycle$$
+BENCH_PKGS = . ./internal/session ./internal/overlay
 
 # bench-smoke fails when a guarded benchmark's joins/s falls more than
 # MAX_REGRESS below the checked-in trajectory.
@@ -48,17 +44,13 @@ build:
 
 # benchmark/ is a nested module: `go vet ./...` at the root never reaches
 # it, so vet it (with and without its bench tag) on its own.
-# The windows vet type-checks the files behind `!unix` build tags (the
-# latency table's heap fallback), which no unix build compiles.
 lint:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
-	GOOS=windows $(GO) vet ./...
 	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 vet:
 	$(GO) vet ./...
-	GOOS=windows $(GO) vet ./...
 	cd benchmark && $(GO) vet . && $(GO) vet -tags bench .
 
 test: vet
@@ -66,7 +58,7 @@ test: vet
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/session ./internal/cdn ./internal/overlay ./internal/workload ./internal/emu ./internal/httpapi ./internal/telemetry ./internal/trace
+	$(GO) test -race ./internal/session ./internal/cdn ./internal/overlay ./internal/workload ./internal/emu ./internal/httpapi ./internal/telemetry
 
 # test-determinism repeats the overlay's seeded random-churn suite. Its op
 # schedule is a function of the seed, so a run that fails only sometimes

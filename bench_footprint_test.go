@@ -50,9 +50,7 @@ func newFootprintFixture(b *testing.B, fleet int) *footprintFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The dense matrix is O(n²) — ~20 GB at 100k nodes — so footprint runs
-	// use the hashed substrate: same lognormal family, O(n) memory.
-	lat, err := telecast.GenerateHashedLatencyMatrix(
+	lat, err := telecast.GenerateLatencyMatrix(
 		telecast.DefaultLatencyConfig(fleet+1024, 42))
 	if err != nil {
 		b.Fatal(err)

@@ -201,8 +201,6 @@ func benchJoin(b *testing.B, telemetryOn bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The table fills in the background; the timed work starts on a full one.
-	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat,
 		telecast.WithCDN(unboundedCDN()), // unbounded: measure algorithm cost
 		telecast.WithTelemetry(telemetryOn))
@@ -259,7 +257,6 @@ func BenchmarkViewChange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat, telecast.WithCDN(unboundedCDN()))
 	if err != nil {
 		b.Fatal(err)
@@ -322,7 +319,6 @@ func benchConcurrentJoin(b *testing.B, regions int, subscribe bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		<-lat.Filled()
 		ctrl, err := telecast.NewController(producers, lat,
 			telecast.WithCDN(unboundedCDN())) // unbounded: measure control-plane cost
 		if err != nil {
@@ -394,7 +390,6 @@ func BenchmarkMigration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	<-lat.Filled()
 	ctrl, err := telecast.NewController(producers, lat,
 		telecast.WithCDN(unboundedCDN())) // unbounded: measure handoff cost
 	if err != nil {
@@ -470,7 +465,6 @@ func BenchmarkWorkloadParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		<-lat.Filled()
 		ctrl, err := telecast.NewController(producers, lat, telecast.WithCDN(unboundedCDN()))
 		if err != nil {
 			b.Fatal(err)

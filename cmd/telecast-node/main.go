@@ -84,7 +84,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7465", "listen address")
 	seed := fs.Int64("seed", 42, "latency-matrix seed")
-	maxViewers := fs.Int("max-viewers", 2000, "latency-matrix capacity (max concurrent viewers); the dense matrix takes 2·n² bytes, ≈72 MB at 6000, mapped outside the Go heap so the GC does not pace itself to it (/metricz heap.off_heap_bytes), and fills in the background while serve answers: a request that needs a row not yet written waits for it (/metricz latency_fill)")
+	maxViewers := fs.Int("max-viewers", 2000, "latency-matrix capacity (max concurrent viewers)")
 	cdnMbps := fs.Float64("cdn-mbps", 6000, "CDN egress capacity in Mbps (0 = unbounded)")
 	sites := fs.Int("sites", 2, "producer sites")
 	streams := fs.Int("streams", 8, "camera streams per site")
@@ -110,12 +110,6 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	go func() {
-		<-lat.Filled()
-		p := lat.FillProgress()
-		log.Printf("telecast-node serve: latency matrix filled: %d rows in %.3f s, %d delay reads waited",
-			p.Rows, p.Took.Seconds(), p.Waits)
-	}()
 	cdnCfg := cdn.DefaultConfig()
 	cdnCfg.OutboundCapacityMbps = *cdnMbps
 	ctrl, err := session.NewController(producers, lat,

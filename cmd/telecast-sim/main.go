@@ -1,6 +1,8 @@
 // Command telecast-sim regenerates the paper's evaluation (§VII): every
-// figure of Fig. 13, Fig. 14, and Fig. 15, plus the ablation studies from
-// DESIGN.md. Results print as aligned tables, one series per column,
+// figure of Fig. 13, Fig. 14, and Fig. 15, plus ablations of the design
+// choices the paper motivates but does not measure separately (outbound
+// allocation, degree push-down, view grouping, layer fade, the two-phase
+// view change). Results print as aligned tables, one series per column,
 // matching the rows the paper plots.
 //
 // Usage:

@@ -1,8 +1,9 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§VII): the overlay-construction performance (Fig. 13a–c), the stream
 // subscription behaviour and system overhead (Fig. 14a–c), and the
-// comparison against Random dissemination (Fig. 15a–b), plus the ablations
-// DESIGN.md calls out. Each runner returns typed rows; cmd/telecast-sim
+// comparison against Random dissemination (Fig. 15a–b), plus ablations of
+// the design choices the paper motivates but does not measure separately
+// (see ablations.go). Each runner returns typed rows; cmd/telecast-sim
 // prints them and bench_test.go wraps them in testing.B benchmarks.
 package experiments
 

@@ -15,7 +15,6 @@ import (
 	"telecast/internal/model"
 	"telecast/internal/session"
 	"telecast/internal/telemetry"
-	"telecast/internal/trace"
 	"telecast/internal/workload"
 )
 
@@ -90,7 +89,6 @@ func (s *Server) Metrics() Metrics {
 	heap := HeapStats{
 		HeapAllocBytes: ms.HeapAlloc,
 		HeapSysBytes:   ms.HeapSys,
-		OffHeapBytes:   trace.OffHeapBytes(),
 		HeapObjects:    ms.HeapObjects,
 		NumGC:          ms.NumGC,
 		GCPauseTotalMs: float64(ms.PauseTotalNs) / 1e6,
@@ -98,16 +96,9 @@ func (s *Server) Metrics() Metrics {
 	if ms.NumGC > 0 {
 		heap.LastGCPauseMs = float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e6
 	}
-	fp := s.ctrl.Latency().FillProgress()
 	return Metrics{
 		Overlay: counters,
 		Heap:    heap,
-		Fill: LatencyFill{
-			Rows:        fp.Rows,
-			RowsFilled:  fp.RowsFilled,
-			FillSeconds: fp.Took.Seconds(),
-			Waits:       fp.Waits,
-		},
 		Latency: latency,
 		Totals: Totals{
 			JoinsAccepted:       s.totals.joinsAccepted.Load(),

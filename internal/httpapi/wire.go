@@ -323,39 +323,17 @@ type Totals struct {
 type HeapStats struct {
 	// HeapAllocBytes is the live heap after the most recent GC grew it;
 	// divided by the overlay's viewer count it is the node's bytes/viewer.
-	// The dense latency table is not in it (see OffHeapBytes), so the
-	// quotient is the control plane's own cost per viewer, not the
-	// substrate's fixed 2·n² bytes spread over the audience.
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	// OffHeapBytes is the dense latency table mapped outside the Go heap
-	// (trace.OffHeapBytes): 2·n(n−1) bytes for an n-endpoint matrix. The
-	// node's resident set is roughly HeapSysBytes plus this.
-	OffHeapBytes   uint64  `json:"off_heap_bytes"`
+	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
+	HeapSysBytes   uint64  `json:"heap_sys_bytes"`
 	HeapObjects    uint64  `json:"heap_objects"`
 	NumGC          uint32  `json:"num_gc"`
 	GCPauseTotalMs float64 `json:"gc_pause_total_ms"`
 	LastGCPauseMs  float64 `json:"last_gc_pause_ms"`
 }
 
-// LatencyFill is the dense latency table's background fill: the matrix
-// serves as soon as it is generated and publishes its rows as they are
-// written (trace.LatencyMatrix.FillProgress). The fill is complete when
-// RowsFilled equals Rows; a hashed matrix has no rows to fill.
-type LatencyFill struct {
-	Rows       int `json:"rows"`
-	RowsFilled int `json:"rows_filled"`
-	// FillSeconds runs from the start of the build to the last row; 0
-	// until the fill is complete.
-	FillSeconds float64 `json:"fill_s"`
-	// Waits counts the delay reads that asked for a row before it was
-	// written and waited for it.
-	Waits uint64 `json:"waits"`
-}
-
 // Metrics is the /metricz body: the cheap overlay counter snapshot (the
 // SampleStats path — no sorted CDFs on the request path) plus the server's
-// outcome totals, the process heap health and the latency table's fill.
+// outcome totals and the process heap health.
 // Latency is the since-start per-op table reduced from the telemetry
 // histograms, present only while telemetry is enabled — it is what lets a
 // remote replay print the same exit table a local run computes from its
@@ -364,7 +342,6 @@ type Metrics struct {
 	Overlay workload.Counters    `json:"overlay"`
 	Totals  Totals               `json:"totals"`
 	Heap    HeapStats            `json:"heap"`
-	Fill    LatencyFill          `json:"latency_fill"`
 	Latency []workload.OpLatency `json:"latency,omitempty"`
 }
 

@@ -37,8 +37,6 @@ func benchBatchPrepare(b *testing.B, regions int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The table fills in the background; the timed work starts on a full one.
-	<-lat.Filled()
 	c, err := NewController(producers, lat)
 	if err != nil {
 		b.Fatal(err)

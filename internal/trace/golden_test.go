@@ -4,62 +4,60 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
-	"runtime"
 	"testing"
 )
 
 // The latency substrate feeds every placement in the repo, so its values are
 // pinned: a SHA-256 of the region labels and one of the pair delays, each
-// written as a little-endian int64. Any change to the generators' RNG stream,
-// draw order, arithmetic or storage that moves a single nanosecond fails
+// written as a little-endian int64. Any change to the generator's RNG stream,
+// region draw, pair hash or arithmetic that moves a single nanosecond fails
 // here before it surfaces as a placement diff elsewhere.
 type latencyGolden struct {
 	name    string
 	cfg     LatencyConfig
-	hashed  bool
+	strided bool
 	regions string
 	delays  string
 }
 
 var latencyGoldens = []latencyGolden{
 	{
-		name: "dense/6016/seed1", cfg: DefaultLatencyConfig(6016, 1),
+		name: "all-pairs/6016/seed1", cfg: DefaultLatencyConfig(6016, 1),
 		regions: "b40ba8edaad5bde0f35e92b9f2a7010b6d45936b1ab687a85914f7cb51396980",
-		delays:  "aeee367f671048ce41c4426ed86ea52aaf9353061b2dd872617f09d68ad04892",
+		delays:  "f4f2fcebc68eff9ab4685c6151d2896c7927497bff7a83510fcfa320efb83cce",
 	},
 	{
-		name: "dense/4016/seed1", cfg: DefaultLatencyConfig(4016, 1),
+		name: "all-pairs/4016/seed1", cfg: DefaultLatencyConfig(4016, 1),
 		regions: "8f9576e7ab9b3a35ae07785ad83806de764f36cec2d10a755aeb70b8c54350b7",
-		delays:  "4b930bbbbe2b5d51611daef4a3f8ce797b720fce48bcd6a9c0763dac00c848ab",
+		delays:  "22e678c744b5b01b54177dd5c6384cea7582b6b67c231ef44aecb8ef43e40153",
 	},
 	{
-		name: "dense/200/seed11", cfg: DefaultLatencyConfig(200, 11),
+		name: "all-pairs/200/seed11", cfg: DefaultLatencyConfig(200, 11),
 		regions: "0440d9a90cb490a264b8fdf63eeb27cac2a67cefa0ad1c53870fbb29e08be2b3",
-		delays:  "2ef2a98dc4bfea51c115de0b0cd3bceb43622b2f6902df6aa3d866687a7c5234",
+		delays:  "e33d06a3f0a46acaa1763dec09d7a330c690deacc740ab5020342d9af7d95297",
 	},
 	{
 		// The single-region substrate the root examples run on.
-		name:    "dense/16/example",
+		name:    "all-pairs/16/example",
 		cfg:     LatencyConfig{Nodes: 16, Regions: 1, IntraMean: 20e6, InterMean: 80e6, Sigma: 0.3, Seed: 1},
 		regions: "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
-		delays:  "83a7a1a83310f15e98ade073e431f6e0e960a8012f900efa7d78792895f3fa5c",
+		delays:  "3acbdd1bf35243ba8d74ba29779d7dcb34ffa13c7d372d97fbdccc84fdb0d301",
 	},
 	{
-		name: "hashed/30016/seed1", cfg: DefaultLatencyConfig(30016, 1), hashed: true,
+		name: "hashed/30016/seed1", cfg: DefaultLatencyConfig(30016, 1), strided: true,
 		regions: "43bc677e094ec42ca4f20545b20612fc99d3fa038c642cfaed08ff6f4dfd2483",
 		delays:  "7bcd41595aac5e10e93b18eb025a2051e0243497367f1f6a69d11d47a29c363d",
 	},
 }
 
-// goldenPairs visits the pairs a golden hashes: every i < j row-major for a
-// dense matrix; for a hashed one, a strided ~1.2 M-pair subset (every 29th
-// row, every 13th column past the diagonal, the start offset varying by row
-// so columns of every residue are covered).
-func goldenPairs(n int, hashed bool, visit func(i, j int)) {
+// goldenPairs visits the pairs a golden hashes: every i < j row-major, or
+// if strided a ~1.2 M-pair subset (every 29th row, every 13th column past
+// the diagonal, the start offset varying by row so columns of every residue
+// are covered).
+func goldenPairs(n int, strided bool, visit func(i, j int)) {
 	rowStep, colStep := 1, 1
-	if hashed {
+	if strided {
 		rowStep, colStep = 29, 13
 	}
 	for i := 0; i < n; i += rowStep {
@@ -94,53 +92,32 @@ func (g *goldenHasher) sum() string {
 	return hex.EncodeToString(g.h.Sum(nil))
 }
 
-// TestLatencyMatrixGolden checks every golden; a dense one is built under
-// GOMAXPROCS 1, 2 and 4, since the dense build splits its work across that
-// many workers and every split must write the same bytes.
 func TestLatencyMatrixGolden(t *testing.T) {
 	for _, g := range latencyGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			if g.hashed {
-				checkLatencyGolden(t, g)
-				return
+			m, err := GenerateLatencyMatrix(g.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					checkLatencyGolden(t, g)
-				})
+			rh := newGoldenHasher()
+			for i := 0; i < m.Nodes(); i++ {
+				rh.writeInt64(int64(m.RegionOf(i)))
+			}
+			dh := newGoldenHasher()
+			pairs := 0
+			goldenPairs(m.Nodes(), g.strided, func(i, j int) {
+				dh.writeInt64(int64(m.Delay(i, j)))
+				pairs++
+			})
+			if g.strided && pairs < 1_000_000 {
+				t.Fatalf("strided golden covers %d pairs, want >= 1M", pairs)
+			}
+			if got := rh.sum(); got != g.regions {
+				t.Errorf("region labels hash = %s, want %s", got, g.regions)
+			}
+			if got := dh.sum(); got != g.delays {
+				t.Errorf("delays hash over %d pairs = %s, want %s", pairs, got, g.delays)
 			}
 		})
-	}
-}
-
-func checkLatencyGolden(t *testing.T, g latencyGolden) {
-	t.Helper()
-	gen := GenerateLatencyMatrix
-	if g.hashed {
-		gen = GenerateHashedLatencyMatrix
-	}
-	m, err := gen(g.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh := newGoldenHasher()
-	for i := 0; i < m.Nodes(); i++ {
-		rh.writeInt64(int64(m.RegionOf(i)))
-	}
-	dh := newGoldenHasher()
-	pairs := 0
-	goldenPairs(m.Nodes(), g.hashed, func(i, j int) {
-		dh.writeInt64(int64(m.Delay(i, j)))
-		pairs++
-	})
-	if g.hashed && pairs < 1_000_000 {
-		t.Fatalf("hashed golden covers %d pairs, want >= 1M", pairs)
-	}
-	if got := rh.sum(); got != g.regions {
-		t.Errorf("region labels hash = %s, want %s", got, g.regions)
-	}
-	if got := dh.sum(); got != g.delays {
-		t.Errorf("delays hash over %d pairs = %s, want %s", pairs, got, g.delays)
 	}
 }

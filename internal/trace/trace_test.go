@@ -90,102 +90,33 @@ func TestLatencyMatrixRegionStructure(t *testing.T) {
 	}
 }
 
-// triIndex must map the strict upper triangle (i < j, no diagonal) onto
-// exactly [0, n(n-1)/2), in the row-major order the dense generator fills.
-func TestTriIndexBijective(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17} {
-		want := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if idx := triIndex(n, i, j); idx != want {
-					t.Fatalf("n=%d: triIndex(%d,%d) = %d, want %d", n, i, j, idx, want)
-				}
-				want++
-			}
-		}
-		if want != n*(n-1)/2 {
-			t.Fatalf("n=%d: covered %d cells, want %d", n, want, n*(n-1)/2)
-		}
-	}
-}
-
-// Means far out in both tails force draws above a 4-byte cell's range and
-// below the 1 ms floor; both modes must clamp them to [1 ms, MaxUint32 ns]
-// and both bounds must actually be hit.
-func TestLatencyClampBothModes(t *testing.T) {
+// Means far out in both tails force draws above math.MaxUint32 ns and below
+// the 1 ms floor; the generator must clamp them to [1 ms, MaxUint32 ns] and
+// both bounds must actually be hit.
+func TestLatencyClamp(t *testing.T) {
 	cfg := LatencyConfig{Nodes: 200, Regions: 2, IntraMean: time.Second, InterMean: 20 * time.Second, Sigma: 3, Seed: 5}
 	const lo, hi = time.Millisecond, time.Duration(math.MaxUint32)
-	for name, gen := range map[string]func(LatencyConfig) (*LatencyMatrix, error){
-		"dense": GenerateLatencyMatrix, "hashed": GenerateHashedLatencyMatrix,
-	} {
-		m, err := gen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var atLo, atHi int
-		for i := 0; i < cfg.Nodes; i++ {
-			for j := i + 1; j < cfg.Nodes; j++ {
-				d := m.Delay(i, j)
-				if d < lo || d > hi {
-					t.Fatalf("%s: Delay(%d,%d) = %v outside [%v, %v]", name, i, j, d, lo, hi)
-				}
-				if d == lo {
-					atLo++
-				}
-				if d == hi {
-					atHi++
-				}
-			}
-		}
-		if atLo == 0 || atHi == 0 {
-			t.Errorf("%s: clamp not exercised: %d pairs at the floor, %d at the ceiling", name, atLo, atHi)
-		}
-	}
-}
-
-// The dense mode is marked by its table's owner, not by the table holding
-// cells: a 1-node matrix has an empty triangle and is still dense.
-func TestOneNodeDenseMatrixIsDense(t *testing.T) {
-	m, err := GenerateLatencyMatrix(DefaultLatencyConfig(1, 1))
+	m, err := GenerateLatencyMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.dense == nil || len(m.dense.cells) != 0 {
-		t.Fatalf("1-node dense matrix: owner %v, want an owner of an empty table", m.dense)
-	}
-	if d := m.Delay(0, 0); d != 0 {
-		t.Fatalf("Delay(0, 0) = %v, want 0", d)
-	}
-	h, err := GenerateHashedLatencyMatrix(DefaultLatencyConfig(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.dense != nil {
-		t.Fatal("1-node hashed matrix carries a dense table")
-	}
-}
-
-func BenchmarkGenerateLatencyMatrix(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		nodes int
-		gen   func(LatencyConfig) (*LatencyMatrix, error)
-	}{
-		{"dense/6016", 6016, GenerateLatencyMatrix},
-		{"hashed/30016", 30016, GenerateHashedLatencyMatrix},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := bc.gen(DefaultLatencyConfig(bc.nodes, 1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Time the whole build, not the return: the dense
-				// table fills on after GenerateLatencyMatrix returns.
-				waitFilled(b, m)
+	var atLo, atHi int
+	for i := 0; i < cfg.Nodes; i++ {
+		for j := i + 1; j < cfg.Nodes; j++ {
+			d := m.Delay(i, j)
+			if d < lo || d > hi {
+				t.Fatalf("Delay(%d,%d) = %v outside [%v, %v]", i, j, d, lo, hi)
 			}
-		})
+			if d == lo {
+				atLo++
+			}
+			if d == hi {
+				atHi++
+			}
+		}
+	}
+	if atLo == 0 || atHi == 0 {
+		t.Errorf("clamp not exercised: %d pairs at the floor, %d at the ceiling", atLo, atHi)
 	}
 }
 
@@ -283,64 +214,45 @@ func TestTEEVESizesBounded(t *testing.T) {
 	}
 }
 
+// The lognormal family must keep its calibration: per seed, intra-region
+// pairs average IntraMean and inter-region pairs InterMean, each within 2 %,
+// and the log-delays of each family spread by Sigma, within 2 %.
 func TestHashedLatencyMatrixProperties(t *testing.T) {
-	cfg := DefaultLatencyConfig(200, 11)
-	m, err := GenerateHashedLatencyMatrix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GenerateHashedLatencyMatrix(LatencyConfig{Nodes: 0, Regions: 1}); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	// Region assignment must match the dense generator's byte for byte, so
-	// session sharding is identical across the two substrate modes.
-	dense, err := GenerateLatencyMatrix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		if m.RegionOf(i) != dense.RegionOf(i) {
-			t.Fatalf("region of %d = %d, dense says %d", i, m.RegionOf(i), dense.RegionOf(i))
+	const tol = 0.02
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := DefaultLatencyConfig(1000, seed)
+		m, err := GenerateLatencyMatrix(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Symmetric, zero diagonal, positive, deterministic.
-	other, _ := GenerateHashedLatencyMatrix(cfg)
-	var intra, inter []time.Duration
-	for i := 0; i < cfg.Nodes; i++ {
-		if d := m.Delay(i, i); d != 0 {
-			t.Fatalf("self delay %d = %v", i, d)
-		}
-		for j := i + 1; j < cfg.Nodes; j++ {
-			d := m.Delay(i, j)
-			if d <= 0 {
-				t.Fatalf("non-positive delay (%d,%d)", i, j)
-			}
-			if d != m.Delay(j, i) {
-				t.Fatalf("asymmetric delay (%d,%d)", i, j)
-			}
-			if d != other.Delay(i, j) {
-				t.Fatalf("nondeterministic delay (%d,%d)", i, j)
-			}
-			if m.RegionOf(i) == m.RegionOf(j) {
-				intra = append(intra, d)
-			} else {
-				inter = append(inter, d)
+		// Per family (0 intra, 1 inter): count, sum of delays, and sum and
+		// sum of squares of log-delays.
+		var n [2]int
+		var sum, sumLog, sumLog2 [2]float64
+		for i := 0; i < cfg.Nodes; i++ {
+			for j := i + 1; j < cfg.Nodes; j++ {
+				f := 1
+				if m.RegionOf(i) == m.RegionOf(j) {
+					f = 0
+				}
+				d := float64(m.Delay(i, j))
+				l := math.Log(d)
+				n[f]++
+				sum[f] += d
+				sumLog[f] += l
+				sumLog2[f] += l * l
 			}
 		}
-	}
-	// The lognormal family must keep its calibration: intra-region pairs
-	// center near IntraMean, inter-region near InterMean.
-	mean := func(ds []time.Duration) time.Duration {
-		var sum time.Duration
-		for _, d := range ds {
-			sum += d
+		for f, target := range []time.Duration{cfg.IntraMean, cfg.InterMean} {
+			k := float64(n[f])
+			mean := sum[f] / k
+			sigma := math.Sqrt(sumLog2[f]/k - (sumLog[f]/k)*(sumLog[f]/k))
+			if r := mean / float64(target); math.Abs(r-1) > tol {
+				t.Errorf("seed %d family %d: mean %v is %.4f× the target %v", seed, f, time.Duration(mean), r, target)
+			}
+			if r := sigma / cfg.Sigma; math.Abs(r-1) > tol {
+				t.Errorf("seed %d family %d: log-delay σ %.4f, want %.2f ± %.0f %%", seed, f, sigma, cfg.Sigma, 100*tol)
+			}
 		}
-		return sum / time.Duration(len(ds))
-	}
-	if got := mean(intra); got < cfg.IntraMean/2 || got > cfg.IntraMean*2 {
-		t.Errorf("intra mean = %v, want near %v", got, cfg.IntraMean)
-	}
-	if got := mean(inter); got < cfg.InterMean/2 || got > cfg.InterMean*2 {
-		t.Errorf("inter mean = %v, want near %v", got, cfg.InterMean)
 	}
 }

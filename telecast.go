@@ -246,10 +246,6 @@ var (
 var (
 	// GenerateLatencyMatrix synthesizes the PlanetLab-like matrix.
 	GenerateLatencyMatrix = trace.GenerateLatencyMatrix
-	// GenerateHashedLatencyMatrix synthesizes the O(n)-memory variant
-	// whose pair delays are derived on demand — the substrate for
-	// audience sizes where a dense matrix no longer fits in memory.
-	GenerateHashedLatencyMatrix = trace.GenerateHashedLatencyMatrix
 	// DefaultLatencyConfig calibrates it to published PlanetLab shape.
 	DefaultLatencyConfig = trace.DefaultLatencyConfig
 	// GenerateTEEVE synthesizes a 3DTI activity trace.
