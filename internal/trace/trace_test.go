@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -117,6 +119,64 @@ func TestLatencyClamp(t *testing.T) {
 	}
 	if atLo == 0 || atHi == 0 {
 		t.Errorf("clamp not exercised: %d pairs at the floor, %d at the ceiling", atLo, atHi)
+	}
+}
+
+// Every split of the pair space among concurrent readers reads the same
+// delays as one sequential loop over hashedDelay, row-major over i < j:
+// Delay keeps no shared mutable state, so the wire sessions may call it
+// from many goroutines at once. Each subtest fills an all-pairs table by
+// handing chunk-cell spans round-robin to workers goroutines, including
+// chunk sizes that split rows unevenly (7; 100 and 1000 leave a short last
+// span) and one larger than every table; odd cells are read as Delay(j, i).
+func TestDenseFillMatchesSequentialStream(t *testing.T) {
+	for _, n := range []int{2, 3, 41, 200} {
+		cfg := DefaultLatencyConfig(n, int64(n))
+		ref, err := GenerateLatencyMatrix(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs [][2]int
+		var want []time.Duration
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pairs = append(pairs, [2]int{i, j})
+				want = append(want, ref.hashedDelay(i, j))
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 4} {
+			for _, chunk := range []int{1, 7, 100, 1000, 1 << 20} {
+				t.Run(fmt.Sprintf("n=%d/workers=%d/chunk=%d", n, workers, chunk), func(t *testing.T) {
+					m, err := GenerateLatencyMatrix(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]time.Duration, len(pairs))
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for lo := w * chunk; lo < len(pairs); lo += workers * chunk {
+								for k := lo; k < min(lo+chunk, len(pairs)); k++ {
+									i, j := pairs[k][0], pairs[k][1]
+									if k%2 == 1 {
+										i, j = j, i
+									}
+									got[k] = m.Delay(i, j)
+								}
+							}
+						}()
+					}
+					wg.Wait()
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("cell %d %v = %v, want %v", k, pairs[k], got[k], want[k])
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
