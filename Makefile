@@ -28,10 +28,13 @@ MEMGUARD_BENCH = BenchmarkJoin/telemetry=off$$|BenchmarkFootprint/100k$$
 MAX_MEM_GROWTH = 0.25
 
 # The telemetry tax guard: the armed join path must stay within this
-# fraction of the disarmed one, both measured in the same process so the
-# comparison is immune to machine drift. The pair runs at a fixed iteration
-# count (identical work per variant) repeated -count times; benchjson pairs
-# the k-th run of each variant and compares the median of the on/off ratios
+# fraction of the disarmed one, both measured on the same machine in one
+# make run so the comparison is immune to machine-to-machine drift. Each
+# variant runs at a fixed iteration count (identical work per variant) in
+# five pairs of single-repetition invocations in ABBA order (off on, on
+# off, off on, ...), so neither variant always runs first and the two runs
+# of a pair sit next to each other in time. benchjson pairs the
+# k-th run of each variant and compares the median of the on/off ratios
 # with the bar, because a single sample of each swings ±10% on a shared box
 # and the best run of each let one outlier reference run fail the pair.
 TEL_DELTA_PAIR = BenchmarkJoin/telemetry=on:BenchmarkJoin/telemetry=off
@@ -123,8 +126,12 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -out BENCH_smoke.json \
 			-baseline BENCH_control_plane.json -guard '$(GUARD_BENCH)' -max-regress $(MAX_REGRESS) \
 			-memguard '$(MEMGUARD_BENCH)' -max-mem-growth $(MAX_MEM_GROWTH)
-	$(GO) test -bench='BenchmarkJoin/' -benchtime=2000x -count=5 -run='^$$' . \
-		| $(GO) run ./cmd/benchjson -out /dev/null \
+	for k in 1 2 3 4 5; do \
+		if [ $$((k % 2)) -eq 1 ]; then order='off on'; else order='on off'; fi; \
+		for v in $$order; do \
+			$(GO) test -bench="^BenchmarkJoin\$$/^telemetry=$$v\$$" -benchtime=2000x -count=1 -run='^$$' . || exit 1; \
+		done; \
+	done | $(GO) run ./cmd/benchjson -out /dev/null \
 			-deltaguard '$(TEL_DELTA_PAIR)' -max-delta $(MAX_TEL_DELTA)
 
 # chaos-smoke replays the outage catalog scenario — two snapshot/kill/recover

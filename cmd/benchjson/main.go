@@ -111,15 +111,17 @@ func main() {
 // more than the allowed fraction below the reference's. This is how the
 // bench smoke pins the telemetry-on overhead of the join path.
 //
-// With -count=N each variant prints N lines; the k-th line of the candidate
-// is paired with the k-th line of the reference, and the guard compares the
-// median of the N ratios with the bar. go test runs all N repetitions of
-// one sub-benchmark before the next, so the two runs of a pair are N runs
-// apart: the ratio cancels drift slower than that, and the median ignores
-// a minority of disturbed repetitions on either side. Comparing the best
-// run of each variant did neither: one lucky reference run set the bar for
-// every candidate run, so unchanged code failed on a busy box. The median
-// still sees a tax paid on every repetition in full: a 10% slower
+// With N repetitions each variant prints N lines, in whatever order they
+// arrive; the k-th line of the candidate is paired with the k-th line of
+// the reference, and the guard compares the median of the N ratios with the
+// bar. Fed alternating single-repetition runs (make bench-smoke runs them
+// in ABBA order), the two runs of a pair are neighbours in time, so the
+// ratio cancels all but the fastest drift and neither variant always runs
+// first; fed one `go test -count=N` run, they are N runs apart. The median
+// ignores a minority of disturbed repetitions on either side. Comparing the
+// best run of each variant did neither: one lucky reference run set the bar
+// for every candidate run, so unchanged code failed on a busy box. The
+// median still sees a tax paid on every repetition in full: a 10% slower
 // candidate reads 0.90 whatever the noise on either side.
 func guardDelta(report *Report, spec string, maxDelta float64) error {
 	runs := make(map[string][]float64, len(report.Benchmarks))

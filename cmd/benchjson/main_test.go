@@ -237,6 +237,51 @@ func TestGuardDeltaFailsRealTax(t *testing.T) {
 	}
 }
 
+// interleavedDeltaReport lists one run per line in ABBA order — off on,
+// on off, off on, ... — the way make bench-smoke's alternating
+// single-repetition invocations print them.
+func interleavedDeltaReport(off, on []float64) *Report {
+	r := &Report{Suite: "s"}
+	add := func(variant string, v float64) {
+		r.Benchmarks = append(r.Benchmarks, Result{Name: "BenchmarkJoin/telemetry=" + variant + "-2", NsPerOp: 1,
+			Metrics: map[string]float64{"joins/s": v}})
+	}
+	for k := range off {
+		if k%2 == 0 {
+			add("off", off[k])
+			add("on", on[k])
+		} else {
+			add("on", on[k])
+			add("off", off[k])
+		}
+	}
+	return r
+}
+
+// Interleaved lines pair by occurrence, not by position: each pair shares
+// a drift level far from its neighbours', so pairing any two runs of
+// different pairs would read a ratio far from the true one.
+func TestGuardDeltaPairsInterleavedRuns(t *testing.T) {
+	off := []float64{40000, 80000, 20000, 60000, 30000}
+	on := make([]float64, len(off))
+	for k, v := range off {
+		on[k] = 0.98 * v
+	}
+	if err := guardDelta(interleavedDeltaReport(off, on), telPair, 0.05); err != nil {
+		t.Fatalf("a 2%% tax in ABBA order failed the deltaguard: %v", err)
+	}
+	for k, v := range off {
+		on[k] = 0.9 * v
+	}
+	err := guardDelta(interleavedDeltaReport(off, on), telPair, 0.05)
+	if err == nil {
+		t.Fatal("a 10% tax in ABBA order passed the deltaguard")
+	}
+	if !strings.Contains(err.Error(), "[0.900 0.900 0.900 0.900 0.900]") {
+		t.Fatalf("interleaved runs were not paired by occurrence: %v", err)
+	}
+}
+
 func TestGuardDeltaRejectsUnpairedRuns(t *testing.T) {
 	if err := guardDelta(deltaReport([]float64{1, 1, 1}, []float64{1, 1}), telPair, 0.05); err == nil {
 		t.Fatal("unequal repetition counts accepted")

@@ -65,9 +65,10 @@ func toMbps(units int64) float64 { return float64(units) / unitsPerMbps }
 
 // CDN tracks capacity usage per stream. It is the only resource shared by
 // every LSC shard of a session, so all counters are designed for concurrent
-// use: the egress total, peak, and inbound total are atomics, and parallel
-// admissions go through the Reserve → Commit/Rollback protocol so that the
-// Δ-bounded egress is never oversubscribed even transiently.
+// use: the egress total, peak, and inbound total are atomics, and every
+// allocation holds its egress against the shared total with one CAS before
+// attributing it to a stream, so the Δ-bounded egress is never
+// oversubscribed even transiently.
 type CDN struct {
 	cfg Config
 	// capOut/capIn are the configured bounds in counter units (0 =
@@ -134,45 +135,17 @@ func (c *CDN) RemainingMbps() float64 {
 func (c *CDN) PeakMbps() float64 { return toMbps(c.peakOut.Load()) }
 
 // CanServe reports whether the CDN has bw Mbps of spare egress. It is a
-// point-in-time hint: under concurrent admission only a Reserve actually
+// point-in-time hint: under concurrent admission only an Allocate actually
 // holds the capacity.
 func (c *CDN) CanServe(bwMbps float64) bool {
 	cap := c.capOut.Load()
 	return cap <= 0 || c.outTotal.Load()+toUnits(bwMbps) <= cap
 }
 
-// Reservation is egress capacity held out of the shared budget but not yet
-// attributed to a stream. Exactly one of Commit or Rollback must be called;
-// settling twice panics, because it means two owners believed they held the
-// same capacity.
-type Reservation struct {
-	cdn     *CDN
-	units   int64
-	settled atomic.Bool
-}
-
-// Mbps returns the reserved bandwidth.
-func (r *Reservation) Mbps() float64 { return toMbps(r.units) }
-
-// Reserve holds bw Mbps of egress out of the shared budget. The check-and-
-// hold is a single CAS, so parallel admissions from different LSC shards can
-// never collectively exceed the bound. It fails with ErrCapacity when the
-// session's CDN budget is exhausted.
-func (c *CDN) Reserve(bwMbps float64) (*Reservation, error) {
-	if bwMbps < 0 {
-		return nil, fmt.Errorf("cdn reserve: negative bandwidth %v", bwMbps)
-	}
-	units := toUnits(bwMbps)
-	if !c.reserveUnits(units) {
-		return nil, fmt.Errorf("cdn reserve %v Mbps: %w", bwMbps, ErrCapacity)
-	}
-	return &Reservation{cdn: c, units: units}, nil
-}
-
-// reserveUnits is the one copy of the Δ-bounded egress check-and-hold: a
-// CAS loop against the shared total, plus the peak update on success. Both
-// Reserve and the fused Allocate go through it so the capacity protocol
-// can never fork between the two paths.
+// reserveUnits is the Δ-bounded egress check-and-hold: one CAS against the
+// shared total (retried on contention) plus the peak update on success, so
+// parallel admissions from different LSC shards can never collectively
+// exceed the bound.
 func (c *CDN) reserveUnits(units int64) bool {
 	for {
 		cur := c.outTotal.Load()
@@ -184,26 +157,6 @@ func (c *CDN) reserveUnits(units int64) bool {
 			return true
 		}
 	}
-}
-
-// Commit attributes the reserved egress to one direct child of the given
-// stream; the reservation is spent.
-func (r *Reservation) Commit(id model.StreamID) {
-	if !r.settled.CompareAndSwap(false, true) {
-		panic("cdn: reservation settled twice")
-	}
-	r.cdn.mu.Lock()
-	r.cdn.outPerStream[id] += r.units
-	r.cdn.mu.Unlock()
-}
-
-// Rollback returns the reserved egress to the shared budget; the reservation
-// is spent.
-func (r *Reservation) Rollback() {
-	if !r.settled.CompareAndSwap(false, true) {
-		panic("cdn: reservation settled twice")
-	}
-	r.cdn.subOut(r.units)
 }
 
 // raisePeak lifts the egress high-water mark to the current total.
@@ -228,15 +181,12 @@ func (c *CDN) subOut(units int64) {
 }
 
 // Allocate reserves bw Mbps of egress for one direct child of the given
-// stream. It fails when the session's CDN budget is exhausted. It is
-// shorthand for Reserve followed by Commit.
+// stream: the shared total is held first, then attributed to the stream.
+// It fails with ErrCapacity when the session's CDN budget is exhausted.
 func (c *CDN) Allocate(id model.StreamID, bwMbps float64) error {
 	if bwMbps < 0 {
 		return fmt.Errorf("cdn allocate %v: negative bandwidth %v", id, bwMbps)
 	}
-	// Reserve + Commit fused: the admission path calls this for every CDN
-	// attach, and the short-lived Reservation object was pure garbage
-	// there.
 	units := toUnits(bwMbps)
 	if !c.reserveUnits(units) {
 		return fmt.Errorf("cdn allocate %v: %w", id, ErrCapacity)

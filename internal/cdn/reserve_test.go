@@ -7,65 +7,10 @@ import (
 	"testing"
 )
 
-func TestReserveCommitRollback(t *testing.T) {
-	c := New(Config{OutboundCapacityMbps: 10})
-	r, err := c.Reserve(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reserved capacity is held before commit: a second reserve over the
-	// remainder must fail.
-	if _, err := c.Reserve(5); !errors.Is(err, ErrCapacity) {
-		t.Fatalf("reserve over held capacity = %v, want ErrCapacity", err)
-	}
-	if u := c.Snapshot(); u.OutTotalMbps != 6 || u.PerStreamMbps[s1] != 0 {
-		t.Fatalf("pre-commit usage = %+v", u)
-	}
-	r.Commit(s1)
-	if u := c.Snapshot(); u.OutTotalMbps != 6 || u.PerStreamMbps[s1] != 6 {
-		t.Fatalf("post-commit usage = %+v", u)
-	}
-
-	r2, err := c.Reserve(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Rollback()
-	if u := c.Snapshot(); u.OutTotalMbps != 6 {
-		t.Fatalf("rollback did not return capacity: %+v", u)
-	}
-	// Peak saw the transient reservation.
-	if u := c.Snapshot(); u.PeakOutMbps != 10 {
-		t.Fatalf("peak = %v, want 10", u.PeakOutMbps)
-	}
-}
-
-func TestReservationDoubleSettlePanics(t *testing.T) {
-	c := New(Config{OutboundCapacityMbps: 10})
-	r, err := c.Reserve(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Commit(s1)
-	defer func() {
-		if recover() == nil {
-			t.Error("second settle did not panic")
-		}
-	}()
-	r.Rollback()
-}
-
-func TestReserveNegativeRejected(t *testing.T) {
-	c := New(DefaultConfig())
-	if _, err := c.Reserve(-1); err == nil {
-		t.Error("negative reservation accepted")
-	}
-}
-
 // TestParallelReserveNeverOversubscribes is the contention proof: many
-// goroutines hammer Reserve/Commit/Rollback/Release against a tight budget,
-// and neither the live total nor the high-water mark may ever exceed the
-// bound — the invariant the Δ-bounded egress depends on.
+// goroutines hammer Allocate/Release against a tight budget, and neither
+// the live total nor the high-water mark may ever exceed the bound — the
+// invariant the Δ-bounded egress depends on.
 func TestParallelReserveNeverOversubscribes(t *testing.T) {
 	const capMbps = 100.0
 	c := New(Config{OutboundCapacityMbps: capMbps})
@@ -75,44 +20,43 @@ func TestParallelReserveNeverOversubscribes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			var committed float64
+			var held float64
+			release := func(bw float64) bool {
+				if err := c.Release(s1, bw); err != nil {
+					t.Errorf("release: %v", err)
+					return false
+				}
+				held -= bw
+				return true
+			}
 			for i := 0; i < 2000; i++ {
 				bw := float64(1 + rng.Intn(5))
-				r, err := c.Reserve(bw)
-				if err != nil {
+				if err := c.Allocate(s1, bw); err != nil {
 					if !errors.Is(err, ErrCapacity) {
-						t.Errorf("reserve: %v", err)
+						t.Errorf("allocate: %v", err)
 						return
 					}
 					// Budget full: return something if we hold any.
-					if committed >= 2 {
-						if err := c.Release(s1, 2); err != nil {
-							t.Errorf("release: %v", err)
-							return
-						}
-						committed -= 2
+					if held >= 2 && !release(2) {
+						return
 					}
 					continue
 				}
+				held += bw
 				if got := c.Snapshot().OutTotalMbps; got > capMbps {
 					t.Errorf("oversubscribed: %v > %v", got, capMbps)
-					r.Rollback()
 					return
 				}
-				if rng.Intn(2) == 0 {
-					r.Commit(s1)
-					committed += bw
-				} else {
-					r.Rollback()
+				// Half the allocations are handed straight back.
+				if rng.Intn(2) == 0 && !release(bw) {
+					return
 				}
 			}
 			// Drain what this goroutine still holds.
-			for committed >= 1 {
-				if err := c.Release(s1, 1); err != nil {
-					t.Errorf("drain: %v", err)
+			for held >= 1 {
+				if !release(1) {
 					return
 				}
-				committed--
 			}
 		}(g)
 	}

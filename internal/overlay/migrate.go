@@ -11,8 +11,8 @@ import (
 // recovering the victims of its departure, exactly as a Leave would — and
 // the destination shard re-admits it from that preserved state without
 // recomposing the view. The two halves run on different Managers that share
-// nothing but the CDN, whose internal reserve/commit protocol keeps the
-// Δ-bounded egress consistent while the viewer is owned by neither shard.
+// nothing but the CDN, whose atomic check-and-hold of egress keeps the
+// Δ-bounded budget consistent while the viewer is owned by neither shard.
 
 // MigrationState is a viewer's preserved admission state, captured by
 // Extract on the source shard and replayed by AdmitMigrant on the

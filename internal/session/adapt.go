@@ -83,12 +83,12 @@ func (c *Controller) SubscriptionPoints(id model.ViewerID) ([]SubscriptionPoint,
 // shard, holding the shard lock so tree positions cannot move mid-read.
 // Producer metadata comes through the shard-local monitor reader.
 func (l *LSC) subscriptionPoints(id model.ViewerID, mon *MonitorReader, producers *model.Session, proc time.Duration) ([]SubscriptionPoint, error) {
-	st, ok := l.state(id)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st, ok := l.viewers[id]
 	if !ok {
 		return nil, fmt.Errorf("not registered")
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	v, ok := l.shard.Viewer(id)
 	if !ok {
 		return nil, fmt.Errorf("not in overlay")
@@ -106,7 +106,7 @@ func (l *LSC) subscriptionPoints(id model.ViewerID, mon *MonitorReader, producer
 		var dprop time.Duration
 		if node.Parent != nil {
 			parent = node.Parent.Viewer
-			if p, ok := l.state(parent); ok {
+			if p, ok := l.viewers[parent]; ok {
 				dprop = l.cfg.Latency.Delay(st.nodeIdx, p.nodeIdx)
 			}
 		} else {

@@ -26,9 +26,9 @@ type JoinOutcome struct {
 }
 
 // preparedJoin is a routed-but-not-yet-admitted viewer: ID claimed, node
-// placed, shard chosen, registry entry installed. It is passed by value —
-// one lives per in-flight join, and keeping it off the heap matters on the
-// admission fast path.
+// placed, shard chosen; the shard registers it at admission. It is passed by
+// value — one lives per in-flight join, and keeping it off the heap matters
+// on the admission fast path.
 type preparedJoin struct {
 	lsc  *LSC
 	st   viewerState
@@ -41,9 +41,9 @@ type preparedJoin struct {
 }
 
 // prepare runs the GSC half of the join protocol: duplicate check, node
-// placement (honoring the request's region hint), geo-routing to the owning
-// shard, and registry insertion. It is cheap and thread-safe; the expensive
-// admission runs on the shard.
+// placement (honoring the request's region hint), and geo-routing to the
+// owning shard. It is cheap and thread-safe; the expensive admission —
+// registry insertion included — runs on the shard.
 func (c *Controller) prepare(req JoinRequest) (preparedJoin, error) {
 	var p preparedJoin
 	c.tel.StartOp(&p.tr, telemetry.OpJoin)
@@ -64,7 +64,6 @@ func (c *Controller) prepare(req JoinRequest) (preparedJoin, error) {
 		nodeIdx: nodeIdx,
 		info:    overlay.ViewerInfo{ID: id, InboundMbps: req.InboundMbps, OutboundMbps: req.OutboundMbps},
 	}
-	lsc.register(st)
 	p.tr.Phase(telemetry.PhasePrepare)
 	// The route stays a claim (nil) until the shard admits the viewer, so
 	// a racing Leave or ChangeView sees ErrUnknownViewer instead of
@@ -74,11 +73,10 @@ func (c *Controller) prepare(req JoinRequest) (preparedJoin, error) {
 }
 
 // abandon unwinds a prepared join that will never be admitted (cancelled
-// batch entries): the registry entry, the route claim, and the latency node
-// all return to their pools. No CDN egress was held yet — reservations only
-// happen inside the shard admission — so nothing can leak there.
+// batch entries): the route claim and the latency node return to their
+// pools. No registry entry or CDN egress was held yet — both only happen
+// inside the shard admission — so nothing can leak there.
 func (c *Controller) abandon(p preparedJoin) {
-	p.lsc.unregister(p.st.info.ID)
 	c.dropRoute(p.st.info.ID)
 	c.nodes.release(p.st.nodeIdx)
 	p.tr.Finish(int(p.lsc.Region), string(p.st.info.ID), telemetry.OutcomeError)
@@ -93,7 +91,6 @@ func (c *Controller) admit(p preparedJoin) (*JoinOutcome, error) {
 	region := int(p.lsc.Region)
 	res, worst, err := p.lsc.join(p.st, p.view, &p.tr)
 	if err != nil {
-		p.lsc.unregister(id)
 		c.dropRoute(id)
 		c.nodes.release(p.st.nodeIdx)
 		p.tr.Finish(region, string(id), telemetry.OutcomeError)
@@ -248,7 +245,7 @@ func (c *Controller) ChangeView(ctx context.Context, id model.ViewerID, view mod
 	// checked against the spare egress. It is a hint, not a hold: the
 	// transient is absorbed by the edge caches (§VI), so it must neither
 	// compete with the viewer's own background rejoin nor pollute the
-	// peak-egress metric the way a real Reservation would.
+	// peak-egress metric the way a real allocation would.
 	fast := true
 	if c.cfg.StrictFastPath {
 		req := model.ComposeView(c.cfg.Producers, view, c.cfg.CutoffDF)

@@ -16,18 +16,14 @@ import (
 // LSC is a region-local session controller: an independently-locked shard of
 // the control plane. It owns the overlay of its cluster's viewers and the
 // per-shard viewer registry, so joins, departures, and view changes in one
-// region proceed concurrently with every other region. Two locks protect a
-// shard:
-//
-//   - mu is the owner lock: it serializes all calls into the single-threaded
-//     overlay shard (the toxcore-style one-subsystem-one-lock discipline).
-//   - vmu guards the viewer registry, read-mostly so the overlay's
-//     propagation-delay lookups take only an RLock. The overlay caches
-//     d_prop per tree edge, so those lookups run once per edge formed (and
-//     on RefreshAll, restore and validation walks), not once per delay
-//     refresh.
-//
-// Lock order is mu before vmu; nothing may acquire mu while holding vmu.
+// region proceed concurrently with every other region. One lock, mu, guards
+// the whole shard — the single-threaded overlay, the registry, and the
+// recovery journal — and every critical section releases it with a deferred
+// unlock. A viewer enters the registry only inside a shard admission (join,
+// admitMigrant, restoreMigrant), right before the overlay call, and leaves it
+// in the critical section that removes its overlay record, so the registry
+// holds exactly the overlay's records (Validate checks it). RecoverRegion
+// rebuilds under mu and runs its evacuation wave after releasing it.
 type LSC struct {
 	Region  trace.Region
 	NodeIdx int
@@ -47,6 +43,9 @@ type LSC struct {
 
 	mu    sync.Mutex
 	shard overlay.Shard
+	// viewers is the shard's viewer registry: the latency node and admission
+	// capacities of every viewer the overlay holds a record of. Guarded by mu.
+	viewers map[model.ViewerID]viewerState
 	// rec, when armed, is the shard's recovery journal: a snapshot of the
 	// overlay state plus every admission-relevant transition since, appended
 	// under mu in shard order. Guarded by mu.
@@ -64,9 +63,6 @@ type LSC struct {
 	// drops accumulates the overlay's adaptation-drop log length — the
 	// counter /metricz and SampleStats surface.
 	drops atomic.Uint64
-
-	vmu     sync.RWMutex
-	viewers map[model.ViewerID]viewerState
 }
 
 // viewerState is stored by value: the record is two words of payload, so
@@ -130,18 +126,17 @@ func (l *LSC) emitJoinLocked(kind EventKind, id model.ViewerID, res *overlay.Joi
 }
 
 // propFunc adapts the latency matrix to the overlay's viewer-pair delays
-// using the shard-local registry; the lookup never leaves the shard. A miss
-// is a registration-order bug — viewers are registered with their LSC before
-// any overlay insertion — so it panics instead of fabricating a delay. The
+// using the shard-local registry; the lookup never leaves the shard. The
+// overlay calls it only from inside a shard operation, so mu is held. A miss
+// is a registration-order bug — a viewer is registered right before its
+// overlay insertion — so it panics instead of fabricating a delay. The
 // overlay calls it when a tree edge forms and caches the result, so a change
 // of the delay scale reaches existing edges only through RefreshAll (which
 // ShiftDelays runs) or a shard rebuild.
 func (l *LSC) propFunc() overlay.PropFunc {
 	return func(a, b model.ViewerID) time.Duration {
-		l.vmu.RLock()
 		va, okA := l.viewers[a]
 		vb, okB := l.viewers[b]
-		l.vmu.RUnlock()
 		if !okA || !okB {
 			panic(fmt.Sprintf(
 				"session: propagation lookup for unregistered viewer (%s ok=%t, %s ok=%t) in LSC region %d: registration-order bug",
@@ -159,56 +154,30 @@ func (l *LSC) propFunc() overlay.PropFunc {
 	}
 }
 
-// register inserts a viewer into the shard registry before its overlay
-// insertion so propagation-delay lookups always hit.
-func (l *LSC) register(st viewerState) {
-	l.vmu.Lock()
-	l.viewers[st.info.ID] = st
-	l.vmu.Unlock()
-}
-
-// unregister removes a viewer from the shard registry.
-func (l *LSC) unregister(id model.ViewerID) {
-	l.vmu.Lock()
-	delete(l.viewers, id)
-	l.vmu.Unlock()
-}
-
-// viewerCount returns the number of registered viewers — the occupancy
-// gauge telemetry polls at snapshot time.
+// viewerCount returns the number of viewers the shard holds a record of,
+// admitted or rejected — the occupancy gauge telemetry polls at snapshot
+// time.
 func (l *LSC) viewerCount() int {
-	l.vmu.RLock()
-	n := len(l.viewers)
-	l.vmu.RUnlock()
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.viewers)
 }
 
-// state returns the registry record of a viewer owned by this shard.
-func (l *LSC) state(id model.ViewerID) (viewerState, bool) {
-	l.vmu.RLock()
-	st, ok := l.viewers[id]
-	l.vmu.RUnlock()
-	return st, ok
-}
-
-// join runs the overlay admission for an already-registered viewer and
-// returns the subscription round trip to the farthest parent, measured while
-// the shard lock still pins the resulting topology.
+// join registers a routed viewer and runs its overlay admission, returning
+// the subscription round trip to the farthest parent, measured while the
+// shard lock still pins the resulting topology.
 func (l *LSC) join(st viewerState, view model.View, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, 0, l.downErr()
 	}
-	// Re-assert the registration: prepare already inserted it, but a
-	// kill/recover cycle between prepare and admission wipes the registry and
-	// rebuilds only snapshot- or journal-known viewers — this in-flight one is
-	// neither. The overwrite is idempotent on the normal path.
-	l.register(st)
+	l.viewers[st.info.ID] = st
 	res, err := l.shard.Join(st.info, view)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
 	if err != nil {
+		delete(l.viewers, st.info.ID)
 		return nil, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
@@ -238,10 +207,8 @@ func (l *LSC) leave(id model.ViewerID, tr *telemetry.OpTrace) (int, error) {
 	l.emit(Event{Kind: EventDeparted, Viewer: id})
 	l.emitDropsLocked()
 	tr.Phase(telemetry.PhasePublish)
-	l.vmu.Lock()
 	st, ok := l.viewers[id]
 	delete(l.viewers, id)
-	l.vmu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("lsc region %d: viewer %s left overlay but was never registered", l.Region, id)
 	}
@@ -268,34 +235,32 @@ func (l *LSC) extract(id model.ViewerID, to trace.Region, cause string, tr *tele
 	l.journalLocked(journalEntry{op: opMigrantOut, id: id})
 	l.emit(Event{Kind: EventMigratedOut, Viewer: id, From: l.Region, To: to, Cause: cause})
 	l.emitDropsLocked()
-	l.vmu.Lock()
 	vst, ok := l.viewers[id]
 	delete(l.viewers, id)
-	l.vmu.Unlock()
 	if !ok {
 		return overlay.MigrationState{}, 0, fmt.Errorf("lsc region %d: viewer %s extracted from overlay but was never registered", l.Region, id)
 	}
 	return st, vst.nodeIdx, nil
 }
 
-// admitMigrant re-admits an extracted viewer on this (destination) shard.
-// The caller must have registered the viewer's state first so propagation
-// lookups hit. On success the arrival event is sequenced on this shard's
+// admitMigrant registers an extracted viewer on this (destination) shard and
+// re-admits it. On success the arrival event is sequenced on this shard's
 // ring; a rejection emits EventJoinRejected here and leaves the record
-// question to keepIfRejected (see overlay.Manager.AdmitMigrant).
-func (l *LSC) admitMigrant(vst viewerState, st overlay.MigrationState, from trace.Region, cause string, keepIfRejected bool, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
+// question to keepIfRejected (see overlay.Manager.AdmitMigrant) — the
+// registry entry goes with the record.
+func (l *LSC) admitMigrant(nodeIdx int, st overlay.MigrationState, from trace.Region, cause string, keepIfRejected bool, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, 0, l.downErr()
 	}
-	// Same registration re-assert as join: heals a kill/recover cycle that
-	// raced between the caller's register and this admission.
-	l.register(vst)
+	vst := viewerState{nodeIdx: nodeIdx, info: st.Info}
+	l.viewers[st.Info.ID] = vst
 	res, err := l.shard.AdmitMigrant(st, keepIfRejected)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
 	if err != nil {
+		delete(l.viewers, st.Info.ID)
 		return nil, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
@@ -303,7 +268,9 @@ func (l *LSC) admitMigrant(vst viewerState, st overlay.MigrationState, from trac
 		// Journal only outcomes that left a record behind; replay re-admits
 		// with keep=true so a replay-time rejection still leaves the viewer
 		// routed as a rejected record.
-		l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: vst.nodeIdx, info: st.Info, req: st.Request})
+		l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: nodeIdx, info: st.Info, req: st.Request})
+	} else {
+		delete(l.viewers, st.Info.ID)
 	}
 	if res.Admitted {
 		l.emit(Event{Kind: EventMigratedIn, Viewer: st.Info.ID, From: from, To: l.Region, Cause: cause, Streams: len(res.Accepted)})
@@ -319,19 +286,20 @@ func (l *LSC) admitMigrant(vst viewerState, st overlay.MigrationState, from trac
 // the destination refused it, keeping the record even when the re-admission
 // is itself rejected — the viewer stays routed here as a rejected viewer.
 // cause carries the destination's rejection reason onto the restore event.
-func (l *LSC) restoreMigrant(vst viewerState, st overlay.MigrationState, to trace.Region, reason RejectReason) (*overlay.JoinResult, error) {
+func (l *LSC) restoreMigrant(nodeIdx int, st overlay.MigrationState, to trace.Region, reason RejectReason) (*overlay.JoinResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, l.downErr()
 	}
-	l.register(vst)
+	l.viewers[st.Info.ID] = viewerState{nodeIdx: nodeIdx, info: st.Info}
 	res, err := l.shard.AdmitMigrant(st, true)
 	l.epoch.Add(1)
 	if err != nil {
+		delete(l.viewers, st.Info.ID)
 		return nil, err
 	}
-	l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: vst.nodeIdx, info: st.Info, req: st.Request})
+	l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: nodeIdx, info: st.Info, req: st.Request})
 	l.emit(Event{Kind: EventMigrationRestored, Viewer: st.Info.ID, From: l.Region, To: to, Reason: reason})
 	l.emitDropsLocked()
 	return res, nil
@@ -343,40 +311,36 @@ func (l *LSC) restoreMigrant(vst viewerState, st overlay.MigrationState, to trac
 // by the extract.
 func (l *LSC) noteMigrationDeparture(id model.ViewerID) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.emit(Event{Kind: EventDeparted, Viewer: id})
-	l.mu.Unlock()
 }
 
 // changeView re-admits a viewer with a new view and returns the new
 // topology, the farthest-parent round trip, and the viewer's node index.
 func (l *LSC) changeView(id model.ViewerID, view model.View, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, int, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.down.Load() {
-		l.mu.Unlock()
 		return nil, 0, 0, l.downErr()
 	}
 	// The registry lookup must come after the down check: a killed shard's
 	// registry is empty, and a routed viewer probing it would read as unknown
 	// instead of getting the typed ErrShardDown refusal.
-	st, ok := l.state(id)
+	st, ok := l.viewers[id]
 	if !ok {
-		l.mu.Unlock()
 		return nil, 0, 0, ErrUnknownViewer
 	}
 	res, err := l.shard.ChangeView(id, view)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
 	if err != nil {
-		l.mu.Unlock()
 		return nil, 0, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
 	l.journalLocked(journalEntry{op: opChangeView, id: id, view: view})
 	l.emitJoinLocked(EventViewChanged, id, res)
 	tr.Phase(telemetry.PhasePublish)
-	worst := l.worstParentRTTLocked(st, res)
-	l.mu.Unlock()
-	return res, worst, st.nodeIdx, nil
+	return res, l.worstParentRTTLocked(st, res), st.nodeIdx, nil
 }
 
 // worstParentRTTLocked computes the subscription-start round trip to the
@@ -388,7 +352,6 @@ func (l *LSC) worstParentRTTLocked(st viewerState, res *overlay.JoinResult) time
 		return 0
 	}
 	var worst time.Duration
-	l.vmu.RLock()
 	for _, n := range res.Viewer.Nodes {
 		if n.Parent == nil {
 			continue
@@ -399,7 +362,6 @@ func (l *LSC) worstParentRTTLocked(st viewerState, res *overlay.JoinResult) time
 			}
 		}
 	}
-	l.vmu.RUnlock()
 	return worst
 }
 
@@ -465,10 +427,22 @@ func (l *LSC) RefreshAll() int {
 	return changed
 }
 
-// Validate checks the shard's overlay invariants.
+// Validate checks the shard's overlay invariants and that the viewer
+// registry holds exactly the overlay's records: an entry for every admitted
+// or rejected viewer the shard knows, and for nobody else.
 func (l *LSC) Validate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// The registry goes first: the overlay walk below looks up propagation
+	// delays, which panic on a viewer the registry misses.
+	for id := range l.viewers {
+		if _, ok := l.shard.Viewer(id); !ok {
+			return fmt.Errorf("registry: viewer %s has no overlay record", id)
+		}
+	}
+	if n := l.shard.QuickSnapshot().Viewers; n != len(l.viewers) {
+		return fmt.Errorf("registry: %d entries for %d overlay records", len(l.viewers), n)
+	}
 	return l.shard.Validate()
 }
 

@@ -27,7 +27,7 @@ import (
 //     source ring carries the detach event and the destination ring the
 //     re-admit, so each region's stream stays in shard-processing order.
 //
-// CDN egress moves through the substrate's atomic reserve/commit protocol:
+// CDN egress moves through the substrate's atomic allocate/release counters:
 // the source's release lands before the destination's reserve, so the
 // Δ-bounded budget is never transiently double-counted — the price is that
 // a rival admission can take the freed capacity mid-handoff, which is
@@ -143,11 +143,8 @@ func (c *Controller) Migrate(ctx context.Context, id model.ViewerID, req Migrate
 	}
 
 	// Phase 2: re-admission on the destination with the preserved request.
-	vst := viewerState{nodeIdx: dstNode, info: st.Info}
-	dst.register(vst)
-	res, worst, err := dst.admitMigrant(vst, st, src.Region, req.Reason, false, &tr)
+	res, worst, err := dst.admitMigrant(dstNode, st, src.Region, req.Reason, false, &tr)
 	if err != nil {
-		dst.unregister(id)
 		out := c.settleRejected(src, dst, st, srcNode, dstNode, nil, req)
 		tr.Finish(int(dst.Region), string(id), telemetry.OutcomeError)
 		return out, fmt.Errorf("session migrate %s: %w", id, err)
@@ -163,7 +160,6 @@ func (c *Controller) Migrate(ctx context.Context, id model.ViewerID, req Migrate
 	}
 	// Destination refused the migrant; its shard kept no record (the
 	// admitMigrant keepIfRejected=false contract).
-	dst.unregister(id)
 	rej := &RejectionError{Viewer: id, Reason: res.Reason}
 	out := c.settleRejected(src, dst, st, srcNode, dstNode, rej, req)
 	tr.Finish(int(dst.Region), string(id), telemetry.OutcomeRejected)
@@ -193,13 +189,10 @@ func (c *Controller) settleRejected(src, dst *LSC, st overlay.MigrationState, sr
 	if rej != nil {
 		reason = rej.Reason
 	}
-	vst := viewerState{nodeIdx: srcNode, info: st.Info}
-	src.register(vst)
-	res, err := src.restoreMigrant(vst, st, dst.Region, reason)
+	res, err := src.restoreMigrant(srcNode, st, dst.Region, reason)
 	if err != nil {
 		// The source shard cannot take its own viewer back (a duplicate
 		// record would be a routing bug); depart totally rather than leak.
-		src.unregister(id)
 		return departMigrant()
 	}
 	c.routes.bind(id, src)

@@ -332,16 +332,19 @@ func TestMigrationChurnRace(t *testing.T) {
 		for id, lsc := range s.m {
 			routed++
 			perShard[lsc.Region]++
-			if _, ok := lsc.state(id); !ok {
+			lsc.mu.Lock()
+			_, ok := lsc.viewers[id]
+			lsc.mu.Unlock()
+			if !ok {
 				t.Fatalf("routed viewer %s missing from region %d registry", id, lsc.Region)
 			}
 		}
 	}
 	registered := 0
 	for region, lsc := range c.lscs {
-		lsc.vmu.RLock()
+		lsc.mu.Lock()
 		n := len(lsc.viewers)
-		lsc.vmu.RUnlock()
+		lsc.mu.Unlock()
 		registered += n
 		if n != perShard[region] {
 			t.Fatalf("region %d holds %d registry entries, routes say %d", region, n, perShard[region])

@@ -109,7 +109,6 @@ func decodeShardSnapshot(data []byte) (*shardSnapshot, error) {
 // point and truncates the journal. Callers must hold mu with rec armed.
 func (l *LSC) snapshotLocked() error {
 	st := l.shard.ExportState()
-	l.vmu.RLock()
 	reg := make([]registryEntry, 0, len(l.viewers))
 	for id, vst := range l.viewers {
 		reg = append(reg, registryEntry{
@@ -119,7 +118,6 @@ func (l *LSC) snapshotLocked() error {
 			OutboundMbps: vst.info.OutboundMbps,
 		})
 	}
-	l.vmu.RUnlock()
 	sort.Slice(reg, func(i, j int) bool { return reg[i].ID < reg[j].ID })
 	data, err := json.Marshal(shardSnapshot{
 		Region:   int(l.Region),
@@ -200,9 +198,7 @@ func (c *Controller) KillRegion(region trace.Region) error {
 		return fmt.Errorf("session kill region %d: %w", region, err)
 	}
 	l.shard = mgr
-	l.vmu.Lock()
 	l.viewers = make(map[model.ViewerID]viewerState, viewerRegistrySeed)
-	l.vmu.Unlock()
 	l.down.Store(true)
 	l.epoch.Add(1)
 	return nil
@@ -252,19 +248,57 @@ func (c *Controller) RecoverRegion(ctx context.Context, region trace.Region) (Re
 	// traces, so its time stays in the recovery total but unattributed.
 	var tr telemetry.OpTrace
 	c.tel.StartOp(&tr, telemetry.OpRecovery)
-
-	l.mu.Lock()
-	if !l.down.Load() {
-		l.mu.Unlock()
+	rejected, err := c.rebuildShard(l, &rep, &tr)
+	if err != nil {
 		tr.Finish(int(region), "", telemetry.OutcomeError)
-		return rep, fmt.Errorf("session recover region %d: shard is not down", region)
+		return rep, err
+	}
+
+	// Evacuation wave, outside the shard lock: rejected records are live
+	// routes serving nothing; hand them to the other regions round-robin. A
+	// refused evacuee is restored on the recovered shard as a rejected record
+	// rather than departed — the control plane never drops a route its
+	// callers still hold, so workload-side liveness tracking stays coherent
+	// across a kill/recover cycle.
+	if len(rejected) > 0 && len(c.lscs) > 1 {
+		var others []trace.Region
+		for r := range c.lscs {
+			if r != region {
+				others = append(others, r)
+			}
+		}
+		sort.Slice(others, func(i, j int) bool { return others[i] < others[j] })
+		migs := make([]Migration, len(rejected))
+		for i, id := range rejected {
+			migs[i] = Migration{ID: id, Req: MigrateRequest{
+				To:     others[i%len(others)],
+				Reason: "evacuation",
+			}}
+		}
+		rep.Evacuated = len(migs)
+		for _, out := range c.MigrateBatch(ctx, migs) {
+			if out.Err == nil && out.Outcome != nil && out.Outcome.Result != nil && out.Outcome.Result.Admitted {
+				rep.EvacuationsLanded++
+			}
+		}
+	}
+	tr.Finish(int(region), "", telemetry.OutcomeOK)
+	return rep, nil
+}
+
+// rebuildShard is RecoverRegion's locked half: it rebuilds the killed shard
+// under mu, brings it live, and returns the IDs of its rejected records — the
+// evacuation wave's input — in sorted order.
+func (c *Controller) rebuildShard(l *LSC, rep *RecoveryReport, tr *telemetry.OpTrace) ([]model.ViewerID, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.down.Load() {
+		return nil, fmt.Errorf("session recover region %d: shard is not down", l.Region)
 	}
 	rec := l.rec
 	snap, err := decodeShardSnapshot(rec.snap)
 	if err != nil {
-		l.mu.Unlock()
-		tr.Finish(int(region), "", telemetry.OutcomeError)
-		return rep, err
+		return nil, err
 	}
 	rep.SnapshotViewers = len(snap.Overlay.Viewers)
 
@@ -283,9 +317,7 @@ func (c *Controller) RecoverRegion(ctx context.Context, region trace.Region) (Re
 			all[e.id] = viewerState{nodeIdx: e.nodeIdx, info: e.info}
 		}
 	}
-	l.vmu.Lock()
 	l.viewers = all
-	l.vmu.Unlock()
 	tr.Phase(telemetry.PhasePrepare)
 
 	// Stage 1: exact rebuild of the snapshot image into fresh slabs. If the
@@ -297,16 +329,14 @@ func (c *Controller) RecoverRegion(ctx context.Context, region trace.Region) (Re
 		rep.Degraded = true
 		mgr, err = c.readmitFromSnapshot(l, &snap.Overlay)
 		if err != nil {
-			l.mu.Unlock()
-			tr.Finish(int(region), "", telemetry.OutcomeError)
-			return rep, fmt.Errorf("session recover region %d: %w", region, err)
+			return nil, fmt.Errorf("session recover region %d: %w", l.Region, err)
 		}
 	}
 
 	// Stage 2: event-sourced replay of the journal suffix, in shard order.
 	// Replay is biased toward keeping records: a formerly-admitted viewer
 	// rejected on replay stays routed as a rejected record and is handled
-	// by the evacuation wave below.
+	// by the evacuation wave.
 	for i := range rec.entries {
 		e := &rec.entries[i]
 		rep.Replayed++
@@ -333,66 +363,30 @@ func (c *Controller) RecoverRegion(ctx context.Context, region trace.Region) (Re
 	l.shard = mgr
 	// Prune the registry to the rebuilt record set: exactly the viewers the
 	// recovered overlay knows (admitted or rejected) keep their entries.
-	l.vmu.Lock()
 	for id := range l.viewers {
 		if _, ok := mgr.Viewer(id); !ok {
 			delete(l.viewers, id)
 		}
 	}
 	rep.Viewers = len(l.viewers)
-	l.vmu.Unlock()
 	tr.Phase(telemetry.PhaseAdmit)
 	l.emitDropsLocked()
 
 	// Re-arm at the recovered state and go live.
 	if err := l.snapshotLocked(); err != nil {
-		l.mu.Unlock()
-		tr.Finish(int(region), "", telemetry.OutcomeError)
-		return rep, err
+		return nil, err
 	}
 	l.down.Store(false)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhasePublish)
 
-	// Collect rejected records for evacuation while still under mu.
 	var rejected []model.ViewerID
 	for _, id := range mgr.SortedViewerIDs() {
 		if v, ok := mgr.Viewer(id); ok && v.Rejected {
 			rejected = append(rejected, id)
 		}
 	}
-	l.mu.Unlock()
-
-	// Evacuation wave: rejected records are live routes serving nothing;
-	// hand them to the other regions round-robin. A refused evacuee is
-	// restored on the recovered shard as a rejected record rather than
-	// departed — the control plane never drops a route its callers still
-	// hold, so workload-side liveness tracking stays coherent across a
-	// kill/recover cycle.
-	if len(rejected) > 0 && len(c.lscs) > 1 {
-		var others []trace.Region
-		for r := range c.lscs {
-			if r != region {
-				others = append(others, r)
-			}
-		}
-		sort.Slice(others, func(i, j int) bool { return others[i] < others[j] })
-		migs := make([]Migration, len(rejected))
-		for i, id := range rejected {
-			migs[i] = Migration{ID: id, Req: MigrateRequest{
-				To:     others[i%len(others)],
-				Reason: "evacuation",
-			}}
-		}
-		rep.Evacuated = len(migs)
-		for _, out := range c.MigrateBatch(ctx, migs) {
-			if out.Err == nil && out.Outcome != nil && out.Outcome.Result != nil && out.Outcome.Result.Admitted {
-				rep.EvacuationsLanded++
-			}
-		}
-	}
-	tr.Finish(int(region), "", telemetry.OutcomeOK)
-	return rep, nil
+	return rejected, nil
 }
 
 // readmitFromSnapshot is the degraded rebuild: a fresh shard repopulated by

@@ -42,9 +42,9 @@ func joinInRegion(t testing.TB, c *Controller, region trace.Region, prefix strin
 func registrySize(c *Controller) int {
 	n := 0
 	for _, l := range c.lscs {
-		l.vmu.RLock()
+		l.mu.Lock()
 		n += len(l.viewers)
-		l.vmu.RUnlock()
+		l.mu.Unlock()
 	}
 	return n
 }
@@ -361,7 +361,6 @@ func requireDelayChain(t *testing.T, c *Controller, factor int64) int {
 	edges := 0
 	for r, l := range c.lscs {
 		l.mu.Lock()
-		l.vmu.RLock()
 		for id := range l.viewers {
 			v, ok := l.shard.Viewer(id)
 			if !ok {
@@ -381,7 +380,6 @@ func requireDelayChain(t *testing.T, c *Controller, factor int64) int {
 				}
 			}
 		}
-		l.vmu.RUnlock()
 		l.mu.Unlock()
 	}
 	return edges
@@ -423,5 +421,101 @@ func TestShiftDelaysRederivesEveryEdge(t *testing.T) {
 	}
 	if edges := requireDelayChain(t, c, 2); edges == 0 {
 		t.Fatal("recovered shard has no peer edges")
+	}
+}
+
+// preparedAcrossKill arms a 20-viewer shard, runs a join's GSC half for one
+// more viewer pinned to it, and kills the shard before the admission: the
+// schedule a kill landing between JoinBatch's prepare and admit phases makes.
+func preparedAcrossKill(t *testing.T) (*Controller, preparedJoin) {
+	t.Helper()
+	c := testController(t, 256, 6000)
+	view := model.NewUniformView(c.cfg.Producers, 0)
+	region := trace.Region(0)
+	joinInRegion(t, c, region, "r", 20, view)
+	if err := c.SnapshotRegion(region); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.prepare(JoinRequest{ID: "late", InboundMbps: 14, OutboundMbps: 4, View: view, Region: InRegion(region)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.lsc != c.lscs[region] {
+		t.Fatalf("prepared join routed to region %d, want %d", p.lsc.Region, region)
+	}
+	if err := c.KillRegion(region); err != nil {
+		t.Fatal(err)
+	}
+	return c, p
+}
+
+// TestPreparedJoinAdmittedAfterKillRecover pins the kill/recover cycle that
+// lands between a join's prepare and its admission: the recovered shard was
+// rebuilt from a snapshot and journal that never saw the in-flight viewer,
+// and the admission must still admit, route and register it.
+func TestPreparedJoinAdmittedAfterKillRecover(t *testing.T) {
+	c, p := preparedAcrossKill(t)
+	if _, err := c.RecoverRegion(testCtx, p.lsc.Region); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.admit(p)
+	if err != nil {
+		t.Fatalf("admission after kill/recover: %v", err)
+	}
+	if !out.Result.Admitted {
+		t.Fatalf("late viewer rejected: %v", out.Result.Reason)
+	}
+	if lsc, err := c.lookupRoute("late"); err != nil || lsc != p.lsc {
+		t.Fatalf("late viewer not routed to its shard: %v", err)
+	}
+	if _, ok := p.lsc.Viewer("late"); !ok {
+		t.Fatal("late viewer has no overlay record")
+	}
+	if got := registrySize(c); got != 21 || c.routes.size() != 21 || c.routes.claimed() != 0 {
+		t.Fatalf("registry %d, routes %d (%d claimed), want 21 bound routes and 21 entries",
+			got, c.routes.size(), c.routes.claimed())
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreparedJoinRefusedByKilledShard pins the same prepare with the
+// admission landing while the shard is still down: it must fail with
+// ErrShardDown and leave no route claim, registry entry or latency node
+// behind, before or after the shard recovers.
+func TestPreparedJoinRefusedByKilledShard(t *testing.T) {
+	c, p := preparedAcrossKill(t)
+	if _, err := c.admit(p); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("admission on a killed shard = %v, want ErrShardDown", err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if _, err := c.lookupRoute("late"); !errors.Is(err, ErrUnknownViewer) {
+			t.Fatalf("%s: refused viewer still routed: %v", when, err)
+		}
+		if c.routes.size() != 20 || c.routes.claimed() != 0 {
+			t.Fatalf("%s: %d routes (%d claimed), want the 20 bound ones", when, c.routes.size(), c.routes.claimed())
+		}
+		if got := c.nodes.takenCount(); got != 20 {
+			t.Fatalf("%s: allocator holds %d nodes for 20 routed viewers", when, got)
+		}
+	}
+	check("down")
+	if got := registrySize(c); got != 0 {
+		t.Fatalf("killed shard's registry holds %d entries", got)
+	}
+	if _, err := c.RecoverRegion(testCtx, p.lsc.Region); err != nil {
+		t.Fatal(err)
+	}
+	check("recovered")
+	if got := registrySize(c); got != 20 {
+		t.Fatalf("recovered registry holds %d entries, want 20", got)
+	}
+	if _, ok := p.lsc.Viewer("late"); ok {
+		t.Fatal("refused viewer has an overlay record")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@
 // departures, and view changes for its region concurrently with every other
 // region, while the GSC is reduced to a thread-safe router (viewer → owning
 // shard, plus latency-matrix node placement) and the CDN is the only shared
-// substrate, arbitrated through its atomic reserve/commit protocol.
+// substrate, arbitrated by its lock-free check-and-hold of egress.
 // Topologies are formed per (LSC, view group): each LSC runs its own overlay
 // shard over its cluster's viewers — exactly the paper's split between
 // centralized distribution and region-local P2P management.
@@ -419,9 +419,10 @@ func (c *Controller) Latency() *trace.LatencyMatrix { return c.cfg.Latency }
 // exists for the controller's whole lifetime.
 func (c *Controller) Telemetry() *telemetry.Collector { return c.tel }
 
-// regionOccupancy is the telemetry occupancy probe: live viewers
-// registered per region shard, read under each shard's registry lock at
-// snapshot time (never on the hot path).
+// regionOccupancy is the telemetry occupancy probe: the viewer records
+// (admitted or rejected) each region shard holds, read under the shard lock
+// at snapshot time (never on the hot path). A join in flight between prepare
+// and admission is not counted until its shard registers it.
 func (c *Controller) regionOccupancy() []int {
 	out := make([]int, c.cfg.Latency.NumRegions())
 	for r, lsc := range c.lscs {

@@ -308,11 +308,6 @@ func (c *Collector) Record(op Op, region int, d time.Duration, out Outcome) {
 	c.counts[op][out].Add(1)
 }
 
-// OutcomeCount returns the cumulative count for one (op,outcome) cell.
-func (c *Collector) OutcomeCount(op Op, out Outcome) uint64 {
-	return c.counts[op][out].Load()
-}
-
 // OpSnapshot is the frozen state of one operation kind.
 type OpSnapshot struct {
 	Op Op
@@ -349,7 +344,8 @@ type Snapshot struct {
 	Enabled       bool
 	SlowThreshold time.Duration
 	InFlight      int64
-	// Occupancy is the live viewer count per region at capture time (nil
+	// Occupancy is the viewer count per region at capture time: the records
+	// each shard holds, admitted or rejected, not joins still in flight (nil
 	// when no probe is installed).
 	Occupancy []int
 	Ops       []OpSnapshot
