@@ -13,8 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
+	"time"
 
 	"telecast"
 )
@@ -71,17 +74,29 @@ func run() error {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	view := telecast.NewUniformView(producers, 0)
+	// Every join returns its protocol delay, admitted or rejected; the
+	// latency report is built from them.
+	var delays []time.Duration
+	join := func(id telecast.ViewerID) error {
+		out, err := ctrl.Join(ctx, id, 12, 12*rng.Float64(), view)
+		if out != nil {
+			delays = append(delays, out.Delay)
+		}
+		if err != nil && !errors.Is(err, telecast.ErrRejected) {
+			return err
+		}
+		return nil
+	}
 
 	// Phase 1 — flash crowd: the stream goes viral and the whole audience
 	// arrives in one wave, outbound capacities uniform in [0, 12] Mbps.
 	fmt.Printf("phase 1: flash crowd of %d spectators\n", audience)
 	for i := 0; i < audience; i++ {
-		id := telecast.ViewerID(fmt.Sprintf("fan-%04d", i))
-		if _, err := ctrl.Join(ctx, id, 12, 12*rng.Float64(), view); err != nil && !errors.Is(err, telecast.ErrRejected) {
+		if err := join(telecast.ViewerID(fmt.Sprintf("fan-%04d", i))); err != nil {
 			return err
 		}
 	}
-	if err := report(ctrl, "after arrival wave"); err != nil {
+	if err := report(ctrl, "after arrival wave", delays); err != nil {
 		return err
 	}
 
@@ -92,12 +107,11 @@ func run() error {
 		if err := ctrl.Leave(ctx, leaving); err != nil {
 			continue // already left in an earlier iteration
 		}
-		replacement := telecast.ViewerID(fmt.Sprintf("late-%04d", i))
-		if _, err := ctrl.Join(ctx, replacement, 12, 12*rng.Float64(), view); err != nil && !errors.Is(err, telecast.ErrRejected) {
+		if err := join(telecast.ViewerID(fmt.Sprintf("late-%04d", i))); err != nil {
 			return err
 		}
 	}
-	if err := report(ctrl, "after churn"); err != nil {
+	if err := report(ctrl, "after churn", delays); err != nil {
 		return err
 	}
 
@@ -132,15 +146,20 @@ func run() error {
 	return ctrl.Validate()
 }
 
-func report(ctrl *telecast.Controller, label string) error {
+func report(ctrl *telecast.Controller, label string, delays []time.Duration) error {
 	st := ctrl.Stats()
 	fmt.Printf("  [%s] viewers=%d accepted-ratio=%.3f cdn-share=%.2f p2p-share=%.2f\n",
 		label, st.Overlay.Viewers, st.Overlay.AcceptanceRatio(),
 		st.Overlay.CDNFraction(), 1-st.Overlay.CDNFraction())
 	fmt.Printf("  [%s] join delay: median=%.0f ms  p95=%.0f ms  max=%.0f ms\n",
-		label,
-		st.JoinDelays.Quantile(0.5)*1000,
-		st.JoinDelays.Quantile(0.95)*1000,
-		st.JoinDelays.Max()*1000)
+		label, quantileMs(delays, 0.5), quantileMs(delays, 0.95), quantileMs(delays, 1))
 	return ctrl.Validate()
+}
+
+// quantileMs returns the nearest-rank q-quantile of ds in milliseconds.
+func quantileMs(ds []time.Duration, q float64) float64 {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	rank := max(int(math.Ceil(q*float64(len(sorted))))-1, 0)
+	return sorted[rank].Seconds() * 1000
 }

@@ -148,16 +148,16 @@ func RunAblationViewChange(setup Setup) (AblationViewChangeRow, error) {
 				ViewAngle: math.Pi / 2,
 			})
 		}
-		if err := setup.replay(ctrl, producers, "ablation-view-change", events); err != nil {
+		run, err := setup.replay(ctrl, producers, "ablation-view-change", events)
+		if err != nil {
 			return row, err
 		}
-		st := ctrl.Stats()
 		if plain {
-			row.PlainP95 = st.ViewChangeDelays.Quantile(0.95)
-			row.PlainMedian = st.ViewChangeDelays.Quantile(0.5)
+			row.PlainP95 = run.ViewChangeDelays.Quantile(0.95)
+			row.PlainMedian = run.ViewChangeDelays.Quantile(0.5)
 		} else {
-			row.TwoPhaseP95 = st.ViewChangeDelays.Quantile(0.95)
-			row.TwoPhaseMedian = st.ViewChangeDelays.Quantile(0.5)
+			row.TwoPhaseP95 = run.ViewChangeDelays.Quantile(0.95)
+			row.TwoPhaseMedian = run.ViewChangeDelays.Quantile(0.5)
 		}
 	}
 	return row, nil

@@ -198,14 +198,14 @@ func joinEvents(n int, obw OutboundSpec, angles []float64, rng *rand.Rand) []wor
 // method in schedule order, and no sample point or monitor advance fires.
 // Admission-control rejections are part of the measurement (they feed the
 // acceptance-ratio figures), so the runner tolerates them; every other error
-// aborts the run.
-func (s Setup) replay(ctrl *session.Controller, producers *model.Session, name string, events []workload.Event) error {
-	_, err := workload.NewSimRunner().Run(context.Background(), ctrl, producers,
+// aborts the run. The Result carries the run's protocol-delay distributions.
+func (s Setup) replay(ctrl *session.Controller, producers *model.Session, name string, events []workload.Event) (workload.Result, error) {
+	res, err := workload.NewSimRunner().Run(context.Background(), ctrl, producers,
 		workload.Schedule(name, events), workload.WithInbound(s.InboundMbps))
 	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+		return res, fmt.Errorf("%s: %w", name, err)
 	}
-	return nil
+	return res, nil
 }
 
 // runScenario joins n viewers and returns the session stats.
@@ -215,7 +215,7 @@ func (s Setup) runScenario(n int, obw OutboundSpec, cdnCapMbps float64) (session
 		return session.Stats{}, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	if err := s.replay(c, producers, "populate", joinEvents(n, obw, s.ViewAngles, rng)); err != nil {
+	if _, err := s.replay(c, producers, "populate", joinEvents(n, obw, s.ViewAngles, rng)); err != nil {
 		return session.Stats{}, err
 	}
 	if err := c.Validate(); err != nil {

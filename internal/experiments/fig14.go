@@ -124,17 +124,17 @@ func RunFig14c(setup Setup) (Fig14cResult, error) {
 			ViewAngle: angle,
 		})
 	}
-	if err := setup.replay(c, producers, "fig14c", events); err != nil {
+	run, err := setup.replay(c, producers, "fig14c", events)
+	if err != nil {
 		return Fig14cResult{}, err
 	}
 	if err := c.Validate(); err != nil {
 		return Fig14cResult{}, fmt.Errorf("fig14c invariants: %w", err)
 	}
-	st := c.Stats()
 	return Fig14cResult{
-		JoinDelays:       st.JoinDelays,
-		ViewChangeDelays: st.ViewChangeDelays,
-		Join95th:         st.JoinDelays.Quantile(0.95),
-		ViewChange95th:   st.ViewChangeDelays.Quantile(0.95),
+		JoinDelays:       &run.JoinDelays,
+		ViewChangeDelays: &run.ViewChangeDelays,
+		Join95th:         run.JoinDelays.Quantile(0.95),
+		ViewChange95th:   run.ViewChangeDelays.Quantile(0.95),
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"telecast/internal/model"
 )
@@ -19,6 +20,8 @@ func TestConcurrentJoinsAcrossRegions(t *testing.T) {
 	c := testController(t, 1024, 6000)
 	view := model.NewUniformView(c.cfg.Producers, 0)
 	const workers, perWorker = 8, 40
+	// delays[w][i] is the protocol delay the w-th worker's i-th join returned.
+	delays := make([][]time.Duration, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -26,10 +29,12 @@ func TestConcurrentJoinsAcrossRegions(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				id := model.ViewerID(fmt.Sprintf("w%d-%04d", w, i))
-				if _, err := c.Join(testCtx, id, 12, float64(i%13), view); err != nil {
+				out, err := c.Join(testCtx, id, 12, float64(i%13), view)
+				if err != nil {
 					t.Errorf("join %s: %v", id, err)
 					return
 				}
+				delays[w] = append(delays[w], out.Delay)
 			}
 		}(w)
 	}
@@ -38,8 +43,17 @@ func TestConcurrentJoinsAcrossRegions(t *testing.T) {
 	if st.Overlay.Viewers != workers*perWorker {
 		t.Fatalf("viewers = %d, want %d", st.Overlay.Viewers, workers*perWorker)
 	}
-	if st.JoinDelays.Len() != workers*perWorker {
-		t.Fatalf("join delay samples = %d", st.JoinDelays.Len())
+	samples := 0
+	for _, ds := range delays {
+		for _, d := range ds {
+			if d <= 0 {
+				t.Fatalf("join returned delay %v", d)
+			}
+			samples++
+		}
+	}
+	if samples != workers*perWorker {
+		t.Fatalf("join delay samples = %d", samples)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"telecast/internal/metrics"
 	"telecast/internal/model"
 	"telecast/internal/overlay"
 	"telecast/internal/telemetry"
@@ -19,7 +18,8 @@ type JoinOutcome struct {
 	Result *overlay.JoinResult
 	// Delay is the viewer join latency of Fig. 14(c): registration with
 	// the GSC, LSC hand-off, overlay construction, and the stream
-	// subscription exchange with the farthest parent.
+	// subscription exchange with the farthest parent. Set for admitted and
+	// rejected joins alike.
 	Delay time.Duration
 	// LSCRegion identifies the cluster that handled the viewer.
 	LSCRegion int
@@ -83,7 +83,7 @@ func (c *Controller) abandon(p preparedJoin) {
 }
 
 // admit runs the shard half of the join protocol on the prepared viewer's
-// owning LSC and records the Fig. 14(c) protocol latency. An
+// owning LSC and returns the Fig. 14(c) protocol latency in the outcome. An
 // admission-control rejection returns the outcome for metrics alongside a
 // *RejectionError carrying the cause.
 func (c *Controller) admit(p preparedJoin) (*JoinOutcome, error) {
@@ -98,7 +98,6 @@ func (c *Controller) admit(p preparedJoin) (*JoinOutcome, error) {
 	}
 	c.bindRoute(id, p.lsc)
 	delay := c.joinProtocolDelay(p.st.nodeIdx, p.lsc.NodeIdx, worst)
-	c.recordJoinDelay(delay)
 	c.noteCDNPeak(p.lsc)
 	out := &JoinOutcome{Result: res, Delay: delay, LSCRegion: region}
 	if !res.Admitted {
@@ -111,8 +110,8 @@ func (c *Controller) admit(p preparedJoin) (*JoinOutcome, error) {
 
 // Join runs the full viewer join protocol of Fig. 5. The viewer is assigned
 // the next latency-matrix node, routed to its region's LSC, and admitted
-// through the overlay construction pipeline; the protocol delay is recorded
-// for the overhead evaluation.
+// through the overlay construction pipeline; the outcome carries the
+// protocol delay for the overhead evaluation.
 //
 // Errors: ErrViewerExists for duplicate IDs, ErrMatrixExhausted when the
 // latency substrate is full, context errors on cancellation, and
@@ -272,7 +271,6 @@ func (c *Controller) ChangeView(ctx context.Context, id model.ViewerID, view mod
 	if !fast {
 		switchDelay = background
 	}
-	c.recordViewChangeDelay(switchDelay)
 	c.noteCDNPeak(lsc)
 	out := &ViewChangeOutcome{
 		Result:          res,
@@ -289,14 +287,13 @@ func (c *Controller) ChangeView(ctx context.Context, id model.ViewerID, view mod
 }
 
 // Stats aggregates the per-LSC overlay snapshots into session-wide totals.
+// It describes the session's live state only: the protocol delays of
+// Fig. 14(c) are not kept here but returned by each op (JoinOutcome.Delay,
+// ViewChangeOutcome.SwitchDelay, MigrateOutcome.Delay), so a caller that
+// wants their distribution collects it from the outcomes it holds, as
+// workload.Result does for a run.
 type Stats struct {
 	Overlay overlay.Snapshot
-	// JoinDelays and ViewChangeDelays are the Fig. 14(c) distributions.
-	JoinDelays       *metrics.CDF
-	ViewChangeDelays *metrics.CDF
-	// MigrationDelays is the handoff-protocol latency distribution of
-	// completed cross-region migrations.
-	MigrationDelays *metrics.CDF
 	// AdaptationDrops is the cumulative count of stream subscriptions
 	// dropped by the delay-layer adaptation (the overlay's drop log,
 	// surfaced as a counter).
@@ -304,8 +301,7 @@ type Stats struct {
 }
 
 // Stats merges every LSC's snapshot. CDN usage is global, so it is taken
-// once from the shared substrate. The delay distributions are copies, safe
-// to query while the session keeps running.
+// once from the shared substrate.
 func (c *Controller) Stats() Stats {
 	var agg overlay.Snapshot
 	for _, lsc := range c.lscs {
@@ -324,26 +320,15 @@ func (c *Controller) Stats() Stats {
 		agg.AcceptedPerViewer = append(agg.AcceptedPerViewer, s.AcceptedPerViewer...)
 	}
 	agg.CDNUsage = c.cdn.Snapshot()
-	c.statsMu.Lock()
-	joins := c.joinDelays.Clone()
-	changes := c.viewChangeDelays.Clone()
-	migrations := c.migrationDelays.Clone()
-	c.statsMu.Unlock()
-	return Stats{
-		Overlay:          agg,
-		JoinDelays:       joins,
-		ViewChangeDelays: changes,
-		MigrationDelays:  migrations,
-		AdaptationDrops:  c.AdaptationDrops(),
-	}
+	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops()}
 }
 
 // SampleStats aggregates the per-LSC counters the periodic samplers consume:
-// Stats minus its expensive parts — no sorted per-viewer distributions, no
-// per-stream CDN map copy, no protocol-latency CDF clones (those fields are
-// left nil/empty). One counters pass per shard plus three atomic CDN loads,
-// which is what lets a wall-clock runner sample every simulated second
-// without the sampling cost rivaling the admissions it measures.
+// Stats minus its expensive parts — no sorted per-viewer distributions and
+// no per-stream CDN map copy (those fields are left nil/empty). One counters
+// pass per shard plus three atomic CDN loads, which is what lets a
+// wall-clock runner sample every simulated second without the sampling cost
+// rivaling the admissions it measures.
 func (c *Controller) SampleStats() Stats {
 	var agg overlay.Snapshot
 	for _, lsc := range c.lscs {

@@ -203,12 +203,12 @@ func (l *LSC) leave(id model.ViewerID, tr *telemetry.OpTrace) (int, error) {
 	}
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
+	st, ok := l.viewers[id]
+	delete(l.viewers, id)
 	l.journalLocked(journalEntry{op: opLeave, id: id})
 	l.emit(Event{Kind: EventDeparted, Viewer: id})
 	l.emitDropsLocked()
 	tr.Phase(telemetry.PhasePublish)
-	st, ok := l.viewers[id]
-	delete(l.viewers, id)
 	if !ok {
 		return 0, fmt.Errorf("lsc region %d: viewer %s left overlay but was never registered", l.Region, id)
 	}
@@ -232,11 +232,11 @@ func (l *LSC) extract(id model.ViewerID, to trace.Region, cause string, tr *tele
 	if err != nil {
 		return overlay.MigrationState{}, 0, err
 	}
+	vst, ok := l.viewers[id]
+	delete(l.viewers, id)
 	l.journalLocked(journalEntry{op: opMigrantOut, id: id})
 	l.emit(Event{Kind: EventMigratedOut, Viewer: id, From: l.Region, To: to, Cause: cause})
 	l.emitDropsLocked()
-	vst, ok := l.viewers[id]
-	delete(l.viewers, id)
 	if !ok {
 		return overlay.MigrationState{}, 0, fmt.Errorf("lsc region %d: viewer %s extracted from overlay but was never registered", l.Region, id)
 	}

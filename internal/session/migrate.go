@@ -68,7 +68,8 @@ type MigrateOutcome struct {
 	// Delay is the handoff protocol latency: re-registration with the GSC,
 	// detach round trip to the source LSC, handoff to the destination LSC,
 	// overlay information back to the viewer, and the subscription-start
-	// round trip to the farthest new parent.
+	// round trip to the farthest new parent. Zero unless the viewer landed
+	// on the destination.
 	Delay time.Duration
 }
 
@@ -153,7 +154,6 @@ func (c *Controller) Migrate(ctx context.Context, id model.ViewerID, req Migrate
 		c.nodes.release(srcNode)
 		c.routes.bind(id, dst)
 		delay := c.migrateProtocolDelay(dstNode, src.NodeIdx, dst.NodeIdx, worst)
-		c.recordMigrationDelay(delay)
 		c.noteCDNPeak(dst)
 		tr.Finish(int(dst.Region), string(id), telemetry.OutcomeOK)
 		return &MigrateOutcome{From: src.Region, To: dst.Region, Result: res, Delay: delay}, nil

@@ -65,8 +65,23 @@ type shardRecorder struct {
 	entries []journalEntry
 }
 
+// journalCompactFactor and journalCompactFloor bound the armed journal:
+// once it holds more than journalCompactFactor entries per registered viewer
+// (counting at least journalCompactFloor viewers, so a small shard does not
+// snapshot on every op), the shard takes a fresh snapshot and starts the
+// journal over. A snapshot costs O(registry), and one is taken per
+// journalCompactFactor × registry transitions, so the amortized cost per
+// transition is constant and the journal never outgrows the registry by
+// more than the factor.
+const (
+	journalCompactFactor = 4
+	journalCompactFloor  = 64
+)
+
 // journalLocked appends a transition to the armed journal; a no-op on
-// unarmed shards. Callers must hold mu.
+// unarmed shards. Callers must hold mu and have applied the transition to
+// both the overlay and the registry, because a journal that outgrows its
+// bound is compacted here into a snapshot of the shard as it stands.
 func (l *LSC) journalLocked(e journalEntry) {
 	if l.rec == nil {
 		return
@@ -78,6 +93,12 @@ func (l *LSC) journalLocked(e journalEntry) {
 	}
 	l.rec.seq++
 	l.rec.entries = append(l.rec.entries, e)
+	if len(l.rec.entries) > journalCompactFactor*max(len(l.viewers), journalCompactFloor) {
+		// A failed snapshot leaves the previous recovery point and the whole
+		// journal in place, which still recover the shard exactly; the next
+		// transition tries again.
+		_ = l.snapshotLocked()
+	}
 }
 
 // registryEntry is one serialized viewer-registry record.
@@ -130,6 +151,9 @@ func (l *LSC) snapshotLocked() error {
 	}
 	l.rec.snap = data
 	l.rec.snapSeq = l.rec.seq
+	// Clear before truncating so the kept backing array does not pin the
+	// compacted entries' views.
+	clear(l.rec.entries)
 	l.rec.entries = l.rec.entries[:0]
 	return nil
 }

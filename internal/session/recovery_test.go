@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -514,6 +516,108 @@ func TestPreparedJoinRefusedByKilledShard(t *testing.T) {
 	}
 	if _, ok := p.lsc.Viewer("late"); ok {
 		t.Fatal("refused viewer has an overlay record")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArmedJournalCompacts churns an armed shard far past its journal bound
+// and then kills and recovers it. The journal must never outgrow the bound,
+// it must have been compacted into fresh snapshots several times, and the
+// recovery from the last compaction plus its journal suffix must rebuild
+// exactly the shard that was killed: the same viewers with the same
+// admission state, a registry equal to the overlay, and clean invariants.
+func TestArmedJournalCompacts(t *testing.T) {
+	c := testController(t, 8*64+16, 6000)
+	region := trace.Region(0)
+	if err := c.EnableRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	l := c.lscs[region]
+	views := []model.View{
+		model.NewUniformView(c.cfg.Producers, 0),
+		model.NewUniformView(c.cfg.Producers, math.Pi/2),
+	}
+	const audience = 40
+	bound := journalCompactFactor * journalCompactFloor
+	journal := func() (entries int, snapSeq uint64) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.rec.entries), l.rec.snapSeq
+	}
+	churn := func(ids []model.ViewerID) {
+		for i := 0; i < len(ids); i += 4 {
+			if _, err := c.ChangeView(testCtx, ids[i], views[1]); err != nil && !errors.Is(err, ErrRejected) {
+				t.Fatalf("view change %s: %v", ids[i], err)
+			}
+		}
+	}
+	compactions := 0
+	_, last := journal()
+	for cycle := 0; compactions < 3; cycle++ {
+		if cycle == 100 {
+			t.Fatalf("journal compacted %d times in %d cycles", compactions, cycle)
+		}
+		ids := joinInRegion(t, c, region, "j", audience, views[0])
+		churn(ids)
+		for _, id := range ids {
+			if err := c.Leave(testCtx, id); err != nil {
+				t.Fatalf("leave %s: %v", id, err)
+			}
+		}
+		n, snapSeq := journal()
+		if n > bound {
+			t.Fatalf("journal holds %d entries, bound %d", n, bound)
+		}
+		if snapSeq != last {
+			compactions++
+			last = snapSeq
+		}
+	}
+	// Leave a live audience and a journal suffix past the last compaction.
+	ids := joinInRegion(t, c, region, "k", audience, views[0])
+	churn(ids)
+	for _, id := range ids[:audience/4] {
+		if err := c.Leave(testCtx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := journal(); n == 0 {
+		t.Fatal("no journal suffix to replay")
+	}
+	// admitted reads the registry with each viewer's admission state from
+	// the overlay, failing unless the two hold exactly the same viewers.
+	admitted := func() map[model.ViewerID]bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		out := make(map[model.ViewerID]bool, len(l.viewers))
+		for id := range l.viewers {
+			v, ok := l.shard.Viewer(id)
+			if !ok {
+				t.Fatalf("registry lists %s, which the overlay does not hold", id)
+			}
+			out[id] = !v.Rejected
+		}
+		if n := l.shard.QuickSnapshot().Viewers; n != len(out) {
+			t.Fatalf("registry holds %d viewers, overlay %d", len(out), n)
+		}
+		return out
+	}
+	want := admitted()
+
+	if err := c.KillRegion(region); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.RecoverRegion(testCtx, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degraded || rep.ReplayDiverged != 0 || rep.Replayed == 0 {
+		t.Fatalf("recovery took the wrong path: %+v", rep)
+	}
+	if got := admitted(); !maps.Equal(got, want) {
+		t.Fatalf("recovered viewers %v, want %v", got, want)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

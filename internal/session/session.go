@@ -26,7 +26,6 @@ import (
 
 	"telecast/internal/cdn"
 	"telecast/internal/layering"
-	"telecast/internal/metrics"
 	"telecast/internal/model"
 	"telecast/internal/overlay"
 	"telecast/internal/telemetry"
@@ -135,50 +134,56 @@ type Controller struct {
 	hwReported atomic.Uint64 // math.Float64bits of the last reported peak
 	hwStep     float64
 
-	// statsMu guards the protocol-latency distributions.
-	statsMu          sync.Mutex
-	joinDelays       metrics.CDF
-	viewChangeDelays metrics.CDF
-	migrationDelays  metrics.CDF
-
 	// tel is the wall-clock observability layer: per-(op,region) latency
 	// histograms, outcome counters, gauges, and the slow-op flight
-	// recorder. Always constructed, disabled by default; distinct from
-	// the CDFs above, which record the *simulated protocol* delays of
-	// Fig. 14(c), not controller wall time.
+	// recorder. Always constructed, disabled by default; distinct from the
+	// *simulated protocol* delays of Fig. 14(c), which each op returns in
+	// its outcome and the controller does not keep.
 	tel *telemetry.Collector
 }
 
 // nodeAllocator hands out latency-matrix node indices to joining viewers and
-// recycles the slots of departed ones. Alongside the default order (free-list
-// reuse, then a sequential cursor) it can satisfy a region preference:
-// per-region pools index the free nodes of every region, and the taken bitmap
-// lazily invalidates pool entries consumed through the other path, so a node
-// is never handed out twice no matter which pool it was pulled from.
+// recycles the slots of departed ones. Alongside the default order (the most
+// recently released free node, then a sequential cursor) it can satisfy a
+// region preference: per-region pools list the free nodes of every region,
+// and the path that claims a node unlists it from the other path's list. So
+// every list holds each node at most once, and serial use never leaves a
+// taken node listed: the allocator's memory is fixed by the matrix size, not
+// by how many nodes it has recycled. (A claim racing a release can leave a
+// taken node listed, still at most once: its claim fails when it is popped,
+// and its next release moves it to the front.)
 //
 // It is built for the striped batch-prepare path: the taken bitmap is atomic
-// and its CAS is the single allocation gate, each region's pools sit behind
-// their own lock, and the sequential cursor is a CAS loop — so W concurrent
+// and its CAS is the single allocation gate, each region's pool sits behind
+// its own lock, and the sequential cursor is a CAS loop — so W concurrent
 // prepare workers only contend when they chase the same region's pool or
-// drain the shared free list, never on one global mutex.
+// drain the shared free list, never on one global mutex. No path holds two
+// list locks at once: a claimant unlists its node from the other list after
+// releasing its own, and a path that pops an entry another path has claimed
+// in between discards it, as the taken bitmap says it must.
 type nodeAllocator struct {
-	// mu guards free, the LIFO of released indices the default path serves
-	// before the sequential cursor.
+	// mu guards free, the released nodes the default path serves before the
+	// sequential cursor, most recently released first.
 	mu   sync.Mutex
-	free []int
+	free nodeList
 	// next is the sequential cursor over never-allocated indices, advanced
 	// by CAS; max bounds it.
 	next atomic.Int64
 	max  int
 	// taken is the allocation gate: an index is owned by exactly the path
-	// that wins its CompareAndSwap(false, true), however many pools still
-	// list it. Pool entries that lose the race go stale and are discarded
-	// lazily on the next acquisition that pops them.
+	// that wins its CompareAndSwap(false, true), whichever list it was
+	// popped from.
 	taken []atomic.Bool
 	// regionOf labels node indices; nil disables region-aware allocation.
 	regionOf func(int) trace.Region
 	// pools holds each region's free-node indexes behind a per-region lock.
 	pools map[trace.Region]*regionPool
+	// poolLinks is the link table the region pools share (their node sets
+	// are disjoint). Like the default list's, it is allocated by the first
+	// release that needs it, so starting a controller costs no O(matrix)
+	// table a viewer may never return a node to.
+	poolLinksOnce sync.Once
+	poolLinks     []nodeLink
 }
 
 // regionPool indexes one region's free nodes: seq holds the never-allocated
@@ -186,7 +191,63 @@ type nodeAllocator struct {
 type regionPool struct {
 	mu   sync.Mutex
 	seq  []int
-	free []int
+	free nodeList
+}
+
+// nodeList is a LIFO of node indices threaded through a per-node link table:
+// pushing a listed node moves it to the front instead of adding a second
+// entry, and any node unlinks in O(1). Lists over disjoint node sets (the
+// region pools) share one table. Links hold index+1, so a zeroed table is
+// one in which no node is listed and needs no initializing pass. An empty
+// list may have no table yet; the first push needs one.
+type nodeList struct {
+	head  int32 // the front node's index+1; 0 when empty
+	links []nodeLink
+}
+
+// nodeLink is one node's place in its list: the neighbours toward the front
+// and the back, as index+1, 0 past either end. A node is listed when it is
+// its list's head or has a prev.
+type nodeLink struct{ prev, next int32 }
+
+// push puts idx at the front, moving it there if it is already listed.
+func (l *nodeList) push(idx int) {
+	l.remove(idx)
+	l.links[idx] = nodeLink{next: l.head}
+	if l.head != 0 {
+		l.links[l.head-1].prev = int32(idx) + 1
+	}
+	l.head = int32(idx) + 1
+}
+
+// pop unlinks and returns the front node.
+func (l *nodeList) pop() (int, bool) {
+	if l.head == 0 {
+		return 0, false
+	}
+	idx := int(l.head - 1)
+	l.remove(idx)
+	return idx, true
+}
+
+// remove unlinks idx; a no-op when it is not listed.
+func (l *nodeList) remove(idx int) {
+	if l.head == 0 {
+		return
+	}
+	n := l.links[idx]
+	if n.prev == 0 && l.head != int32(idx)+1 {
+		return
+	}
+	if n.prev == 0 {
+		l.head = n.next
+	} else {
+		l.links[n.prev-1].next = n.next
+	}
+	if n.next != 0 {
+		l.links[n.next-1].prev = n.prev
+	}
+	l.links[idx] = nodeLink{}
 }
 
 // init sets the allocatable range [start, max) and sizes the taken bitmap.
@@ -221,11 +282,10 @@ func (a *nodeAllocator) claim(idx int) bool {
 
 func (a *nodeAllocator) acquire() (int, bool) {
 	a.mu.Lock()
-	for n := len(a.free); n > 0; n = len(a.free) {
-		idx := a.free[n-1]
-		a.free = a.free[:n-1]
+	for idx, ok := a.free.pop(); ok; idx, ok = a.free.pop() {
 		if a.claim(idx) {
 			a.mu.Unlock()
+			a.unlistRegion(idx)
 			return idx, true
 		}
 	}
@@ -271,31 +331,55 @@ func (a *nodeAllocator) acquireInStrict(r trace.Region) (int, bool) {
 }
 
 // acquireRegion takes a free node of the region — released ones first, then
-// never-allocated ones — lazily discarding pool entries the taken bitmap
-// marks as consumed through another path. Only the region's own lock is
-// held; the taken CAS arbitrates against every other acquisition path.
+// never-allocated ones. Only the region's own lock is held while its lists
+// are popped; the taken CAS arbitrates against every other acquisition
+// path, and a released node the region wins is then unlisted from the
+// default list.
 func (a *nodeAllocator) acquireRegion(r trace.Region) (int, bool) {
 	p := a.pools[r]
 	if p == nil {
 		return 0, false
 	}
+	idx, released, ok := p.claim(a)
+	if ok && released {
+		a.mu.Lock()
+		a.free.remove(idx)
+		a.mu.Unlock()
+	}
+	return idx, ok
+}
+
+// claim wins a node of the pool for the caller, discarding entries the
+// taken bitmap marks as consumed through another path; released reports
+// that the node came off the pool's free list.
+func (p *regionPool) claim(a *nodeAllocator) (idx int, released, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for n := len(p.free); n > 0; n = len(p.free) {
-		idx := p.free[n-1]
-		p.free = p.free[:n-1]
+	for idx, ok := p.free.pop(); ok; idx, ok = p.free.pop() {
 		if a.claim(idx) {
-			return idx, true
+			return idx, true, true
 		}
 	}
 	for len(p.seq) > 0 {
 		idx := p.seq[0]
 		p.seq = p.seq[1:]
 		if a.claim(idx) {
-			return idx, true
+			return idx, false, true
 		}
 	}
-	return 0, false
+	return 0, false, false
+}
+
+// unlistRegion drops a node the default path claimed from its region pool.
+func (a *nodeAllocator) unlistRegion(idx int) {
+	if a.regionOf == nil {
+		return
+	}
+	if p := a.pools[a.regionOf(idx)]; p != nil {
+		p.mu.Lock()
+		p.free.remove(idx)
+		p.mu.Unlock()
+	}
 }
 
 // takenCount reports how many indices are currently allocated (tests and
@@ -311,17 +395,24 @@ func (a *nodeAllocator) takenCount() int {
 }
 
 func (a *nodeAllocator) release(idx int) {
-	// The order matters: the index must read free before any pool lists it
+	// The order matters: the index must read free before any list holds it
 	// again, or a concurrent acquirer could pop the fresh entry and lose the
 	// CAS against the stale taken bit.
 	a.taken[idx].Store(false)
 	a.mu.Lock()
-	a.free = append(a.free, idx)
+	if a.free.links == nil {
+		a.free.links = make([]nodeLink, a.max)
+	}
+	a.free.push(idx)
 	a.mu.Unlock()
 	if a.regionOf != nil {
 		if p := a.pools[a.regionOf(idx)]; p != nil {
 			p.mu.Lock()
-			p.free = append(p.free, idx)
+			if p.free.links == nil {
+				a.poolLinksOnce.Do(func() { a.poolLinks = make([]nodeLink, a.max) })
+				p.free.links = a.poolLinks
+			}
+			p.free.push(idx)
 			p.mu.Unlock()
 		}
 	}
@@ -481,24 +572,6 @@ func (c *Controller) lookupRoute(id model.ViewerID) (*LSC, error) {
 // live migration report ErrMigrating.
 func (c *Controller) takeRoute(id model.ViewerID) (*LSC, error) {
 	return c.routes.take(id)
-}
-
-func (c *Controller) recordJoinDelay(d time.Duration) {
-	c.statsMu.Lock()
-	c.joinDelays.AddDuration(d)
-	c.statsMu.Unlock()
-}
-
-func (c *Controller) recordViewChangeDelay(d time.Duration) {
-	c.statsMu.Lock()
-	c.viewChangeDelays.AddDuration(d)
-	c.statsMu.Unlock()
-}
-
-func (c *Controller) recordMigrationDelay(d time.Duration) {
-	c.statsMu.Lock()
-	c.migrationDelays.AddDuration(d)
-	c.statsMu.Unlock()
 }
 
 // noteCDNPeak emits an EventCDNHighWater through the given shard's ring when

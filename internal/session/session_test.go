@@ -90,10 +90,6 @@ func TestJoinRecordsProtocolDelay(t *testing.T) {
 	if out.Delay > 3*time.Second {
 		t.Fatalf("implausible join delay %v", out.Delay)
 	}
-	st := c.Stats()
-	if st.JoinDelays.Len() != 1 {
-		t.Fatalf("join delay samples = %d", st.JoinDelays.Len())
-	}
 }
 
 func TestJoinDuplicateAndExhaustion(t *testing.T) {
@@ -195,10 +191,6 @@ func TestChangeViewFastPath(t *testing.T) {
 	}
 	if out.SwitchDelay <= 0 || out.SwitchDelay >= out.BackgroundDelay {
 		t.Fatalf("switch %v should beat background %v", out.SwitchDelay, out.BackgroundDelay)
-	}
-	st := c.Stats()
-	if st.ViewChangeDelays.Len() != 1 {
-		t.Fatal("view change delay not recorded")
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"time"
 
 	"telecast/internal/model"
 	"telecast/internal/session"
@@ -51,6 +52,12 @@ type Outcome struct {
 	// refusal, or departed under the DepartOnReject policy. All false for
 	// a same-region no-op or an early typed failure.
 	Landed, Restored, Departed bool
+	// Delay is the simulated protocol delay the operation reported: a
+	// join's (admitted or rejected), a view change's perceived switch, a
+	// landed migration's handoff. Zero when it reported none — the request
+	// failed before reaching a shard, a migration did not land, a leave, or
+	// a plane that does not carry delays (the HTTP client).
+	Delay time.Duration
 	// Err is the per-request error. Typed values — the session sentinels
 	// and *RejectionError — survive the HTTP wire and stay matchable with
 	// errors.Is / errors.As.
@@ -217,7 +224,7 @@ func migrateRequest(rq Request) session.MigrateRequest {
 func joinOutcome(id model.ViewerID, out *session.JoinOutcome, err error) Outcome {
 	o := Outcome{ID: id, Region: -1, Admitted: err == nil, Err: err}
 	if out != nil {
-		o.Region = out.LSCRegion
+		o.Region, o.Delay = out.LSCRegion, out.Delay
 	}
 	return o
 }
@@ -233,7 +240,7 @@ func migrationOutcome(id model.ViewerID, out *session.MigrateOutcome, err error)
 	if out == nil {
 		return o
 	}
-	o.Region = int(out.To)
+	o.Region, o.Delay = int(out.To), out.Delay
 	switch {
 	case out.Departed:
 		o.Departed = true
@@ -249,7 +256,11 @@ func migrationOutcome(id model.ViewerID, out *session.MigrateOutcome, err error)
 
 func (p *localPlane) changeView(ctx context.Context, rq Request) Outcome {
 	out, err := p.ctrl.ChangeView(ctx, rq.ID, p.view(rq.ViewAngle))
-	return Outcome{ID: rq.ID, Region: -1, Admitted: out != nil && out.Result.Admitted, Err: err}
+	o := Outcome{ID: rq.ID, Region: -1, Err: err}
+	if out != nil {
+		o.Admitted, o.Delay = out.Result.Admitted, out.SwitchDelay
+	}
+	return o
 }
 
 func (p *localPlane) execJoins(ctx context.Context, run []Request, outs []Outcome) {

@@ -189,9 +189,9 @@ func TestParallelRunnerMigrationsMatchEventStream(t *testing.T) {
 		t.Fatalf("invariants after mobility run: %v", err)
 	}
 
-	// Landed handoffs feed the migration-delay distribution.
-	st := ctrl.Stats()
-	if st.MigrationDelays == nil || st.MigrationDelays.Len() == 0 {
-		t.Fatal("no migration protocol delays recorded")
+	// Landed handoffs feed the run's migration-delay distribution, one
+	// sample each.
+	if n := res.MigrationDelays.Len(); n != res.Migrations {
+		t.Fatalf("%d migration protocol delays recorded for %d landed migrations", n, res.Migrations)
 	}
 }

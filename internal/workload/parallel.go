@@ -433,6 +433,7 @@ func (ex *executor) apply(kind EventKind, outs []Outcome) error {
 			}
 			ex.t.migrate(out.ID, out)
 		}
+		ex.t.delay(kind, out.Delay)
 	}
 	return nil
 }

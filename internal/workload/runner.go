@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"telecast/internal/fault"
+	"telecast/internal/metrics"
 	"telecast/internal/model"
 	"telecast/internal/session"
 	"telecast/internal/telemetry"
@@ -131,6 +132,14 @@ type Result struct {
 	JoinsPerSec float64
 	// FinalAcceptance and MinAcceptance summarize ρ over the samples.
 	FinalAcceptance, MinAcceptance float64
+	// JoinDelays, ViewChangeDelays and MigrationDelays are the run's
+	// simulated protocol delays (Fig. 14(c) and the handoff's), in seconds:
+	// one sample per join that reached a shard (admitted or rejected), per
+	// view change the shard processed (its perceived switch delay), and per
+	// landed migration. They stay empty when the plane reports no delays
+	// (the HTTP client). They are not serialized: a CDF has no stable
+	// encoding of its own.
+	JoinDelays, ViewChangeDelays, MigrationDelays metrics.CDF `json:"-"`
 	// Latency is the per-op wall-clock latency table for the run's window,
 	// populated when the executed controller has telemetry enabled (local
 	// runs) or the remote plane exposes its latency surface; nil otherwise.
@@ -227,6 +236,22 @@ func (t *tally) migrate(id model.ViewerID, out Outcome) {
 	case out.Landed:
 		t.res.Migrations++
 		t.setAdmitted(id, true)
+	}
+}
+
+// delay adds an operation's protocol delay to its kind's distribution; an
+// outcome that carries none adds nothing.
+func (t *tally) delay(kind EventKind, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	switch kind {
+	case EventJoin:
+		t.res.JoinDelays.AddDuration(d)
+	case EventViewChange:
+		t.res.ViewChangeDelays.AddDuration(d)
+	case EventMigrate:
+		t.res.MigrationDelays.AddDuration(d)
 	}
 }
 

@@ -57,7 +57,8 @@ func (h *heapSink) Flush() error { return nil }
 // runSoak executes `days` diurnal cycles of `day` model time each, with
 // about `audiencePerDay` viewer generations per cycle, validating overlay
 // invariants at every sample and snapshotting the heap at day boundaries.
-func runSoak(t *testing.T, days int, day time.Duration, audiencePerDay int) []heapSnap {
+// armed arms every shard's recovery journal before the run.
+func runSoak(t *testing.T, days int, day time.Duration, audiencePerDay int, armed bool) []heapSnap {
 	t.Helper()
 	producers, err := model.NewSession(
 		model.NewRingSite("A", 8, 2.0, 10),
@@ -76,6 +77,11 @@ func runSoak(t *testing.T, days int, day time.Duration, audiencePerDay int) []he
 	ctrl, err := session.NewController(producers, lat)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if armed {
+		if err := ctrl.EnableRecovery(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sc, err := Soak(SoakConfig{
 		Days:           days,
@@ -149,9 +155,23 @@ func assertFlatHeap(t *testing.T, snaps []heapSnap) {
 // schedule), surfacing as "layer spread exceeds kappa" from the validator.
 // Raise the cap once that is fixed.
 func TestSoakHeapTrajectory(t *testing.T) {
-	days, day, audience := 8, 10*time.Minute, 2000
+	days, day, audience := soakSize()
+	assertFlatHeap(t, runSoak(t, days, day, audience, false))
+}
+
+// TestSoakHeapTrajectoryArmed is the same soak with every shard's recovery
+// journal armed from the start and no snapshot fault ever injected: the
+// journal is compacted into fresh snapshots as it outgrows the registry, so
+// the heap must stay as flat as the unarmed run's.
+func TestSoakHeapTrajectoryArmed(t *testing.T) {
+	days, day, audience := soakSize()
+	assertFlatHeap(t, runSoak(t, days, day, audience, true))
+}
+
+// soakSize is the full soak's shape, or the CI smoke's in -short mode.
+func soakSize() (days int, day time.Duration, audience int) {
 	if testing.Short() {
-		days, day, audience = 4, 2*time.Minute, 500
+		return 4, 2 * time.Minute, 500
 	}
-	assertFlatHeap(t, runSoak(t, days, day, audience))
+	return 8, 10 * time.Minute, 2000
 }

@@ -107,7 +107,7 @@ type (
 	Migration = session.Migration
 	// MigrateBatchOutcome is a per-migration result of MigrateBatch.
 	MigrateBatchOutcome = session.MigrateBatchOutcome
-	// Stats aggregates overlay and latency metrics across LSCs.
+	// Stats aggregates the overlay and CDN state across LSCs.
 	Stats = session.Stats
 	// CDNConfig bounds the distribution substrate.
 	CDNConfig = cdn.Config
