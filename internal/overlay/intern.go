@@ -22,12 +22,6 @@ import (
 // overflow the table resets and simply re-interns the working set.
 const viewInternMax = 4096
 
-// viewerMapSeed pre-sizes per-shard viewer registries: admission-scale
-// shards hold tens of thousands of viewers, and seeding the maps past the
-// first growth spurts removes the early rehash churn without meaningfully
-// charging small test managers.
-const viewerMapSeed = 1024
-
 // viewFingerprint appends a canonical encoding of the view — sites in
 // sorted order, each followed by the raw float bits of its orientation —
 // into the manager's reusable scratch and returns it. The returned slice is

@@ -125,7 +125,7 @@ func NewManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params Par
 		prop:       prop,
 		params:     params,
 		groups:     make(map[model.ViewKey]*Group),
-		viewers:    make(map[model.ViewerID]*Viewer, viewerMapSeed),
+		viewers:    make(map[model.ViewerID]*Viewer),
 		viewIntern: make(map[string]model.ViewRequest, 16),
 		spareMax:   spareMax,
 	}, nil

@@ -16,7 +16,8 @@ import (
 // hot path. Each LSC publishes into its own fixed-capacity ring under a
 // shard-local mutex; a single pump goroutine drains the rings and fans the
 // events out to subscriber channels. When nobody subscribes, publishing is
-// one atomic load.
+// one atomic load. The rings are allocated by the first Subscribe, so a
+// controller nobody observes never builds them.
 
 // EventKind discriminates control-plane events.
 type EventKind uint8
@@ -106,7 +107,9 @@ type Event struct {
 
 // eventRing is one shard's fixed-capacity publication buffer. Its mutex is
 // shard-local, so publications from different regions never contend; when
-// the ring is full the oldest event is overwritten and counted.
+// the ring is full the oldest event is overwritten and counted. buf is nil
+// until the first Subscribe opens the ring, and nothing publishes before
+// that: publish runs only once the bus is active.
 type eventRing struct {
 	region trace.Region
 
@@ -130,6 +133,17 @@ func (r *eventRing) publish(ev Event) {
 	}
 	r.buf[(r.start+r.n)%len(r.buf)] = ev
 	r.n++
+	r.mu.Unlock()
+}
+
+// open allocates the ring's buffer on first use and discards whatever it
+// holds: a fresh subscriber observes the stream from now on.
+func (r *eventRing) open(capacity int) {
+	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]Event, capacity)
+	}
+	r.start, r.n, r.dropped = 0, 0, 0
 	r.mu.Unlock()
 }
 
@@ -210,7 +224,7 @@ func newEventBus(regions, buffer int) *eventBus {
 		buffer:  buffer,
 	}
 	for r := range b.rings {
-		b.rings[r] = &eventRing{region: trace.Region(r), buf: make([]Event, buffer)}
+		b.rings[r] = &eventRing{region: trace.Region(r)}
 	}
 	return b
 }
@@ -240,9 +254,11 @@ func (b *eventBus) subscribe() *Subscription {
 	b.subs = append(b.subs, s)
 	if !b.running {
 		// Events published while nobody listened are stale; a fresh
-		// subscriber observes the stream from now on.
+		// subscriber observes the stream from now on. Opening allocates
+		// the rings before active is stored, so no publisher ever sees
+		// an active bus with an unallocated ring.
 		for _, r := range b.rings {
-			r.drain(nil)
+			r.open(b.buffer)
 		}
 		b.stop = make(chan struct{})
 		b.exited = make(chan struct{})

@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -449,4 +451,149 @@ func TestSubscriptionFlushAfterBusClose(t *testing.T) {
 	c.Close()
 	sub.Flush()
 	sub.Close()
+}
+
+// ringsOpened reports how many of the bus's rings have a buffer.
+func ringsOpened(b *eventBus) int {
+	n := 0
+	for _, r := range b.rings {
+		r.mu.Lock()
+		if r.buf != nil {
+			n++
+		}
+		r.mu.Unlock()
+	}
+	return n
+}
+
+// TestLazyRingsFirstSubscribeUnderChurn subscribes for the first time while
+// one publisher per shard emits without pause, so the rings are allocated
+// under live publication (run with -race). From each region's first
+// delivered event on, Seq must be gap-free up to the ring's last sequence
+// number, and nothing may be dropped.
+func TestLazyRingsFirstSubscribeUnderChurn(t *testing.T) {
+	const perRegion = 300
+	for round := 0; round < 8; round++ {
+		c := testController(t, 64, 6000)
+		if n := ringsOpened(c.bus); n != 0 {
+			t.Fatalf("round %d: %d rings allocated before any Subscribe", round, n)
+		}
+		var started sync.WaitGroup
+		var done sync.WaitGroup
+		for _, l := range c.lscs {
+			started.Add(1)
+			done.Add(1)
+			go func(l *LSC) {
+				defer done.Done()
+				for i, post := 0, 0; post < perRegion; i++ {
+					// An emit that starts on an active bus is published;
+					// counting only those bounds what the rings and the
+					// channel must hold, so nothing may be dropped.
+					after := c.bus.active.Load()
+					l.emit(Event{Kind: EventDeparted, Viewer: vid(i)})
+					if i == 16 {
+						started.Done()
+					}
+					if after {
+						post++
+					} else {
+						runtime.Gosched() // let Subscribe run
+					}
+				}
+			}(l)
+		}
+		started.Wait()
+		sub := c.Subscribe()
+		var got []Event
+		consumed := make(chan struct{})
+		go func() {
+			defer close(consumed)
+			for ev := range sub.Events() {
+				got = append(got, ev)
+			}
+		}()
+		done.Wait()
+		sub.Flush()
+		sub.Close()
+		<-consumed
+
+		if d := sub.Dropped(); d != 0 {
+			t.Fatalf("round %d: %d events dropped with a consumer keeping up", round, d)
+		}
+		last := make(map[trace.Region]uint64)
+		for _, ev := range got {
+			if prev, ok := last[ev.Region]; ok && ev.Seq != prev+1 {
+				t.Fatalf("round %d: region %d seq %d after %d", round, ev.Region, ev.Seq, prev)
+			}
+			last[ev.Region] = ev.Seq
+		}
+		for region, l := range c.lscs {
+			r := c.bus.rings[int(region)]
+			r.mu.Lock()
+			seq := r.seq
+			r.mu.Unlock()
+			if last[region] != seq {
+				t.Fatalf("round %d: region %d delivered through seq %d, ring published %d", round, region, last[region], seq)
+			}
+			if seq < perRegion {
+				t.Fatalf("round %d: region %d published %d events after Subscribe, want >= %d", round, l.Region, seq, perRegion)
+			}
+		}
+	}
+}
+
+// TestLazyRingOverflowCountsOverwritten publishes past EventBuffer into one
+// ring before the pump drains it: exactly the overwritten events are counted
+// in Dropped, and the survivors arrive in order. A close followed by a new
+// Subscribe reuses the rings the first one allocated.
+func TestLazyRingOverflowCountsOverwritten(t *testing.T) {
+	const buffer, extra = 16, 5
+	c := testController(t, 64, 6000, WithEventBuffer(buffer))
+	sub := c.Subscribe()
+	if n, want := ringsOpened(c.bus), len(c.bus.rings); n != want {
+		t.Fatalf("%d of %d rings allocated after the first Subscribe", n, want)
+	}
+	// Publishing into the ring without the bus's kick stands for a pump
+	// that falls behind: nothing drains until the flush below.
+	r := c.bus.rings[0]
+	for i := 0; i < buffer+extra; i++ {
+		r.publish(Event{Kind: EventDeparted, Viewer: vid(i)})
+	}
+	sub.Flush()
+	sub.Close()
+	var got []Event
+	for ev := range sub.Events() {
+		got = append(got, ev)
+	}
+	if d := sub.Dropped(); d != extra {
+		t.Fatalf("Dropped = %d, want the %d overwritten events", d, extra)
+	}
+	if len(got) != buffer {
+		t.Fatalf("delivered %d events, want %d", len(got), buffer)
+	}
+	for i, ev := range got {
+		if want := uint64(extra + 1 + i); ev.Seq != want || ev.Viewer != vid(extra+i) {
+			t.Fatalf("event %d: seq %d viewer %s, want seq %d viewer %s", i, ev.Seq, ev.Viewer, want, vid(extra+i))
+		}
+	}
+
+	bufs := make([]*Event, len(c.bus.rings))
+	for i, r := range c.bus.rings {
+		bufs[i] = &r.buf[0]
+	}
+	again := c.Subscribe()
+	defer again.Close()
+	for i, r := range c.bus.rings {
+		r.mu.Lock()
+		same := &r.buf[0] == bufs[i]
+		r.mu.Unlock()
+		if !same {
+			t.Fatalf("ring %d reallocated by the second Subscribe", i)
+		}
+	}
+	c.lscs[0].emit(Event{Kind: EventDeparted, Viewer: vid(99)})
+	again.Flush()
+	if ev := <-again.Events(); ev.Seq != buffer+extra+1 || ev.Viewer != vid(99) {
+		t.Fatalf("second subscriber saw seq %d viewer %s, want seq %d viewer %s", ev.Seq, ev.Viewer, buffer+extra+1, vid(99))
+	}
 }

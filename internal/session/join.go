@@ -298,6 +298,11 @@ type Stats struct {
 	// dropped by the delay-layer adaptation (the overlay's drop log,
 	// surfaced as a counter).
 	AdaptationDrops uint64
+	// JournalEntries is the length of the longest armed recovery journal
+	// across the shards (0 when none is armed). Compaction keeps every
+	// journal within 4 entries per registered viewer of its shard (counting
+	// at least 64 viewers).
+	JournalEntries int
 }
 
 // Stats merges every LSC's snapshot. CDN usage is global, so it is taken
@@ -320,7 +325,7 @@ func (c *Controller) Stats() Stats {
 		agg.AcceptedPerViewer = append(agg.AcceptedPerViewer, s.AcceptedPerViewer...)
 	}
 	agg.CDNUsage = c.cdn.Snapshot()
-	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops()}
+	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops(), JournalEntries: c.longestJournal()}
 }
 
 // SampleStats aggregates the per-LSC counters the periodic samplers consume:
@@ -345,7 +350,7 @@ func (c *Controller) SampleStats() Stats {
 		agg.ResubscribeExhausted += s.ResubscribeExhausted
 	}
 	agg.CDNUsage = c.cdn.UsageTotals()
-	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops()}
+	return Stats{Overlay: agg, AdaptationDrops: c.AdaptationDrops(), JournalEntries: c.longestJournal()}
 }
 
 // validateAttempts bounds the online validator's snapshot-and-retry loop. A

@@ -73,17 +73,13 @@ type viewerState struct {
 	info    overlay.ViewerInfo
 }
 
-// viewerRegistrySeed pre-sizes each shard's registry past the early growth
-// rehashes; admission-scale shards hold tens of thousands of viewers.
-const viewerRegistrySeed = 1024
-
 func newLSC(region trace.Region, nodeIdx int, cfg *Config, bus *eventBus) *LSC {
 	return &LSC{
 		Region:  region,
 		NodeIdx: nodeIdx,
 		cfg:     cfg,
 		bus:     bus,
-		viewers: make(map[model.ViewerID]viewerState, viewerRegistrySeed),
+		viewers: make(map[model.ViewerID]viewerState),
 	}
 }
 

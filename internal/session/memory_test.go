@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"telecast/internal/model"
+	"telecast/internal/trace"
 )
 
 // liveHeap returns the heap bytes still reachable after a forced collection.
@@ -71,5 +72,44 @@ func TestRetainedMemoryBoundedByLiveViewers(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewControllerAllocatesByUse pins the construction footprint of
+// serve's shape — two 8-camera ring sites, a 6016-node latency matrix over 8
+// regions, the default event buffer, telemetry off. A controller allocates
+// what a run uses, when the run uses it: event rings on the first Subscribe,
+// viewer maps as the audience grows. Building 8 × 4096-event rings and
+// 1024-entry viewer maps up front costs about 6 MB per controller.
+func TestNewControllerAllocatesByUse(t *testing.T) {
+	producers, err := model.NewSession(
+		model.NewRingSite("A", 8, 2.0, 10),
+		model.NewRingSite("B", 8, 2.0, 10),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(6016, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat.NumRegions() != 8 {
+		t.Fatalf("latency matrix has %d regions, want serve's 8", lat.NumRegions())
+	}
+	const builds = 16
+	const limit = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if _, err := NewController(producers, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := float64(after.TotalAlloc-before.TotalAlloc) / builds
+	allocs := float64(after.Mallocs-before.Mallocs) / builds
+	t.Logf("NewController: %.0f B in %.0f allocations per build (limit %d B)", perBuild, allocs, limit)
+	if perBuild > limit {
+		t.Fatalf("NewController allocates %.0f B per build, want <= %d B", perBuild, limit)
 	}
 }

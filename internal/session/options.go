@@ -54,7 +54,7 @@ func WithCutoffDF(df float64) Option {
 
 // WithEventBuffer sizes the per-shard event rings and subscriber channels
 // (default 4096). Larger buffers tolerate slower consumers before events
-// are counted as dropped.
+// are counted as dropped. The rings are allocated by the first Subscribe.
 func WithEventBuffer(n int) Option {
 	return func(c *Config) { c.EventBuffer = n }
 }

@@ -101,6 +101,25 @@ func (l *LSC) journalLocked(e journalEntry) {
 	}
 }
 
+// journalLen is the length of the shard's armed journal, 0 when unarmed.
+func (l *LSC) journalLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.rec == nil {
+		return 0
+	}
+	return len(l.rec.entries)
+}
+
+// longestJournal is Stats.JournalEntries: the longest journal of any shard.
+func (c *Controller) longestJournal() int {
+	n := 0
+	for _, l := range c.lscs {
+		n = max(n, l.journalLen())
+	}
+	return n
+}
+
 // registryEntry is one serialized viewer-registry record.
 type registryEntry struct {
 	ID           model.ViewerID `json:"id"`
@@ -222,7 +241,7 @@ func (c *Controller) KillRegion(region trace.Region) error {
 		return fmt.Errorf("session kill region %d: %w", region, err)
 	}
 	l.shard = mgr
-	l.viewers = make(map[model.ViewerID]viewerState, viewerRegistrySeed)
+	l.viewers = make(map[model.ViewerID]viewerState)
 	l.down.Store(true)
 	l.epoch.Add(1)
 	return nil

@@ -570,6 +570,11 @@ func TestArmedJournalCompacts(t *testing.T) {
 		if n > bound {
 			t.Fatalf("journal holds %d entries, bound %d", n, bound)
 		}
+		// Only this region journals anything, so its journal is the
+		// longest one Stats reports.
+		if got := c.SampleStats().JournalEntries; got != n {
+			t.Fatalf("SampleStats().JournalEntries = %d, journal holds %d", got, n)
+		}
 		if snapSeq != last {
 			compactions++
 			last = snapSeq

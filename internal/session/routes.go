@@ -46,10 +46,7 @@ type routeStripe struct {
 
 func (t *routeTable) init() {
 	for i := range t.stripes {
-		// Seed each stripe past its first few growth rehashes: at
-		// admission scale every stripe holds thousands of routes, and the
-		// 64-stripe table still starts under a megabyte.
-		t.stripes[i].m = make(map[model.ViewerID]*LSC, 128)
+		t.stripes[i].m = make(map[model.ViewerID]*LSC)
 	}
 }
 

@@ -62,7 +62,8 @@ type Config struct {
 	// edge caches), which is the default here too.
 	StrictFastPath bool
 	// EventBuffer sizes the per-shard event rings and subscriber channels
-	// of the Subscribe stream; 0 means 4096.
+	// of the Subscribe stream; 0 means 4096. The rings are allocated by the
+	// first Subscribe, so a controller nobody subscribes to holds none.
 	EventBuffer int
 	// Telemetry arms the latency-histogram/flight-recorder layer at
 	// construction. The collector always exists (Controller.Telemetry())

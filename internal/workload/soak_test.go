@@ -31,17 +31,35 @@ type heapSnap struct {
 	viewers   int
 }
 
+// Journal compaction's bound (session's journalCompactFactor and
+// journalCompactFloor): no shard's armed journal holds more than 4 entries
+// per registered viewer, counting at least 64 viewers.
+const (
+	journalPerViewer   = 4
+	journalViewerFloor = 64
+)
+
 // heapSink snapshots the heap (after a forced GC, so the numbers are live
 // bytes rather than allocator slack) every `every` of model time. It rides
 // the runner's sample stream, so snapshots interleave with the schedule at
-// exact cycle boundaries.
+// exact cycle boundaries. At every sample it also checks the longest shard
+// journal against the compaction bound of the largest shard: a journal that
+// grows with ops served stays well inside assertFlatHeap's slack in a short
+// soak, but not inside this bound.
 type heapSink struct {
+	t     *testing.T
+	ctrl  *session.Controller
 	every time.Duration
 	next  time.Duration
 	snaps []heapSnap
+	// journalMax is the longest journal any sample saw; journalOver is set
+	// by the first sample over the bound, which alone is reported.
+	journalMax  int
+	journalOver bool
 }
 
 func (h *heapSink) Record(s Sample) {
+	h.checkJournal(s.At)
 	if s.At < h.next {
 		return
 	}
@@ -53,6 +71,22 @@ func (h *heapSink) Record(s Sample) {
 }
 
 func (h *heapSink) Flush() error { return nil }
+
+// checkJournal fails the test if the longest shard journal exceeds the
+// compaction bound of the largest shard, which bounds every shard's.
+func (h *heapSink) checkJournal(at time.Duration) {
+	journal := h.ctrl.SampleStats().JournalEntries
+	h.journalMax = max(h.journalMax, journal)
+	largest := 0
+	for _, l := range h.ctrl.LSCs() {
+		largest = max(largest, l.QuickSnapshot().Viewers)
+	}
+	if bound := journalPerViewer * max(largest, journalViewerFloor); journal > bound && !h.journalOver {
+		h.journalOver = true
+		h.t.Errorf("at %v a shard journal holds %d entries, over the compaction bound %d (largest shard %d viewers)",
+			at, journal, bound, largest)
+	}
+}
 
 // runSoak executes `days` diurnal cycles of `day` model time each, with
 // about `audiencePerDay` viewer generations per cycle, validating overlay
@@ -95,7 +129,7 @@ func runSoak(t *testing.T, days int, day time.Duration, audiencePerDay int, arme
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &heapSink{every: day, next: day}
+	sink := &heapSink{t: t, ctrl: ctrl, every: day, next: day}
 	res, err := NewSimRunner().Run(context.Background(), ctrl, producers, sc,
 		WithSeed(7),
 		WithHorizon(time.Duration(days)*day),
@@ -119,6 +153,7 @@ func runSoak(t *testing.T, days int, day time.Duration, audiencePerDay int, arme
 		t.Logf("day %5.1f: heap %6.2f MiB, %d viewers", s.at.Seconds()/day.Seconds(),
 			float64(s.heapAlloc)/(1<<20), s.viewers)
 	}
+	t.Logf("longest shard journal over the run: %d entries", sink.journalMax)
 	return sink.snaps
 }
 

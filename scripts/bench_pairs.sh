@@ -13,7 +13,10 @@
 # always runs on a warmer box. For each workload and end-to-end metric it
 # prints both medians, the change/base ratio, the pairs the change won in the
 # metric's better direction, and the interquartile range of the base runs.
-# The raw result lines stay in the scratch directory it names at the end.
+# A last warm_s row does the same for the untimed warm-up, parsed from each
+# report's "after a X s warm-up" note: work a change moves past readiness
+# shows there instead of in setup_s. The raw result lines and warm-up times
+# stay in the scratch directory it names at the end.
 # Nothing is written into the checkout.
 set -euo pipefail
 
@@ -62,7 +65,9 @@ for side in base change; do
   }
 done
 
-# run <side> <workload> appends the run's result line to its results file.
+# run <side> <workload> appends the run's result line to its results file
+# and its warm-up seconds ("-" if the report has no warm-up note) to its
+# .warm file.
 run() {
   local out
   out=$(bash "$scratch/$1/benchmark/run.sh" -workload "$2" -seed "$seed" -seconds "$seconds" 2>&1) || true
@@ -75,6 +80,9 @@ run() {
   fi
   [[ "$line" == '{"correct":true'* ]] || echo "bench_pairs: $1 $2 failed an output check" >&2
   printf '%s\n' "$line" >>"$scratch/results/$1.$2.jsonl"
+  local warm
+  warm=$(grep -o 'after a [0-9.]* s warm-up' <<<"$out" | tail -n 1 | awk '{print $3}')
+  printf '%s\n' "${warm:--}" >>"$scratch/results/$1.$2.warm"
 }
 
 for w in "${workloads[@]}"; do
@@ -122,6 +130,12 @@ for w in "${workloads[@]}"; do
     printf "%-14s %-7s " "$m" "$better"
     paste -d' ' <(values base "$w" "$m") <(values change "$w" "$m") | stats "$better"
   done <<<"$metrics"
+  printf "%-14s %-7s " warm_s lower
+  if grep -qx -- - "$scratch/results/base.$w.warm" "$scratch/results/change.$w.warm"; then
+    echo "(a report printed no warm-up note)"
+  else
+    paste -d' ' "$scratch/results/base.$w.warm" "$scratch/results/change.$w.warm" | stats lower
+  fi
 done
 echo
 echo "bench_pairs: raw result lines in $scratch/results"
