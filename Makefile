@@ -60,8 +60,11 @@ test: vet
 	$(GO) build ./...
 	$(GO) test ./...
 
+# The allocator tests run ten more times: their concurrent path mix is where a
+# claim racing a release would show.
 test-race:
 	$(GO) test -race ./internal/session ./internal/cdn ./internal/overlay ./internal/workload ./internal/emu ./internal/httpapi ./internal/telemetry
+	$(GO) test -race -count=10 -run '^TestAllocator' ./internal/session
 
 # test-determinism repeats the overlay's seeded random-churn suite. Its op
 # schedule is a function of the seed, so a run that fails only sometimes

@@ -2,9 +2,10 @@ package session
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,7 @@ func testAllocator(t *testing.T, nodes int) (*nodeAllocator, *trace.LatencyMatri
 		t.Fatal(err)
 	}
 	a := &nodeAllocator{}
-	a.init(1+lat.NumRegions(), lat.Nodes())
-	a.initRegions(lat)
+	a.init(lat, 1+lat.NumRegions())
 	return a, lat
 }
 
@@ -75,7 +75,10 @@ func TestAllocatorFallbackAfterRegionExhaustion(t *testing.T) {
 	}
 }
 
-func TestAllocatorLazyTakenInvalidation(t *testing.T) {
+// TestAllocatorDefaultPathTakesRegionRelease: a node released into its
+// region's pool is the default path's next node too, and once that path has
+// claimed it the region hands out its next fresh node, not the claimed one.
+func TestAllocatorDefaultPathTakesRegionRelease(t *testing.T) {
 	a, lat := testAllocator(t, 64)
 	hot := trace.Region(1)
 	// Take a hot-region node via the hint path and release it, seeding the
@@ -85,16 +88,14 @@ func TestAllocatorLazyTakenInvalidation(t *testing.T) {
 		t.Fatal("region 1 holds no allocatable node")
 	}
 	a.release(idx)
-	// Consume the same node through the default path (the global free list
-	// is served before the sequential cursor), leaving the region pool's
-	// entry stale.
+	// Consume the same node through the default path (the most recent
+	// release is served before any never-allocated node).
 	def, ok := a.acquire()
 	if !ok || def != idx {
 		t.Fatalf("default acquire returned %d (ok=%t), want the freed node %d", def, ok, idx)
 	}
-	// The hint path must lazily discard the stale pool entry — never hand
-	// the node out twice — and fall through to the region's untouched
-	// sequence.
+	// The hint path must not hand the node out twice: it falls through to
+	// the region's untouched nodes.
 	again, ok := a.acquireInStrict(hot)
 	if !ok {
 		t.Fatal("strict acquire failed with untouched nodes left in the region")
@@ -104,6 +105,60 @@ func TestAllocatorLazyTakenInvalidation(t *testing.T) {
 	}
 	if lat.RegionOf(again) != hot {
 		t.Fatalf("strict acquire escaped to region %d", lat.RegionOf(again))
+	}
+	auditPools(t, a, lat)
+}
+
+// TestAllocatorDoubleReleaseListsOnce: releasing a node twice lists it once,
+// so it is handed out once before the allocator moves on.
+func TestAllocatorDoubleReleaseListsOnce(t *testing.T) {
+	a, lat := testAllocator(t, 64)
+	idx, ok := a.acquire()
+	if !ok {
+		t.Fatal("fresh allocator handed out nothing")
+	}
+	a.release(idx)
+	a.release(idx)
+	auditPools(t, a, lat)
+	seen := 0
+	for {
+		got, ok := a.acquire()
+		if !ok {
+			break
+		}
+		if got == idx {
+			seen++
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("node %d handed out %d times after a double release, want once", idx, seen)
+	}
+	if n, want := a.takenCount(), lat.Nodes()-1-lat.NumRegions(); n != want {
+		t.Fatalf("%d nodes taken after draining, want every allocatable node (%d)", n, want)
+	}
+	auditPools(t, a, lat)
+}
+
+// TestAllocatorFirstReleaseAllocatesNoTable: recycling one node on a large
+// matrix costs a stack entry, not a table sized by the matrix. MemStats are
+// process-wide, so goroutines earlier tests left running can only add to a
+// reading; the least of a few trials on fresh allocators is the path's own.
+func TestAllocatorFirstReleaseAllocatesNoTable(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		a, _ := testAllocator(t, 100_000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx, ok := a.acquire()
+		if !ok {
+			t.Fatal("fresh allocator handed out nothing")
+		}
+		a.release(idx)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4<<10 {
+		t.Fatalf("one acquire and release allocated %d B on a 100 000-node matrix, want <= 4 KiB", least)
 	}
 }
 
@@ -209,44 +264,75 @@ func TestAllocatorHandOutOrderPinned(t *testing.T) {
 	}
 }
 
-// checkNodeList walks a list front to back and fails unless its links are
-// consistent both ways, it holds no more entries than the matrix has nodes,
-// and — when quiescent — it lists no taken node.
-func checkNodeList(t *testing.T, a *nodeAllocator, name string, l *nodeList, nodes int, quiescent bool) {
+// auditPools checks a quiescent allocator's pools against its taken bitmap.
+// Each pool's stack lists free nodes of its own region only, each once, in
+// increasing stamp order under its published top stamp, and its cursor sits
+// on a node of its region (or at the end). Every allocatable node is exactly
+// one of listed, taken, or never reached (at or past its region's cursor),
+// and no node outside the allocatable range is listed or taken.
+func auditPools(t *testing.T, a *nodeAllocator, lat *trace.LatencyMatrix) {
 	t.Helper()
-	n, prev := 0, int32(0)
-	for ref := l.head; ref != 0; ref = l.links[ref-1].next {
-		idx := ref - 1
-		if l.links[idx].prev != prev {
-			t.Fatalf("%s: node %d links back to %d, want %d", name, idx, l.links[idx].prev-1, prev-1)
+	start := 1 + lat.NumRegions()
+	listed := make([]bool, lat.Nodes())
+	for r := range a.pools {
+		p := &a.pools[r]
+		stamp := uint64(0)
+		for _, e := range p.free {
+			switch {
+			case e.idx < start || e.idx >= lat.Nodes():
+				t.Fatalf("region %d pool lists node %d outside [%d, %d)", r, e.idx, start, lat.Nodes())
+			case lat.RegionOf(e.idx) != trace.Region(r):
+				t.Errorf("region %d pool lists node %d of region %d", r, e.idx, lat.RegionOf(e.idx))
+			case listed[e.idx]:
+				t.Errorf("node %d listed twice", e.idx)
+			case e.stamp <= stamp:
+				t.Errorf("region %d pool: node %d stamp %d not above the entry below it (%d)", r, e.idx, e.stamp, stamp)
+			}
+			listed[e.idx], stamp = true, e.stamp
 		}
-		if quiescent && a.taken[idx].Load() {
-			t.Errorf("%s lists taken node %d", name, idx)
+		if top := p.top.Load(); top != stamp {
+			t.Errorf("region %d pool publishes top stamp %d, its stack's top is %d", r, top, stamp)
 		}
-		if n++; n > nodes {
-			t.Fatalf("%s holds more entries than the matrix has nodes (%d)", name, nodes)
+		if c := int(p.cursor.Load()); c < lat.Nodes() && lat.RegionOf(c) != trace.Region(r) {
+			t.Errorf("region %d cursor sits on node %d of region %d", r, c, lat.RegionOf(c))
 		}
-		prev = ref
+	}
+	for idx := range lat.Nodes() {
+		taken := a.taken[idx].Load()
+		if idx < start {
+			if taken || listed[idx] {
+				t.Errorf("reserved node %d is taken or listed", idx)
+			}
+			continue
+		}
+		unreached := idx >= int(a.pools[lat.RegionOf(idx)].cursor.Load())
+		if n := btoi(listed[idx]) + btoi(taken) + btoi(unreached); n != 1 {
+			t.Errorf("node %d: listed %t, taken %t, never reached %t; want exactly one", idx, listed[idx], taken, unreached)
+		}
 	}
 }
 
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestAllocatorListsBoundedByNodes runs a long seeded mix of every
-// acquisition path and release and requires each list to hold every node at
-// most once and no taken node — so no list can outgrow the matrix, however
+// acquisition path and release and requires each pool to list every node at
+// most once and no taken node — so no pool can outgrow the matrix, however
 // many nodes have been recycled.
 func TestAllocatorListsBoundedByNodes(t *testing.T) {
 	a, lat := testAllocator(t, 96)
 	mixedAllocatorOps(a, lat.NumRegions(), 100_000, 44, func(int, bool) {})
-	checkNodeList(t, a, "default list", &a.free, lat.Nodes(), true)
-	for r, p := range a.pools {
-		checkNodeList(t, a, fmt.Sprintf("region %d pool", r), &p.free, lat.Nodes(), true)
-	}
+	auditPools(t, a, lat)
 }
 
 // TestAllocatorConcurrentPaths runs every acquisition path and release from
 // several goroutines at once over a small matrix. No node may be owned twice,
-// and once everything is released the lists must still be well-formed and
-// bounded. Run with -race.
+// and once everything is released the pools must pass the audit. Run with
+// -race.
 func TestAllocatorConcurrentPaths(t *testing.T) {
 	a, lat := testAllocator(t, 96)
 	owner := make([]atomic.Int32, lat.Nodes())
@@ -292,8 +378,5 @@ func TestAllocatorConcurrentPaths(t *testing.T) {
 	if n := a.takenCount(); n != 0 {
 		t.Fatalf("%d nodes still taken after every worker released its own", n)
 	}
-	checkNodeList(t, a, "default list", &a.free, lat.Nodes(), true)
-	for r, p := range a.pools {
-		checkNodeList(t, a, fmt.Sprintf("region %d pool", r), &p.free, lat.Nodes(), true)
-	}
+	auditPools(t, a, lat)
 }

@@ -111,3 +111,34 @@ func TestRegionHintZeroValueKeepsDefaultPlacement(t *testing.T) {
 		}
 	}
 }
+
+func TestRegionHintOutOfRangeFallsBack(t *testing.T) {
+	// Wire requests carry their region hint unchecked. A hint that names no
+	// region must fall back to the default placement like a hint to an
+	// exhausted region, and a strict acquire on it must fail.
+	c := testController(t, 64, 0)
+	ref := testController(t, 64, 0)
+	view := model.NewUniformView(c.cfg.Producers, 0)
+	bad := []trace.Region{-1, trace.Region(c.cfg.Latency.NumRegions())}
+	for i, r := range bad {
+		out, err := c.Admit(testCtx, JoinRequest{ID: vid(i), InboundMbps: 12, OutboundMbps: 4, View: view, Region: InRegion(r)})
+		if err != nil {
+			t.Fatalf("join hinted at region %d: %v", r, err)
+		}
+		want, err := ref.Admit(testCtx, JoinRequest{ID: vid(i), InboundMbps: 12, OutboundMbps: 4, View: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.LSCRegion != want.LSCRegion {
+			t.Fatalf("join hinted at region %d placed in region %d, the default placement is region %d", r, out.LSCRegion, want.LSCRegion)
+		}
+	}
+	for _, r := range bad {
+		if idx, ok := c.nodes.acquireInStrict(r); ok {
+			t.Fatalf("strict acquire in region %d handed out node %d", r, idx)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -144,177 +144,140 @@ type Controller struct {
 }
 
 // nodeAllocator hands out latency-matrix node indices to joining viewers and
-// recycles the slots of departed ones. Alongside the default order (the most
-// recently released free node, then a sequential cursor) it can satisfy a
-// region preference: per-region pools list the free nodes of every region,
-// and the path that claims a node unlists it from the other path's list. So
-// every list holds each node at most once, and serial use never leaves a
-// taken node listed: the allocator's memory is fixed by the matrix size, not
-// by how many nodes it has recycled. (A claim racing a release can leave a
-// taken node listed, still at most once: its claim fails when it is popped,
-// and its next release moves it to the front.)
+// recycles the slots of departed ones. Every allocatable node belongs to one
+// structure, its region's pool, which lists it only while it is free: a
+// released node sits on the pool's stack (most recent on top, stamped from
+// one allocator-wide release clock) and a never-allocated one lies at or past
+// the pool's cursor, which walks the region's labels forward. A hinted or
+// strict acquire claims in its region's pool. An unhinted acquire claims in
+// the pool whose published top stamp is the largest, the most recent release
+// overall, or, when no pool holds a released node, in the pool whose cursor
+// is the smallest, the lowest never-allocated index. So the default order is
+// derived from the pools, and a node leaves the only list it is on when it is
+// claimed: the allocator's memory is bounded by the matrix size, not by how
+// many nodes it has recycled.
 //
-// It is built for the striped batch-prepare path: the taken bitmap is atomic
-// and its CAS is the single allocation gate, each region's pool sits behind
-// its own lock, and the sequential cursor is a CAS loop — so W concurrent
-// prepare workers only contend when they chase the same region's pool or
-// drain the shared free list, never on one global mutex. No path holds two
-// list locks at once: a claimant unlists its node from the other list after
-// releasing its own, and a path that pops an entry another path has claimed
-// in between discards it, as the taken bitmap says it must.
+// It is built for the striped batch-prepare path: each pool sits behind its
+// own lock, the only lock the allocator has, and an unhinted acquire reads
+// the pools' published stamps and cursors without locking, then rescans if
+// another path emptied its pick first. The taken bitmap is the ownership
+// record; its CAS gates every claim and every release.
 type nodeAllocator struct {
-	// mu guards free, the released nodes the default path serves before the
-	// sequential cursor, most recently released first.
-	mu   sync.Mutex
-	free nodeList
-	// next is the sequential cursor over never-allocated indices, advanced
-	// by CAS; max bounds it.
-	next atomic.Int64
-	max  int
+	lat *trace.LatencyMatrix
+	max int
 	// taken is the allocation gate: an index is owned by exactly the path
-	// that wins its CompareAndSwap(false, true), whichever list it was
-	// popped from.
+	// that wins its CompareAndSwap(false, true), and listed again only by
+	// the release that wins CompareAndSwap(true, false).
 	taken []atomic.Bool
-	// regionOf labels node indices; nil disables region-aware allocation.
-	regionOf func(int) trace.Region
-	// pools holds each region's free-node indexes behind a per-region lock.
-	pools map[trace.Region]*regionPool
-	// poolLinks is the link table the region pools share (their node sets
-	// are disjoint). Like the default list's, it is allocated by the first
-	// release that needs it, so starting a controller costs no O(matrix)
-	// table a viewer may never return a node to.
-	poolLinksOnce sync.Once
-	poolLinks     []nodeLink
+	// pools is indexed by trace.Region, 0..R-1.
+	pools []regionPool
+	// clock stamps releases; a pool takes its stamp under its own lock, so
+	// each stack is ordered by stamp.
+	clock atomic.Uint64
 }
 
-// regionPool indexes one region's free nodes: seq holds the never-allocated
-// indices in ascending order, free the released ones most recent first.
+// regionPool lists one region's free nodes.
 type regionPool struct {
 	mu   sync.Mutex
-	seq  []int
-	free nodeList
+	free []releasedNode // released nodes, most recent last
+	// top is free's top stamp, 0 when free is empty; cursor is the region's
+	// lowest never-allocated index, max when none is left. Both are written
+	// under mu and read without it by the unhinted scan.
+	top    atomic.Uint64
+	cursor atomic.Int64
 }
 
-// nodeList is a LIFO of node indices threaded through a per-node link table:
-// pushing a listed node moves it to the front instead of adding a second
-// entry, and any node unlinks in O(1). Lists over disjoint node sets (the
-// region pools) share one table. Links hold index+1, so a zeroed table is
-// one in which no node is listed and needs no initializing pass. An empty
-// list may have no table yet; the first push needs one.
-type nodeList struct {
-	head  int32 // the front node's index+1; 0 when empty
-	links []nodeLink
+// releasedNode is a listed released node and its release stamp. The stamp is
+// 64-bit so that it never wraps within a run.
+type releasedNode struct {
+	idx   int
+	stamp uint64
 }
 
-// nodeLink is one node's place in its list: the neighbours toward the front
-// and the back, as index+1, 0 past either end. A node is listed when it is
-// its list's head or has a prev.
-type nodeLink struct{ prev, next int32 }
-
-// push puts idx at the front, moving it there if it is already listed.
-func (l *nodeList) push(idx int) {
-	l.remove(idx)
-	l.links[idx] = nodeLink{next: l.head}
-	if l.head != 0 {
-		l.links[l.head-1].prev = int32(idx) + 1
+// init makes [start, lat.Nodes()) allocatable, indexed by lat's regions.
+// Must run before the first acquire.
+func (a *nodeAllocator) init(lat *trace.LatencyMatrix, start int) {
+	a.lat, a.max = lat, lat.Nodes()
+	a.taken = make([]atomic.Bool, a.max)
+	a.pools = make([]regionPool, lat.NumRegions())
+	for r := range a.pools {
+		a.pools[r].cursor.Store(int64(a.fresh(trace.Region(r), start)))
 	}
-	l.head = int32(idx) + 1
 }
 
-// pop unlinks and returns the front node.
-func (l *nodeList) pop() (int, bool) {
-	if l.head == 0 {
-		return 0, false
+// fresh returns the first index at or after from labelled r, or max.
+func (a *nodeAllocator) fresh(r trace.Region, from int) int {
+	for from < a.max && a.lat.RegionOf(from) != r {
+		from++
 	}
-	idx := int(l.head - 1)
-	l.remove(idx)
-	return idx, true
+	return from
 }
 
-// remove unlinks idx; a no-op when it is not listed.
-func (l *nodeList) remove(idx int) {
-	if l.head == 0 {
-		return
+// pool returns region r's pool; nil when the hint is unset or r is no region
+// label (wire hints arrive unchecked).
+func (a *nodeAllocator) pool(r trace.Region, set bool) *regionPool {
+	if !set || r < 0 || int(r) >= len(a.pools) {
+		return nil
 	}
-	n := l.links[idx]
-	if n.prev == 0 && l.head != int32(idx)+1 {
-		return
-	}
-	if n.prev == 0 {
-		l.head = n.next
-	} else {
-		l.links[n.prev-1].next = n.next
-	}
-	if n.next != 0 {
-		l.links[n.next-1].prev = n.prev
-	}
-	l.links[idx] = nodeLink{}
+	return &a.pools[r]
 }
 
-// init sets the allocatable range [start, max) and sizes the taken bitmap.
-// Must run before initRegions and before the first acquire.
-func (a *nodeAllocator) init(start, max int) {
-	a.next.Store(int64(start))
-	a.max = max
-	a.taken = make([]atomic.Bool, max)
-}
-
-// initRegions indexes the allocatable node range by region. Must run after
-// init and before the first acquire.
-func (a *nodeAllocator) initRegions(lat *trace.LatencyMatrix) {
-	a.regionOf = lat.RegionOf
-	a.pools = make(map[trace.Region]*regionPool, lat.NumRegions())
-	for idx := int(a.next.Load()); idx < a.max; idx++ {
-		r := lat.RegionOf(idx)
-		p := a.pools[r]
-		if p == nil {
-			p = &regionPool{}
-			a.pools[r] = p
+// claim wins a free node of p for the caller: its most recent release, else
+// its lowest never-allocated node. False means p has no free node left.
+func (a *nodeAllocator) claim(p *regionPool) (int, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		var idx int
+		if n := len(p.free); n > 0 {
+			idx = p.free[n-1].idx
+			p.free = p.free[:n-1]
+			if n > 1 {
+				p.top.Store(p.free[n-2].stamp)
+			} else {
+				p.top.Store(0)
+			}
+		} else if idx = int(p.cursor.Load()); idx < a.max {
+			p.cursor.Store(int64(a.fresh(a.lat.RegionOf(idx), idx+1)))
+		} else {
+			return 0, false
 		}
-		p.seq = append(p.seq, idx)
-	}
-}
-
-// claim wins an index for the caller; false means another path owns it and
-// the entry the caller popped was stale.
-func (a *nodeAllocator) claim(idx int) bool {
-	return a.taken[idx].CompareAndSwap(false, true)
-}
-
-func (a *nodeAllocator) acquire() (int, bool) {
-	a.mu.Lock()
-	for idx, ok := a.free.pop(); ok; idx, ok = a.free.pop() {
-		if a.claim(idx) {
-			a.mu.Unlock()
-			a.unlistRegion(idx)
+		if a.taken[idx].CompareAndSwap(false, true) {
 			return idx, true
 		}
 	}
-	a.mu.Unlock()
+}
+
+// acquire hands out the most recently released free node, else the lowest
+// never-allocated one.
+func (a *nodeAllocator) acquire() (int, bool) {
 	for {
-		n := a.next.Load()
-		if n >= int64(a.max) {
+		var pick *regionPool
+		stamp, cursor := uint64(0), int64(a.max)
+		for r := range a.pools {
+			p := &a.pools[r]
+			if s, c := p.top.Load(), p.cursor.Load(); s > stamp || s == stamp && c < cursor {
+				pick, stamp, cursor = p, s, c
+			}
+		}
+		if pick == nil {
 			return 0, false
 		}
-		if !a.next.CompareAndSwap(n, n+1) {
-			continue
+		if idx, ok := a.claim(pick); ok {
+			return idx, true
 		}
-		if a.claim(int(n)) {
-			return int(n), true
-		}
-		// The cursor index was consumed through a region pool; advance.
+		// Another path emptied the pool after the scan; rescan.
 	}
 }
 
 // acquireIn prefers a node of the hinted region, falling back to the default
-// placement when the hint is unset or the region has no free node left.
+// placement when the hint is unset, names no region, or the region has no
+// free node left.
 func (a *nodeAllocator) acquireIn(hint RegionHint) (int, bool) {
-	r, ok := hint.Region()
-	if !ok || a.regionOf == nil {
-		return a.acquire()
-	}
-	if idx, ok := a.acquireRegion(r); ok {
-		return idx, true
+	if p := a.pool(hint.Region()); p != nil {
+		if idx, ok := a.claim(p); ok {
+			return idx, true
+		}
 	}
 	return a.acquire()
 }
@@ -325,62 +288,10 @@ func (a *nodeAllocator) acquireIn(hint RegionHint) (int, bool) {
 // region would silently hand the viewer to a different shard than the one
 // re-admitting it.
 func (a *nodeAllocator) acquireInStrict(r trace.Region) (int, bool) {
-	if a.regionOf == nil {
-		return a.acquire()
+	if p := a.pool(r, true); p != nil {
+		return a.claim(p)
 	}
-	return a.acquireRegion(r)
-}
-
-// acquireRegion takes a free node of the region — released ones first, then
-// never-allocated ones. Only the region's own lock is held while its lists
-// are popped; the taken CAS arbitrates against every other acquisition
-// path, and a released node the region wins is then unlisted from the
-// default list.
-func (a *nodeAllocator) acquireRegion(r trace.Region) (int, bool) {
-	p := a.pools[r]
-	if p == nil {
-		return 0, false
-	}
-	idx, released, ok := p.claim(a)
-	if ok && released {
-		a.mu.Lock()
-		a.free.remove(idx)
-		a.mu.Unlock()
-	}
-	return idx, ok
-}
-
-// claim wins a node of the pool for the caller, discarding entries the
-// taken bitmap marks as consumed through another path; released reports
-// that the node came off the pool's free list.
-func (p *regionPool) claim(a *nodeAllocator) (idx int, released, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for idx, ok := p.free.pop(); ok; idx, ok = p.free.pop() {
-		if a.claim(idx) {
-			return idx, true, true
-		}
-	}
-	for len(p.seq) > 0 {
-		idx := p.seq[0]
-		p.seq = p.seq[1:]
-		if a.claim(idx) {
-			return idx, false, true
-		}
-	}
-	return 0, false, false
-}
-
-// unlistRegion drops a node the default path claimed from its region pool.
-func (a *nodeAllocator) unlistRegion(idx int) {
-	if a.regionOf == nil {
-		return
-	}
-	if p := a.pools[a.regionOf(idx)]; p != nil {
-		p.mu.Lock()
-		p.free.remove(idx)
-		p.mu.Unlock()
-	}
+	return 0, false
 }
 
 // takenCount reports how many indices are currently allocated (tests and
@@ -395,28 +306,19 @@ func (a *nodeAllocator) takenCount() int {
 	return n
 }
 
+// release returns an allocated node to its region's pool. Only the release
+// that flips the node back to free lists it, so releasing a free node twice
+// lists it once.
 func (a *nodeAllocator) release(idx int) {
-	// The order matters: the index must read free before any list holds it
-	// again, or a concurrent acquirer could pop the fresh entry and lose the
-	// CAS against the stale taken bit.
-	a.taken[idx].Store(false)
-	a.mu.Lock()
-	if a.free.links == nil {
-		a.free.links = make([]nodeLink, a.max)
+	if !a.taken[idx].CompareAndSwap(true, false) {
+		return
 	}
-	a.free.push(idx)
-	a.mu.Unlock()
-	if a.regionOf != nil {
-		if p := a.pools[a.regionOf(idx)]; p != nil {
-			p.mu.Lock()
-			if p.free.links == nil {
-				a.poolLinksOnce.Do(func() { a.poolLinks = make([]nodeLink, a.max) })
-				p.free.links = a.poolLinks
-			}
-			p.free.push(idx)
-			p.mu.Unlock()
-		}
-	}
+	p := &a.pools[a.lat.RegionOf(idx)]
+	p.mu.Lock()
+	stamp := a.clock.Add(1)
+	p.free = append(p.free, releasedNode{idx: idx, stamp: stamp})
+	p.top.Store(stamp)
+	p.mu.Unlock()
 }
 
 // newController builds the control plane from the Config NewController's
@@ -455,8 +357,7 @@ func newController(cfg Config) (*Controller, error) {
 	if 1+cfg.Latency.NumRegions() > cfg.Latency.Nodes() {
 		return nil, fmt.Errorf("session: latency matrix too small for %d regions", cfg.Latency.NumRegions())
 	}
-	c.nodes.init(1+cfg.Latency.NumRegions(), cfg.Latency.Nodes())
-	c.nodes.initRegions(cfg.Latency)
+	c.nodes.init(cfg.Latency, 1+cfg.Latency.NumRegions())
 	c.tel = telemetry.New(cfg.Latency.NumRegions(), 0)
 	c.tel.SetOccupancyFunc(c.regionOccupancy)
 	if cfg.SlowOpThreshold != 0 {
