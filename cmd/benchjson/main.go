@@ -122,7 +122,9 @@ func main() {
 // best run of each variant did neither: one lucky reference run set the bar
 // for every candidate run, so unchanged code failed on a busy box. The
 // median still sees a tax paid on every repetition in full: a 10% slower
-// candidate reads 0.90 whatever the noise on either side.
+// candidate reads 0.90 whatever the noise on either side. Each verdict line
+// also prints the spread of the pair ratios (min, quartiles, max), so a
+// failing median can be told from one that noise put under the bar.
 func guardDelta(report *Report, spec string, maxDelta float64) error {
 	runs := make(map[string][]float64, len(report.Benchmarks))
 	for _, b := range report.Benchmarks {
@@ -151,8 +153,9 @@ func guardDelta(report *Report, spec string, maxDelta float64) error {
 			ratios[k] = cv[k] / rv[k]
 		}
 		ratio := median(ratios)
-		line := fmt.Sprintf("%s vs %s: median %s ratio %.3f over %d repetitions %.3f (floor %.3f)",
-			cand, ref, guardedMetric, ratio, len(ratios), ratios, 1-maxDelta)
+		lo, q1, q3, hi := spread(ratios)
+		line := fmt.Sprintf("%s vs %s: median %s ratio %.3f over %d repetitions %.3f, spread min %.3f q1 %.3f q3 %.3f max %.3f (floor %.3f)",
+			cand, ref, guardedMetric, ratio, len(ratios), ratios, lo, q1, q3, hi, 1-maxDelta)
 		if ratio < 1-maxDelta {
 			failures = append(failures, line)
 		} else {
@@ -176,6 +179,17 @@ func median(xs []float64) float64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
+}
+
+// spread returns the least value of xs, its quartiles and its greatest
+// value. The quartiles are Tukey's hinges: the medians of the lower and the
+// upper half, each half taking the middle value of an odd count, so five
+// values read as their second and fourth.
+func spread(xs []float64) (lo, q1, q3, hi float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	return s[0], median(s[:(n+1)/2]), median(s[n/2:]), s[n-1]
 }
 
 // guardedMetric is the throughput metric the regression guard compares.

@@ -293,3 +293,21 @@ func TestGuardDeltaRejectsUnpairedRuns(t *testing.T) {
 		t.Fatal("malformed pair accepted")
 	}
 }
+
+// The verdict prints the spread of the pair ratios beside the median, so a
+// failure on noise (one pair far under the bar, the rest over it) reads
+// differently from a tax every pair pays.
+func TestGuardDeltaPrintsSpread(t *testing.T) {
+	off := []float64{100, 100, 100, 100, 100}
+	on := []float64{70, 96, 85, 120, 92}
+	err := guardDelta(deltaReport(off, on), telPair, 0.05)
+	if err == nil {
+		t.Fatal("a 0.92 median passed a 0.95 bar")
+	}
+	if want := "median joins/s ratio 0.920 over 5 repetitions [0.700 0.960 0.850 1.200 0.920], spread min 0.700 q1 0.850 q3 0.960 max 1.200"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("verdict %q does not carry %q", err, want)
+	}
+	if lo, q1, q3, hi := spread([]float64{4, 1, 3, 2}); lo != 1 || q1 != 1.5 || q3 != 3.5 || hi != 4 {
+		t.Fatalf("spread of four = %v %v %v %v, want 1 1.5 3.5 4", lo, q1, q3, hi)
+	}
+}

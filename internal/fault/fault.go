@@ -22,8 +22,8 @@ const (
 	// persists the region shard's serialized state, so a later RegionOutage
 	// rebuilds from that snapshot plus the journal suffix recorded since.
 	Snapshot Kind = iota + 1
-	// RegionOutage kills a region's LSC: its in-memory overlay state and
-	// viewer registry are lost, its CDN egress is released, and every
+	// RegionOutage kills a region's LSC: its in-memory overlay state,
+	// viewer records included, is lost, its CDN egress is released, and every
 	// operation routed to it fails with the session layer's ErrShardDown
 	// until a RegionRecover completes.
 	RegionOutage

@@ -128,15 +128,15 @@ func TestRefreshAllDropsBeyondDMax(t *testing.T) {
 
 func TestInsertFIFOOnlyFillsFreeSlots(t *testing.T) {
 	tree := newTestTree(t, constProp(20*time.Millisecond))
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
-	weakLeaf := mkNode("weak", 0)
+	weakLeaf := mkNode(tree, "weak", 0)
 	if !tree.InsertFIFO(weakLeaf) {
 		t.Fatal("free slot refused")
 	}
 	// A strong joiner that degree push-down would have placed at the
 	// root is refused by FIFO: no free slots remain.
-	strong := mkNode("strong", 9)
+	strong := mkNode(tree, "strong", 9)
 	if tree.InsertFIFO(strong) {
 		t.Fatal("FIFO displaced a node")
 	}
@@ -152,9 +152,9 @@ func TestInsertFIFOOnlyFillsFreeSlots(t *testing.T) {
 // manager never builds one (ErrViewerExists) — but validate names it.
 func TestInsertFIFODuplicateRefused(t *testing.T) {
 	tree := newTestTree(t, constProp(20*time.Millisecond))
-	root := mkNode("root", 3)
+	root := mkNode(tree, "root", 3)
 	tree.AttachToCDN(root)
-	n := mkNode("n", 0)
+	n := mkNode(tree, "n", 0)
 	if !tree.InsertFIFO(n) {
 		t.Fatal("first insert failed")
 	}
@@ -166,7 +166,7 @@ func TestInsertFIFODuplicateRefused(t *testing.T) {
 	}
 	requireValid(t, tree)
 
-	if !tree.InsertFIFO(mkNode("n", 0)) {
+	if !tree.InsertFIFO(mkNode(tree, "n", 0)) {
 		t.Fatal("a second node of the viewer found no free slot")
 	}
 	err := tree.validate()

@@ -67,7 +67,7 @@ type deepShape struct {
 //     random leaves or view changes joins instead;
 //   - mid-churn, one delay drift (+250 ms on 40 viewers' access links)
 //     followed by RefreshAll, then a RefreshAll with nothing drifted;
-//   - mid-churn, an ExportState → RestoreManager round trip onto a fresh
+//   - mid-churn, an ExportState → Restore round trip onto a fresh
 //     CDN, after which the restored manager carries on;
 //   - drain: 2500 leaves in join order.
 //
@@ -190,7 +190,7 @@ func runDeepGolden(t *testing.T, shape deepShape) deepGolden {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreManager(s, newCDN(), prop.fn, params, st)
+			restored, err := restoreManager(s, newCDN(), prop.fn, params, st)
 			if err != nil {
 				t.Fatalf("op %d restore: %v", op, err)
 			}

@@ -21,8 +21,8 @@ import (
 func (t *Tree) hasSupplyScan(outDeg int, outCap float64) bool {
 	total, beaten := 0, false
 	t.eachTracked(func(z *Node) {
-		total += z.FreeSlots()
-		beaten = beaten || beats(outDeg, outDeg, outCap, z)
+		total += t.freeSlots(z)
+		beaten = beaten || beats(outDeg, outDeg, outCap, t.deg(z), t.store.cap[z.slot-1])
 	})
 	return total > 0 || beaten
 }
@@ -31,14 +31,15 @@ func (t *Tree) hasSupplyScan(outDeg int, outCap float64) bool {
 // searches and both supply checks.
 func checkAgainstReference(t *testing.T, tree *Tree, u *Node) {
 	t.Helper()
+	deg, cap := tree.deg(u), tree.store.cap[u.slot-1]
 	iVictim, iParent := tree.findPosition(u)
 	sVictim, sParent := tree.findPositionScan(u)
 	if iVictim != sVictim || iParent != sParent {
 		t.Fatalf("probe deg=%d cap=%v: indexed (victim=%v parent=%v) != scan (victim=%v parent=%v)\n%s",
-			u.OutDeg, u.OutCap, name(iVictim), name(iParent), name(sVictim), name(sParent), dumpLevels(tree))
+			deg, cap, name(iVictim), name(iParent), name(sVictim), name(sParent), dumpLevels(tree))
 	}
-	if got, want := tree.HasSupplyFor(u.OutDeg, u.OutCap), tree.hasSupplyScan(u.OutDeg, u.OutCap); got != want {
-		t.Fatalf("probe deg=%d cap=%v: HasSupplyFor=%v, recount says %v", u.OutDeg, u.OutCap, got, want)
+	if got, want := tree.HasSupplyFor(deg, cap), tree.hasSupplyScan(deg, cap); got != want {
+		t.Fatalf("probe deg=%d cap=%v: HasSupplyFor=%v, recount says %v", deg, cap, got, want)
 	}
 }
 
@@ -46,14 +47,14 @@ func name(n *Node) string {
 	if n == nil {
 		return "<nil>"
 	}
-	return string(n.Viewer)
+	return string(n.Viewer())
 }
 
 func dumpLevels(tree *Tree) string {
 	out := ""
 	tree.Walk(func(n *Node) {
 		out += fmt.Sprintf("  %s deg=%d cap=%v depth=%d free=%d\n",
-			n.Viewer, n.OutDeg, n.OutCap, tree.depthOf(n), n.FreeSlots())
+			n.Viewer(), tree.deg(n), tree.store.cap[n.slot-1], tree.depthOf(n), tree.freeSlots(n))
 	})
 	return out
 }
@@ -73,12 +74,9 @@ func TestFindPositionMatchesReferenceScan(t *testing.T) {
 			probe := func() {
 				t.Helper()
 				for deg := 0; deg <= 7; deg++ {
-					u := &Node{
-						Viewer: "probe",
-						OutDeg: deg,
-						OutCap: float64(rng.Intn(16)),
-					}
+					u := testNode(tree, "probe", deg, float64(rng.Intn(16)))
 					checkAgainstReference(t, tree, u)
+					tree.Recycle(u)
 				}
 			}
 			next := 0
@@ -87,11 +85,7 @@ func TestFindPositionMatchesReferenceScan(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 6 || len(live) == 0: // join
 					deg := rng.Intn(7)
-					n := &Node{
-						Viewer: model.ViewerID(fmt.Sprintf("d%04d", next)),
-						OutDeg: deg,
-						OutCap: float64(deg) + float64(rng.Intn(5)),
-					}
+					n := testNode(tree, model.ViewerID(fmt.Sprintf("d%04d", next)), deg, float64(deg)+float64(rng.Intn(5)))
 					next++
 					if placed, _ := tree.Insert(n); !placed {
 						tree.AttachToCDN(n)
@@ -139,12 +133,12 @@ func TestInsertSequenceMatchesReference(t *testing.T) {
 			cap := float64(deg) + float64(rng.Intn(4))
 			id := model.ViewerID(fmt.Sprintf("n%04d", i))
 
-			a := &Node{Viewer: id, OutDeg: deg, OutCap: cap}
+			a := testNode(indexed, id, deg, cap)
 			if placed, _ := indexed.Insert(a); !placed {
 				indexed.AttachToCDN(a)
 			}
 
-			b := &Node{Viewer: id, OutDeg: deg, OutCap: cap}
+			b := testNode(scanned, id, deg, cap)
 			victim, parent := scanned.findPositionScan(b)
 			switch {
 			case victim != nil:
@@ -166,7 +160,7 @@ func TestInsertSequenceMatchesReference(t *testing.T) {
 func viewersOf(nodes []*Node) string {
 	out := ""
 	for _, n := range nodes {
-		out += string(n.Viewer) + " "
+		out += string(n.Viewer()) + " "
 	}
 	return out
 }
@@ -176,11 +170,11 @@ func viewersOf(nodes []*Node) string {
 func sameDelays(a, b *Tree) error {
 	var rec func(x, y *Node) error
 	rec = func(x, y *Node) error {
-		if x.Viewer != y.Viewer || len(x.Children) != len(y.Children) ||
+		if x.Viewer() != y.Viewer() || len(x.Children) != len(y.Children) ||
 			x.MinE2E != y.MinE2E || x.Layer != y.Layer || x.EffE2E != y.EffE2E ||
 			x.Parent != nil && a.store.edge[x.slot-1] != b.store.edge[y.slot-1] {
 			return fmt.Errorf("%s (min %v layer %d eff %v) vs %s (min %v layer %d eff %v)",
-				x.Viewer, x.MinE2E, x.Layer, x.EffE2E, y.Viewer, y.MinE2E, y.Layer, y.EffE2E)
+				x.Viewer(), x.MinE2E, x.Layer, x.EffE2E, y.Viewer(), y.MinE2E, y.Layer, y.EffE2E)
 		}
 		for i := range x.Children {
 			if err := rec(x.Children[i], y.Children[i]); err != nil {
@@ -207,9 +201,9 @@ func treeShape(t *Tree) string {
 	t.Walk(func(n *Node) {
 		parent := "CDN"
 		if n.Parent != nil {
-			parent = string(n.Parent.Viewer)
+			parent = string(n.Parent.Viewer())
 		}
-		out += fmt.Sprintf("%s->%s@%d layer=%d eff=%v\n", n.Viewer, parent, t.depthOf(n), n.Layer, n.EffE2E)
+		out += fmt.Sprintf("%s->%s@%d layer=%d eff=%v\n", n.Viewer(), parent, t.depthOf(n), n.Layer, n.EffE2E)
 	})
 	return out
 }
@@ -261,16 +255,13 @@ func TestFindPositionMatchesReferenceScanDeep(t *testing.T) {
 	}
 	join := func() {
 		t.Helper()
-		u := &Node{
-			Viewer: model.ViewerID(fmt.Sprintf("w%06d", next)),
-			OutDeg: rng.Intn(3),
-			OutCap: float64(rng.Intn(13)),
-		}
+		deg := rng.Intn(3)
+		u := testNode(tree, model.ViewerID(fmt.Sprintf("w%06d", next)), deg, float64(rng.Intn(13)))
 		next++
-		u2 := *u
-		place(u, &u2)
+		u2 := twin.NewNode(u.owner, deg)
+		place(u, u2)
 		live = append(live, u)
-		twinLive = append(twinLive, &u2)
+		twinLive = append(twinLive, u2)
 	}
 	for step := 0; len(live) < target; step++ {
 		join()

@@ -21,7 +21,7 @@ func (m *Manager) DumpTrees() string {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, key := range keys {
 		g := m.groups[key]
-		fmt.Fprintf(&b, "group %s (%d members)\n", shortKey(key), len(g.Members))
+		fmt.Fprintf(&b, "group %s (%d members)\n", shortKey(key), g.Members)
 		for _, tree := range g.Trees { // already in stream order
 			if tree == nil {
 				continue
@@ -31,7 +31,7 @@ func (m *Manager) DumpTrees() string {
 			roots := append([]*Node(nil), tree.Roots()...)
 			sortNodesByID(roots)
 			for _, r := range roots {
-				dumpNode(&b, r, 2)
+				tree.dumpNode(&b, r, 2)
 			}
 		}
 	}
@@ -48,19 +48,19 @@ func shortKey(key model.ViewKey) string {
 }
 
 func sortNodesByID(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Viewer < nodes[j].Viewer })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Viewer() < nodes[j].Viewer() })
 }
 
-func dumpNode(b *strings.Builder, n *Node, depth int) {
+func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int) {
 	parent := "CDN"
 	if n.Parent != nil {
-		parent = string(n.Parent.Viewer)
+		parent = string(n.Parent.Viewer())
 	}
 	fmt.Fprintf(b, "%s%s deg=%d layer=%d parent=%s\n",
-		strings.Repeat("  ", depth), n.Viewer, n.OutDeg, n.Layer, parent)
+		strings.Repeat("  ", depth), n.Viewer(), t.deg(n), n.Layer, parent)
 	children := append([]*Node(nil), n.Children...)
 	sortNodesByID(children)
 	for _, c := range children {
-		dumpNode(b, c, depth+1)
+		t.dumpNode(b, c, depth+1)
 	}
 }

@@ -16,7 +16,8 @@ package overlay
 //
 // The index is maintained incrementally by the attach/detach primitives in
 // tree.go (linkChild, unlinkChild, indexSubtree, unindexSubtree), every
-// operation O(log bucket). OutDeg and OutCap are immutable per node, so
+// operation O(log bucket). Out-degree and out capacity are immutable per
+// node, so
 // bucket membership only changes when a node attaches, detaches, or changes
 // depth; a member moves between the two heaps of its bucket when a child
 // count crosses the free/full boundary (adjustFree); and a member's key
@@ -51,28 +52,8 @@ type levelIndex struct {
 	// free is the number of those with at least one free child slot: the
 	// total length of the buckets' free heaps.
 	free int
-	// buckets are indexed by OutDeg.
+	// buckets are indexed by out-degree.
 	buckets []bucket
-}
-
-// lessCandidate is the total order of Algorithm 1's candidate sort:
-// ascending out-degree, then out capacity, then descending effective delay
-// (prefer displacing high-delay nodes), then viewer ID. Viewer IDs are
-// unique, so the order is total and every minimum below is deterministic
-// regardless of the order members were filed in. The heaps use the
-// slot-level restriction nodeStore.lessSlot; this form remains for
-// whole-node comparisons in tests and the reference scan.
-func lessCandidate(a, b *Node) bool {
-	if a.OutDeg != b.OutDeg {
-		return a.OutDeg < b.OutDeg
-	}
-	if a.OutCap != b.OutCap {
-		return a.OutCap < b.OutCap
-	}
-	if a.EffE2E != b.EffE2E {
-		return a.EffE2E > b.EffE2E
-	}
-	return a.Viewer < b.Viewer
 }
 
 // heapUp sifts the member at index i toward the top of h.
@@ -145,11 +126,12 @@ func (s *nodeStore) heapRemove(h *[]int32, slot int32) {
 
 // add files an attached node into its out-degree bucket.
 func (li *levelIndex) add(s *nodeStore, n *Node) {
-	for len(li.buckets) <= n.OutDeg {
+	slot := n.slot - 1
+	for len(li.buckets) <= int(s.deg[slot]) {
 		li.buckets = append(li.buckets, bucket{})
 	}
-	hasFree := n.FreeSlots() > 0
-	s.heapPush(li.buckets[n.OutDeg].half(hasFree), n.slot-1)
+	hasFree := s.freeSlotsAt(slot) > 0
+	s.heapPush(li.buckets[s.deg[slot]].half(hasFree), slot)
 	li.count++
 	if hasFree {
 		li.free++
@@ -157,10 +139,12 @@ func (li *levelIndex) add(s *nodeStore, n *Node) {
 }
 
 // remove unfiles a node. The caller must not have changed the node's child
-// count since the last add/adjustFree, so FreeSlots still names its heap.
+// count since the last add/adjustFree, so its free slots still name its
+// heap.
 func (li *levelIndex) remove(s *nodeStore, n *Node) {
-	hasFree := n.FreeSlots() > 0
-	s.heapRemove(li.buckets[n.OutDeg].half(hasFree), n.slot-1)
+	slot := n.slot - 1
+	hasFree := s.freeSlotsAt(slot) > 0
+	s.heapRemove(li.buckets[s.deg[slot]].half(hasFree), slot)
 	li.count--
 	if hasFree {
 		li.free--
@@ -168,13 +152,14 @@ func (li *levelIndex) remove(s *nodeStore, n *Node) {
 }
 
 // adjustFree moves a filed node between the two heaps of its bucket after a
-// child-count change took it across the free/full boundary; FreeSlots
+// child-count change took it across the free/full boundary; the kids column
 // already reflects the new side.
 func (li *levelIndex) adjustFree(s *nodeStore, n *Node) {
-	b := &li.buckets[n.OutDeg]
-	hasFree := n.FreeSlots() > 0
-	s.heapRemove(b.half(!hasFree), n.slot-1)
-	s.heapPush(b.half(hasFree), n.slot-1)
+	slot := n.slot - 1
+	b := &li.buckets[s.deg[slot]]
+	hasFree := s.freeSlotsAt(slot) > 0
+	s.heapRemove(b.half(!hasFree), slot)
+	s.heapPush(b.half(hasFree), slot)
 	if hasFree {
 		li.free++
 	} else {
@@ -184,9 +169,9 @@ func (li *levelIndex) adjustFree(s *nodeStore, n *Node) {
 
 // rekey restores a filed node's heap position after its store.eff changed
 // (Tree.settle).
-func (li *levelIndex) rekey(s *nodeStore, n *Node) {
-	h := li.buckets[n.OutDeg].half(n.FreeSlots() > 0)
-	s.heapFix(*h, s.pos[n.slot-1])
+func (li *levelIndex) rekey(s *nodeStore, slot int32) {
+	h := li.buckets[s.deg[slot]].half(s.freeSlotsAt(slot) > 0)
+	s.heapFix(*h, s.pos[slot])
 }
 
 // min returns the bucket's minimum member under lessSlot — the lesser of the
@@ -204,8 +189,9 @@ func (b *bucket) min(s *nodeStore) int32 {
 	}
 }
 
-// weakest returns the level's global candidate minimum under lessCandidate
-// when a joiner with the given degree and capacity beats it, nil otherwise.
+// weakest returns the level's minimum under the candidate order
+// (sortCandidates) when a joiner with the given degree and capacity beats
+// it, nil otherwise.
 // The minimum lives in the lowest non-empty bucket; buckets beyond deg can
 // never be beaten, so at most deg+1 buckets are probed and no member is
 // visited.
@@ -220,21 +206,21 @@ func (li *levelIndex) weakest(s *nodeStore, deg int, cap float64) *Node {
 			continue
 		}
 		if d < deg || s.cap[best] < cap {
-			return s.nodes[best]
+			return s.at(best)
 		}
 		return nil // equal degree, no weaker capacity: nothing beatable here
 	}
 	return nil
 }
 
-// bestFree returns the minimum free-slot node of the level under
-// lessCandidate — the parent Algorithm 1's virtual empty slots would elect —
-// or nil when the level has no free slot: the top of the lowest non-empty
-// free heap.
+// bestFree returns the minimum free-slot node of the level under the
+// candidate order — the parent Algorithm 1's virtual empty slots would
+// elect — or nil when the level has no free slot: the top of the lowest
+// non-empty free heap.
 func (li *levelIndex) bestFree(s *nodeStore) *Node {
 	for d := range li.buckets {
 		if h := li.buckets[d].free; len(h) > 0 {
-			return s.nodes[h[0]]
+			return s.at(h[0])
 		}
 	}
 	return nil

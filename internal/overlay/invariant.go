@@ -30,27 +30,28 @@ import (
 //     heap-ordered under lessSlot; the position mirror names each member's
 //     actual heap index and -1 for every unfiled slot; and every per-level
 //     count (nodes, free slots) equals a recount;
-//   - slab/SoA bookkeeping: every bound slot's registry entry points back
-//     at its node, the dense mirrors of tracked nodes (degree, capacity,
-//     effective delay, child count) agree with the struct fields, no
-//     heap key is left unsettled (no slot flagged stale, an empty stale
-//     queue — so the heaps are ordered under the nodes' current EffE2E),
-//     unattached nodes hold no heap position and non-roots no root
-//     position, the free list holds exactly the unbound slots with no
-//     duplicates, no unbound slot names an owner, and every per-slot array
-//     spans the slab.
+//   - slab/SoA bookkeeping: every bound slot's node carries its slot and an
+//     owner record, the dense columns of tracked nodes agree with what they
+//     shadow (capacity with the owner record, effective delay and child
+//     count with the node), no heap key is left unsettled (no slot flagged
+//     stale, an empty stale queue — so the heaps are ordered under the
+//     nodes' current EffE2E), unattached nodes hold no heap position and
+//     non-roots no root position, the free list holds exactly the unbound
+//     slots with no duplicates, no unbound slot keeps an owner, and every
+//     per-slot array spans the slab.
 //
 // Manager.Validate adds the manager-level bookkeeping on top (the checks at
-// the end of this file): registration — an admitted record's group is the
-// registered group of its key and lists it as a member, a rejected record
-// holds no node, every member is the routed record — the subscription
-// worklist is empty with no record flagged pending, every bound slot's
-// owner is the member whose Nodes hold it, the positional stream
-// index is consistent (each group's Trees span its stream set with every
-// tree at its own stream's position, and each record's Nodes follow its
-// request's priority order, each bound by the tree its stream index
-// names), and the spare node stores are within their cap, held once, in no
-// registered tree, and all free.
+// the end of this file): registration — every record is filed under its
+// own ID, an admitted record's group is the registered group of its key, a
+// rejected record holds no node, and each group's member count equals its
+// admitted records — the subscription worklist is empty with no record
+// flagged pending, every bound node's owner is a routed member of the
+// tree's group whose Nodes hold it, the positional stream index is
+// consistent (each group's Trees span its stream set with every tree at its
+// own stream's position, and each record's Nodes follow its request's
+// priority order, each bound by the tree its stream index names, with the
+// out-degree its outbound share grants), and the spare node stores are
+// within their cap, held once, in no registered tree, and all free.
 
 // validate checks every tree invariant; tests call it after mutations.
 func (t *Tree) validate() error {
@@ -59,7 +60,7 @@ func (t *Tree) validate() error {
 		if !on {
 			continue
 		}
-		if t.store.nodes[slot] == nil {
+		if !t.store.bound(int32(slot)) {
 			return errIndexDrift("slab", "unbound slot tracked")
 		}
 		tracked++
@@ -71,36 +72,41 @@ func (t *Tree) validate() error {
 	depths := make(map[*Node]int, t.size)
 	var rec func(n *Node, depth int) error
 	rec = func(n *Node, depth int) error {
-		if seen[n.Viewer] {
-			return errDuplicateNode(string(n.Viewer))
+		if !t.holds(n) || !t.tracks(n) || n.owner == nil {
+			return errIndexDrift(n.name(), "attached but not tracked")
 		}
-		seen[n.Viewer] = true
-		if !t.tracks(n) || t.store.nodes[n.slot-1] != n {
-			return errIndexDrift(string(n.Viewer), "attached but not tracked")
+		if seen[n.Viewer()] {
+			return errDuplicateNode(n.name())
 		}
+		seen[n.Viewer()] = true
 		depths[n] = depth
-		if len(n.Children) > n.OutDeg {
-			return errOverDegree(string(n.Viewer), len(n.Children), n.OutDeg)
+		if len(n.Children) > t.deg(n) {
+			return errOverDegree(n.name(), len(n.Children), t.deg(n))
 		}
 		if n.EffE2E < n.MinE2E {
-			return errDelayOrder(string(n.Viewer), "EffE2E below MinE2E")
+			return errDelayOrder(n.name(), "EffE2E below MinE2E")
 		}
 		if n.Layer < t.params.Hierarchy.LayerOf(n.MinE2E) {
-			return errDelayOrder(string(n.Viewer), "layer below path minimum")
+			return errDelayOrder(n.name(), "layer below path minimum")
 		}
 		for _, c := range n.Children {
 			if c.Parent != n {
-				return errBadParentLink(string(c.Viewer))
+				return errBadParentLink(c.name())
 			}
 			if c.MinE2E < n.EffE2E {
-				return errDelayOrder(string(c.Viewer), "MinE2E below parent EffE2E")
+				return errDelayOrder(c.name(), "MinE2E below parent EffE2E")
 			}
-			d := t.prop(n.Viewer, c.Viewer)
+			// Only a node of this tree is known to have a routed owner
+			// (validateOwners), so check c before d_prop looks it up.
+			if !t.holds(c) || c.owner == nil {
+				return errIndexDrift(c.name(), "attached but not tracked")
+			}
+			d := t.prop(n.Viewer(), c.Viewer())
 			if c.slot != 0 && t.store.edge[c.slot-1] != d {
-				return errIndexDrift(string(c.Viewer), "edge mirror drift")
+				return errIndexDrift(c.name(), "edge mirror drift")
 			}
 			if c.MinE2E != n.EffE2E+d+t.params.Proc {
-				return errDelayOrder(string(c.Viewer), "MinE2E off the parent's delay chain")
+				return errDelayOrder(c.name(), "MinE2E off the parent's delay chain")
 			}
 			if err := rec(c, depth+1); err != nil {
 				return err
@@ -111,17 +117,17 @@ func (t *Tree) validate() error {
 	rootSeen := make(map[*Node]bool, len(t.roots))
 	for i, r := range t.roots {
 		if r.Parent != nil {
-			return errBadParentLink(string(r.Viewer))
+			return errBadParentLink(r.name())
 		}
 		if rootSeen[r] {
-			return errRootBookkeeping(string(r.Viewer), "listed twice")
+			return errRootBookkeeping(r.name(), "listed twice")
 		}
 		rootSeen[r] = true
-		if !t.tracks(r) {
-			return errRootBookkeeping(string(r.Viewer), "not tracked")
+		if !t.holds(r) || !t.tracks(r) {
+			return errRootBookkeeping(r.name(), "not tracked")
 		}
 		if r.slot == 0 || t.store.rootPos[r.slot-1] != int32(i) {
-			return errRootBookkeeping(string(r.Viewer), "position mirror drift")
+			return errRootBookkeeping(r.name(), "position mirror drift")
 		}
 		if err := rec(r, 0); err != nil {
 			return err
@@ -138,17 +144,17 @@ func (t *Tree) validate() error {
 func (t *Tree) validateIndexes(depths map[*Node]int) error {
 	// O(1) free-slot counter vs. a recount over the tracked nodes.
 	free := 0
-	t.eachTracked(func(n *Node) { free += n.FreeSlots() })
+	t.eachTracked(func(n *Node) { free += t.freeSlots(n) })
 	if free != t.free {
 		return errCounterDrift("free slots", t.free, free)
 	}
 	// Degree census vs. a recount over attached nodes.
 	census := make([]int, len(t.degTotals))
 	for n := range depths {
-		if n.OutDeg >= len(census) {
-			return errIndexDrift(string(n.Viewer), "degree beyond census")
+		if t.deg(n) >= len(census) {
+			return errIndexDrift(n.name(), "degree beyond census")
 		}
-		census[n.OutDeg]++
+		census[t.deg(n)]++
 	}
 	for d, want := range census {
 		if t.degTotals[d] != want {
@@ -165,28 +171,28 @@ func (t *Tree) validateIndexes(depths map[*Node]int) error {
 			for _, hasFree := range []bool{false, true} {
 				h := *b.half(hasFree)
 				for i, slot := range h {
-					n := t.store.nodes[slot]
-					if n == nil {
+					if !t.store.bound(slot) {
 						return errIndexDrift("slab", "unbound slot in bucket")
 					}
+					n := t.store.at(slot)
 					if _, dup := filed[n]; dup {
-						return errIndexDrift(string(n.Viewer), "filed twice")
+						return errIndexDrift(n.name(), "filed twice")
 					}
 					filed[n] = depth
-					if n.OutDeg != deg {
-						return errIndexDrift(string(n.Viewer), "wrong degree bucket")
+					if t.deg(n) != deg {
+						return errIndexDrift(n.name(), "wrong degree bucket")
 					}
 					if int(t.store.depth[slot]) != depth {
-						return errIndexDrift(string(n.Viewer), "stale depth")
+						return errIndexDrift(n.name(), "stale depth")
 					}
 					if t.store.pos[slot] != int32(i) {
-						return errIndexDrift(string(n.Viewer), "heap position mirror drift")
+						return errIndexDrift(n.name(), "heap position mirror drift")
 					}
-					if (n.FreeSlots() > 0) != hasFree {
-						return errIndexDrift(string(n.Viewer), "wrong half of the full/free partition")
+					if (t.freeSlots(n) > 0) != hasFree {
+						return errIndexDrift(n.name(), "wrong half of the full/free partition")
 					}
 					if i > 0 && t.store.lessSlot(slot, h[(i-1)/2]) {
-						return errIndexDrift(string(n.Viewer), "heap order violated")
+						return errIndexDrift(n.name(), "heap order violated")
 					}
 				}
 				count += len(h)
@@ -205,24 +211,21 @@ func (t *Tree) validateIndexes(depths map[*Node]int) error {
 	}
 	for n, depth := range depths {
 		if filedDepth, ok := filed[n]; !ok || filedDepth != depth {
-			return errIndexDrift(string(n.Viewer), "missing or misfiled")
+			return errIndexDrift(n.name(), "missing or misfiled")
 		}
 	}
 	return t.validateSlab(depths)
 }
 
 // validateSlab recounts the slab and SoA bookkeeping (slab.go): the free
-// list against the registry, slot bindings, and every dense mirror against
-// the struct field it shadows.
+// list against the slot bindings, and every dense column against what it
+// shadows.
 func (t *Tree) validateSlab(depths map[*Node]int) error {
 	s := t.store
-	total := len(s.nodes)
-	if len(s.blocks)*slabBlockSize != total {
-		return errCounterDrift("slab capacity", len(s.blocks)*slabBlockSize, total)
-	}
+	total := s.slots()
 	for _, l := range []int{len(s.deg), len(s.cap), len(s.eff), len(s.kids),
 		len(s.depth), len(s.pos), len(s.rootPos), len(s.edge),
-		len(s.stale), len(s.tracked), len(s.owner)} {
+		len(s.stale), len(s.tracked)} {
 		if l != total {
 			return errCounterDrift("slab array span", l, total)
 		}
@@ -242,64 +245,81 @@ func (t *Tree) validateSlab(depths map[*Node]int) error {
 			return errIndexDrift("slab", "slot freed twice")
 		}
 		onFree[slot] = true
-		if s.nodes[slot] != nil {
-			return errIndexDrift(string(s.nodes[slot].Viewer), "bound slot on free list")
+		if s.bound(slot) {
+			return errIndexDrift(s.at(slot).name(), "bound slot on free list")
 		}
 	}
-	for slot, n := range s.nodes {
+	for slot := range int32(total) {
+		n := s.at(slot)
 		if s.stale[slot] {
 			return errIndexDrift("slab", "heap key left unsettled")
 		}
-		if n == nil {
-			if !onFree[int32(slot)] {
+		if n.slot == 0 {
+			if !onFree[slot] {
 				return errIndexDrift("slab", "unbound slot missing from free list")
 			}
 			if s.pos[slot] != -1 || s.rootPos[slot] != -1 {
 				return errIndexDrift("slab", "unbound slot keeps a position")
 			}
-			if s.owner[slot] != nil {
+			if n.owner != nil {
 				return errIndexDrift("slab", "unbound slot keeps an owner")
 			}
 			continue
 		}
-		if n.slot != int32(slot)+1 {
-			return errIndexDrift(string(n.Viewer), "slot binding mismatch")
+		if n.slot != slot+1 {
+			return errIndexDrift(n.name(), "slot binding mismatch")
+		}
+		if n.owner == nil {
+			return errIndexDrift("slab", "bound slot has no owner")
 		}
 		// The root walk proved every root's mirror; nobody else has one.
-		if (n.Parent != nil || !s.filed(int32(slot))) && s.rootPos[slot] != -1 {
-			return errIndexDrift(string(n.Viewer), "non-root keeps a root position")
+		if (n.Parent != nil || !s.filed(slot)) && s.rootPos[slot] != -1 {
+			return errIndexDrift(n.name(), "non-root keeps a root position")
 		}
 		// The bucket walk proved every attached node's heap position.
-		if _, attached := depths[n]; s.filed(int32(slot)) && !attached {
-			return errIndexDrift(string(n.Viewer), "unattached node keeps a heap position")
+		if _, attached := depths[n]; s.filed(slot) && !attached {
+			return errIndexDrift(n.name(), "unattached node keeps a heap position")
 		}
 		if !s.tracked[slot] {
 			continue
 		}
-		if s.deg[slot] != int32(n.OutDeg) || s.cap[slot] != n.OutCap {
-			return errIndexDrift(string(n.Viewer), "degree/capacity mirror drift")
+		if s.cap[slot] != n.owner.Info.OutboundMbps {
+			return errIndexDrift(n.name(), "capacity column off its record")
 		}
 		if s.kids[slot] != int32(len(n.Children)) {
-			return errIndexDrift(string(n.Viewer), "child-count mirror drift")
+			return errIndexDrift(n.name(), "child-count mirror drift")
 		}
 		if s.eff[slot] != n.EffE2E {
-			return errIndexDrift(string(n.Viewer), "effective-delay mirror drift")
+			return errIndexDrift(n.name(), "effective-delay mirror drift")
 		}
 	}
 	return nil
 }
 
+// name names a node in validation errors; a node with no owner record (a
+// free slot's, or a corrupted one) has no viewer ID to give.
+func (n *Node) name() string {
+	if n.owner == nil {
+		return "(ownerless node)"
+	}
+	return string(n.owner.Info.ID)
+}
+
 // validateRecords checks registration and the worklist. The worklist is
 // empty and no record is flagged pending: every operation drains it or
-// clears it on exhaustion. An admitted record's group is the registered
-// group of its key and lists the record as a member; a rejected record,
-// which may keep a retired group, holds no node.
+// clears it on exhaustion. Every record is filed under its own ID; an
+// admitted record's group is the registered group of its key, and each
+// registered group's member count equals its admitted records; a rejected
+// record, which may keep a retired group, holds no node.
 func (m *Manager) validateRecords() error {
 	if len(m.pendingQ) != 0 || m.pendingHead != 0 {
 		return errWorklist(len(m.pendingQ) - m.pendingHead)
 	}
+	members := make(map[*Group]int, len(m.groups))
 	for id, v := range m.viewers {
 		switch {
+		case v.Info.ID != id:
+			return errRecordDrift(string(id), "filed under another viewer's ID")
 		case v.pending:
 			return errRecordDrift(string(id), "flagged pending outside an operation")
 		case v.Rejected:
@@ -308,30 +328,38 @@ func (m *Manager) validateRecords() error {
 			}
 		case m.groups[v.Group.Key] != v.Group:
 			return errRecordDrift(string(id), "admitted into an unregistered group")
-		case v.Group.Members[id] != v:
-			return errRecordDrift(string(id), "admitted but not a member of its group")
+		default:
+			members[v.Group]++
+		}
+	}
+	for _, g := range m.groups {
+		if g.Members != members[g] {
+			return errCounterDrift("group members", g.Members, members[g])
 		}
 	}
 	return nil
 }
 
 // validateOwners checks g.Trees[i] against the viewer records: every bound
-// slot's node carries the tree's position as its stream index, its owner
-// is the group member that binds it, and the owner's Nodes hold it; no
-// bound node sits beyond the d_max layer. The tree check has already shown
-// every attached node bound.
+// slot's node carries the tree's position as its stream index, and its
+// owner is a routed, admitted record of the group whose Nodes hold it; no
+// bound node sits beyond the d_max layer. Every attached node is bound, so
+// this also shows that the tree check's propagation lookups name only
+// routed viewers, which is why Validate runs it first.
 func (m *Manager) validateOwners(g *Group, i int, t *Tree) error {
 	maxLayer := m.params.Hierarchy.MaxLayer()
-	for slot, n := range t.store.nodes {
-		if n == nil {
+	for slot := range int32(t.store.slots()) {
+		if !t.store.bound(slot) {
 			continue
 		}
-		if n.Layer > maxLayer {
-			return errDelayBound(string(n.Viewer), n.Layer, maxLayer)
+		n := t.store.at(slot)
+		o := n.owner
+		if o == nil || int(n.stream) != i || o.Rejected || o.Group != g ||
+			m.viewers[o.Info.ID] != o || !slices.Contains(o.Nodes, n) {
+			return errViewerTreeMismatch(n.name(), t.Stream.ID.String())
 		}
-		o := t.store.owner[slot]
-		if o == nil || int(n.stream) != i || g.Members[n.Viewer] != o || !slices.Contains(o.Nodes, n) {
-			return errViewerTreeMismatch(string(n.Viewer), t.Stream.ID.String())
+		if n.Layer > maxLayer {
+			return errDelayBound(n.name(), n.Layer, maxLayer)
 		}
 	}
 	return nil
@@ -375,8 +403,8 @@ func (m *Manager) validateSpares() error {
 		if !s.allFree() {
 			return errSpareStore("has a bound slot")
 		}
-		for slot, n := range s.nodes {
-			if n != nil || s.owner[slot] != nil {
+		for slot := range int32(s.slots()) {
+			if n := s.at(slot); n.slot != 0 || n.owner != nil {
 				return errSpareStore("has a bound or owned slot")
 			}
 		}
@@ -388,7 +416,7 @@ func (m *Manager) validateSpares() error {
 func (t *Tree) eachTracked(fn func(*Node)) {
 	for slot, on := range t.store.tracked {
 		if on {
-			fn(t.store.nodes[slot])
+			fn(t.store.at(int32(slot)))
 		}
 	}
 }

@@ -36,11 +36,7 @@ func TestTreeChurnInvariants(t *testing.T) {
 				switch op := rng.Intn(12); {
 				case op < 6 || len(live) == 0:
 					deg := rng.Intn(7)
-					n := &Node{
-						Viewer: model.ViewerID(fmt.Sprintf("c%05d", next)),
-						OutDeg: deg,
-						OutCap: float64(deg*2) + float64(rng.Intn(3)),
-					}
+					n := testNode(tree, model.ViewerID(fmt.Sprintf("c%05d", next)), deg, float64(deg*2)+float64(rng.Intn(3)))
 					next++
 					if placed, _ := tree.Insert(n); !placed {
 						tree.AttachToCDN(n)
@@ -87,14 +83,12 @@ func TestTreeChurnInvariants(t *testing.T) {
 					tree.settle()
 					requireInvariants(t, tree, step, "set-layer")
 				default:
-					n := &Node{
-						Viewer: model.ViewerID(fmt.Sprintf("f%05d", next)),
-						OutDeg: rng.Intn(4),
-						OutCap: float64(rng.Intn(8)),
-					}
+					n := testNode(tree, model.ViewerID(fmt.Sprintf("f%05d", next)), rng.Intn(4), float64(rng.Intn(8)))
 					next++
 					if tree.InsertFIFO(n) {
 						live = append(live, n)
+					} else {
+						tree.Recycle(n)
 					}
 					requireInvariants(t, tree, step, "insert-fifo")
 				}
@@ -171,7 +165,7 @@ func TestManagerChurnInvariants(t *testing.T) {
 
 // TestValidateSeesPlantedIndexCorruption plants one bookkeeping slip at a
 // time into the ordered buckets, the root mirror, the cached edges, the slot
-// membership and the owner column of a healthy tree, a stale handle into a
+// membership, a free slot's owner and the capacity column of a healthy tree, a stale handle into a
 // viewer record, and slips into a manager's registration, worklist, slot
 // owners and spare stores, and requires the validator to name each — the
 // guarantee that a slip in the incremental maintenance fails at the
@@ -182,11 +176,7 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		return time.Duration(10+len(a)+int(b[len(b)-1])%7) * time.Millisecond
 	})
 	for i := 0; i < 120; i++ {
-		n := &Node{
-			Viewer: model.ViewerID(fmt.Sprintf("p%03d", i)),
-			OutDeg: rng.Intn(3),
-			OutCap: float64(rng.Intn(4)),
-		}
+		n := testNode(tree, model.ViewerID(fmt.Sprintf("p%03d", i)), rng.Intn(3), float64(rng.Intn(4)))
 		if placed, _ := tree.Insert(n); !placed {
 			tree.AttachToCDN(n)
 		}
@@ -266,8 +256,11 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 			func() { tree.size++ },
 			func() { tree.size-- }},
 		{"unbound slot given an owner",
-			func() { s.owner[unbound] = &Viewer{} },
-			func() { s.owner[unbound] = nil }},
+			func() { s.at(unbound).owner = &Viewer{} },
+			func() { s.at(unbound).owner = nil }},
+		{"capacity column off its record",
+			func() { inner.owner.Info.OutboundMbps++ },
+			func() { inner.owner.Info.OutboundMbps-- }},
 	}
 	for _, c := range cases {
 		c.plant()
@@ -332,7 +325,7 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		t.Fatal("fixture viewers do not hold the expected streams and groups")
 	}
 	tree0 := g.Trees[v0.Nodes[0].stream]
-	slot1 := slices.IndexFunc(tree0.store.nodes, func(n *Node) bool { return n != nil && n.Viewer == v1.Info.ID })
+	node1 := v1.Nodes[slices.IndexFunc(v1.Nodes, func(n *Node) bool { return n.stream == v0.Nodes[0].stream })]
 	// An empty tree of one of g3's streams, for the position g3 has no tree
 	// at: it is off its stream's position and nothing binds it.
 	nilPos := slices.Index(g3.Trees, nil)
@@ -348,10 +341,11 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 	}
 	undoSpares := func() { m.spare = nil }
 	boundStore := newNodeStore()
-	boundStore.alloc()
+	bound := boundStore.popSlot()
+	boundStore.at(bound).slot = bound + 1
 	ownedStore := newNodeStore()
 	ownedStore.grow()
-	ownedStore.owner[0] = v0
+	ownedStore.at(0).owner = v0
 	shortStore := newNodeStore()
 	shortStore.grow()
 	shortStore.freeList = shortStore.freeList[1:]
@@ -401,9 +395,9 @@ func TestValidateSeesPlantedIndexCorruption(t *testing.T) {
 		{"record left flagged pending",
 			func() { v0.pending = true },
 			func() { v0.pending = false }},
-		{"bound slot owned by another record",
-			func() { tree0.store.owner[slot1] = v0 },
-			func() { tree0.store.owner[slot1] = v1 }},
+		{"bound node owned by another record",
+			func() { node1.owner = v0 },
+			func() { node1.owner = v1 }},
 		{"spare list over its cap", plantSpares(overCap...), undoSpares},
 		{"spare store held twice", plantSpares(empty, empty), undoSpares},
 		{"spare store held by a registered tree", plantSpares(tree0.store), undoSpares},

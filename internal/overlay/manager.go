@@ -52,8 +52,9 @@ type Manager struct {
 	// dropLog records dropped subscriptions when params.LogDrops is set;
 	// DrainDrops hands it to the session layer after each operation.
 	dropLog []DropRecord
-	// resub is the reusable displacement worklist of joinRequest.
-	resub []displacement
+	// resub is the reusable worklist of joinRequest: the nodes a degree
+	// push-down displaced, queued for a stream-subscription pass.
+	resub []*Node
 	// composeMemo short-circuits view composition for the common case of
 	// many viewers requesting the same view (flash crowds, benchmarks):
 	// the session and cutoff are immutable per manager, so an equal view
@@ -99,13 +100,6 @@ type Manager struct {
 	spareMax int
 }
 
-// displacement is one degree push-down of a join: the pushed-down node and
-// the tree it moved in, queued for a stream-subscription pass.
-type displacement struct {
-	tree *Tree
-	node *Node
-}
-
 // NewManager builds an overlay manager over the given session, CDN, and
 // propagation-delay model.
 func NewManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params Params) (*Manager, error) {
@@ -142,6 +136,10 @@ func (m *Manager) Viewer(id model.ViewerID) (*Viewer, bool) {
 	v, ok := m.viewers[id]
 	return v, ok
 }
+
+// Len returns the number of viewer records the manager holds, admitted or
+// rejected.
+func (m *Manager) Len() int { return len(m.viewers) }
 
 // JoinResult reports the outcome of a join or view-change request.
 type JoinResult struct {
@@ -236,7 +234,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		Nodes:   make([]*Node, 0, len(accepted)),
 		Out:     out.Shares,
 	}
-	group.Members[info.ID] = v
+	group.Members++
 	m.viewers[info.ID] = v
 
 	resub := m.resub[:0]
@@ -246,7 +244,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		bw := rs.Stream.BitrateMbps
 		pos := group.streamIndex(id)
 		tree := m.treeFor(group, pos, rs.Stream)
-		node := tree.NewNode(info.ID, out.Shares[k].Deg, info.OutboundMbps)
+		node := tree.NewNode(v, out.Shares[k].Deg)
 		node.stream = int32(pos)
 		var placed bool
 		var displaced *Node
@@ -282,10 +280,9 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 			tree.AttachToCDN(node)
 		}
 		v.Nodes = append(v.Nodes, node)
-		tree.setOwner(node, v)
 		v.InUsedMbps += bw
 		if displaced != nil {
-			resub = append(resub, displacement{tree: tree, node: displaced})
+			resub = append(resub, displaced)
 		}
 	}
 
@@ -293,7 +290,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 		reason := m.coverageLossReason(v, req, dropCause)
 		m.evict(v)
 		for _, d := range resub {
-			m.enqueueSubtree(d.tree, d.node)
+			m.enqueueSubtree(d)
 		}
 		m.resub = resub[:0] // displacements drained into the worklist
 		m.processPending()
@@ -315,7 +312,7 @@ func (m *Manager) joinRequest(info ViewerInfo, req model.ViewRequest) (*JoinResu
 	for _, d := range resub {
 		// The displaced node moved one level deeper together with its
 		// subtree; every viewer in it needs a subscription pass.
-		m.enqueueSubtree(d.tree, d.node)
+		m.enqueueSubtree(d)
 	}
 	m.resub = resub[:0] // displacements drained into the worklist
 	m.processPending()
@@ -485,7 +482,7 @@ func (m *Manager) ChangeView(id model.ViewerID, view model.View) (*JoinResult, e
 // view key, so a stale group is left alone rather than unregistering (or
 // pooling the stores of) the live one.
 func (m *Manager) retireGroup(g *Group) {
-	if len(g.Members) != 0 || m.groups[g.Key] != g {
+	if g.Members != 0 || m.groups[g.Key] != g {
 		return
 	}
 	delete(m.groups, g.Key)
@@ -502,15 +499,18 @@ func (m *Manager) retireGroup(g *Group) {
 }
 
 // evict removes all of a viewer's tree nodes (recovering victims) and
-// releases its allocations, in request priority order. The viewer record
-// itself is left to the caller. Recovering the victims of one stream never
-// touches the viewer's node in another tree, so dropping the head of Nodes
-// until none is left drops exactly the streams held on entry.
+// releases its allocations, in request priority order, and takes an
+// admitted record out of its group's member count. The viewer record itself
+// is left to the caller. Recovering the victims of one stream never touches
+// the viewer's node in another tree, so dropping the head of Nodes until
+// none is left drops exactly the streams held on entry.
 func (m *Manager) evict(v *Viewer) {
 	for len(v.Nodes) > 0 {
 		m.dropStream(v, 0, true)
 	}
-	delete(v.Group.Members, v.Info.ID)
+	if !v.Rejected {
+		v.Group.Members--
+	}
 }
 
 // dropStream removes a viewer's subscription Nodes[i]. Victims (the node's
@@ -549,15 +549,15 @@ func (m *Manager) dropStream(v *Viewer, i int, recover bool) {
 // children becoming victims in turn.
 func (m *Manager) recoverVictim(tree *Tree, victim *Node) {
 	if placed, displaced := tree.Reattach(victim); placed {
-		m.enqueueSubtree(tree, victim)
+		m.enqueueSubtree(victim)
 		if displaced != nil {
-			m.enqueueSubtree(tree, displaced)
+			m.enqueueSubtree(displaced)
 		}
 		return
 	}
 	if err := m.cdn.Allocate(tree.Stream.ID, tree.Stream.BitrateMbps); err == nil {
 		tree.AttachToCDN(victim)
-		m.enqueueSubtree(tree, victim)
+		m.enqueueSubtree(victim)
 		return
 	}
 	m.cascadeDrop(tree, victim)
@@ -568,15 +568,14 @@ func (m *Manager) recoverVictim(tree *Tree, victim *Node) {
 func (m *Manager) cascadeDrop(tree *Tree, victim *Node) {
 	// The victim reaches here only after both recovery paths failed:
 	// degree push-down found no position and the CDN had no egress left.
-	m.logDrop(victim.Viewer, tree.Stream.ID, ReasonCDNEgress)
-	if vv := tree.ownerOf(victim); vv != nil {
-		if i := slices.Index(vv.Nodes, victim); i >= 0 {
-			vv.Nodes = slices.Delete(vv.Nodes, i, i+1)
-		}
-		vv.InUsedMbps -= tree.Stream.BitrateMbps
-		if vv.InUsedMbps < 0 {
-			vv.InUsedMbps = 0
-		}
+	vv := victim.owner
+	m.logDrop(vv.Info.ID, tree.Stream.ID, ReasonCDNEgress)
+	if i := slices.Index(vv.Nodes, victim); i >= 0 {
+		vv.Nodes = slices.Delete(vv.Nodes, i, i+1)
+	}
+	vv.InUsedMbps -= tree.Stream.BitrateMbps
+	if vv.InUsedMbps < 0 {
+		vv.InUsedMbps = 0
 	}
 	children := tree.Orphan(victim)
 	// Dropped for good: recycle before recursing so a deep cascade frees
@@ -692,7 +691,7 @@ func (m *Manager) RefreshAll() int {
 			for _, r := range t.Roots() {
 				nodes := t.refreshFull(r)
 				changed += len(nodes)
-				m.enqueueNodes(t, nodes)
+				m.enqueueNodes(nodes)
 			}
 		}
 	}

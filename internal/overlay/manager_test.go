@@ -376,7 +376,7 @@ func TestOverlayPropertyAcrossStreams(t *testing.T) {
 
 func treeNodes(t *Tree) map[model.ViewerID]*Node {
 	out := make(map[model.ViewerID]*Node, t.Size())
-	t.Walk(func(n *Node) { out[n.Viewer] = n })
+	t.Walk(func(n *Node) { out[n.Viewer()] = n })
 	return out
 }
 

@@ -82,10 +82,10 @@ func (m *Manager) AdmitMigrant(st MigrationState, keepIfRejected bool) (*JoinRes
 		return res, err
 	}
 	// The rejection stays in the cumulative counters (admission control
-	// did refuse the request on this shard) but the record goes.
+	// did refuse the request on this shard) but the record goes. A
+	// rejected record is no member of its group, so no count changes.
 	if v, ok := m.viewers[st.Info.ID]; ok {
 		delete(m.viewers, st.Info.ID)
-		delete(v.Group.Members, st.Info.ID)
 		m.retireGroup(v.Group)
 	}
 	return res, nil

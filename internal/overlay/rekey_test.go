@@ -51,7 +51,7 @@ func TestPendingRekeysMatchReferenceScanDeep(t *testing.T) {
 	// strong out-ranks every node (out-degree 3, capacity 13), so its
 	// election is the first level's weakest node: where the root pushes
 	// below leave their stale keys.
-	strong := &Node{Viewer: "probe", OutDeg: 3, OutCap: 13}
+	strong := testNode(tree, "probe", 3, 13)
 	place := func(u, u2 *Node) {
 		t.Helper()
 		checkAgainstReference(t, tree, strong)
@@ -65,16 +65,13 @@ func TestPendingRekeysMatchReferenceScanDeep(t *testing.T) {
 	}
 	join := func() {
 		t.Helper()
-		u := &Node{
-			Viewer: model.ViewerID(fmt.Sprintf("k%06d", next)),
-			OutDeg: rng.Intn(3),
-			OutCap: float64(rng.Intn(3)),
-		}
+		deg := rng.Intn(3)
+		u := testNode(tree, model.ViewerID(fmt.Sprintf("k%06d", next)), deg, float64(rng.Intn(3)))
 		next++
-		u2 := *u
-		place(u, &u2)
+		u2 := twin.NewNode(u.owner, deg)
+		place(u, u2)
 		live = append(live, u)
-		twinLive = append(twinLive, &u2)
+		twinLive = append(twinLive, u2)
 	}
 	for len(live) < target {
 		join()
@@ -254,7 +251,11 @@ func TestDeferredRekeysKeepManagerDecisions(t *testing.T) {
 					continue
 				}
 				for deg := 0; deg <= 4; deg++ {
-					checkAgainstReference(t, tree, &Node{Viewer: "probe", OutDeg: deg, OutCap: float64(rng.Intn(9))})
+					// The probe takes the top free slot and gives it
+					// back, so the manager's tree is left as it was.
+					probe := testNode(tree, "probe", deg, float64(rng.Intn(9)))
+					checkAgainstReference(t, tree, probe)
+					tree.Recycle(probe)
 				}
 			}
 		}

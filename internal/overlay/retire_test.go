@@ -190,7 +190,7 @@ func TestCascadeDropInReformedGroupUpdatesRecord(t *testing.T) {
 		v := res.Viewer
 		dropped += len(res.Accepted) - len(v.Nodes)
 		for i, n := range v.Nodes {
-			if !v.Group.Trees[n.stream].binds(v.Info.ID, n) {
+			if !v.Group.Trees[n.stream].binds(v, n) {
 				t.Fatalf("%s keeps a handle in %s its tree does not bind", v.Info.ID, v.AcceptedStreams()[i])
 			}
 		}

@@ -26,6 +26,8 @@ type Shard interface {
 	AdmitMigrant(st MigrationState, keepIfRejected bool) (*JoinResult, error)
 	// Viewer returns the record of a joined viewer.
 	Viewer(id model.ViewerID) (*Viewer, bool)
+	// Len returns the number of viewer records, admitted or rejected.
+	Len() int
 	// RefreshAll re-runs the periodic delay-layer adaptation (§VI).
 	RefreshAll() int
 	// Snapshot summarizes the shard for cross-shard aggregation.
@@ -47,7 +49,7 @@ type Shard interface {
 	// DumpTrees renders the shard's dissemination trees for inspection.
 	DumpTrees() string
 	// ExportState captures the shard's full logical state for snapshot-based
-	// recovery; restore it with RestoreManager.
+	// recovery; restore it with Manager.Restore.
 	ExportState() *ShardState
 }
 

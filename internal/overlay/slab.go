@@ -15,8 +15,8 @@ import "time"
 //     free-slot stack, so churn recycles slots instead of hitting the
 //     allocator, and node storage is cache-contiguous;
 //   - the fields the admission path reads per candidate — out-degree, out
-//     capacity, effective delay, child count, depth — are mirrored into
-//     dense arrays indexed by slot, next to the node's position in the
+//     capacity, effective delay, child count, depth — live in dense
+//     arrays indexed by slot (out-degree and out capacity only there), next to the node's position in the
 //     level-index heap it is filed in and in the tree's root list, so heap
 //     sifts compare inside consecutive memory, never dereference a Node
 //     short of a full (capacity, delay) tie, and removing a node from
@@ -27,8 +27,8 @@ import "time"
 //   - tree membership is a per-slot flag plus a counter, so tracking,
 //     untracking and the duplicate and recycle guards index by slot rather
 //     than hashing viewer IDs;
-//   - each slot names the viewer record that owns its node (owner), so the
-//     subscription worklist (subscribe.go) and a cascade drop go from a
+//   - each node points at the viewer record that owns it (Node.owner), so
+//     the subscription worklist (subscribe.go) and a cascade drop go from a
 //     node to its viewer without hashing the viewer ID or searching the
 //     groups for the tree;
 //   - a store outlives its tree: when an emptied view group is retired
@@ -38,13 +38,12 @@ import "time"
 //     view that drains to zero and ramps again reuses its blocks, columns
 //     and free stack rather than reallocating them.
 //
-// Every tracked node is bound to a slot. Production nodes are slab-born
-// (Tree.NewNode); tests that build &Node{} by hand are adopted at trackNode
-// time — they get a slot and SoA entries but keep their own backing struct.
-// A slot is returned only by an explicit Tree.Recycle once the manager has
-// permanently removed the node; Detach/Orphan leave the binding in place
-// because detached victims are still live (recovery reads them, tests
-// inspect them).
+// Every node is slab-born (Tree.NewNode), so the node of slot s is always
+// the block entry of s, and a slot is bound exactly when that entry's slot
+// field is set. A slot is returned only by an explicit Tree.Recycle once the
+// manager has permanently removed the node; Detach/Orphan leave the binding
+// in place because detached victims are still live (recovery reads them,
+// tests inspect them).
 
 const (
 	slabBlockShift = 8
@@ -56,19 +55,20 @@ const (
 // per-slot arrays are indexed by slot (0-based); Node.slot stores slot+1 so
 // the zero value means "unbound".
 type nodeStore struct {
-	// blocks hold the struct backing of slab-born nodes; the node of slot
-	// s lives at blocks[s>>slabBlockShift][s&slabBlockMask].
+	// blocks hold the nodes; the node of slot s lives at
+	// blocks[s>>slabBlockShift][s&slabBlockMask] (at).
 	blocks [][]Node
-	// nodes maps each bound slot to its node — the slab struct itself, or
-	// a foreign (test-built) struct adopted into the slot. nil = free.
-	nodes []*Node
 	// freeList is the LIFO stack of unbound slots.
 	freeList []int32
 
-	// SoA mirrors of the admission-hot node fields, maintained by the
+	// deg and cap are the node's out-degree (its record's outbound share
+	// for the stream) and out capacity (the record's C^u_obw, the degree
+	// push-down tie-breaker): the hot copies of those record facts and the
+	// only ones the tree keeps, written once by NewNode. The other columns
+	// are dense mirrors of admission-hot node state, maintained by the
 	// tree's attach/detach/refresh primitives.
-	deg   []int32         // OutDeg
-	cap   []float64       // OutCap
+	deg   []int32
+	cap   []float64
 	eff   []time.Duration // EffE2E
 	kids  []int32         // len(Children)
 	depth []int32         // level-index depth (valid while filed)
@@ -90,20 +90,14 @@ type nodeStore struct {
 	// tracked marks the slots whose node the tree tracks: every attached
 	// node plus victims whose recovery is in flight. Tree.size counts them.
 	tracked []bool
-	// owner is the viewer record whose Nodes hold the slot's node. The
-	// manager sets it where it binds the node (Tree.setOwner) and release
-	// clears it, so a free slot, and so a spare store, pins no record;
-	// trees driven without a manager (tests) leave it nil.
-	owner []*Viewer
 }
 
 func newNodeStore() *nodeStore { return &nodeStore{} }
 
 // grow appends one block and extends every per-slot array in step.
 func (s *nodeStore) grow() {
-	base := int32(len(s.nodes))
+	base := int32(s.slots())
 	s.blocks = append(s.blocks, make([]Node, slabBlockSize))
-	s.nodes = append(s.nodes, make([]*Node, slabBlockSize)...)
 	s.deg = append(s.deg, make([]int32, slabBlockSize)...)
 	s.cap = append(s.cap, make([]float64, slabBlockSize)...)
 	s.eff = append(s.eff, make([]time.Duration, slabBlockSize)...)
@@ -114,7 +108,6 @@ func (s *nodeStore) grow() {
 	s.edge = append(s.edge, make([]time.Duration, slabBlockSize)...)
 	s.stale = append(s.stale, make([]bool, slabBlockSize)...)
 	s.tracked = append(s.tracked, make([]bool, slabBlockSize)...)
-	s.owner = append(s.owner, make([]*Viewer, slabBlockSize)...)
 	// LIFO: push in reverse so low slots are handed out first. An unbound
 	// slot holds no position; release keeps it that way.
 	for i := int32(slabBlockSize) - 1; i >= 0; i-- {
@@ -134,8 +127,20 @@ func (s *nodeStore) reset() {
 	}
 }
 
+// slots is the store's slot capacity.
+func (s *nodeStore) slots() int { return len(s.blocks) * slabBlockSize }
+
+// at returns the node of a slot, bound or not.
+func (s *nodeStore) at(slot int32) *Node {
+	return &s.blocks[slot>>slabBlockShift][slot&slabBlockMask]
+}
+
+// bound reports whether a slot holds a node: release zeroes the node, so a
+// free slot's entry has no slot binding.
+func (s *nodeStore) bound(slot int32) bool { return s.at(slot).slot != 0 }
+
 // allFree reports whether no slot of the store is bound.
-func (s *nodeStore) allFree() bool { return len(s.freeList) == len(s.nodes) }
+func (s *nodeStore) allFree() bool { return len(s.freeList) == s.slots() }
 
 // popSlot takes a free slot, growing the slab if none is left.
 func (s *nodeStore) popSlot() int32 {
@@ -147,64 +152,27 @@ func (s *nodeStore) popSlot() int32 {
 	return slot
 }
 
-// alloc returns a zeroed slab-backed node bound to a fresh slot. The caller
-// fills Viewer/OutDeg/OutCap and then syncs the deg/cap mirrors.
-func (s *nodeStore) alloc() *Node {
-	slot := s.popSlot()
-	n := &s.blocks[slot>>slabBlockShift][slot&slabBlockMask]
-	n.slot = slot + 1
-	s.nodes[slot] = n
-	return n
-}
-
-// adopt binds a node constructed outside the slab to a slot, seeding the SoA
-// mirrors from the struct. Already-bound nodes are left alone.
-func (s *nodeStore) adopt(n *Node) {
-	if n.slot != 0 {
-		return
-	}
-	slot := s.popSlot()
-	n.slot = slot + 1
-	s.nodes[slot] = n
-	s.deg[slot] = int32(n.OutDeg)
-	s.cap[slot] = n.OutCap
-	s.eff[slot] = n.EffE2E
-	s.kids[slot] = int32(len(n.Children))
-	s.depth[slot] = 0
-}
-
-// owns reports whether the node's struct is the slab block entry of the slot.
-func (s *nodeStore) owns(n *Node, slot int32) bool {
-	return n == &s.blocks[slot>>slabBlockShift][slot&slabBlockMask]
-}
-
-// release unbinds a node and pushes its slot back on the free stack.
-// Slab-backed structs are zeroed so the next tenant starts clean and the
-// previous tenant's pointers stop pinning memory; foreign structs only lose
-// their slot binding.
+// release unbinds a node and pushes its slot back on the free stack. The
+// node is zeroed, so the next tenant starts clean and the previous tenant's
+// pointers, its owner record's included, stop pinning memory.
 func (s *nodeStore) release(n *Node) {
 	if n.slot == 0 {
 		return
 	}
 	slot := n.slot - 1
-	s.nodes[slot] = nil
 	s.deg[slot], s.cap[slot] = 0, 0
 	s.eff[slot], s.kids[slot], s.depth[slot] = 0, 0, 0
 	s.pos[slot], s.rootPos[slot] = -1, -1
 	s.edge[slot], s.tracked[slot] = 0, false
-	s.owner[slot] = nil
-	if s.owns(n, slot) {
-		*n = Node{} // clears n.slot too
-	} else {
-		n.slot = 0
-	}
+	*n = Node{} // clears n.slot too
 	s.freeList = append(s.freeList, slot)
 }
 
-// lessSlot is lessCandidate restricted to one out-degree bucket (members
-// share OutDeg by construction): ascending out capacity, then descending
-// effective delay, then viewer ID. The first two compares stay inside the
-// dense arrays; the Node is dereferenced only on a full tie.
+// lessSlot is the candidate order (sortCandidates) restricted to one
+// out-degree bucket, whose members share their degree by construction:
+// ascending out capacity, then descending effective delay, then viewer ID.
+// The first two compares stay inside the dense arrays; the nodes' records
+// are dereferenced only on a full tie.
 func (s *nodeStore) lessSlot(a, b int32) bool {
 	if s.cap[a] != s.cap[b] {
 		return s.cap[a] < s.cap[b]
@@ -212,7 +180,7 @@ func (s *nodeStore) lessSlot(a, b int32) bool {
 	if s.eff[a] != s.eff[b] {
 		return s.eff[a] > s.eff[b]
 	}
-	return s.nodes[a].Viewer < s.nodes[b].Viewer
+	return s.at(a).Viewer() < s.at(b).Viewer()
 }
 
 // filed reports whether the node at slot is currently in the level index.
@@ -227,17 +195,16 @@ func (s *nodeStore) freeSlotsAt(slot int32) int32 {
 	return free
 }
 
-// NewNode allocates a node from the tree's slab. This is the production
-// construction path: the node is cache-contiguous with its tree-mates and
-// its slot is recycled on Recycle instead of waiting for the GC.
-func (t *Tree) NewNode(viewer viewerID, outDeg int, outCap float64) *Node {
-	n := t.store.alloc()
-	n.Viewer = viewer
-	n.OutDeg = outDeg
-	n.OutCap = outCap
-	slot := n.slot - 1
-	t.store.deg[slot] = int32(outDeg)
-	t.store.cap[slot] = outCap
+// NewNode allocates a node of viewer record v from the tree's slab, with the
+// given out-degree and the record's outbound capacity. It is the only way a
+// node is made: the node is cache-contiguous with its tree-mates, and its
+// slot is recycled on Recycle instead of waiting for the GC.
+func (t *Tree) NewNode(v *Viewer, outDeg int) *Node {
+	s := t.store
+	slot := s.popSlot()
+	n := s.at(slot)
+	n.owner, n.slot = v, slot+1
+	s.deg[slot], s.cap[slot] = int32(outDeg), v.Info.OutboundMbps
 	return n
 }
 
@@ -253,37 +220,33 @@ func (t *Tree) Recycle(n *Node) {
 	t.store.release(n)
 }
 
-// setOwner records v as the viewer record that binds n, a bound node of
-// this tree.
-func (t *Tree) setOwner(n *Node, v *Viewer) { t.store.owner[n.slot-1] = v }
-
-// ownerOf returns the viewer record that binds n, or nil when n is unbound
-// (a recycled handle) or bound by no record.
-func (t *Tree) ownerOf(n *Node) *Viewer {
-	if n.slot == 0 {
-		return nil
-	}
-	return t.store.owner[n.slot-1]
-}
-
 // tracks reports whether the tree tracks the node itself (not merely some
 // node of the same viewer): its slot is bound and flagged.
 func (t *Tree) tracks(n *Node) bool {
 	return n.slot != 0 && t.store.tracked[n.slot-1]
 }
 
-// binds reports whether n is the viewer's live node in this tree: bound to a
-// slot of this tree's slab that points back at it, tracked, and carrying the
-// viewer's ID. A handle whose slot was recycled (slot 0) or re-issued to
-// another node fails it.
-func (t *Tree) binds(vid viewerID, n *Node) bool {
+// holds reports whether n is the node of a slot of this tree's slab. A
+// handle whose slot was recycled (slot 0) fails it.
+func (t *Tree) holds(n *Node) bool {
 	s := t.store
-	return n.slot != 0 && int(n.slot) <= len(s.nodes) && s.nodes[n.slot-1] == n &&
-		s.tracked[n.slot-1] && n.Viewer == vid
+	return n.slot != 0 && int(n.slot) <= s.slots() && s.at(n.slot-1) == n
+}
+
+// binds reports whether n is record v's live node in this tree: held,
+// tracked, and owned by v.
+func (t *Tree) binds(v *Viewer, n *Node) bool {
+	return t.holds(n) && t.store.tracked[n.slot-1] && n.owner == v
 }
 
 // depthOf returns the level-index depth of a filed node (0 = CDN child).
 func (t *Tree) depthOf(n *Node) int { return int(t.store.depth[n.slot-1]) }
+
+// deg returns a bound node's out-degree.
+func (t *Tree) deg(n *Node) int { return int(t.store.deg[n.slot-1]) }
+
+// freeSlots returns a bound node's unused out-degree.
+func (t *Tree) freeSlots(n *Node) int { return int(t.store.freeSlotsAt(n.slot - 1)) }
 
 // SlabStats reports the slab's occupancy for footprint accounting: bound
 // slots, free-list length, and total slot capacity.
@@ -295,8 +258,8 @@ type SlabStats struct {
 func (t *Tree) SlabStats() SlabStats {
 	s := t.store
 	return SlabStats{
-		Live: len(s.nodes) - len(s.freeList),
+		Live: s.slots() - len(s.freeList),
 		Free: len(s.freeList),
-		Cap:  len(s.nodes),
+		Cap:  s.slots(),
 	}
 }

@@ -10,15 +10,17 @@ import (
 	"telecast/internal/model"
 )
 
-// TestNodeSize pins the node's footprint on 64-bit platforms: the stream
-// index shares the padding after the slot, so every slab block stays
-// 256 × 96 B.
+// TestNodeSize pins the node's footprint on 64-bit platforms: the node
+// points at its viewer record instead of copying the viewer's ID and
+// capacity, its out-degree lives only in the slab's deg column, and the
+// stream index shares the padding after the slot, so every slab block stays
+// 256 × 72 B.
 func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got != 96 {
-		t.Errorf("Node is %d B, want 96", got)
+	if got := unsafe.Sizeof(Node{}); got != 72 {
+		t.Errorf("Node is %d B, want 72", got)
 	}
 }
 
@@ -27,8 +29,8 @@ func TestNodeSize(t *testing.T) {
 // reuses it with a fully zeroed struct.
 func TestSlabNewNodeAndRecycle(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	a := tree.NewNode("a", 2, 4)
-	b := tree.NewNode("b", 3, 6)
+	a := testNode(tree, "a", 2, 4)
+	b := testNode(tree, "b", 3, 6)
 	if a.slot == 0 || b.slot == 0 || a.slot == b.slot {
 		t.Fatalf("slots a=%d b=%d, want distinct non-zero", a.slot, b.slot)
 	}
@@ -37,14 +39,14 @@ func TestSlabNewNodeAndRecycle(t *testing.T) {
 	if a.slot != 0 {
 		t.Fatalf("recycled node keeps slot %d", a.slot)
 	}
-	c := tree.NewNode("c", 1, 2)
+	c := testNode(tree, "c", 1, 2)
 	if c.slot != aSlot {
 		t.Fatalf("slot not recycled LIFO: got %d, want %d", c.slot, aSlot)
 	}
 	if c != a {
 		t.Fatal("slab-born node struct not reused for its slot")
 	}
-	if c.Viewer != "c" || c.OutDeg != 1 || c.OutCap != 2 || c.Parent != nil || len(c.Children) != 0 {
+	if c.Viewer() != "c" || tree.deg(c) != 1 || tree.store.cap[c.slot-1] != 2 || c.Parent != nil || len(c.Children) != 0 {
 		t.Fatalf("recycled struct not clean: %+v", c)
 	}
 	stats := tree.SlabStats()
@@ -54,11 +56,11 @@ func TestSlabNewNodeAndRecycle(t *testing.T) {
 }
 
 // TestSlabRecycleGuards pins the safety contract: a tracked node is never
-// recycled, double-recycle is a no-op, and foreign (test-built) nodes lose
-// only their slot binding.
+// recycled, double-recycle is a no-op, and a recycled node is zeroed, so it
+// no longer pins its viewer record.
 func TestSlabRecycleGuards(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 2)
+	root := mkNode(tree, "root", 2)
 	tree.AttachToCDN(root)
 	tree.Recycle(root) // still tracked: must be a no-op
 	if root.slot == 0 {
@@ -74,8 +76,8 @@ func TestSlabRecycleGuards(t *testing.T) {
 	if root.slot != 0 {
 		t.Fatal("detached node not recycled")
 	}
-	if root.Viewer != "root" {
-		t.Fatal("foreign node struct was zeroed by the slab")
+	if root.Owner() != nil {
+		t.Fatal("recycled node still points at its viewer record")
 	}
 	tree.Recycle(root) // double recycle: no-op
 	requireValid(t, tree)
@@ -112,8 +114,8 @@ func TestSlabChurnReusesSlots(t *testing.T) {
 						t.Fatalf("slot %d aliased by %s and %s", n.slot, prev, id)
 					}
 					bySlot[n.slot] = id
-					if got := tree.store.nodes[n.slot-1]; got != n {
-						t.Fatalf("registry of slot %d holds %v, want %s", n.slot, got, id)
+					if got := tree.store.at(n.slot - 1); got != n || n.Viewer() != id {
+						t.Fatalf("slot %d holds %v, want %s", n.slot, got, id)
 					}
 				}
 			}
@@ -123,7 +125,7 @@ func TestSlabChurnReusesSlots(t *testing.T) {
 				case r < 6 || len(live) == 0: // join
 					id := model.ViewerID(fmt.Sprintf("v%d", next))
 					next++
-					n := tree.NewNode(id, rng.Intn(4), float64(rng.Intn(8)))
+					n := testNode(tree, id, rng.Intn(4), float64(rng.Intn(8)))
 					if placed, _ := tree.Insert(n); !placed {
 						if rng.Intn(2) == 0 {
 							tree.AttachToCDN(n)
@@ -151,7 +153,7 @@ func TestSlabChurnReusesSlots(t *testing.T) {
 						}
 						if tree.FreeSlots() == 0 && rng.Intn(2) == 0 {
 							// Cascade-drop the victim.
-							delete(live, v.Viewer)
+							delete(live, v.Viewer())
 							victims = append(victims, tree.Orphan(v)...)
 							tree.Recycle(v)
 							continue
@@ -171,26 +173,27 @@ func TestSlabChurnReusesSlots(t *testing.T) {
 	}
 }
 
-// TestSlabAdoptsForeignNodes pins that hand-built nodes driven through the
-// public tree API get slots and correct SoA mirrors (the bridge the rest of
-// this test suite relies on).
-func TestSlabAdoptsForeignNodes(t *testing.T) {
+// TestSlabNewNodeFillsColumns pins that NewNode writes a node's
+// out-degree and its record's capacity into the slab columns, the only place
+// the tree keeps them, and that placement maintains the child-count and
+// depth columns.
+func TestSlabNewNodeFillsColumns(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 3)
+	root := mkNode(tree, "root", 3)
 	tree.AttachToCDN(root)
-	kid := mkNode("kid", 1)
+	kid := mkNode(tree, "kid", 1)
 	if placed, _ := tree.Insert(kid); !placed {
 		t.Fatal("insert under free root failed")
 	}
 	requireValid(t, tree)
-	for _, n := range []*Node{root, kid} {
-		if n.slot == 0 {
-			t.Fatalf("%s not adopted", n.Viewer)
-		}
-		slot := n.slot - 1
-		if tree.store.deg[slot] != int32(n.OutDeg) || tree.store.cap[slot] != n.OutCap {
-			t.Fatalf("%s mirrors deg=%d cap=%v, want %d/%v",
-				n.Viewer, tree.store.deg[slot], tree.store.cap[slot], n.OutDeg, n.OutCap)
+	for _, c := range []struct {
+		n   *Node
+		deg int32
+	}{{root, 3}, {kid, 1}} {
+		slot := c.n.slot - 1
+		if tree.store.deg[slot] != c.deg || tree.store.cap[slot] != c.n.Owner().Info.OutboundMbps {
+			t.Fatalf("%s columns deg=%d cap=%v, want %d/%v",
+				c.n.Viewer(), tree.store.deg[slot], tree.store.cap[slot], c.deg, c.n.Owner().Info.OutboundMbps)
 		}
 	}
 	if tree.store.kids[root.slot-1] != 1 {

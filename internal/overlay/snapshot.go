@@ -122,7 +122,7 @@ func (m *Manager) QuickSnapshot() Snapshot {
 
 // Validate checks every structural invariant of the overlay: tree shape,
 // per-node degree bounds, CDN accounting consistency, viewer/tree agreement
-// (every bound slot owned by the member record that binds it), registration
+// (every bound node owned by the member record that binds it), registration
 // of every viewer record, the empty subscription worklist, the spare node
 // stores, the κ bound per viewer, and the d_max bound per node. Tests and
 // the experiment harness call it after bulk operations; it returns the
@@ -140,27 +140,26 @@ func (m *Manager) Validate() error {
 			if tree == nil {
 				continue
 			}
-			if err := tree.validate(); err != nil {
-				return err
-			}
-			for _, r := range tree.Roots() {
-				cdnMbps[tree.Stream.ID] += tree.Stream.BitrateMbps
-				_ = r
-			}
 			if err := m.validateOwners(g, i, tree); err != nil {
 				return err
 			}
+			if err := tree.validate(); err != nil {
+				return err
+			}
+			for range tree.Roots() {
+				cdnMbps[tree.Stream.ID] += tree.Stream.BitrateMbps
+			}
 		}
-		for vid, v := range g.Members {
-			if m.viewers[vid] != v {
-				return errRecordDrift(string(vid), "member but not the routed record")
-			}
-			if err := m.validateViewer(vid, v); err != nil {
-				return err
-			}
-			if err := validateOutbound(vid, v); err != nil {
-				return err
-			}
+	}
+	for vid, v := range m.viewers {
+		if v.Rejected {
+			continue
+		}
+		if err := m.validateViewer(vid, v); err != nil {
+			return err
+		}
+		if err := validateOutbound(vid, v); err != nil {
+			return err
 		}
 	}
 	if err := m.validateSpares(); err != nil {
@@ -210,7 +209,7 @@ func (m *Manager) validateViewer(vid model.ViewerID, v *Viewer) error {
 		}
 		id := g.ids[n.stream]
 		tree := g.Trees[n.stream]
-		if tree == nil || !tree.binds(vid, n) {
+		if tree == nil || !tree.binds(v, n) {
 			return errViewerTreeMismatch(string(vid), id.String())
 		}
 		for next < len(v.Request.Streams) && v.Request.Streams[next].Stream.ID != id {
@@ -256,7 +255,7 @@ func validateOutbound(vid model.ViewerID, v *Viewer) error {
 			return errRecordDrift(string(vid), "node beyond its outbound record")
 		}
 		deg := v.Out[next].Deg
-		if n.OutDeg != deg {
+		if v.Group.Trees[n.stream].deg(n) != deg {
 			return errRecordDrift(string(vid), "node out-degree off its outbound share")
 		}
 		if len(n.Children) > deg {

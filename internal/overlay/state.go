@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"telecast/internal/cdn"
 	"telecast/internal/model"
 )
 
@@ -16,7 +15,7 @@ import (
 // every viewer record (admitted and rejected). It deliberately serializes
 // *logical* state only — viewer IDs, parent edges in preorder, assigned
 // κ-layers — never slot handles, SoA mirrors, level-index buckets, memo or
-// intern caches: those are rebuilt from scratch by RestoreManager through the
+// intern caches: those are rebuilt from scratch by Manager.Restore through the
 // same primitives the live admission path uses, so a restored shard's nodes
 // are slab-born in fresh blocks. All slices are emitted in a canonical order
 // (groups by key, trees by stream, viewers by ID, orientations by site), so
@@ -75,11 +74,12 @@ type StreamDegState struct {
 
 // ViewerState is one viewer record, admitted or rejected. Tree membership is
 // not listed here — it is recovered by looking the viewer up in its group's
-// restored trees.
+// restored trees. Node is ViewerInfo.Node, the latency-matrix index.
 type ViewerState struct {
 	ID           model.ViewerID     `json:"id"`
 	InboundMbps  float64            `json:"inboundMbps"`
 	OutboundMbps float64            `json:"outboundMbps"`
+	Node         int                `json:"node,omitempty"`
 	View         []OrientationState `json:"view"`
 	GroupKey     string             `json:"groupKey"`
 	InUsedMbps   float64            `json:"inUsedMbps"`
@@ -186,14 +186,14 @@ func (m *Manager) ExportState() *ShardState {
 			var dfs func(parent model.ViewerID, n *Node)
 			dfs = func(parent model.ViewerID, n *Node) {
 				ts.Nodes = append(ts.Nodes, NodeState{
-					Viewer: n.Viewer,
+					Viewer: n.Viewer(),
 					Parent: parent,
-					OutDeg: n.OutDeg,
-					OutCap: n.OutCap,
+					OutDeg: t.deg(n),
+					OutCap: t.store.cap[n.slot-1],
 					Layer:  n.Layer,
 				})
 				for _, c := range n.Children {
-					dfs(n.Viewer, c)
+					dfs(n.Viewer(), c)
 				}
 			}
 			for _, r := range t.roots {
@@ -211,6 +211,7 @@ func (m *Manager) ExportState() *ShardState {
 			ID:           v.Info.ID,
 			InboundMbps:  v.Info.InboundMbps,
 			OutboundMbps: v.Info.OutboundMbps,
+			Node:         v.Info.Node,
 			View:         orientationStates(v.Request.View),
 			GroupKey:     string(v.Group.Key),
 			InUsedMbps:   v.InUsedMbps,
@@ -240,25 +241,27 @@ func (m *Manager) ExportState() *ShardState {
 	return st
 }
 
-// RestoreManager rebuilds a manager from an exported state on fresh slabs.
-// Tree topology is replayed through the same attachment primitives the
-// admission path uses (NewNode, AttachToCDN, attachUnder), so slot handles,
-// SoA mirrors, cached edges and level indexes are rebuilt from scratch;
-// κ-layers are then pinned from the export and the delay chain recomputed
-// root-down by the full walk (every edge re-derived, no early stop), which
-// reproduces the exported MinE2E/EffE2E exactly because refreshNode never
-// lowers a layer that still satisfies its d_max bound.
+// Restore rebuilds an exported state into m, which must be fresh from
+// NewManager: no viewer, no group. The viewer records are rebuilt first, so
+// the propagation-delay function can resolve every viewer through
+// Manager.Viewer while the trees are rebuilt. Tree topology is replayed
+// through the same attachment primitives the admission path uses (NewNode,
+// AttachToCDN, attachUnder), so slot handles, SoA columns, cached edges and
+// level indexes are rebuilt from scratch; κ-layers are then pinned from the
+// export and the delay chain recomputed root-down by the full walk (every
+// edge re-derived, no early stop), which reproduces the exported
+// MinE2E/EffE2E exactly because refreshNode never lowers a layer that still
+// satisfies its d_max bound.
 //
 // CDN egress is re-reserved on the shared substrate for every restored root.
 // This is strict: if the CDN cannot cover the snapshot's implied egress (a
 // collapse shrank it since the snapshot), every reservation made so far is
 // released and an error returned with the substrate unchanged — the caller
-// falls back to replay-style re-admission, which degrades gracefully instead
-// of over-committing.
-func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params Params, st *ShardState) (*Manager, error) {
-	m, err := NewManager(session, dist, prop, params)
-	if err != nil {
-		return nil, err
+// discards m and falls back to replay-style re-admission, which degrades
+// gracefully instead of over-committing.
+func (m *Manager) Restore(st *ShardState) error {
+	if len(m.viewers) != 0 || len(m.groups) != 0 {
+		return fmt.Errorf("overlay restore: manager is not empty")
 	}
 	m.streamsRequested = st.StreamsRequested
 	m.streamsAccepted = st.StreamsAccepted
@@ -269,83 +272,25 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 		mbps float64
 	}
 	var granted []grant
-	fail := func(err error) (*Manager, error) {
+	fail := func(err error) error {
 		for _, g := range granted {
-			_ = dist.Release(g.id, g.mbps)
+			_ = m.cdn.Release(g.id, g.mbps)
 		}
-		return nil, err
+		return err
 	}
 
-	// restored binds each rebuilt tree's nodes by viewer, for the viewer
-	// records below.
-	restored := make(map[*Tree]map[model.ViewerID]*Node)
 	for gi := range st.Groups {
 		gs := &st.Groups[gi]
-		view := viewFromStates(gs.View)
-		req := m.composeView(view)
+		req := m.composeView(viewFromStates(gs.View))
 		if string(req.Key()) != gs.Key {
 			return fail(fmt.Errorf("overlay restore: group key %q recomposes to %q", gs.Key, req.Key()))
 		}
-		g := m.groupFor(req)
-		for ti := range gs.Trees {
-			ts := &gs.Trees[ti]
-			sid, err := model.ParseStreamID(ts.Stream)
-			if err != nil {
-				return fail(fmt.Errorf("overlay restore: group %q: %w", gs.Key, err))
-			}
-			s, ok := session.Stream(sid)
-			if !ok {
-				return fail(fmt.Errorf("overlay restore: group %q: unknown stream %v", gs.Key, sid))
-			}
-			pos := g.streamIndex(sid)
-			if pos < 0 {
-				return fail(fmt.Errorf("overlay restore: group %q: stream %v is not in its view", gs.Key, sid))
-			}
-			t := m.treeFor(g, pos, s)
-			byViewer := make(map[model.ViewerID]*Node, len(ts.Nodes))
-			restored[t] = byViewer
-			for ni := range ts.Nodes {
-				ns := &ts.Nodes[ni]
-				n := t.NewNode(ns.Viewer, ns.OutDeg, ns.OutCap)
-				n.stream = int32(pos)
-				if ns.Parent == "" {
-					if err := dist.Allocate(sid, s.BitrateMbps); err != nil {
-						t.store.release(n)
-						return fail(fmt.Errorf("overlay restore: stream %v root %s: %w", sid, ns.Viewer, err))
-					}
-					granted = append(granted, grant{id: sid, mbps: s.BitrateMbps})
-					t.AttachToCDN(n)
-				} else {
-					p := byViewer[ns.Parent]
-					if p == nil {
-						t.store.release(n)
-						return fail(fmt.Errorf("overlay restore: stream %v: node %s precedes parent %s", sid, ns.Viewer, ns.Parent))
-					}
-					if p.FreeSlots() <= 0 {
-						t.store.release(n)
-						return fail(fmt.Errorf("overlay restore: stream %v: parent %s over out-degree", sid, ns.Parent))
-					}
-					t.attachUnder(p, n)
-				}
-				byViewer[ns.Viewer] = n
-			}
-			// Pin exported κ-layers top-down, then recompute the delay chain
-			// once per root: parents refresh before children, so MinE2E sees
-			// the parent's final EffE2E and the exported equilibrium holds.
-			for ni := range ts.Nodes {
-				byViewer[ts.Nodes[ni].Viewer].Layer = ts.Nodes[ni].Layer
-			}
-			for _, r := range t.roots {
-				t.refreshFull(r)
-			}
-			t.settle()
-		}
+		m.groupFor(req)
 	}
 
 	for vi := range st.Viewers {
 		vs := &st.Viewers[vi]
-		view := viewFromStates(vs.View)
-		req := m.composeView(view)
+		req := m.composeView(viewFromStates(vs.View))
 		if string(req.Key()) != vs.GroupKey {
 			return fail(fmt.Errorf("overlay restore: viewer %s group key %q recomposes to %q", vs.ID, vs.GroupKey, req.Key()))
 		}
@@ -357,7 +302,8 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			g = newGroup(req)
 		}
 		v := &Viewer{
-			Info:       ViewerInfo{ID: vs.ID, InboundMbps: vs.InboundMbps, OutboundMbps: vs.OutboundMbps},
+			Info: ViewerInfo{ID: vs.ID, InboundMbps: vs.InboundMbps,
+				OutboundMbps: vs.OutboundMbps, Node: vs.Node},
 			Request:    req,
 			Group:      g,
 			InUsedMbps: vs.InUsedMbps,
@@ -383,24 +329,93 @@ func RestoreManager(session *model.Session, dist *cdn.CDN, prop PropFunc, params
 			v.Out = growShares(v.Out, i)
 			v.Out[i].Deg = d.Deg
 		}
-		// Bind the viewer's restored nodes in its request's priority
-		// order, the order Viewer.Nodes keeps.
-		for i, rs := range req.Streams {
+		if !vs.Rejected {
+			g.Members++
+		}
+		m.viewers[vs.ID] = v
+	}
+
+	// restored binds each rebuilt tree's nodes by viewer, for the viewer
+	// records below.
+	restored := make(map[*Tree]map[model.ViewerID]*Node)
+	for gi := range st.Groups {
+		gs := &st.Groups[gi]
+		g := m.groups[model.ViewKey(gs.Key)]
+		for ti := range gs.Trees {
+			ts := &gs.Trees[ti]
+			sid, err := model.ParseStreamID(ts.Stream)
+			if err != nil {
+				return fail(fmt.Errorf("overlay restore: group %q: %w", gs.Key, err))
+			}
+			s, ok := m.session.Stream(sid)
+			if !ok {
+				return fail(fmt.Errorf("overlay restore: group %q: unknown stream %v", gs.Key, sid))
+			}
+			pos := g.streamIndex(sid)
+			if pos < 0 {
+				return fail(fmt.Errorf("overlay restore: group %q: stream %v is not in its view", gs.Key, sid))
+			}
+			t := m.treeFor(g, pos, s)
+			byViewer := make(map[model.ViewerID]*Node, len(ts.Nodes))
+			restored[t] = byViewer
+			for ni := range ts.Nodes {
+				ns := &ts.Nodes[ni]
+				v := m.viewers[ns.Viewer]
+				if v == nil || v.Group != g || v.Info.OutboundMbps != ns.OutCap {
+					return fail(fmt.Errorf("overlay restore: stream %v: node %s matches no record of its group", sid, ns.Viewer))
+				}
+				n := t.NewNode(v, ns.OutDeg)
+				n.stream = int32(pos)
+				if ns.Parent == "" {
+					if err := m.cdn.Allocate(sid, s.BitrateMbps); err != nil {
+						t.store.release(n)
+						return fail(fmt.Errorf("overlay restore: stream %v root %s: %w", sid, ns.Viewer, err))
+					}
+					granted = append(granted, grant{id: sid, mbps: s.BitrateMbps})
+					t.AttachToCDN(n)
+				} else {
+					p := byViewer[ns.Parent]
+					if p == nil {
+						t.store.release(n)
+						return fail(fmt.Errorf("overlay restore: stream %v: node %s precedes parent %s", sid, ns.Viewer, ns.Parent))
+					}
+					if t.freeSlots(p) <= 0 {
+						t.store.release(n)
+						return fail(fmt.Errorf("overlay restore: stream %v: parent %s over out-degree", sid, ns.Parent))
+					}
+					t.attachUnder(p, n)
+				}
+				byViewer[ns.Viewer] = n
+			}
+			// Pin exported κ-layers top-down, then recompute the delay chain
+			// once per root: parents refresh before children, so MinE2E sees
+			// the parent's final EffE2E and the exported equilibrium holds.
+			for ni := range ts.Nodes {
+				byViewer[ts.Nodes[ni].Viewer].Layer = ts.Nodes[ni].Layer
+			}
+			for _, r := range t.roots {
+				t.refreshFull(r)
+			}
+			t.settle()
+		}
+	}
+
+	// Bind each record's restored nodes in its request's priority order,
+	// the order Viewer.Nodes keeps.
+	for vi := range st.Viewers {
+		v := m.viewers[st.Viewers[vi].ID]
+		g := v.Group
+		for i, rs := range v.Request.Streams {
 			t := g.Trees[g.streamIndex(rs.Stream.ID)]
-			if n, ok := restored[t][vs.ID]; ok {
+			if n, ok := restored[t][v.Info.ID]; ok {
 				v.Nodes = append(v.Nodes, n)
-				t.setOwner(n, v)
 				v.Out = growShares(v.Out, i)
 			}
 		}
-		if !vs.Rejected {
-			g.Members[vs.ID] = v
-		}
-		m.viewers[vs.ID] = v
 	}
 
 	if err := m.Validate(); err != nil {
 		return fail(fmt.Errorf("overlay restore: rebuilt shard fails validation: %w", err))
 	}
-	return m, nil
+	return nil
 }

@@ -9,6 +9,18 @@ import (
 	"telecast/internal/model"
 )
 
+// restoreManager rebuilds an exported state onto a fresh manager.
+func restoreManager(s *model.Session, dist *cdn.CDN, prop PropFunc, params Params, st *ShardState) (*Manager, error) {
+	m, err := NewManager(s, dist, prop, params)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Restore(st); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // purePropFunc returns a deterministic, stateless propagation function: a
 // symmetric hash of the two viewer IDs. Unlike newTestManager's memoized
 // jitter it computes identical delays in any call order, so an original
@@ -88,7 +100,7 @@ func TestExportRestoreExportByteIdentical(t *testing.T) {
 	}
 
 	dist2 := cdn.New(cdn.Config{OutboundCapacityMbps: 6000, Delta: 60 * time.Second})
-	m2, err := RestoreManager(s, dist2, purePropFunc(), testParams(t), st1)
+	m2, err := restoreManager(s, dist2, purePropFunc(), testParams(t), st1)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -122,7 +134,7 @@ func TestRestoreLiveAfterRoundTrip(t *testing.T) {
 	populateStateTest(t, m, s)
 
 	dist2 := cdn.New(cdn.Config{OutboundCapacityMbps: 6000, Delta: 60 * time.Second})
-	m2, err := RestoreManager(s, dist2, purePropFunc(), testParams(t), m.ExportState())
+	m2, err := restoreManager(s, dist2, purePropFunc(), testParams(t), m.ExportState())
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -148,7 +160,7 @@ func TestRestoreStrictOnShrunkenCDN(t *testing.T) {
 
 	tiny := cdn.New(cdn.Config{OutboundCapacityMbps: 2, Delta: 60 * time.Second})
 	before := tiny.RemainingMbps()
-	if _, err := RestoreManager(s, tiny, purePropFunc(), testParams(t), st); err == nil {
+	if _, err := restoreManager(s, tiny, purePropFunc(), testParams(t), st); err == nil {
 		t.Fatal("restore into a 2 Mbps CDN succeeded")
 	}
 	if after := tiny.RemainingMbps(); after != before {

@@ -13,8 +13,8 @@ package overlay
 //
 // The worklist holds viewer records, not IDs, and a record's pending flag is
 // its dedup bit, so the pass hashes no viewer ID: a node reaches its record
-// through its slot's owner column (slab.go). Popping a record without
-// looking it up in Manager.viewers is sound because of one invariant:
+// through its owner pointer. Popping a record without looking it up in
+// Manager.viewers is sound because of one invariant:
 //
 //	the worklist is empty whenever a record enters or leaves Manager.viewers.
 //
@@ -22,8 +22,8 @@ package overlay
 // exhaustion); joinRequest, behind Join, ChangeView and AdmitMigrant, files
 // its record before it queues anything; and Leave, ChangeView, Extract and
 // AdmitMigrant delete a record only after their drain. So every queued
-// record is live when it is popped. A node bound by no record — a handle
-// recycled before its subtree was queued — queues nobody.
+// record is live when it is popped. A recycled handle, zeroed with its
+// owner, queues nobody.
 
 // enqueueResub marks a viewer record for a subscription pass; nil is a
 // no-op.
@@ -35,20 +35,20 @@ func (m *Manager) enqueueResub(v *Viewer) {
 	m.pendingQ = append(m.pendingQ, v)
 }
 
-// enqueueNodes marks the viewers of changed nodes of the tree.
-func (m *Manager) enqueueNodes(t *Tree, nodes []*Node) {
+// enqueueNodes marks the viewers of changed nodes.
+func (m *Manager) enqueueNodes(nodes []*Node) {
 	for _, n := range nodes {
-		m.enqueueResub(t.ownerOf(n))
+		m.enqueueResub(n.owner)
 	}
 }
 
-// enqueueSubtree marks every viewer in the subtree of the tree rooted at n.
-func (m *Manager) enqueueSubtree(t *Tree, n *Node) {
+// enqueueSubtree marks every viewer in the subtree rooted at n.
+func (m *Manager) enqueueSubtree(n *Node) {
 	stack := append(m.subtreeStack[:0], n)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m.enqueueResub(t.ownerOf(cur))
+		m.enqueueResub(cur.owner)
 		stack = append(stack, cur.Children...)
 	}
 	m.subtreeStack = stack
@@ -125,7 +125,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 			tree := v.Group.Trees[node.stream]
 			if node.Parent != nil && m.cdn.Allocate(tree.Stream.ID, tree.Stream.BitrateMbps) == nil {
 				tree.MoveToCDN(node)
-				m.enqueueSubtree(tree, node)
+				m.enqueueSubtree(node)
 			} else {
 				m.logDrop(v.Info.ID, tree.Stream.ID, ReasonDelayBound)
 				m.dropStream(v, i, true)
@@ -155,7 +155,7 @@ func (m *Manager) resubscribeOne(v *Viewer) {
 		tree := v.Group.Trees[node.stream]
 		for _, c := range tree.setLayer(node, layer) {
 			if c != node {
-				m.enqueueResub(tree.ownerOf(c))
+				m.enqueueResub(c.owner)
 			}
 		}
 	}

@@ -139,20 +139,21 @@ func (t *Tree) HasSupplyFor(outDeg int, outCap float64) bool {
 }
 
 // beats implements the degree push-down comparison for a joiner with the
-// given spare slots: a virtual empty slot (out-degree −1) accepts anyone;
-// a real node z is displaced when the joiner has a slot left to adopt it
-// and either oDeg_u > oDeg_z, or the degrees tie and C^u_obw > C^z_obw.
-func beats(outDeg, freeSlots int, outCap float64, z *Node) bool {
-	if z.OutDeg == -1 {
+// given spare slots against a candidate of degree zDeg and capacity zCap: a
+// virtual empty slot (zDeg −1) accepts anyone; a real node z is displaced
+// when the joiner has a slot left to adopt it and either oDeg_u > oDeg_z,
+// or the degrees tie and C^u_obw > C^z_obw.
+func beats(outDeg, freeSlots int, outCap float64, zDeg int, zCap float64) bool {
+	if zDeg == -1 {
 		return outDeg >= 0
 	}
 	if freeSlots < 1 {
 		return false // nowhere to put the displaced node
 	}
-	if outDeg != z.OutDeg {
-		return outDeg > z.OutDeg
+	if outDeg != zDeg {
+		return outDeg > zDeg
 	}
-	return outCap > z.OutCap
+	return outCap > zCap
 }
 
 // Insert runs Algorithm 1 (degree push down) to place u in the tree. It
@@ -209,13 +210,14 @@ func (t *Tree) place(u *Node) (placed bool, displaced *Node) {
 // attach under (victim == nil), or neither when u beats no candidate.
 func (t *Tree) findPosition(u *Node) (victim, parent *Node) {
 	t.settle()
-	canDisplace := u.FreeSlots() > 0
+	canDisplace := t.freeSlots(u) > 0
+	deg, cap := t.deg(u), t.store.cap[u.slot-1]
 	for _, li := range t.levels {
 		if li.count == 0 {
 			break // levels are contiguous: an empty one ends the tree
 		}
 		if canDisplace {
-			if z := li.weakest(t.store, u.OutDeg, u.OutCap); z != nil {
+			if z := li.weakest(t.store, deg, cap); z != nil {
 				return z, nil
 			}
 		}
@@ -234,25 +236,34 @@ func (t *Tree) findPosition(u *Node) (victim, parent *Node) {
 // is retained verbatim (allocations and all) as the oracle the differential
 // tests compare findPosition against; production code never calls it.
 func (t *Tree) findPositionScan(u *Node) (victim, parent *Node) {
-	level := make([]*Node, len(t.roots))
-	copy(level, t.roots)
+	me := t.candidate(u)
+	free := t.freeSlots(u)
+	level := make([]scanCand, len(t.roots))
+	for i, r := range t.roots {
+		level[i] = t.candidate(r)
+	}
 	for len(level) > 0 {
 		sortCandidates(level)
 		for _, z := range level {
-			if beats(u.OutDeg, u.FreeSlots(), u.OutCap, z) {
-				if z.OutDeg == -1 {
-					return nil, z.Parent
+			if beats(me.deg, free, me.cap, z.deg, z.cap) {
+				if z.node == nil {
+					return nil, z.parent
 				}
-				return z, nil
+				return z.node, nil
 			}
 		}
-		var next []*Node
+		var next []scanCand
 		for _, z := range level {
-			next = append(next, z.Children...)
-			if z.FreeSlots() > 0 {
+			if z.node == nil {
+				continue
+			}
+			for _, c := range z.node.Children {
+				next = append(next, t.candidate(c))
+			}
+			if t.freeSlots(z.node) > 0 {
 				// One virtual empty slot per parent is enough:
 				// attaching consumes exactly one.
-				next = append(next, &Node{OutDeg: -1, Parent: z})
+				next = append(next, scanCand{parent: z.node, deg: -1})
 			}
 		}
 		level = next
@@ -260,22 +271,42 @@ func (t *Tree) findPositionScan(u *Node) (victim, parent *Node) {
 	return nil, nil
 }
 
-// sortCandidates orders a level ascending by out-degree, then by out
-// capacity, then by effective delay (prefer displacing high-delay nodes),
-// then by viewer ID for determinism. Only the reference scan still sorts.
-func sortCandidates(level []*Node) {
+// scanCand is one candidate of the reference scan with its sort key: a real
+// node, or — node nil — the virtual empty slot under parent, of out-degree
+// −1 and zero capacity, delay and ID.
+type scanCand struct {
+	node, parent *Node
+	deg          int
+	cap          float64
+	eff          time.Duration
+	id           viewerID
+}
+
+// candidate keys a real node for the reference scan.
+func (t *Tree) candidate(n *Node) scanCand {
+	return scanCand{node: n, deg: t.deg(n), cap: t.store.cap[n.slot-1], eff: n.EffE2E, id: n.Viewer()}
+}
+
+// sortCandidates orders a level by Algorithm 1's candidate order: ascending
+// out-degree, then out capacity, then descending effective delay (prefer
+// displacing high-delay nodes), then viewer ID. Viewer IDs are unique, so
+// among real nodes the order is total, and the minima the admission index
+// returns under its slot-level restriction (nodeStore.lessSlot) do not
+// depend on filing order. The sort is stable so virtual slots keep their
+// parents' order. Only the reference scan still sorts.
+func sortCandidates(level []scanCand) {
 	sort.SliceStable(level, func(i, j int) bool {
 		a, b := level[i], level[j]
-		if a.OutDeg != b.OutDeg {
-			return a.OutDeg < b.OutDeg
+		if a.deg != b.deg {
+			return a.deg < b.deg
 		}
-		if a.OutCap != b.OutCap {
-			return a.OutCap < b.OutCap
+		if a.cap != b.cap {
+			return a.cap < b.cap
 		}
-		if a.EffE2E != b.EffE2E {
-			return a.EffE2E > b.EffE2E
+		if a.eff != b.eff {
+			return a.eff > b.eff
 		}
-		return a.Viewer < b.Viewer
+		return a.id < b.id
 	})
 }
 
@@ -305,7 +336,7 @@ func (t *Tree) displace(z, u *Node) {
 		t.roots[i] = u
 		rp[u.slot-1], rp[z.slot-1] = i, -1
 	} else {
-		t.store.edge[u.slot-1] = t.prop(z.Parent.Viewer, u.Viewer)
+		t.store.edge[u.slot-1] = t.prop(z.Parent.Viewer(), u.Viewer())
 		for i, c := range z.Parent.Children {
 			if c == z {
 				z.Parent.Children[i] = u
@@ -387,17 +418,15 @@ func (t *Tree) Orphan(victim *Node) []*Node {
 	return children
 }
 
-// trackNode flags a node tracked and enters it into the free-slot counter,
-// binding it to a slab slot if it was built outside the slab (tests).
+// trackNode flags a node tracked and enters it into the free-slot counter.
 // Re-tracking a victim that was never untracked is a no-op.
 func (t *Tree) trackNode(n *Node) {
 	if t.tracks(n) {
 		return
 	}
-	t.store.adopt(n)
 	t.store.tracked[n.slot-1] = true
 	t.size++
-	t.free += n.FreeSlots()
+	t.free += t.freeSlots(n)
 }
 
 // untrackNode clears a node's tracked flag and takes it out of the
@@ -408,7 +437,7 @@ func (t *Tree) untrackNode(n *Node) {
 	}
 	t.store.tracked[n.slot-1] = false
 	t.size--
-	t.free -= n.FreeSlots()
+	t.free -= t.freeSlots(n)
 }
 
 // linkChild appends u to p's children and forms u's edge. p must be
@@ -418,11 +447,11 @@ func (t *Tree) untrackNode(n *Node) {
 func (t *Tree) linkChild(p, u *Node) {
 	p.Children = append(p.Children, u)
 	u.Parent = p
-	t.store.edge[u.slot-1] = t.prop(p.Viewer, u.Viewer)
+	t.store.edge[u.slot-1] = t.prop(p.Viewer(), u.Viewer())
 	t.free--
 	ps := p.slot - 1
 	t.store.kids[ps]++
-	if t.store.filed(ps) && p.FreeSlots() == 0 {
+	if t.store.filed(ps) && t.store.freeSlotsAt(ps) == 0 {
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
@@ -446,7 +475,7 @@ func (t *Tree) unlinkChild(u *Node) {
 	t.free++
 	ps := p.slot - 1
 	t.store.kids[ps]--
-	if t.store.filed(ps) && p.FreeSlots() == 1 {
+	if t.store.filed(ps) && t.store.freeSlotsAt(ps) == 1 {
 		t.levels[t.store.depth[ps]].adjustFree(t.store, p)
 	}
 }
@@ -483,10 +512,11 @@ func (t *Tree) indexSubtree(n *Node, depth int) {
 	t.settle()
 	t.store.depth[n.slot-1] = int32(depth)
 	t.levelFor(depth).add(t.store, n)
-	for len(t.degTotals) <= n.OutDeg {
+	deg := t.deg(n)
+	for len(t.degTotals) <= deg {
 		t.degTotals = append(t.degTotals, 0)
 	}
-	t.degTotals[n.OutDeg]++
+	t.degTotals[deg]++
 	for _, c := range n.Children {
 		t.indexSubtree(c, depth+1)
 	}
@@ -497,7 +527,7 @@ func (t *Tree) indexSubtree(n *Node, depth int) {
 func (t *Tree) unindexSubtree(n *Node) {
 	t.settle()
 	t.levels[t.depthOf(n)].remove(t.store, n)
-	t.degTotals[n.OutDeg]--
+	t.degTotals[t.deg(n)]--
 	for _, c := range n.Children {
 		t.unindexSubtree(c)
 	}
@@ -513,10 +543,9 @@ func (t *Tree) settle() {
 	s := t.store
 	for _, slot := range s.staleQ {
 		s.stale[slot] = false
-		n := s.nodes[slot]
-		if s.eff[slot] != n.EffE2E {
-			s.eff[slot] = n.EffE2E
-			t.levels[s.depth[slot]].rekey(s, n)
+		if eff := s.at(slot).EffE2E; s.eff[slot] != eff {
+			s.eff[slot] = eff
+			t.levels[s.depth[slot]].rekey(s, slot)
 		}
 	}
 	s.staleQ = s.staleQ[:0]
@@ -545,7 +574,7 @@ func (t *Tree) refreshDelays(n *Node) (changed []*Node) {
 // refreshFull is the full walk: it re-derives every edge in n's subtree
 // from prop and refreshes every node, stopping nowhere. RefreshAll needs it
 // because prop itself may have drifted (§VI's periodic adaptation, a
-// DelayShift), and RestoreManager because it pins layers without walking.
+// DelayShift), and Manager.Restore because it pins layers without walking.
 func (t *Tree) refreshFull(n *Node) (changed []*Node) {
 	return t.walkDelays(n, true)
 }
@@ -566,7 +595,7 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 		n.MinE2E = h.Delta
 	} else {
 		if full {
-			t.store.edge[slot] = t.prop(n.Parent.Viewer, n.Viewer)
+			t.store.edge[slot] = t.prop(n.Parent.Viewer(), n.Viewer())
 		}
 		n.MinE2E = n.Parent.EffE2E + t.store.edge[slot] + t.params.Proc
 	}
@@ -591,7 +620,7 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 			s.eff[slot] = n.EffE2E
 		case t.alwaysWalk:
 			s.eff[slot] = n.EffE2E
-			t.levels[s.depth[slot]].rekey(s, n)
+			t.levels[s.depth[slot]].rekey(s, slot)
 		case !s.stale[slot]:
 			s.stale[slot] = true
 			s.staleQ = append(s.staleQ, slot)
@@ -627,7 +656,7 @@ func (t *Tree) refreshNode(n *Node, full, descend bool) {
 // walk root's children (where displace's new edge sits); refreshNode visits
 // the children of any node whose EffE2E it moves; and Layer is written only
 // here (walk follows), by refreshNode's own minimum-layer ratchet, and by
-// RestoreManager, which runs the full walk from every root after pinning
+// Manager.Restore, which runs the full walk from every root after pinning
 // layers. Detach and Orphan do cut victims loose unrefreshed, but a victim
 // is re-placed through one of the attach primitives, or dropped, before the
 // manager runs another subscription pass. So whenever setLayer is called
@@ -692,7 +721,7 @@ func (t *Tree) InsertFIFO(u *Node) bool {
 	q = append(q, t.roots...)
 	for head := 0; head < len(q); head++ {
 		z := q[head]
-		if z.FreeSlots() > 0 {
+		if t.freeSlots(z) > 0 {
 			t.fifoQ = q[:0]
 			t.attachUnder(z, u)
 			return true

@@ -28,8 +28,14 @@ func newTestTree(t *testing.T, prop PropFunc) *Tree {
 	return newTree(model.StreamID{Site: "A", Index: 1}, 2.0, 10, newNodeStore(), prop, testParams(t))
 }
 
-func mkNode(id string, deg int) *Node {
-	return &Node{Viewer: model.ViewerID(id), OutDeg: deg, OutCap: float64(2 * deg)}
+// testNode makes a node of a fresh record for viewer id in the tree, the
+// way a manager join would: the record carries the capacity.
+func testNode(tree *Tree, id model.ViewerID, deg int, cap float64) *Node {
+	return tree.NewNode(&Viewer{Info: ViewerInfo{ID: id, OutboundMbps: cap}}, deg)
+}
+
+func mkNode(tree *Tree, id string, deg int) *Node {
+	return testNode(tree, model.ViewerID(id), deg, float64(2*deg))
 }
 
 func requireValid(t *testing.T, tree *Tree) {
@@ -41,7 +47,7 @@ func requireValid(t *testing.T, tree *Tree) {
 
 func TestInsertIntoEmptyTreeFails(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	placed, _ := tree.Insert(mkNode("u1", 3))
+	placed, _ := tree.Insert(mkNode(tree, "u1", 3))
 	if placed {
 		t.Fatal("empty tree has no P2P position; CDN is the only root source")
 	}
@@ -49,14 +55,14 @@ func TestInsertIntoEmptyTreeFails(t *testing.T) {
 
 func TestAttachToCDNAndFillSlots(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 2)
+	root := mkNode(tree, "root", 2)
 	tree.AttachToCDN(root)
 	if root.MinE2E != 60*time.Second {
 		t.Fatalf("root delay = %v, want Δ", root.MinE2E)
 	}
 	// Two equal-degree joiners fill root's free slots rather than
 	// displacing it (they don't beat it: equal degree, equal cap).
-	a := mkNode("a", 2)
+	a := mkNode(tree, "a", 2)
 	placed, displaced := tree.Insert(a)
 	if !placed || displaced != nil {
 		t.Fatalf("a: placed=%v displaced=%v", placed, displaced)
@@ -64,12 +70,12 @@ func TestAttachToCDNAndFillSlots(t *testing.T) {
 	if a.Parent != root {
 		t.Fatal("a should attach under root")
 	}
-	b := mkNode("b", 2)
+	b := mkNode(tree, "b", 2)
 	if placed, _ := tree.Insert(b); !placed {
 		t.Fatal("b should fill the second slot")
 	}
-	if root.FreeSlots() != 0 {
-		t.Fatalf("root free slots = %d", root.FreeSlots())
+	if tree.freeSlots(root) != 0 {
+		t.Fatalf("root free slots = %d", tree.freeSlots(root))
 	}
 	requireValid(t, tree)
 	// Child delay: Δ + prop + δ = 60s + 150ms → layer 1.
@@ -81,9 +87,9 @@ func TestAttachToCDNAndFillSlots(t *testing.T) {
 
 func TestInsertPushesDownWeakerNode(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	weak := mkNode("weak", 1)
+	weak := mkNode(tree, "weak", 1)
 	tree.AttachToCDN(weak)
-	strong := mkNode("strong", 4)
+	strong := mkNode(tree, "strong", 4)
 	placed, displaced := tree.Insert(strong)
 	if !placed || displaced != weak {
 		t.Fatalf("placed=%v displaced=%v", placed, displaced)
@@ -102,16 +108,16 @@ func TestInsertPushesDownWeakerNode(t *testing.T) {
 
 func TestInsertPrefersFreeSlotOverDisplacement(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 2)
+	root := mkNode(tree, "root", 2)
 	tree.AttachToCDN(root)
-	low := mkNode("low", 1)
+	low := mkNode(tree, "low", 1)
 	if placed, _ := tree.Insert(low); !placed {
 		t.Fatal("low should attach")
 	}
 	// mid beats low (degree 2 > 1) but a free slot remains under root at
 	// the same level; the virtual empty (−1) sorts first so mid attaches
 	// without displacing.
-	mid := mkNode("mid", 2)
+	mid := mkNode(tree, "mid", 2)
 	placed, displaced := tree.Insert(mid)
 	if !placed || displaced != nil {
 		t.Fatalf("placed=%v displaced=%v", placed, displaced)
@@ -124,10 +130,10 @@ func TestInsertPrefersFreeSlotOverDisplacement(t *testing.T) {
 
 func TestInsertTieBreakOnOutboundCapacity(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	incumbent := &Node{Viewer: "inc", OutDeg: 2, OutCap: 4}
+	incumbent := testNode(tree, "inc", 2, 4)
 	tree.AttachToCDN(incumbent)
 	// Same degree, more raw capacity → displaces.
-	rich := &Node{Viewer: "rich", OutDeg: 2, OutCap: 9}
+	rich := testNode(tree, "rich", 2, 9)
 	placed, displaced := tree.Insert(rich)
 	if !placed || displaced != incumbent {
 		t.Fatalf("placed=%v displaced=%v", placed, displaced)
@@ -137,13 +143,13 @@ func TestInsertTieBreakOnOutboundCapacity(t *testing.T) {
 
 func TestDisplacedSubtreeMovesIntact(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	mid := mkNode("mid", 1)
+	mid := mkNode(tree, "mid", 1)
 	tree.AttachToCDN(mid)
-	leaf := mkNode("leaf", 0)
+	leaf := mkNode(tree, "leaf", 0)
 	if placed, _ := tree.Insert(leaf); !placed {
 		t.Fatal("leaf should attach under mid")
 	}
-	big := mkNode("big", 5)
+	big := mkNode(tree, "big", 5)
 	placed, displaced := tree.Insert(big)
 	if !placed || displaced != mid {
 		t.Fatalf("placed=%v displaced=%v", placed, displaced)
@@ -164,13 +170,13 @@ func TestDisplacedSubtreeMovesIntact(t *testing.T) {
 
 func TestZeroDegreeJoinerNeedsFreeSlot(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
-	a := mkNode("a", 0)
+	a := mkNode(tree, "a", 0)
 	if placed, _ := tree.Insert(a); !placed {
 		t.Fatal("free slot should accept zero-degree viewer")
 	}
-	b := mkNode("b", 0)
+	b := mkNode(tree, "b", 0)
 	if placed, _ := tree.Insert(b); placed {
 		t.Fatal("no slot and nothing to beat: insert must fail")
 	}
@@ -179,9 +185,9 @@ func TestZeroDegreeJoinerNeedsFreeSlot(t *testing.T) {
 
 func TestDetachProducesVictims(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 2)
+	root := mkNode(tree, "root", 2)
 	tree.AttachToCDN(root)
-	a, b := mkNode("a", 1), mkNode("b", 0)
+	a, b := mkNode(tree, "a", 1), mkNode(tree, "b", 0)
 	tree.Insert(a)
 	tree.Insert(b)
 	victims := tree.Detach(root)
@@ -203,11 +209,11 @@ func TestDetachProducesVictims(t *testing.T) {
 
 func TestReattachVictimKeepsSubtree(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
-	mid := mkNode("mid", 1)
+	mid := mkNode(tree, "mid", 1)
 	tree.Insert(mid)
-	leaf := mkNode("leaf", 0)
+	leaf := mkNode(tree, "leaf", 0)
 	tree.Insert(leaf)
 
 	// Remove root; mid (with leaf beneath) is the victim.
@@ -231,11 +237,11 @@ func TestReattachVictimKeepsSubtree(t *testing.T) {
 
 func TestMoveToCDNKeepsChildren(t *testing.T) {
 	tree := newTestTree(t, constProp(50*time.Millisecond))
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
-	mid := mkNode("mid", 1)
+	mid := mkNode(tree, "mid", 1)
 	tree.Insert(mid)
-	leaf := mkNode("leaf", 0)
+	leaf := mkNode(tree, "leaf", 0)
 	tree.Insert(leaf)
 	tree.MoveToCDN(mid)
 	if mid.Parent != nil {
@@ -247,7 +253,7 @@ func TestMoveToCDNKeepsChildren(t *testing.T) {
 	if leaf.Parent != mid {
 		t.Fatal("leaf lost")
 	}
-	if root.FreeSlots() != 1 {
+	if tree.freeSlots(root) != 1 {
 		t.Errorf("old parent slot not freed")
 	}
 	requireValid(t, tree)
@@ -258,12 +264,12 @@ func TestHasSupplyFor(t *testing.T) {
 	if tree.HasSupplyFor(10, 100) {
 		t.Fatal("empty tree has no P2P supply")
 	}
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
 	if !tree.HasSupplyFor(0, 0) {
 		t.Fatal("free slot is supply for anyone")
 	}
-	leaf := mkNode("leaf", 0)
+	leaf := mkNode(tree, "leaf", 0)
 	tree.Insert(leaf)
 	if tree.HasSupplyFor(0, 0) {
 		t.Fatal("full tree with nothing beatable")
@@ -280,7 +286,7 @@ func TestOverlayPropertyHigherDegreeCloserToRoot(t *testing.T) {
 	tree := newTestTree(t, constProp(20*time.Millisecond))
 	degrees := []int{0, 1, 2, 3, 4, 5, 6}
 	for i, d := range degrees {
-		n := &Node{Viewer: model.ViewerID(rune('a' + i)), OutDeg: d, OutCap: float64(d)}
+		n := testNode(tree, model.ViewerID(rune('a'+i)), d, float64(d))
 		if placed, _ := tree.Insert(n); !placed {
 			tree.AttachToCDN(n)
 		}
@@ -288,9 +294,9 @@ func TestOverlayPropertyHigherDegreeCloserToRoot(t *testing.T) {
 	requireValid(t, tree)
 	tree.Walk(func(n *Node) {
 		for _, c := range n.Children {
-			if c.OutDeg > n.OutDeg {
+			if tree.deg(c) > tree.deg(n) {
 				t.Errorf("child %s (deg %d) above parent %s (deg %d)",
-					c.Viewer, c.OutDeg, n.Viewer, n.OutDeg)
+					c.Viewer(), tree.deg(c), n.Viewer(), tree.deg(n))
 			}
 		}
 	})
@@ -298,9 +304,9 @@ func TestOverlayPropertyHigherDegreeCloserToRoot(t *testing.T) {
 
 func TestLayerAssignmentNeverBelowMinimum(t *testing.T) {
 	tree := newTestTree(t, constProp(200*time.Millisecond))
-	root := mkNode("root", 1)
+	root := mkNode(tree, "root", 1)
 	tree.AttachToCDN(root)
-	child := mkNode("child", 1)
+	child := mkNode(tree, "child", 1)
 	tree.Insert(child)
 	// prop+δ = 300ms ⇒ min layer 2 (τ=150ms).
 	if got := testParams(t).Hierarchy.LayerOf(child.MinE2E); got != 2 {
@@ -333,11 +339,7 @@ func TestInsertSequenceProperty(t *testing.T) {
 				break
 			}
 			deg := int(raw % 7)
-			n := &Node{
-				Viewer: model.ViewerID(fmt.Sprintf("q%03d", i)),
-				OutDeg: deg,
-				OutCap: float64(deg * 2),
-			}
+			n := testNode(tree, model.ViewerID(fmt.Sprintf("q%03d", i)), deg, float64(deg*2))
 			if placed, _ := tree.Insert(n); !placed {
 				tree.AttachToCDN(n)
 			}
@@ -348,7 +350,7 @@ func TestInsertSequenceProperty(t *testing.T) {
 		ok := true
 		tree.Walk(func(n *Node) {
 			for _, c := range n.Children {
-				if c.OutDeg > n.OutDeg {
+				if tree.deg(c) > tree.deg(n) {
 					ok = false
 				}
 			}

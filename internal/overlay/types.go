@@ -17,6 +17,10 @@ import (
 )
 
 // PropFunc returns the one-way propagation delay d_prop between two viewers.
+// The manager calls it only for viewers it holds a record of, so an
+// implementation can resolve the IDs through Manager.Viewer (the session
+// layer reads each record's ViewerInfo.Node) instead of keeping a registry
+// of its own.
 type PropFunc func(a, b model.ViewerID) time.Duration
 
 // Params collects the session-wide overlay constants.
@@ -64,7 +68,10 @@ func (p Params) offsetFrac() float64 {
 	return f
 }
 
-// ViewerInfo describes a joining viewer's identity and resource constraints.
+// ViewerInfo describes a joining viewer's identity, resource constraints
+// and place in the latency substrate. The record's Info is the only copy of
+// these facts in the control plane: nodes point at the record, and the
+// session layer resolves propagation delays through it.
 type ViewerInfo struct {
 	ID model.ViewerID
 	// InboundMbps is C^u_ibw, the viewer's total inbound capacity.
@@ -72,14 +79,22 @@ type ViewerInfo struct {
 	// OutboundMbps is C^u_obw, the total outbound capacity the viewer
 	// contributes to the P2P layer.
 	OutboundMbps float64
+	// Node is the viewer's latency-matrix node index. The overlay never
+	// reads it; it carries it so that a PropFunc can, and so that
+	// snapshots and migrations keep it.
+	Node int
 }
 
 // Node is a viewer's position in one stream's dissemination tree. A nil
-// Parent means the node is a direct child of the CDN.
+// Parent means the node is a direct child of the CDN. Nodes are born only
+// from their tree's slab (Tree.NewNode) and keep no copy of their viewer's
+// facts: a node points at the record that owns it (Viewer and Owner read
+// it), and its out-degree and out capacity live only in the slab's deg and
+// cap columns, which the admission index reads.
 type Node struct {
-	Viewer   model.ViewerID
-	OutDeg   int
-	OutCap   float64 // C^u_obw, the degree push-down tie-breaker
+	// owner is the viewer record whose Nodes hold this node; nil only for
+	// a recycled slot.
+	owner    *Viewer
 	Parent   *Node
 	Children []*Node
 
@@ -95,11 +110,12 @@ type Node struct {
 	EffE2E time.Duration
 
 	// slot is the node's 1-based binding into the owning tree's slab
-	// (slab.go); 0 means unbound. The admission-index bookkeeping —
-	// depth, heap position, root position — sits in the store's SoA
-	// arrays at slot-1, together with dense mirrors of the hot fields
-	// above, so the index's heap sifts compare inside contiguous memory.
-	// A node belongs to exactly one tree, so one slot suffices.
+	// (slab.go); 0 means the slot is free. The admission-index
+	// bookkeeping — depth, heap position, root position — sits in the
+	// store's SoA arrays at slot-1, together with the out-degree and out
+	// capacity and a dense mirror of EffE2E, so the index's heap sifts
+	// compare inside contiguous memory. A node belongs to exactly one
+	// tree, so one slot suffices.
 	slot int32
 	// stream is the position of the node's tree in its group's Trees,
 	// which is its stream's position in the group's sorted stream set:
@@ -108,14 +124,11 @@ type Node struct {
 	stream int32
 }
 
-// FreeSlots returns the node's unused out-degree.
-func (n *Node) FreeSlots() int {
-	free := n.OutDeg - len(n.Children)
-	if free < 0 {
-		return 0
-	}
-	return free
-}
+// Viewer returns the ID of the viewer that owns the node.
+func (n *Node) Viewer() model.ViewerID { return n.owner.Info.ID }
+
+// Owner returns the viewer record that owns the node.
+func (n *Node) Owner() *Viewer { return n.owner }
 
 // Viewer is the overlay-side record of a connected viewer.
 type Viewer struct {
@@ -179,8 +192,10 @@ type Group struct {
 	// group's stream set in sorted StreamID order (the order the Key
 	// lists them in). An entry is nil until a member's admission first
 	// reaches that stream.
-	Trees   []*Tree
-	Members map[model.ViewerID]*Viewer
+	Trees []*Tree
+	// Members counts the admitted records of the group. The records
+	// themselves are listed once, in Manager.viewers.
+	Members int
 	// Sites are the distinct producer sites of the request in sorted
 	// order, derived once so per-join coverage checks allocate nothing.
 	Sites []model.SiteID
@@ -198,7 +213,6 @@ func newGroup(req model.ViewRequest) *Group {
 		Key:     req.Key(),
 		Request: req,
 		Trees:   make([]*Tree, len(ids)),
-		Members: make(map[model.ViewerID]*Viewer),
 		ids:     ids,
 	}
 	for _, id := range ids {

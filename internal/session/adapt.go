@@ -85,10 +85,6 @@ func (c *Controller) SubscriptionPoints(id model.ViewerID) ([]SubscriptionPoint,
 func (l *LSC) subscriptionPoints(id model.ViewerID, mon *MonitorReader, producers *model.Session, proc time.Duration) ([]SubscriptionPoint, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st, ok := l.viewers[id]
-	if !ok {
-		return nil, fmt.Errorf("not registered")
-	}
 	v, ok := l.shard.Viewer(id)
 	if !ok {
 		return nil, fmt.Errorf("not in overlay")
@@ -104,15 +100,13 @@ func (l *LSC) subscriptionPoints(id model.ViewerID, mon *MonitorReader, producer
 		stream, _ := producers.Stream(sid)
 		var parent model.ViewerID
 		var dprop time.Duration
-		if node.Parent != nil {
-			parent = node.Parent.Viewer
-			if p, ok := l.viewers[parent]; ok {
-				dprop = l.cfg.Latency.Delay(st.nodeIdx, p.nodeIdx)
-			}
+		if p := node.Parent; p != nil {
+			parent = p.Viewer()
+			dprop = l.cfg.Latency.Delay(v.Info.Node, p.Owner().Info.Node)
 		} else {
 			// CDN parents are served by the edge co-located with the
 			// viewer's LSC.
-			dprop = l.cfg.Latency.Delay(st.nodeIdx, l.NodeIdx)
+			dprop = l.cfg.Latency.Delay(v.Info.Node, l.NodeIdx)
 		}
 		from := hier.SubscriptionFrame(status.LatestFrame, node.Layer,
 			stream.FrameRate, dprop, proc, 1)

@@ -27,6 +27,9 @@ func testAllocator(t *testing.T, nodes int) (*nodeAllocator, *trace.LatencyMatri
 	return a, lat
 }
 
+// has reports whether idx's bit is set.
+func (b takenBits) has(idx int) bool { return b[idx>>6].Load()&(1<<(idx&63)) != 0 }
+
 // drainRegion acquires every node of one region through the hint path,
 // returning the indices taken.
 func drainRegion(t *testing.T, a *nodeAllocator, r trace.Region) []int {
@@ -159,6 +162,31 @@ func TestAllocatorFirstReleaseAllocatesNoTable(t *testing.T) {
 	}
 	if least > 4<<10 {
 		t.Fatalf("one acquire and release allocated %d B on a 100 000-node matrix, want <= 4 KiB", least)
+	}
+}
+
+// TestAllocatorInitTakesABitPerNode: the ownership record is a bitset, so
+// readying a 100 000-node matrix costs 12.5 KB of taken bits plus the
+// region pools, where a flag per node cost 400 KB. Least of a few trials,
+// as above.
+func TestAllocatorInitTakesABitPerNode(t *testing.T) {
+	lat, err := trace.GenerateLatencyMatrix(trace.DefaultLatencyConfig(100_000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a := &nodeAllocator{}
+		a.init(lat, 1+lat.NumRegions())
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(a)
+	}
+	t.Logf("init allocated %d B", least)
+	if least > 16<<10 {
+		t.Fatalf("init allocated %d B for a 100 000-node matrix, want <= 16 KiB", least)
 	}
 }
 
@@ -298,7 +326,7 @@ func auditPools(t *testing.T, a *nodeAllocator, lat *trace.LatencyMatrix) {
 		}
 	}
 	for idx := range lat.Nodes() {
-		taken := a.taken[idx].Load()
+		taken := a.taken.has(idx)
 		if idx < start {
 			if taken || listed[idx] {
 				t.Errorf("reserved node %d is taken or listed", idx)

@@ -165,7 +165,7 @@ type preparedBatch struct {
 }
 
 // prepareBatch runs the GSC half of a join batch — duplicate check, route
-// claim, latency-node placement, registry insert — striped by viewer-ID hash
+// claim, latency-node placement — striped by viewer-ID hash
 // across prepare workers, then groups the survivors by owning shard.
 // Failures (and cancellation observed during prepare) are recorded in out;
 // prepared entries await admit or abandon.
@@ -197,7 +197,7 @@ func (c *Controller) prepareBatch(ctx context.Context, reqs []JoinRequest, out [
 // contention between shards. Results are returned in input order.
 //
 // Cancelling the context stops dispatching: requests not yet admitted are
-// unwound completely (route claim, registry entry, latency node) and report
+// unwound completely (route claim, latency node) and report
 // the context error, while already-admitted viewers stay joined and report
 // normally. CDN egress is only ever held inside a single shard admission,
 // so a cancelled batch can never leak Δ-bounded reservations.

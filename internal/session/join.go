@@ -26,12 +26,12 @@ type JoinOutcome struct {
 }
 
 // preparedJoin is a routed-but-not-yet-admitted viewer: ID claimed, node
-// placed, shard chosen; the shard registers it at admission. It is passed by
-// value — one lives per in-flight join, and keeping it off the heap matters
-// on the admission fast path.
+// placed (info.Node), shard chosen; the shard files its record at
+// admission. It is passed by value — one lives per in-flight join, and
+// keeping it off the heap matters on the admission fast path.
 type preparedJoin struct {
 	lsc  *LSC
-	st   viewerState
+	info overlay.ViewerInfo
 	view model.View
 	// tr spans the whole join — prepare through admit (or abandon) — so the
 	// trace survives the batch pipeline's prepare→admit handoff. Copies are
@@ -43,7 +43,7 @@ type preparedJoin struct {
 // prepare runs the GSC half of the join protocol: duplicate check, node
 // placement (honoring the request's region hint), and geo-routing to the
 // owning shard. It is cheap and thread-safe; the expensive admission —
-// registry insertion included — runs on the shard.
+// the viewer record included — runs on the shard.
 func (c *Controller) prepare(req JoinRequest) (preparedJoin, error) {
 	var p preparedJoin
 	c.tel.StartOp(&p.tr, telemetry.OpJoin)
@@ -60,26 +60,23 @@ func (c *Controller) prepare(req JoinRequest) (preparedJoin, error) {
 	}
 	p.tr.Phase(telemetry.PhaseRoute)
 	lsc := c.lscFor(nodeIdx)
-	st := viewerState{
-		nodeIdx: nodeIdx,
-		info:    overlay.ViewerInfo{ID: id, InboundMbps: req.InboundMbps, OutboundMbps: req.OutboundMbps},
-	}
+	info := overlay.ViewerInfo{ID: id, InboundMbps: req.InboundMbps, OutboundMbps: req.OutboundMbps, Node: nodeIdx}
 	p.tr.Phase(telemetry.PhasePrepare)
 	// The route stays a claim (nil) until the shard admits the viewer, so
 	// a racing Leave or ChangeView sees ErrUnknownViewer instead of
 	// operating on a half-joined one.
-	p.lsc, p.st, p.view = lsc, st, req.View
+	p.lsc, p.info, p.view = lsc, info, req.View
 	return p, nil
 }
 
 // abandon unwinds a prepared join that will never be admitted (cancelled
 // batch entries): the route claim and the latency node return to their
-// pools. No registry entry or CDN egress was held yet — both only happen
+// pools. No viewer record or CDN egress was held yet — both only happen
 // inside the shard admission — so nothing can leak there.
 func (c *Controller) abandon(p preparedJoin) {
-	c.dropRoute(p.st.info.ID)
-	c.nodes.release(p.st.nodeIdx)
-	p.tr.Finish(int(p.lsc.Region), string(p.st.info.ID), telemetry.OutcomeError)
+	c.dropRoute(p.info.ID)
+	c.nodes.release(p.info.Node)
+	p.tr.Finish(int(p.lsc.Region), string(p.info.ID), telemetry.OutcomeError)
 }
 
 // admit runs the shard half of the join protocol on the prepared viewer's
@@ -87,17 +84,17 @@ func (c *Controller) abandon(p preparedJoin) {
 // admission-control rejection returns the outcome for metrics alongside a
 // *RejectionError carrying the cause.
 func (c *Controller) admit(p preparedJoin) (*JoinOutcome, error) {
-	id := p.st.info.ID
+	id := p.info.ID
 	region := int(p.lsc.Region)
-	res, worst, err := p.lsc.join(p.st, p.view, &p.tr)
+	res, worst, err := p.lsc.join(p.info, p.view, &p.tr)
 	if err != nil {
 		c.dropRoute(id)
-		c.nodes.release(p.st.nodeIdx)
+		c.nodes.release(p.info.Node)
 		p.tr.Finish(region, string(id), telemetry.OutcomeError)
 		return nil, fmt.Errorf("session join %s: %w", id, err)
 	}
 	c.bindRoute(id, p.lsc)
-	delay := c.joinProtocolDelay(p.st.nodeIdx, p.lsc.NodeIdx, worst)
+	delay := c.joinProtocolDelay(p.info.Node, p.lsc.NodeIdx, worst)
 	c.noteCDNPeak(p.lsc)
 	out := &JoinOutcome{Result: res, Delay: delay, LSCRegion: region}
 	if !res.Admitted {

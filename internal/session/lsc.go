@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"telecast/internal/cdn"
 	"telecast/internal/model"
 	"telecast/internal/overlay"
 	"telecast/internal/telemetry"
@@ -14,15 +15,13 @@ import (
 )
 
 // LSC is a region-local session controller: an independently-locked shard of
-// the control plane. It owns the overlay of its cluster's viewers and the
-// per-shard viewer registry, so joins, departures, and view changes in one
-// region proceed concurrently with every other region. One lock, mu, guards
-// the whole shard — the single-threaded overlay, the registry, and the
-// recovery journal — and every critical section releases it with a deferred
-// unlock. A viewer enters the registry only inside a shard admission (join,
-// admitMigrant, restoreMigrant), right before the overlay call, and leaves it
-// in the critical section that removes its overlay record, so the registry
-// holds exactly the overlay's records (Validate checks it). RecoverRegion
+// the control plane. It owns the overlay of its cluster's viewers, so joins,
+// departures, and view changes in one region proceed concurrently with every
+// other region. One lock, mu, guards the whole shard — the single-threaded
+// overlay and the recovery journal — and every critical section releases it
+// with a deferred unlock. The overlay's viewer records are the shard's only
+// viewer registry: each record's ViewerInfo carries the viewer's latency
+// node, which is all the shard adds to what the overlay knows. RecoverRegion
 // rebuilds under mu and runs its evacuation wave after releasing it.
 type LSC struct {
 	Region  trace.Region
@@ -43,9 +42,6 @@ type LSC struct {
 
 	mu    sync.Mutex
 	shard overlay.Shard
-	// viewers is the shard's viewer registry: the latency node and admission
-	// capacities of every viewer the overlay holds a record of. Guarded by mu.
-	viewers map[model.ViewerID]viewerState
 	// rec, when armed, is the shard's recovery journal: a snapshot of the
 	// overlay state plus every admission-relevant transition since, appended
 	// under mu in shard order. Guarded by mu.
@@ -65,22 +61,27 @@ type LSC struct {
 	drops atomic.Uint64
 }
 
-// viewerState is stored by value: the record is two words of payload, so
-// keeping it inline in the registry map saves one heap object (and one GC
-// pointer to chase) per viewer — at admission scale, one allocation per join.
-type viewerState struct {
-	nodeIdx int
-	info    overlay.ViewerInfo
-}
-
 func newLSC(region trace.Region, nodeIdx int, cfg *Config, bus *eventBus) *LSC {
 	return &LSC{
 		Region:  region,
 		NodeIdx: nodeIdx,
 		cfg:     cfg,
 		bus:     bus,
-		viewers: make(map[model.ViewerID]viewerState),
 	}
+}
+
+// newShard installs an empty overlay manager as the shard's overlay and
+// returns it. Its propagation-delay function resolves viewers through
+// l.shard (propFunc), so a manager is installed before anything is admitted
+// into it or restored onto it. Callers hold mu, or own l exclusively as
+// construction does.
+func (l *LSC) newShard(dist *cdn.CDN, params overlay.Params) (*overlay.Manager, error) {
+	mgr, err := overlay.NewManager(l.cfg.Producers, dist, l.propFunc(), params)
+	if err != nil {
+		return nil, err
+	}
+	l.shard = mgr
+	return mgr, nil
 }
 
 // emit publishes an event into this shard's ring. Events emitted while the
@@ -121,24 +122,25 @@ func (l *LSC) emitJoinLocked(kind EventKind, id model.ViewerID, res *overlay.Joi
 	l.emitDropsLocked()
 }
 
-// propFunc adapts the latency matrix to the overlay's viewer-pair delays
-// using the shard-local registry; the lookup never leaves the shard. The
-// overlay calls it only from inside a shard operation, so mu is held. A miss
-// is a registration-order bug — a viewer is registered right before its
-// overlay insertion — so it panics instead of fabricating a delay. The
+// propFunc adapts the latency matrix to the overlay's viewer-pair delays by
+// reading each viewer's latency node from its record in the shard's own
+// overlay; the lookup never leaves the shard. The overlay calls it only from
+// inside a shard operation, so mu is held, and only for viewers it holds a
+// record of (it files a record before placing its nodes), so a miss is a
+// registration-order bug and panics instead of fabricating a delay. The
 // overlay calls it when a tree edge forms and caches the result, so a change
 // of the delay scale reaches existing edges only through RefreshAll (which
 // ShiftDelays runs) or a shard rebuild.
 func (l *LSC) propFunc() overlay.PropFunc {
 	return func(a, b model.ViewerID) time.Duration {
-		va, okA := l.viewers[a]
-		vb, okB := l.viewers[b]
+		va, okA := l.shard.Viewer(a)
+		vb, okB := l.shard.Viewer(b)
 		if !okA || !okB {
 			panic(fmt.Sprintf(
 				"session: propagation lookup for unregistered viewer (%s ok=%t, %s ok=%t) in LSC region %d: registration-order bug",
 				a, okA, b, okB, l.Region))
 		}
-		d := l.cfg.Latency.Delay(va.nodeIdx, vb.nodeIdx)
+		d := l.cfg.Latency.Delay(va.Info.Node, vb.Info.Node)
 		if l.scale != nil {
 			if bits := l.scale.Load(); bits != 0 {
 				if s := math.Float64frombits(bits); s != 1 {
@@ -156,107 +158,94 @@ func (l *LSC) propFunc() overlay.PropFunc {
 func (l *LSC) viewerCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.viewers)
+	return l.shard.Len()
 }
 
-// join registers a routed viewer and runs its overlay admission, returning
-// the subscription round trip to the farthest parent, measured while the
-// shard lock still pins the resulting topology.
-func (l *LSC) join(st viewerState, view model.View, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
+// join runs a routed viewer's overlay admission, returning the subscription
+// round trip to the farthest parent, measured while the shard lock still
+// pins the resulting topology. info.Node is the viewer's latency node.
+func (l *LSC) join(info overlay.ViewerInfo, view model.View, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, 0, l.downErr()
 	}
-	l.viewers[st.info.ID] = st
-	res, err := l.shard.Join(st.info, view)
+	res, err := l.shard.Join(info, view)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
 	if err != nil {
-		delete(l.viewers, st.info.ID)
 		return nil, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
-	l.journalLocked(journalEntry{op: opJoin, id: st.info.ID, nodeIdx: st.nodeIdx, info: st.info, view: view})
-	l.emitJoinLocked(EventJoinAccepted, st.info.ID, res)
+	l.journalLocked(journalEntry{op: opJoin, id: info.ID, info: info, view: view})
+	l.emitJoinLocked(EventJoinAccepted, info.ID, res)
 	tr.Phase(telemetry.PhasePublish)
-	return res, l.worstParentRTTLocked(st, res), nil
+	return res, l.worstParentRTTLocked(info.Node, res), nil
 }
 
-// leave removes a viewer from the overlay and the shard registry, returning
-// its latency-matrix node for reuse. The registry removal happens inside the
-// shard critical section so it cannot interleave with another admission.
+// leave removes a viewer from the overlay, returning its latency-matrix node
+// for reuse.
 func (l *LSC) leave(id model.ViewerID, tr *telemetry.OpTrace) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return 0, l.downErr()
 	}
-	if err := l.shard.Leave(id); err != nil {
-		l.epoch.Add(1)
-		tr.Phase(telemetry.PhaseAdmit)
-		return 0, err
+	var node int
+	if v, ok := l.shard.Viewer(id); ok {
+		node = v.Info.Node
 	}
+	err := l.shard.Leave(id)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
-	st, ok := l.viewers[id]
-	delete(l.viewers, id)
+	if err != nil {
+		return 0, err
+	}
 	l.journalLocked(journalEntry{op: opLeave, id: id})
 	l.emit(Event{Kind: EventDeparted, Viewer: id})
 	l.emitDropsLocked()
 	tr.Phase(telemetry.PhasePublish)
-	if !ok {
-		return 0, fmt.Errorf("lsc region %d: viewer %s left overlay but was never registered", l.Region, id)
-	}
-	return st.nodeIdx, nil
+	return node, nil
 }
 
 // extract removes a viewer from this shard for a cross-region handoff: the
-// overlay detaches it (victims recovered), the detach event is sequenced on
-// this shard's ring, and the registry entry is removed inside the shard
-// critical section so it cannot interleave with another admission. It
-// returns the preserved admission state and the viewer's latency node.
-func (l *LSC) extract(id model.ViewerID, to trace.Region, cause string, tr *telemetry.OpTrace) (overlay.MigrationState, int, error) {
+// overlay detaches it (victims recovered) and the detach event is sequenced
+// on this shard's ring, inside the shard critical section so it cannot
+// interleave with another admission. The returned state's Info.Node is the
+// viewer's latency node on this shard.
+func (l *LSC) extract(id model.ViewerID, to trace.Region, cause string, tr *telemetry.OpTrace) (overlay.MigrationState, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
-		return overlay.MigrationState{}, 0, l.downErr()
+		return overlay.MigrationState{}, l.downErr()
 	}
 	st, err := l.shard.Extract(id)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhasePrepare)
 	if err != nil {
-		return overlay.MigrationState{}, 0, err
+		return overlay.MigrationState{}, err
 	}
-	vst, ok := l.viewers[id]
-	delete(l.viewers, id)
 	l.journalLocked(journalEntry{op: opMigrantOut, id: id})
 	l.emit(Event{Kind: EventMigratedOut, Viewer: id, From: l.Region, To: to, Cause: cause})
 	l.emitDropsLocked()
-	if !ok {
-		return overlay.MigrationState{}, 0, fmt.Errorf("lsc region %d: viewer %s extracted from overlay but was never registered", l.Region, id)
-	}
-	return st, vst.nodeIdx, nil
+	return st, nil
 }
 
-// admitMigrant registers an extracted viewer on this (destination) shard and
-// re-admits it. On success the arrival event is sequenced on this shard's
-// ring; a rejection emits EventJoinRejected here and leaves the record
-// question to keepIfRejected (see overlay.Manager.AdmitMigrant) — the
-// registry entry goes with the record.
+// admitMigrant re-admits an extracted viewer on this (destination) shard at
+// latency node nodeIdx. On success the arrival event is sequenced on this
+// shard's ring; a rejection emits EventJoinRejected here and leaves the
+// record question to keepIfRejected (see overlay.Manager.AdmitMigrant).
 func (l *LSC) admitMigrant(nodeIdx int, st overlay.MigrationState, from trace.Region, cause string, keepIfRejected bool, tr *telemetry.OpTrace) (*overlay.JoinResult, time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, 0, l.downErr()
 	}
-	vst := viewerState{nodeIdx: nodeIdx, info: st.Info}
-	l.viewers[st.Info.ID] = vst
+	st.Info.Node = nodeIdx
 	res, err := l.shard.AdmitMigrant(st, keepIfRejected)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
 	if err != nil {
-		delete(l.viewers, st.Info.ID)
 		return nil, 0, err
 	}
 	tr.Carve(telemetry.PhaseAdmit, telemetry.PhaseReserve, res.CDNReserve)
@@ -264,9 +253,7 @@ func (l *LSC) admitMigrant(nodeIdx int, st overlay.MigrationState, from trace.Re
 		// Journal only outcomes that left a record behind; replay re-admits
 		// with keep=true so a replay-time rejection still leaves the viewer
 		// routed as a rejected record.
-		l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: nodeIdx, info: st.Info, req: st.Request})
-	} else {
-		delete(l.viewers, st.Info.ID)
+		l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, info: st.Info, req: st.Request})
 	}
 	if res.Admitted {
 		l.emit(Event{Kind: EventMigratedIn, Viewer: st.Info.ID, From: from, To: l.Region, Cause: cause, Streams: len(res.Accepted)})
@@ -275,27 +262,27 @@ func (l *LSC) admitMigrant(nodeIdx int, st overlay.MigrationState, from trace.Re
 	}
 	l.emitDropsLocked()
 	tr.Phase(telemetry.PhasePublish)
-	return res, l.worstParentRTTLocked(vst, res), nil
+	return res, l.worstParentRTTLocked(nodeIdx, res), nil
 }
 
-// restoreMigrant re-admits a bounced migrant on this (source) shard after
-// the destination refused it, keeping the record even when the re-admission
-// is itself rejected — the viewer stays routed here as a rejected viewer.
-// cause carries the destination's rejection reason onto the restore event.
+// restoreMigrant re-admits a bounced migrant on this (source) shard at
+// latency node nodeIdx after the destination refused it, keeping the record
+// even when the re-admission is itself rejected — the viewer stays routed
+// here as a rejected viewer. cause carries the destination's rejection
+// reason onto the restore event.
 func (l *LSC) restoreMigrant(nodeIdx int, st overlay.MigrationState, to trace.Region, reason RejectReason) (*overlay.JoinResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down.Load() {
 		return nil, l.downErr()
 	}
-	l.viewers[st.Info.ID] = viewerState{nodeIdx: nodeIdx, info: st.Info}
+	st.Info.Node = nodeIdx
 	res, err := l.shard.AdmitMigrant(st, true)
 	l.epoch.Add(1)
 	if err != nil {
-		delete(l.viewers, st.Info.ID)
 		return nil, err
 	}
-	l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, nodeIdx: nodeIdx, info: st.Info, req: st.Request})
+	l.journalLocked(journalEntry{op: opMigrantIn, id: st.Info.ID, info: st.Info, req: st.Request})
 	l.emit(Event{Kind: EventMigrationRestored, Viewer: st.Info.ID, From: l.Region, To: to, Reason: reason})
 	l.emitDropsLocked()
 	return res, nil
@@ -319,13 +306,14 @@ func (l *LSC) changeView(id model.ViewerID, view model.View, tr *telemetry.OpTra
 	if l.down.Load() {
 		return nil, 0, 0, l.downErr()
 	}
-	// The registry lookup must come after the down check: a killed shard's
-	// registry is empty, and a routed viewer probing it would read as unknown
-	// instead of getting the typed ErrShardDown refusal.
-	st, ok := l.viewers[id]
+	// The record lookup must come after the down check: a killed shard's
+	// overlay is empty, and a routed viewer probing it would read as
+	// unknown instead of getting the typed ErrShardDown refusal.
+	v, ok := l.shard.Viewer(id)
 	if !ok {
 		return nil, 0, 0, ErrUnknownViewer
 	}
+	node := v.Info.Node
 	res, err := l.shard.ChangeView(id, view)
 	l.epoch.Add(1)
 	tr.Phase(telemetry.PhaseAdmit)
@@ -336,14 +324,15 @@ func (l *LSC) changeView(id model.ViewerID, view model.View, tr *telemetry.OpTra
 	l.journalLocked(journalEntry{op: opChangeView, id: id, view: view})
 	l.emitJoinLocked(EventViewChanged, id, res)
 	tr.Phase(telemetry.PhasePublish)
-	return res, l.worstParentRTTLocked(st, res), st.nodeIdx, nil
+	return res, l.worstParentRTTLocked(node, res), node, nil
 }
 
-// worstParentRTTLocked computes the subscription-start round trip to the
-// farthest parent of an admission result. Callers must hold mu so the node
-// parents cannot move while they are read; parents are always viewers of the
-// same shard.
-func (l *LSC) worstParentRTTLocked(st viewerState, res *overlay.JoinResult) time.Duration {
+// worstParentRTTLocked computes the subscription-start round trip from
+// latency node node to the farthest parent of an admission result. Callers
+// must hold mu so the node parents cannot move while they are read; parents
+// are always viewers of the same shard, and each parent's record names its
+// latency node.
+func (l *LSC) worstParentRTTLocked(node int, res *overlay.JoinResult) time.Duration {
 	if res == nil || !res.Admitted {
 		return 0
 	}
@@ -352,10 +341,8 @@ func (l *LSC) worstParentRTTLocked(st viewerState, res *overlay.JoinResult) time
 		if n.Parent == nil {
 			continue
 		}
-		if p, ok := l.viewers[n.Parent.Viewer]; ok {
-			if rt := 2 * l.cfg.Latency.Delay(st.nodeIdx, p.nodeIdx); rt > worst {
-				worst = rt
-			}
+		if rt := 2 * l.cfg.Latency.Delay(node, n.Parent.Owner().Info.Node); rt > worst {
+			worst = rt
 		}
 	}
 	return worst
@@ -383,7 +370,7 @@ func (l *LSC) ViewerParents(id model.ViewerID) (map[model.StreamID]model.ViewerI
 		if p := v.Nodes[i].Parent; p == nil {
 			out[sid] = ""
 		} else {
-			out[sid] = p.Viewer
+			out[sid] = p.Viewer()
 		}
 	}
 	return out, true
@@ -423,22 +410,10 @@ func (l *LSC) RefreshAll() int {
 	return changed
 }
 
-// Validate checks the shard's overlay invariants and that the viewer
-// registry holds exactly the overlay's records: an entry for every admitted
-// or rejected viewer the shard knows, and for nobody else.
+// Validate checks the shard's overlay invariants.
 func (l *LSC) Validate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// The registry goes first: the overlay walk below looks up propagation
-	// delays, which panic on a viewer the registry misses.
-	for id := range l.viewers {
-		if _, ok := l.shard.Viewer(id); !ok {
-			return fmt.Errorf("registry: viewer %s has no overlay record", id)
-		}
-	}
-	if n := l.shard.QuickSnapshot().Viewers; n != len(l.viewers) {
-		return fmt.Errorf("registry: %d entries for %d overlay records", len(l.viewers), n)
-	}
 	return l.shard.Validate()
 }
 

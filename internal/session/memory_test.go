@@ -2,10 +2,12 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
+	"telecast/internal/cdn"
 	"telecast/internal/model"
 	"telecast/internal/trace"
 )
@@ -79,8 +81,10 @@ func TestRetainedMemoryBoundedByLiveViewers(t *testing.T) {
 // serve's shape — two 8-camera ring sites, a 6016-node latency matrix over 8
 // regions, the default event buffer, telemetry off. A controller allocates
 // what a run uses, when the run uses it: event rings on the first Subscribe,
-// viewer maps as the audience grows. Building 8 × 4096-event rings and
-// 1024-entry viewer maps up front costs about 6 MB per controller.
+// viewer maps as the audience grows, telemetry histograms and the slow-op
+// ring on the first Enable. Building 8 × 4096-event rings and 1024-entry
+// viewer maps up front costs about 6 MB per controller; histograms for a
+// collector that is never armed about 163 KB.
 func TestNewControllerAllocatesByUse(t *testing.T) {
 	producers, err := model.NewSession(
 		model.NewRingSite("A", 8, 2.0, 10),
@@ -97,7 +101,7 @@ func TestNewControllerAllocatesByUse(t *testing.T) {
 		t.Fatalf("latency matrix has %d regions, want serve's 8", lat.NumRegions())
 	}
 	const builds = 16
-	const limit = 1 << 20
+	const limit = 128 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < builds; i++ {
@@ -111,5 +115,69 @@ func TestNewControllerAllocatesByUse(t *testing.T) {
 	t.Logf("NewController: %.0f B in %.0f allocations per build (limit %d B)", perBuild, allocs, limit)
 	if perBuild > limit {
 		t.Fatalf("NewController allocates %.0f B per build, want <= %d B", perBuild, limit)
+	}
+}
+
+// TestDeepAudienceHeapPerViewer pins the live heap a viewer costs at the
+// deep benchmark's shape: one region on the hashed latency substrate, one
+// view of two 8-camera ring sites, an unbounded CDN, every viewer admitted
+// through Controller.Admit. What is measured is the heap still reachable
+// after a forced collection, from before NewController to the loaded
+// audience: the viewer records, the overlay's slab nodes and columns, the
+// routes and allocator state. Each viewer holds 16 tree nodes, so a copy of
+// a viewer fact per node, or a second registry of the audience, shows here.
+// MemStats are process-wide, so the least of three fresh trials is the
+// controller's own figure.
+func TestDeepAudienceHeapPerViewer(t *testing.T) {
+	const (
+		viewers = 8000
+		budget  = 1500 // B per viewer
+	)
+	producers, err := model.NewSession(
+		model.NewRingSite("A", 8, 2.0, 10),
+		model.NewRingSite("B", 8, 2.0, 10),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.DefaultLatencyConfig(viewers+16, 1)
+	cfg.Regions = 1
+	lat, err := trace.GenerateLatencyMatrix(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded := cdn.DefaultConfig()
+	unbounded.OutboundCapacityMbps = 0
+	view := model.NewUniformView(producers, 0)
+	ids := make([]model.ViewerID, viewers)
+	for i := range ids {
+		ids[i] = model.ViewerID(fmt.Sprintf("v%07d", i))
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		before := liveHeap()
+		c, err := NewController(producers, lat, WithCutoffDF(0.5), WithCDN(unbounded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			req := JoinRequest{ID: id, InboundMbps: 12, OutboundMbps: float64(i % 13), View: view}
+			if _, err := c.Admit(testCtx, req); err != nil {
+				t.Fatalf("join %s: %v", id, err)
+			}
+		}
+		after := liveHeap()
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(c)
+		if after > before {
+			least = min(least, after-before)
+		}
+	}
+	perViewer := float64(least) / viewers
+	t.Logf("live heap %.0f B per viewer over %d viewers (budget %d B)", perViewer, viewers, budget)
+	if perViewer > budget {
+		t.Fatalf("live heap %.0f B per viewer, want <= %d B", perViewer, budget)
 	}
 }

@@ -128,7 +128,8 @@ func (c *Controller) Migrate(ctx context.Context, id model.ViewerID, req Migrate
 
 	// Phase 1: detach on the source shard. From here the handoff must end
 	// rebound, restored, or departed — never a half-state.
-	st, srcNode, err := src.extract(id, dst.Region, req.Reason, &tr)
+	st, err := src.extract(id, dst.Region, req.Reason, &tr)
+	srcNode := st.Info.Node
 	if err != nil {
 		c.nodes.release(dstNode)
 		c.routes.bind(id, src)

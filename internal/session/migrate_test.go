@@ -319,9 +319,8 @@ func TestMigrationChurnRace(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("invariants after churn+migration: %v", err)
 	}
-	// Route/registry/overlay agreement: every route is bound, and each
-	// shard's registry matches both the routes pointing at it and its
-	// overlay's record count.
+	// Route/record agreement: every route is bound, and each shard's
+	// viewer records match the routes pointing at it.
 	if got := c.routes.claimed(); got != 0 {
 		t.Fatalf("%d claimed routes leaked", got)
 	}
@@ -333,25 +332,25 @@ func TestMigrationChurnRace(t *testing.T) {
 			routed++
 			perShard[lsc.Region]++
 			lsc.mu.Lock()
-			_, ok := lsc.viewers[id]
+			_, ok := lsc.shard.Viewer(id)
 			lsc.mu.Unlock()
 			if !ok {
-				t.Fatalf("routed viewer %s missing from region %d registry", id, lsc.Region)
+				t.Fatalf("routed viewer %s has no record in region %d", id, lsc.Region)
 			}
 		}
 	}
 	registered := 0
 	for region, lsc := range c.lscs {
 		lsc.mu.Lock()
-		n := len(lsc.viewers)
+		n := lsc.shard.Len()
 		lsc.mu.Unlock()
 		registered += n
 		if n != perShard[region] {
-			t.Fatalf("region %d holds %d registry entries, routes say %d", region, n, perShard[region])
+			t.Fatalf("region %d holds %d viewer records, routes say %d", region, n, perShard[region])
 		}
 	}
 	if routed != registered {
-		t.Fatalf("%d routes vs %d registry entries", routed, registered)
+		t.Fatalf("%d routes vs %d viewer records", routed, registered)
 	}
 	// Node accounting: allocator holds exactly one node per routed viewer.
 	taken := c.nodes.takenCount()

@@ -17,16 +17,15 @@ import (
 // Fault injection and event-sourced shard recovery.
 //
 // A shard is armed by taking a snapshot (SnapshotRegion / EnableRecovery):
-// the overlay state is exported slab-free, the viewer registry serialized
-// beside it, and from then on every admission-relevant transition — join,
+// the overlay state is exported slab-free, each viewer record with its
+// latency node, and from then on every admission-relevant transition — join,
 // leave, view change, migrant in/out — is appended to a journal under the
 // shard's owner lock, in exactly the order the shard processed it. The
 // per-shard event rings witness the same transitions but are a lossy
 // observation path (no subscriber → no events, overflow → overwrite), so the
 // journal is its own LSC-owned log with the payloads replay needs.
 //
-// KillRegion models a crash: the shard's in-memory overlay and registry are
-// discarded, its CDN egress released, and the down flag flips every routed
+// KillRegion models a crash: the shard's in-memory overlay is discarded, its CDN egress released, and the down flag flips every routed
 // operation to ErrShardDown. Routes and latency nodes survive — they are
 // GSC-side state. RecoverRegion rebuilds the shard from the last snapshot
 // (exact slab rebuild) plus a replay of the journal suffix, re-arms the
@@ -44,16 +43,16 @@ const (
 	opMigrantOut
 )
 
-// journalEntry is one recorded transition. view is cloned at record time so
-// later caller-side mutation cannot corrupt the log; req is the preserved
-// admission request of a migrant (immutable by contract).
+// journalEntry is one recorded transition. info carries the admitted
+// viewer's latency node; view is cloned at record time so later caller-side
+// mutation cannot corrupt the log; req is the preserved admission request of
+// a migrant (immutable by contract).
 type journalEntry struct {
-	op      journalOp
-	id      model.ViewerID
-	nodeIdx int
-	info    overlay.ViewerInfo
-	view    model.View
-	req     model.ViewRequest
+	op   journalOp
+	id   model.ViewerID
+	info overlay.ViewerInfo
+	view model.View
+	req  model.ViewRequest
 }
 
 // shardRecorder is a shard's armed recovery state: the last snapshot and the
@@ -66,12 +65,12 @@ type shardRecorder struct {
 }
 
 // journalCompactFactor and journalCompactFloor bound the armed journal:
-// once it holds more than journalCompactFactor entries per registered viewer
+// once it holds more than journalCompactFactor entries per viewer record
 // (counting at least journalCompactFloor viewers, so a small shard does not
 // snapshot on every op), the shard takes a fresh snapshot and starts the
-// journal over. A snapshot costs O(registry), and one is taken per
-// journalCompactFactor × registry transitions, so the amortized cost per
-// transition is constant and the journal never outgrows the registry by
+// journal over. A snapshot costs O(records), and one is taken per
+// journalCompactFactor × records transitions, so the amortized cost per
+// transition is constant and the journal never outgrows the record set by
 // more than the factor.
 const (
 	journalCompactFactor = 4
@@ -80,8 +79,8 @@ const (
 
 // journalLocked appends a transition to the armed journal; a no-op on
 // unarmed shards. Callers must hold mu and have applied the transition to
-// both the overlay and the registry, because a journal that outgrows its
-// bound is compacted here into a snapshot of the shard as it stands.
+// the overlay, because a journal that outgrows its bound is compacted here
+// into a snapshot of the shard as it stands.
 func (l *LSC) journalLocked(e journalEntry) {
 	if l.rec == nil {
 		return
@@ -93,7 +92,7 @@ func (l *LSC) journalLocked(e journalEntry) {
 	}
 	l.rec.seq++
 	l.rec.entries = append(l.rec.entries, e)
-	if len(l.rec.entries) > journalCompactFactor*max(len(l.viewers), journalCompactFloor) {
+	if len(l.rec.entries) > journalCompactFactor*max(l.shard.Len(), journalCompactFloor) {
 		// A failed snapshot leaves the previous recovery point and the whole
 		// journal in place, which still recover the shard exactly; the next
 		// transition tries again.
@@ -120,21 +119,12 @@ func (c *Controller) longestJournal() int {
 	return n
 }
 
-// registryEntry is one serialized viewer-registry record.
-type registryEntry struct {
-	ID           model.ViewerID `json:"id"`
-	NodeIdx      int            `json:"nodeIdx"`
-	InboundMbps  float64        `json:"inboundMbps"`
-	OutboundMbps float64        `json:"outboundMbps"`
-}
-
-// shardSnapshot is the serialized recovery point: the shard registry plus
-// the overlay's exported state.
+// shardSnapshot is the serialized recovery point: the overlay's exported
+// state, whose viewer records carry their latency nodes.
 type shardSnapshot struct {
-	Region   int                `json:"region"`
-	Seq      uint64             `json:"seq"`
-	Registry []registryEntry    `json:"registry"`
-	Overlay  overlay.ShardState `json:"overlay"`
+	Region  int                `json:"region"`
+	Seq     uint64             `json:"seq"`
+	Overlay overlay.ShardState `json:"overlay"`
 }
 
 func decodeShardSnapshot(data []byte) (*shardSnapshot, error) {
@@ -148,22 +138,10 @@ func decodeShardSnapshot(data []byte) (*shardSnapshot, error) {
 // snapshotLocked captures the shard's current state as the new recovery
 // point and truncates the journal. Callers must hold mu with rec armed.
 func (l *LSC) snapshotLocked() error {
-	st := l.shard.ExportState()
-	reg := make([]registryEntry, 0, len(l.viewers))
-	for id, vst := range l.viewers {
-		reg = append(reg, registryEntry{
-			ID:           id,
-			NodeIdx:      vst.nodeIdx,
-			InboundMbps:  vst.info.InboundMbps,
-			OutboundMbps: vst.info.OutboundMbps,
-		})
-	}
-	sort.Slice(reg, func(i, j int) bool { return reg[i].ID < reg[j].ID })
 	data, err := json.Marshal(shardSnapshot{
-		Region:   int(l.Region),
-		Seq:      l.rec.seq,
-		Registry: reg,
-		Overlay:  *st,
+		Region:  int(l.Region),
+		Seq:     l.rec.seq,
+		Overlay: *l.shard.ExportState(),
 	})
 	if err != nil {
 		return fmt.Errorf("session: snapshot region %d: %w", l.Region, err)
@@ -213,9 +191,9 @@ func (c *Controller) ShardDown(region trace.Region) bool {
 	return ok && l.down.Load()
 }
 
-// KillRegion models a region crash: the shard's overlay state and viewer
-// registry vanish (replaced by a fresh empty manager, proving recovery uses
-// only the snapshot and journal), its implied CDN egress is released back to
+// KillRegion models a region crash: the shard's overlay state vanishes
+// (replaced by a fresh empty manager, proving recovery uses only the
+// snapshot and journal), its implied CDN egress is released back to
 // the shared substrate, and every subsequent operation routed to the region
 // fails with ErrShardDown. Routes and latency-matrix nodes are GSC-side
 // state and survive the crash, which is what lets recovery re-bind the same
@@ -236,12 +214,9 @@ func (c *Controller) KillRegion(region trace.Region) error {
 	for id, mbps := range l.shard.CDNImplied() {
 		_ = c.cdn.Release(id, mbps)
 	}
-	mgr, err := overlay.NewManager(c.cfg.Producers, c.cdn, l.propFunc(), c.params)
-	if err != nil {
+	if _, err := l.newShard(c.cdn, c.params); err != nil {
 		return fmt.Errorf("session kill region %d: %w", region, err)
 	}
-	l.shard = mgr
-	l.viewers = make(map[model.ViewerID]viewerState)
 	l.down.Store(true)
 	l.epoch.Add(1)
 	return nil
@@ -266,7 +241,7 @@ type RecoveryReport struct {
 	// regions; EvacuationsLanded how many a destination admitted.
 	Evacuated         int
 	EvacuationsLanded int
-	// Viewers is the live registry size after recovery.
+	// Viewers is the shard's viewer record count after recovery.
 	Viewers int
 }
 
@@ -285,8 +260,8 @@ func (c *Controller) RecoverRegion(ctx context.Context, region trace.Region) (Re
 	}
 	c.recovering.Add(1)
 	defer c.recovering.Add(-1)
-	// One trace per rebuild: snapshot decode and registry install under
-	// prepare, the slab rebuild plus journal replay under admit, the re-arm
+	// One trace per rebuild: snapshot decode under prepare, the slab
+	// rebuild plus journal replay under admit, the re-arm
 	// and go-live under publish. The evacuation wave runs its own Migrate
 	// traces, so its time stays in the recovery total but unattributed.
 	var tr telemetry.OpTrace
@@ -344,36 +319,26 @@ func (c *Controller) rebuildShard(l *LSC, rep *RecoveryReport, tr *telemetry.OpT
 		return nil, err
 	}
 	rep.SnapshotViewers = len(snap.Overlay.Viewers)
-
-	// Install the union registry first: every viewer the snapshot or the
-	// journal mentions, so the overlay's propagation-delay lookups hit
-	// throughout the rebuild. Pruned to the rebuilt record set afterwards.
-	all := make(map[model.ViewerID]viewerState, len(snap.Registry)+len(rec.entries))
-	for _, e := range snap.Registry {
-		all[e.ID] = viewerState{
-			nodeIdx: e.NodeIdx,
-			info:    overlay.ViewerInfo{ID: e.ID, InboundMbps: e.InboundMbps, OutboundMbps: e.OutboundMbps},
-		}
-	}
-	for _, e := range rec.entries {
-		if e.op == opJoin || e.op == opMigrantIn {
-			all[e.id] = viewerState{nodeIdx: e.nodeIdx, info: e.info}
-		}
-	}
-	l.viewers = all
 	tr.Phase(telemetry.PhasePrepare)
 
 	// Stage 1: exact rebuild of the snapshot image into fresh slabs. If the
 	// CDN cannot cover the snapshot's implied egress anymore (a collapse
 	// shrank it since), fall back to re-admitting every snapshot viewer
-	// through the normal admission pipeline — degraded but total.
-	mgr, err := overlay.RestoreManager(c.cfg.Producers, c.cdn, l.propFunc(), c.params, &snap.Overlay)
-	if err != nil {
-		rep.Degraded = true
-		mgr, err = c.readmitFromSnapshot(l, &snap.Overlay)
-		if err != nil {
-			return nil, fmt.Errorf("session recover region %d: %w", l.Region, err)
+	// through the normal admission pipeline — degraded but total. Each
+	// rebuild installs its manager as l.shard first, so propagation lookups
+	// resolve through the records it rebuilds; a failed rebuild puts the
+	// killed shard's empty manager back.
+	killed := l.shard
+	mgr, err := l.newShard(c.cdn, c.params)
+	if err == nil {
+		if err = mgr.Restore(&snap.Overlay); err != nil {
+			rep.Degraded = true
+			mgr, err = c.readmitFromSnapshot(l, &snap.Overlay)
 		}
+	}
+	if err != nil {
+		l.shard = killed
+		return nil, fmt.Errorf("session recover region %d: %w", l.Region, err)
 	}
 
 	// Stage 2: event-sourced replay of the journal suffix, in shard order.
@@ -403,15 +368,7 @@ func (c *Controller) rebuildShard(l *LSC, rep *RecoveryReport, tr *telemetry.OpT
 		}
 	}
 
-	l.shard = mgr
-	// Prune the registry to the rebuilt record set: exactly the viewers the
-	// recovered overlay knows (admitted or rejected) keep their entries.
-	for id := range l.viewers {
-		if _, ok := mgr.Viewer(id); !ok {
-			delete(l.viewers, id)
-		}
-	}
-	rep.Viewers = len(l.viewers)
+	rep.Viewers = mgr.Len()
 	tr.Phase(telemetry.PhaseAdmit)
 	l.emitDropsLocked()
 
@@ -432,18 +389,19 @@ func (c *Controller) rebuildShard(l *LSC, rep *RecoveryReport, tr *telemetry.OpT
 	return rejected, nil
 }
 
-// readmitFromSnapshot is the degraded rebuild: a fresh shard repopulated by
-// re-admitting every snapshot viewer through the normal §IV pipeline, in
-// deterministic (sorted) order. Admission outcomes may differ from the
-// snapshot's — that is the point: the current substrate decides.
+// readmitFromSnapshot is the degraded rebuild: a fresh shard, installed as
+// l.shard, repopulated by re-admitting every snapshot viewer through the
+// normal §IV pipeline, in deterministic (sorted) order. Admission outcomes
+// may differ from the snapshot's — that is the point: the current substrate
+// decides.
 func (c *Controller) readmitFromSnapshot(l *LSC, st *overlay.ShardState) (*overlay.Manager, error) {
-	mgr, err := overlay.NewManager(c.cfg.Producers, c.cdn, l.propFunc(), c.params)
+	mgr, err := l.newShard(c.cdn, c.params)
 	if err != nil {
 		return nil, err
 	}
 	for i := range st.Viewers {
 		vs := &st.Viewers[i]
-		info := overlay.ViewerInfo{ID: vs.ID, InboundMbps: vs.InboundMbps, OutboundMbps: vs.OutboundMbps}
+		info := overlay.ViewerInfo{ID: vs.ID, InboundMbps: vs.InboundMbps, OutboundMbps: vs.OutboundMbps, Node: vs.Node}
 		if _, err := mgr.Join(info, vs.ModelView()); err != nil {
 			return nil, fmt.Errorf("degraded rebuild: viewer %s: %w", vs.ID, err)
 		}

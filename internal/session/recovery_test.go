@@ -13,6 +13,7 @@ import (
 
 	"telecast/internal/cdn"
 	"telecast/internal/model"
+	"telecast/internal/overlay"
 	"telecast/internal/trace"
 )
 
@@ -40,12 +41,12 @@ func joinInRegion(t testing.TB, c *Controller, region trace.Region, prefix strin
 	return ids
 }
 
-// registrySize counts viewers across every shard registry.
-func registrySize(c *Controller) int {
+// recordCount counts the viewer records across every shard.
+func recordCount(c *Controller) int {
 	n := 0
 	for _, l := range c.lscs {
 		l.mu.Lock()
-		n += len(l.viewers)
+		n += l.shard.Len()
 		l.mu.Unlock()
 	}
 	return n
@@ -131,7 +132,7 @@ func TestRecoverReplaysJournal(t *testing.T) {
 			t.Fatalf("change view %s: %v", id, err)
 		}
 	}
-	routesBefore, regBefore := c.routes.size(), registrySize(c)
+	routesBefore, regBefore := c.routes.size(), recordCount(c)
 
 	if err := c.KillRegion(region); err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestRecoverReplaysJournal(t *testing.T) {
 	if got := c.routes.size(); got != routesBefore {
 		t.Fatalf("routes = %d, want %d", got, routesBefore)
 	}
-	if got := registrySize(c); got != regBefore {
+	if got := recordCount(c); got != regBefore {
 		t.Fatalf("registry size = %d, want %d", got, regBefore)
 	}
 	if err := c.Leave(testCtx, ids[10]); err != nil {
@@ -292,7 +293,7 @@ func TestKillRecoverMidChurnRace(t *testing.T) {
 	if claimed := c.routes.claimed(); claimed != 0 {
 		t.Fatalf("%d claimed routes leaked", claimed)
 	}
-	if routes, reg := c.routes.size(), registrySize(c); routes != reg {
+	if routes, reg := c.routes.size(), recordCount(c); routes != reg {
 		t.Fatalf("route table holds %d viewers, registries %d", routes, reg)
 	}
 	if err := c.Validate(); err != nil {
@@ -363,16 +364,14 @@ func requireDelayChain(t *testing.T, c *Controller, factor int64) int {
 	edges := 0
 	for r, l := range c.lscs {
 		l.mu.Lock()
-		for id := range l.viewers {
-			v, ok := l.shard.Viewer(id)
-			if !ok {
-				continue
-			}
+		mgr := l.shard.(*overlay.Manager)
+		for _, id := range mgr.SortedViewerIDs() {
+			v, _ := mgr.Viewer(id)
 			for i, sid := range v.AcceptedStreams() {
 				n := v.Nodes[i]
 				want := c.params.Hierarchy.Delta
 				if p := n.Parent; p != nil {
-					d := c.cfg.Latency.Delay(l.viewers[p.Viewer].nodeIdx, l.viewers[n.Viewer].nodeIdx)
+					d := c.cfg.Latency.Delay(p.Owner().Info.Node, v.Info.Node)
 					want = p.EffE2E + time.Duration(factor)*d + c.params.Proc
 					edges++
 				}
@@ -473,7 +472,7 @@ func TestPreparedJoinAdmittedAfterKillRecover(t *testing.T) {
 	if _, ok := p.lsc.Viewer("late"); !ok {
 		t.Fatal("late viewer has no overlay record")
 	}
-	if got := registrySize(c); got != 21 || c.routes.size() != 21 || c.routes.claimed() != 0 {
+	if got := recordCount(c); got != 21 || c.routes.size() != 21 || c.routes.claimed() != 0 {
 		t.Fatalf("registry %d, routes %d (%d claimed), want 21 bound routes and 21 entries",
 			got, c.routes.size(), c.routes.claimed())
 	}
@@ -504,14 +503,14 @@ func TestPreparedJoinRefusedByKilledShard(t *testing.T) {
 		}
 	}
 	check("down")
-	if got := registrySize(c); got != 0 {
+	if got := recordCount(c); got != 0 {
 		t.Fatalf("killed shard's registry holds %d entries", got)
 	}
 	if _, err := c.RecoverRegion(testCtx, p.lsc.Region); err != nil {
 		t.Fatal(err)
 	}
 	check("recovered")
-	if got := registrySize(c); got != 20 {
+	if got := recordCount(c); got != 20 {
 		t.Fatalf("recovered registry holds %d entries, want 20", got)
 	}
 	if _, ok := p.lsc.Viewer("late"); ok {
@@ -591,21 +590,20 @@ func TestArmedJournalCompacts(t *testing.T) {
 	if n, _ := journal(); n == 0 {
 		t.Fatal("no journal suffix to replay")
 	}
-	// admitted reads the registry with each viewer's admission state from
-	// the overlay, failing unless the two hold exactly the same viewers.
-	admitted := func() map[model.ViewerID]bool {
+	// admitted reads each viewer record's admission state and latency
+	// node: recovery must bring back both.
+	type record struct {
+		admitted bool
+		node     int
+	}
+	admitted := func() map[model.ViewerID]record {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		out := make(map[model.ViewerID]bool, len(l.viewers))
-		for id := range l.viewers {
-			v, ok := l.shard.Viewer(id)
-			if !ok {
-				t.Fatalf("registry lists %s, which the overlay does not hold", id)
-			}
-			out[id] = !v.Rejected
-		}
-		if n := l.shard.QuickSnapshot().Viewers; n != len(out) {
-			t.Fatalf("registry holds %d viewers, overlay %d", len(out), n)
+		mgr := l.shard.(*overlay.Manager)
+		out := make(map[model.ViewerID]record, mgr.Len())
+		for _, id := range mgr.SortedViewerIDs() {
+			v, _ := mgr.Viewer(id)
+			out[id] = record{admitted: !v.Rejected, node: v.Info.Node}
 		}
 		return out
 	}

@@ -20,6 +20,7 @@ package session
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,15 +161,15 @@ type Controller struct {
 // It is built for the striped batch-prepare path: each pool sits behind its
 // own lock, the only lock the allocator has, and an unhinted acquire reads
 // the pools' published stamps and cursors without locking, then rescans if
-// another path emptied its pick first. The taken bitmap is the ownership
-// record; its CAS gates every claim and every release.
+// another path emptied its pick first. The taken bitset is the ownership
+// record; its atomic bit flips gate every claim and every release.
 type nodeAllocator struct {
 	lat *trace.LatencyMatrix
 	max int
 	// taken is the allocation gate: an index is owned by exactly the path
-	// that wins its CompareAndSwap(false, true), and listed again only by
-	// the release that wins CompareAndSwap(true, false).
-	taken []atomic.Bool
+	// that sets its bit (claim), and listed again only by the release that
+	// clears it.
+	taken takenBits
 	// pools is indexed by trace.Region, 0..R-1.
 	pools []regionPool
 	// clock stamps releases; a pool takes its stamp under its own lock, so
@@ -187,6 +188,24 @@ type regionPool struct {
 	cursor atomic.Int64
 }
 
+// takenBits is a bitset of latency nodes, one bit per node in 64-bit words,
+// each bit set and cleared by an atomic read-modify-write of its word.
+type takenBits []atomic.Uint64
+
+func newTakenBits(n int) takenBits { return make(takenBits, (n+63)/64) }
+
+// claim sets idx's bit and reports whether this call set it.
+func (b takenBits) claim(idx int) bool {
+	bit := uint64(1) << (idx & 63)
+	return b[idx>>6].Or(bit)&bit == 0
+}
+
+// release clears idx's bit and reports whether this call cleared it.
+func (b takenBits) release(idx int) bool {
+	bit := uint64(1) << (idx & 63)
+	return b[idx>>6].And(^bit)&bit != 0
+}
+
 // releasedNode is a listed released node and its release stamp. The stamp is
 // 64-bit so that it never wraps within a run.
 type releasedNode struct {
@@ -198,7 +217,7 @@ type releasedNode struct {
 // Must run before the first acquire.
 func (a *nodeAllocator) init(lat *trace.LatencyMatrix, start int) {
 	a.lat, a.max = lat, lat.Nodes()
-	a.taken = make([]atomic.Bool, a.max)
+	a.taken = newTakenBits(a.max)
 	a.pools = make([]regionPool, lat.NumRegions())
 	for r := range a.pools {
 		a.pools[r].cursor.Store(int64(a.fresh(trace.Region(r), start)))
@@ -242,7 +261,7 @@ func (a *nodeAllocator) claim(p *regionPool) (int, bool) {
 		} else {
 			return 0, false
 		}
-		if a.taken[idx].CompareAndSwap(false, true) {
+		if a.taken.claim(idx) {
 			return idx, true
 		}
 	}
@@ -299,9 +318,7 @@ func (a *nodeAllocator) acquireInStrict(r trace.Region) (int, bool) {
 func (a *nodeAllocator) takenCount() int {
 	n := 0
 	for i := range a.taken {
-		if a.taken[i].Load() {
-			n++
-		}
+		n += bits.OnesCount64(a.taken[i].Load())
 	}
 	return n
 }
@@ -310,7 +327,7 @@ func (a *nodeAllocator) takenCount() int {
 // that flips the node back to free lists it, so releasing a free node twice
 // lists it once.
 func (a *nodeAllocator) release(idx int) {
-	if !a.taken[idx].CompareAndSwap(true, false) {
+	if !a.taken.release(idx) {
 		return
 	}
 	p := &a.pools[a.lat.RegionOf(idx)]
@@ -375,11 +392,9 @@ func newController(cfg Config) (*Controller, error) {
 		lsc := newLSC(region, 1+r, &c.cfg, c.bus)
 		lsc.scale = &c.delayScale
 		lsc.tel = c.tel
-		mgr, err := overlay.NewManager(cfg.Producers, c.cdn, lsc.propFunc(), c.params)
-		if err != nil {
+		if _, err := lsc.newShard(c.cdn, c.params); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		lsc.shard = mgr
 		c.lscs[region] = lsc
 	}
 	return c, nil
@@ -469,7 +484,7 @@ func (c *Controller) lookupRoute(id model.ViewerID) (*LSC, error) {
 
 // takeRoute atomically looks up a viewer's route and downgrades it to a
 // claim, so exactly one departure wins a race and the ID stays reserved —
-// blocking a re-join from overwriting the shard registry entry — until the
+// blocking a re-join from colliding with the shard's viewer record — until the
 // caller finishes the departure and drops the route. Viewers owned by a
 // live migration report ErrMigrating.
 func (c *Controller) takeRoute(id model.ViewerID) (*LSC, error) {

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"telecast/internal/cdn"
 	"telecast/internal/model"
-	"telecast/internal/overlay"
 	"telecast/internal/trace"
 )
 
@@ -290,54 +288,5 @@ func TestSessionChurnKeepsGlobalInvariants(t *testing.T) {
 	st := c.Stats()
 	if st.Overlay.CDNUsage.OutTotalMbps > 400+1e-9 {
 		t.Fatalf("cdn over cap: %v", st.Overlay.CDNUsage.OutTotalMbps)
-	}
-}
-
-// TestValidateSeesPlantedRegistryDrift plants the two ways a shard's viewer
-// registry can drift from its overlay — a stale entry with no record behind
-// it, and a record with no entry — and requires both the shard's and the
-// controller's Validate to report each, and to pass again once repaired.
-func TestValidateSeesPlantedRegistryDrift(t *testing.T) {
-	c := testController(t, 256, 6000)
-	view := model.NewUniformView(c.cfg.Producers, 0)
-	region := trace.Region(0)
-	ids := joinInRegion(t, c, region, "r", 10, view)
-	l := c.lscs[region]
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	plant := func(what, want string, mutate func()) {
-		t.Helper()
-		l.mu.Lock()
-		mutate()
-		l.mu.Unlock()
-		if err := l.Validate(); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: shard Validate = %v, want %q", what, err, want)
-		}
-		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: controller Validate = %v, want %q", what, err, want)
-		}
-	}
-
-	plant("stale entry", "viewer ghost has no overlay record", func() {
-		l.viewers["ghost"] = viewerState{nodeIdx: l.viewers[ids[0]].nodeIdx, info: overlay.ViewerInfo{ID: "ghost"}}
-	})
-	l.mu.Lock()
-	delete(l.viewers, "ghost")
-	l.mu.Unlock()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("repaired stale entry: %v", err)
-	}
-
-	var held viewerState
-	plant("missing entry", "9 entries for 10 overlay records", func() {
-		held = l.viewers[ids[3]]
-		delete(l.viewers, ids[3])
-	})
-	l.mu.Lock()
-	l.viewers[ids[3]] = held
-	l.mu.Unlock()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("repaired missing entry: %v", err)
 	}
 }

@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -126,40 +127,58 @@ type Collector struct {
 	slowNanos atomic.Int64
 	inflight  atomic.Int64
 
-	regions int
-	// hists[op] has regions+1 entries: index 0 collects operations that
-	// failed before (or without) a region attribution, index r+1 is
-	// region r's shard.
-	hists [NumOps][]Histogram
+	regions  int
+	ringSize int
+	// armed holds the histograms and the slow-op ring. Only an armed
+	// collector writes them, so the first Enable allocates them (armOnce)
+	// and publishes them before it stores enabled: a hook that saw enabled
+	// finds them, and a never-armed collector holds none.
+	armed   atomic.Pointer[armedState]
+	armOnce sync.Once
 	// counts is outside the histograms so outcome classification survives
 	// even for operations whose duration lands in the same bucket.
 	counts [NumOps][NumOutcomes]atomic.Uint64
 
-	rec recorder
-
 	// occupancy, when set, reports the live viewer count per region at
-	// snapshot time (occupancy is registry state, not an event stream, so
+	// snapshot time (occupancy is shard state, not an event stream, so
 	// polling it on scrape is free for the hot path). Set once before the
 	// collector is shared; not synchronized.
 	occupancy func() []int
 }
 
+// armedState is what recording writes: the histograms and the flight
+// recorder.
+type armedState struct {
+	// hists[op] has regions+1 entries: index 0 collects operations that
+	// failed before (or without) a region attribution, index r+1 is
+	// region r's shard.
+	hists [NumOps][]Histogram
+	rec   recorder
+}
+
 // New builds a collector for a control plane with the given region count.
 // ringSize bounds the flight recorder (<=0 selects the default of 256).
 // The collector starts disabled: every hot-path hook is one atomic load
-// until Enable.
+// until Enable, and its histograms and ring are allocated only then.
 func New(regions, ringSize int) *Collector {
-	c := &Collector{regions: regions}
-	for op := range c.hists {
-		c.hists[op] = make([]Histogram, regions+1)
-	}
-	c.rec.init(ringSize)
+	c := &Collector{regions: regions, ringSize: ringSize}
 	c.slowNanos.Store(int64(defaultSlowOpThreshold))
 	return c
 }
 
-// Enable arms recording. Idempotent.
-func (c *Collector) Enable() { c.enabled.Store(true) }
+// Enable arms recording, allocating the histograms and the slow-op ring on
+// the first call. Idempotent.
+func (c *Collector) Enable() {
+	c.armOnce.Do(func() {
+		a := &armedState{}
+		for op := range a.hists {
+			a.hists[op] = make([]Histogram, c.regions+1)
+		}
+		a.rec.init(c.ringSize)
+		c.armed.Store(a)
+	})
+	c.enabled.Store(true)
+}
 
 // Disable disarms recording; in-flight traces finish as no-ops on their
 // next gate check. Accumulated state is retained.
@@ -279,10 +298,11 @@ func (tr *OpTrace) Finish(region int, viewer string, out Outcome) {
 	if region >= 0 && region < c.regions {
 		slot = region + 1
 	}
-	c.hists[tr.op][slot].Record(total)
+	a := c.armed.Load() // published before the enabled flag StartOp saw
+	a.hists[tr.op][slot].Record(total)
 	c.counts[tr.op][out].Add(1)
 	if total >= time.Duration(c.slowNanos.Load()) {
-		c.rec.add(SlowOp{
+		a.rec.add(SlowOp{
 			Op:      tr.op,
 			Viewer:  viewer,
 			Region:  region,
@@ -304,7 +324,7 @@ func (c *Collector) Record(op Op, region int, d time.Duration, out Outcome) {
 	if region >= 0 && region < c.regions {
 		slot = region + 1
 	}
-	c.hists[op][slot].Record(d)
+	c.armed.Load().hists[op][slot].Record(d)
 	c.counts[op][out].Add(1)
 }
 
@@ -356,9 +376,11 @@ type Snapshot struct {
 }
 
 // Snapshot captures the collector's current state. Safe concurrently with
-// recording; the copy is internally consistent per counter but not across
-// counters (a scrape racing an operation may see its histogram sample and
-// not its outcome count, or vice versa — totals reconcile at quiescence).
+// recording and with Enable; the copy is internally consistent per counter
+// but not across counters (a scrape racing an operation may see its
+// histogram sample and not its outcome count, or vice versa — totals
+// reconcile at quiescence). A never-armed collector reports empty
+// histograms and no slow ops, exactly as an armed one that recorded nothing.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Enabled:       c.enabled.Load(),
@@ -369,16 +391,21 @@ func (c *Collector) Snapshot() Snapshot {
 	if c.occupancy != nil {
 		s.Occupancy = c.occupancy()
 	}
+	a := c.armed.Load()
 	for op := range s.Ops {
-		os := OpSnapshot{Op: Op(op), Regions: make([]HistSnapshot, len(c.hists[op]))}
-		for i := range c.hists[op] {
-			os.Regions[i] = c.hists[op][i].Snapshot()
+		os := OpSnapshot{Op: Op(op), Regions: make([]HistSnapshot, c.regions+1)}
+		if a != nil {
+			for i := range a.hists[op] {
+				os.Regions[i] = a.hists[op][i].Snapshot()
+			}
 		}
 		for out := range os.Outcomes {
 			os.Outcomes[out] = c.counts[op][out].Load()
 		}
 		s.Ops[op] = os
 	}
-	s.SlowOps, s.SlowOpsSeen = c.rec.snapshot()
+	if a != nil {
+		s.SlowOps, s.SlowOpsSeen = a.rec.snapshot()
+	}
 	return s
 }

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -128,7 +131,7 @@ func TestRecorderWraparound(t *testing.T) {
 		c.StartOp(&tr, OpJoin)
 		tr.Finish(i%2, fmt.Sprintf("w%02d", i), OutcomeOK)
 	}
-	ops, seen := c.rec.snapshot()
+	ops, seen := c.armed.Load().rec.snapshot()
 	if seen != 10 {
 		t.Fatalf("captures seen = %d, want 10", seen)
 	}
@@ -260,5 +263,86 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	s := c.Snapshot()
 	if hist, outs := s.Ops[OpJoin].Total().Count, s.Ops[OpJoin].OutcomeTotal(); hist != outs {
 		t.Fatalf("histogram count %d != outcome total %d", hist, outs)
+	}
+}
+
+// TestNeverArmedSnapshotMatchesIdleArmed pins that allocating the histograms
+// and the slow-op ring on the first Enable changes no output: a collector
+// that was never armed snapshots and exposes exactly what one armed and
+// disarmed again without recording does.
+func TestNeverArmedSnapshotMatchesIdleArmed(t *testing.T) {
+	never, idle := New(3, 0), New(3, 0)
+	idle.Enable()
+	idle.Disable()
+	if never.armed.Load() != nil {
+		t.Fatal("a never-armed collector allocated its histograms")
+	}
+	a, b := never.Snapshot(), idle.Snapshot()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshots differ:\nnever armed %+v\nidle armed  %+v", a, b)
+	}
+	var wa, wb bytes.Buffer
+	if err := WritePrometheus(&wa, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePrometheus(&wb, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		t.Fatalf("exposition differs:\nnever armed\n%s\nidle armed\n%s", wa.Bytes(), wb.Bytes())
+	}
+}
+
+// TestEnableWhileScraping arms a never-armed collector while scrapes and
+// traced operations run. Under -race it pins that the histograms the first
+// Enable allocates are published race-free to both; afterwards every
+// recorded operation is in the histograms and the outcome counts alike.
+func TestEnableWhileScraping(t *testing.T) {
+	c := New(2, 8)
+	c.SetSlowOpThreshold(0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var tr OpTrace
+				c.StartOp(&tr, OpLeave)
+				tr.Finish(g, "w", OutcomeOK)
+				c.Record(OpJoin, g, time.Microsecond, OutcomeOK)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := WritePrometheus(io.Discard, c.Snapshot()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	time.Sleep(5 * time.Millisecond)
+	c.Enable()
+	time.Sleep(5 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	s := c.Snapshot()
+	for _, op := range []Op{OpJoin, OpLeave} {
+		if hist, outs := s.Ops[op].Total().Count, s.Ops[op].OutcomeTotal(); hist == 0 || hist != outs {
+			t.Fatalf("%s: histogram count %d, outcome total %d", op, hist, outs)
+		}
 	}
 }
